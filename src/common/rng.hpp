@@ -30,25 +30,15 @@ class Rng {
   /// Uniform integer in [0, n).
   std::uint64_t uniform_index(std::uint64_t n);
 
-  /// Complete generator state, exposed so service snapshots can capture
-  /// and resume a stream mid-sequence bit-for-bit (the cached gaussian
-  /// spare is part of the stream: dropping it would shift every later
-  /// draw by one).
-  struct State {
-    std::uint64_t s[4] = {0, 0, 0, 0};
-    double spare = 0.0;
-    bool has_spare = false;
-  };
+  /// The xoshiro words, for configuration digests.
+  std::uint64_t word(int i) const { return s_[i]; }
 
-  State state() const {
-    return State{{s_[0], s_[1], s_[2], s_[3]}, spare_, has_spare_};
-  }
-
-  void set_state(const State& st) {
-    for (int i = 0; i < 4; ++i) s_[i] = st.s[i];
-    spare_ = st.spare;
-    has_spare_ = st.has_spare;
-  }
+  /// Complete generator state as a snapshot field list
+  /// (sched/snapshot.hpp), so service snapshots resume a stream
+  /// mid-sequence bit-for-bit (the cached gaussian spare is part of the
+  /// stream: dropping it would shift every later draw by one).
+  template <class V>
+  void visit(V& v) { v(s_, spare_, has_spare_); }
 
  private:
   std::uint64_t s_[4];

@@ -50,6 +50,9 @@ struct Placement {
   std::vector<int> clusters;
   std::vector<int> nodes;
   int total_nodes = 0;
+
+  template <class V>
+  void visit(V& v) { v(clusters, nodes, total_nodes); }
 };
 
 /// Cached performance profile of one (shape x placement) combination —
@@ -146,6 +149,9 @@ std::vector<int> identity_order(int num_clusters);
 struct ProfileExemplar {
   Job job;
   Placement placement;
+
+  template <class V>
+  void visit(V& v) { v(job, placement); }
 };
 
 /// How granted attempts run. profile() is what the service schedules and

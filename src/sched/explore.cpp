@@ -181,7 +181,7 @@ ExploreResult explore_interleavings(const ServiceFactory& factory,
         // against an oracle-free plain run.
         result.canonical_report = report;
         SnapshotWriter w;
-        tracer.save_state(w);
+        w(tracer);
         result.canonical_trace_bytes = w.bytes();
       }
     } catch (const Error& e) {

@@ -85,7 +85,7 @@ struct ExploreResult {
   bool truncated = false;         ///< max_leaves stopped the enumeration
   std::vector<ExploreViolation> violations;
   /// The canonical (all-zeros) leaf: its report, and its recorded event
-  /// stream serialized via ServiceTracer::save_state — byte-comparable
+  /// stream serialized by a SnapshotWriter — byte-comparable
   /// against an oracle-free plain run of the same factory/workload.
   ServiceReport canonical_report;
   std::string canonical_trace_bytes;

@@ -1,12 +1,12 @@
 #include "sched/job.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "sched/policy.hpp"
-#include "sched/snapshot.hpp"
 #include "sched/telemetry.hpp"
 
 namespace qrgrid::sched {
@@ -32,32 +32,13 @@ std::string policy_name(Policy policy) {
   return "?";
 }
 
-void save_job(SnapshotWriter& w, const Job& job) {
-  w.i32(job.id);
-  w.f64(job.arrival_s);
-  w.f64(job.m);
-  w.i32(job.n);
-  w.i32(job.procs);
-  w.i32(job.priority);
-  w.i32(job.user);
-  w.f64(job.weight);
-  w.i32(static_cast<int>(job.tree));
-  w.f64(job.walltime_s);
-}
-
-Job load_job(SnapshotReader& r) {
-  Job job;
-  job.id = r.i32();
-  job.arrival_s = r.f64();
-  job.m = r.f64();
-  job.n = r.i32();
-  job.procs = r.i32();
-  job.priority = r.i32();
-  job.user = r.i32();
-  job.weight = r.f64();
-  job.tree = static_cast<core::TreeKind>(r.i32());
-  job.walltime_s = r.f64();
-  return job;
+void check_job(const Job& job) {
+  QRGRID_CHECK_MSG(std::isfinite(job.arrival_s) && job.m >= job.n &&
+                       job.n >= 1 && job.procs >= 1 &&
+                       job.walltime_s >= 0.0 && job.weight > 0.0 &&
+                       job.tree >= core::TreeKind::kFlat &&
+                       job.tree <= core::TreeKind::kGridHierarchical,
+                   "malformed job " << job.id);
 }
 
 std::string fate_name(JobFate fate) {
@@ -99,39 +80,24 @@ void JobQueue::index_erase(Set::const_iterator it) {
 }
 
 void JobQueue::sync() {
-  if (!policy_->keys_dirty()) return;
+  if (!track_classes_) return;
+  const std::vector<int> classes = policy_->moved_classes();
+  if (classes.empty()) return;
   // Extraction by stored iterator is comparison-free, so it is safe even
   // though the tree's invariant no longer matches the mutated keys; the
   // remaining entries (whose keys did not move) stay mutually consistent,
   // and reinsertion compares fresh keys against them.
   std::vector<PendingEntry> moved;
-  const std::vector<int>* classes =
-      track_classes_ ? policy_->dirty_classes() : nullptr;
-  if (classes != nullptr) {
-    for (const int cls : *classes) {
-      const auto b = buckets_.find(cls);
-      if (b == buckets_.end()) continue;  // no queued jobs of this class
-      for (auto& [id, it] : b->second) {
-        if (!policy_->touch(it->job)) continue;
-        moved.push_back(std::move(const_cast<PendingEntry&>(*it)));
-        set_.erase(it);
-      }
-      buckets_.erase(b);
+  for (const int cls : classes) {
+    const auto b = buckets_.find(cls);
+    if (b == buckets_.end()) continue;  // no queued jobs of this class
+    for (auto& [id, it] : b->second) {
+      moved.push_back(std::move(const_cast<PendingEntry&>(*it)));
+      set_.erase(it);
     }
-  } else {
-    // Conservative path (a dynamic policy without dirty tracking):
-    // everything reinserts. Extracting in current order and reinserting
-    // in that order keeps ties stable, matching the old stable_sort.
-    moved.reserve(set_.size());
-    for (const PendingEntry& e : set_) moved.push_back(e);
-    set_.clear();
-    buckets_.clear();
+    buckets_.erase(b);
   }
-  policy_->clear_dirty();
-  for (PendingEntry& e : moved) {
-    auto it = set_.insert(std::move(e));
-    if (track_classes_) index_insert(it);
-  }
+  for (PendingEntry& e : moved) index_insert(set_.insert(std::move(e)));
   if (metrics_ != nullptr) {
     metrics_->add("policy.resorts");
     if (!moved.empty()) {

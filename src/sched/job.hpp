@@ -8,22 +8,23 @@
 // the comparator the queue keeps itself sorted by.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <limits>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/check.hpp"
 #include "core/tree.hpp"
 
 namespace qrgrid::sched {
 
 class MetricsRegistry;
 class SchedulingPolicy;
-class SnapshotWriter;
-class SnapshotReader;
 
 /// Names for the built-in policy objects (sched/policy.hpp). The service
 /// dispatches through the SchedulingPolicy interface, never on this enum;
@@ -65,13 +66,19 @@ struct Job {
   /// use THIS number while execution uses the exact replay — and the job
   /// is killed (finally, no requeue) if an attempt runs past it.
   double walltime_s = 0.0;
+
+  /// Snapshot field list (sched/snapshot.hpp).
+  template <class V>
+  void visit(V& v) {
+    v(id, arrival_s, m, n, procs, priority, user, weight, tree, walltime_s);
+  }
 };
 
-/// Snapshot encoding of one Job, field by field with raw double bits —
-/// the shared building block of the service's pending/running/outcome
-/// serialization (sched/snapshot.hpp).
-void save_job(SnapshotWriter& w, const Job& job);
-Job load_job(SnapshotReader& r);
+/// Throws qrgrid::Error unless the job is well-formed: a finite arrival,
+/// m >= n >= 1, procs >= 1, walltime_s >= 0, weight > 0, and a known
+/// tree. The service's admission preflight and snapshot restore both
+/// gate on it.
+void check_job(const Job& job);
 
 /// How a job left the service.
 enum class JobFate {
@@ -129,6 +136,14 @@ struct JobOutcome {
   bool completed() const { return fate == JobFate::kCompleted; }
   double wait_s() const { return start_s - job.arrival_s; }
   double turnaround_s() const { return finish_s - job.arrival_s; }
+
+  template <class V>
+  void visit(V& v) {
+    v(job, start_s, finish_s, service_s, gflops, clusters, nodes_per_cluster,
+      nodes, backfilled, fate, attempts, wasted_node_s, credited_s,
+      reserved_start_s, wan_slowdown, executed, exec_aborted, measured_s,
+      residual, orthogonality, blame_s);
+  }
 };
 
 /// What a SchedulingPolicy's queue comparator sees: the job plus the
@@ -137,6 +152,9 @@ struct JobOutcome {
 struct PendingEntry {
   Job job;
   double predicted_s = 0.0;
+
+  template <class V>
+  void visit(V& v) { v(job, predicted_s); }
 };
 
 /// The comparator object an ordered pending-queue structure sorts by;
@@ -152,13 +170,12 @@ struct PendingOrder {
 ///
 /// Dynamic-order policies (fair-share) mutate their keys as attempts
 /// start; the queue re-establishes order INCREMENTALLY through the
-/// policy's keys_dirty()/touch()/dirty_classes() protocol: entries are
-/// bucketed by order_class() (fair-share: the user), and a sync
-/// extracts and reinserts only the dirty classes' entries. Every
-/// ordered accessor (front/pop_front/push/begin) syncs first, so a
-/// stale order — or a comparison under a mutated key, the pre-PR-7
-/// upper_bound UB — is never observable. Static-key policies are never
-/// dirty and pay nothing.
+/// policy's moved_classes() hook: entries are bucketed by order_class()
+/// (fair-share: the user), and a sync extracts and reinserts only the
+/// moved classes' entries. Every ordered accessor (front/pop_front/
+/// push/begin) syncs first, so a stale order — or a comparison under a
+/// mutated key, the old upper_bound UB — is never observable.
+/// Static-key policies never move and pay nothing.
 class JobQueue {
  public:
   /// Borrows the policy; the caller keeps it alive and in sync with any
@@ -195,6 +212,26 @@ class JobQueue {
   /// Erases the entry at `it`, moving its job into `out`; returns the
   /// following position.
   const_iterator take(const_iterator it, Job& out);
+
+  /// Snapshot field list: the entries in (synced) queue order. Loading
+  /// pushes them back through the comparator, so the policy's state must
+  /// be restored first.
+  template <class V>
+  void visit(V& v) {
+    if constexpr (V::kLoading) {
+      std::vector<PendingEntry> entries;
+      v(entries);
+      for (PendingEntry& e : entries) {
+        check_job(e.job);
+        QRGRID_CHECK_MSG(!std::isnan(e.predicted_s),
+                         "corrupt snapshot: pending job " << e.job.id);
+        push(std::move(e.job), e.predicted_s);
+      }
+    } else {
+      sync();
+      v(set_);
+    }
+  }
 
  private:
   void sync();

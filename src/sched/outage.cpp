@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "common/check.hpp"
-#include "sched/snapshot.hpp"
 
 namespace qrgrid::sched {
 
@@ -89,24 +88,11 @@ OutageEvent OutageTrace::pop() {
   return ev;
 }
 
-void OutageTrace::save_state(SnapshotWriter& w) const {
-  w.u64(cursor_);
-  w.u64(streams_.size());
-  for (const Stream& s : streams_) {
-    const Rng::State rs = s.rng.state();
-    for (int i = 0; i < 4; ++i) w.u64(rs.s[i]);
-    w.f64(rs.spare);
-    w.boolean(rs.has_spare);
-    w.f64(s.next_s);
-    w.boolean(s.down);
-  }
-}
-
 std::string OutageTrace::config_key() const {
   // FNV-1a over the defining configuration, not the consumable position:
   // cursor_ and already-consumed generator draws are restored by
-  // load_state(), whose precondition (same construction inputs) is
-  // exactly what this key pins.
+  // visit(), whose precondition (same construction inputs) is exactly
+  // what this key pins.
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -132,32 +118,11 @@ std::string OutageTrace::config_key() const {
     // A pristine trace's stream states are a pure function of the seed,
     // so hashing them keys the generator configuration without retaining
     // the spec.
-    const Rng::State rs = s.rng.state();
-    for (int i = 0; i < 4; ++i) mix(rs.s[i]);
+    for (int i = 0; i < 4; ++i) mix(s.rng.word(i));
   }
   std::ostringstream out;
   out << std::hex << h;
   return out.str();
-}
-
-void OutageTrace::load_state(SnapshotReader& r) {
-  cursor_ = static_cast<std::size_t>(r.u64());
-  QRGRID_CHECK_MSG(cursor_ <= events_.size(),
-                   "snapshot outage cursor " << cursor_ << " beyond "
-                       << events_.size() << " explicit events");
-  const std::uint64_t n = r.u64();
-  QRGRID_CHECK_MSG(n == streams_.size(),
-                   "snapshot outage stream count " << n << " != configured "
-                       << streams_.size());
-  for (Stream& s : streams_) {
-    Rng::State rs;
-    for (int i = 0; i < 4; ++i) rs.s[i] = r.u64();
-    rs.spare = r.f64();
-    rs.has_spare = r.boolean();
-    s.rng.set_state(rs);
-    s.next_s = r.f64();
-    s.down = r.boolean();
-  }
 }
 
 }  // namespace qrgrid::sched

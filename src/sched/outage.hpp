@@ -14,12 +14,10 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 
 namespace qrgrid::sched {
-
-class SnapshotWriter;
-class SnapshotReader;
 
 /// One whole-cluster outage interval: the site is unusable in
 /// [start_s, end_s) and every job holding nodes there at start_s dies.
@@ -71,21 +69,30 @@ class OutageTrace {
   /// Consumes and returns the next boundary. Requires peek_s() < inf.
   OutageEvent pop();
 
-  /// Serializes only the consumable position — the explicit-mode cursor
-  /// and the generated-mode per-cluster RNG/next-boundary/phase — so a
-  /// restored service replays the exact same outage future, including
-  /// generator draws that haven't happened yet. The interval list and
-  /// spec are NOT written; load_state() must be applied to a trace
-  /// freshly constructed from the same configuration.
-  void save_state(SnapshotWriter& w) const;
-  void load_state(SnapshotReader& r);
+  /// Snapshot field list (sched/snapshot.hpp): only the consumable
+  /// position — the explicit-mode cursor and the generated-mode
+  /// per-cluster RNG/next-boundary/phase — so a restored service replays
+  /// the exact same outage future, including generator draws that haven't
+  /// happened yet. The interval list and spec are NOT written; loading
+  /// must target a trace freshly constructed from the same configuration.
+  template <class V>
+  void visit(V& v) {
+    v(cursor_);
+    v.expect(streams_.size(), "outage stream count");
+    for (Stream& s : streams_) v(s.rng, s.next_s, s.down);
+    if constexpr (V::kLoading) {
+      QRGRID_CHECK_MSG(cursor_ <= events_.size(),
+                       "snapshot outage cursor " << cursor_ << " beyond "
+                           << events_.size() << " explicit events");
+    }
+  }
 
   /// Configuration digest for the service snapshot fingerprint: a hash
   /// over the defining boundary list (explicit mode) or the generator
   /// means and initial per-cluster stream states (generated mode).
   /// Consumable position (cursor, consumed draws) is excluded — the key
-  /// guards that load_state() lands on a trace built from the same
-  /// configuration, which is its documented precondition.
+  /// guards that a loaded snapshot lands on a trace built from the same
+  /// configuration, which is visit()'s documented precondition.
   std::string config_key() const;
 
  private:

@@ -1,6 +1,7 @@
 #include "sched/policy.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.hpp"
 #include "sched/backend.hpp"
@@ -94,7 +95,10 @@ void FairSharePolicy::on_attempt_start(const Job& job, double node_seconds) {
                                             << " has non-positive weight "
                                             << job.weight);
   service_[job.user] += node_seconds / job.weight;
-  if (dirty_set_.insert(job.user).second) dirty_users_.push_back(job.user);
+  if (std::find(moved_users_.begin(), moved_users_.end(), job.user) ==
+      moved_users_.end()) {
+    moved_users_.push_back(job.user);
+  }
   if (metrics_ != nullptr) {
     metrics_->set("policy.fair.normalized_service.user." +
                       std::to_string(job.user),
@@ -107,27 +111,20 @@ double FairSharePolicy::normalized_service(int user) const {
   return it == service_.end() ? 0.0 : it->second;
 }
 
-void FairSharePolicy::save_state(SnapshotWriter& w) const {
-  std::vector<int> users;
-  users.reserve(service_.size());
-  for (const auto& [user, _] : service_) users.push_back(user);
-  std::sort(users.begin(), users.end());
-  w.u64(users.size());
-  for (int user : users) {
-    w.i32(user);
-    w.f64(service_.at(user));
+template <class V>
+void FairSharePolicy::visit_fields(V& v) {
+  v(service_);
+  if constexpr (V::kLoading) {
+    moved_users_.clear();
+    for (const auto& [user, deficit] : service_) {
+      QRGRID_CHECK_MSG(!std::isnan(deficit),
+                       "corrupt snapshot: deficit of user " << user);
+    }
   }
 }
 
-void FairSharePolicy::load_state(SnapshotReader& r) {
-  service_.clear();
-  clear_dirty();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const int user = r.i32();
-    service_[user] = r.f64();
-  }
-}
+void FairSharePolicy::visit(SnapshotWriter& w) { visit_fields(w); }
+void FairSharePolicy::visit(SnapshotReader& r) { visit_fields(r); }
 
 std::unique_ptr<SchedulingPolicy> make_policy(Policy policy) {
   switch (policy) {

@@ -43,7 +43,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "sched/job.hpp"
@@ -83,31 +83,18 @@ class SchedulingPolicy {
   /// --- Incremental order maintenance (the JobQueue sync protocol) ---
   /// A dynamic-order policy's keys move only at well-defined instants
   /// (fair-share: on_attempt_start). Instead of a full re-sort per
-  /// dispatch, the queue asks the policy WHICH keys moved and reinserts
-  /// only those entries. Static-key policies (FCFS/SPJF/EASY) report
-  /// clean always and pay zero resort cost. The dirty state is queue
-  /// bookkeeping, not scheduling state, hence const (mutable inside).
+  /// dispatch, the queue buckets its entries by order_class() and asks
+  /// which classes moved, reinserting only those classes' entries.
+  /// Static-key policies never move and pay zero resort cost.
 
-  /// Any ordering keys changed since the last clear_dirty()? The default
-  /// is conservative: a dynamic-order policy without finer tracking is
-  /// dirty whenever asked (every ordered access re-sorts, the pre-PR-7
-  /// behavior); a static-key policy is never dirty.
-  virtual bool keys_dirty() const { return dynamic_order(); }
-  /// Did THIS job's ordering key change since the last clear_dirty()?
-  /// Only consulted for entries of a dirty class (or all entries when
-  /// dirty_classes() is null).
-  virtual bool touch(const Job&) const { return true; }
   /// Equivalence class of entries whose keys move together (fair-share:
-  /// the user id — one charge moves every queued job of that user). The
-  /// queue buckets entries by class so a dirty class extracts without
-  /// scanning the rest.
+  /// the user id — one charge moves every queued job of that user).
   virtual int order_class(const Job&) const { return 0; }
-  /// Classes whose keys changed since the last clear_dirty(); null means
-  /// "unknown — treat every entry as dirty" (the conservative default).
-  virtual const std::vector<int>* dirty_classes() const { return nullptr; }
-  /// The queue consumed the dirty set (it just reinserted every touched
-  /// entry); forget it.
-  virtual void clear_dirty() const {}
+  /// Classes whose keys moved since the last call, in first-moved order;
+  /// the call consumes them. A dynamic_order() policy MUST report every
+  /// key it moves here — the queue has no full-reinsert fallback. This
+  /// is queue bookkeeping, not scheduling state, hence const.
+  virtual std::vector<int> moved_classes() const { return {}; }
 
   /// Placement scoring: the order in which candidate master clusters are
   /// presented to the meta-scheduler's first-fit. The default is master-id
@@ -135,14 +122,14 @@ class SchedulingPolicy {
   /// so one service can serve several workloads byte-identically.
   virtual void reset() {}
 
-  /// Snapshot seam: serialize/restore policy-private scheduling state
+  /// Snapshot seam (sched/snapshot.hpp): one overload per visitor, since
+  /// a virtual cannot be a template. Policy-private scheduling state only
   /// (fair-share deficits; nothing for the static-key policies). The
-  /// service snapshots only between steps, when the queue has synced any
-  /// dirty keys, so implementations need not serialize dirty-tracking
-  /// bookkeeping — load_state() restores a clean-synced policy. Defaults
-  /// are no-ops: a stateless policy round-trips for free.
-  virtual void save_state(SnapshotWriter&) const {}
-  virtual void load_state(SnapshotReader&) {}
+  /// service snapshots between steps, after the queue has synced, so
+  /// moved-class bookkeeping is never serialized — loading restores a
+  /// clean-synced policy.
+  virtual void visit(SnapshotWriter&) {}
+  virtual void visit(SnapshotReader&) {}
 
   /// Observability seam: the service binds its (optional) metrics
   /// registry before a run so policies can report their own decision
@@ -207,40 +194,33 @@ class FairSharePolicy : public SchedulingPolicy {
   void on_attempt_start(const Job& job, double node_seconds) override;
   void reset() override {
     service_.clear();
-    clear_dirty();
+    moved_users_.clear();
   }
 
-  /// Incremental order maintenance: a started attempt moves the deficit
-  /// key of exactly one user, so only that user's queued jobs need
-  /// reinsertion — the queue leaves everyone else's entries in place.
-  bool keys_dirty() const override { return !dirty_users_.empty(); }
-  bool touch(const Job& job) const override {
-    return dirty_set_.count(job.user) != 0;
-  }
+  /// A started attempt moves the deficit key of exactly one user, so only
+  /// that user's queued jobs need reinsertion — the queue leaves everyone
+  /// else's entries in place.
   int order_class(const Job& job) const override { return job.user; }
-  const std::vector<int>* dirty_classes() const override {
-    return &dirty_users_;
-  }
-  void clear_dirty() const override {
-    dirty_users_.clear();
-    dirty_set_.clear();
+  std::vector<int> moved_classes() const override {
+    return std::exchange(moved_users_, {});
   }
 
   /// Normalized service a user has accumulated (node-seconds / weight);
   /// 0 for users never charged. Exposed for the fairness test suite.
   double normalized_service(int user) const;
 
-  /// Deficit map, serialized in sorted-user order (the map itself is
-  /// unordered; raw f64 bits keep restored ordering keys bit-exact).
-  void save_state(SnapshotWriter& w) const override;
-  void load_state(SnapshotReader& r) override;
+  /// The deficit map (sorted-user order; raw f64 bits keep restored
+  /// ordering keys bit-exact).
+  void visit(SnapshotWriter& w) override;
+  void visit(SnapshotReader& r) override;
 
  private:
+  template <class V>
+  void visit_fields(V& v);
+
   std::unordered_map<int, double> service_;
-  /// Users charged since the queue last synced (vector for deterministic
-  /// extraction order, set for O(1) touch checks).
-  mutable std::vector<int> dirty_users_;
-  mutable std::unordered_set<int> dirty_set_;
+  /// Users charged since the queue last synced, in first-charged order.
+  mutable std::vector<int> moved_users_;
 };
 
 /// Policy object for one enum value (the CLI's fcfs|spjf|easy|prio-easy|

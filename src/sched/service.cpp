@@ -36,68 +36,23 @@ constexpr double kGroupMinBandwidthBps = 100e6 / 8.0;
 const char kSnapshotMagic[] = "QRGS";
 constexpr std::uint32_t kSnapshotVersion = 2;
 
-void save_placement(SnapshotWriter& w, const Placement& placement) {
-  w.i32_vec(placement.clusters);
-  w.i32_vec(placement.nodes);
-  w.i32(placement.total_nodes);
-}
-
-Placement load_placement(SnapshotReader& r) {
-  Placement placement;
-  placement.clusters = r.i32_vec();
-  placement.nodes = r.i32_vec();
-  placement.total_nodes = r.i32();
-  return placement;
-}
-
-void save_outcome(SnapshotWriter& w, const JobOutcome& o) {
-  save_job(w, o.job);
-  w.f64(o.start_s);
-  w.f64(o.finish_s);
-  w.f64(o.service_s);
-  w.f64(o.gflops);
-  w.i32_vec(o.clusters);
-  w.i32_vec(o.nodes_per_cluster);
-  w.i32(o.nodes);
-  w.boolean(o.backfilled);
-  w.i32(static_cast<int>(o.fate));
-  w.i32(o.attempts);
-  w.f64(o.wasted_node_s);
-  w.f64(o.credited_s);
-  w.f64(o.reserved_start_s);
-  w.f64(o.wan_slowdown);
-  w.boolean(o.executed);
-  w.boolean(o.exec_aborted);
-  w.f64(o.measured_s);
-  w.f64(o.residual);
-  w.f64(o.orthogonality);
-  w.f64_vec(o.blame_s);
-}
-
-JobOutcome load_outcome(SnapshotReader& r) {
-  JobOutcome o;
-  o.job = load_job(r);
-  o.start_s = r.f64();
-  o.finish_s = r.f64();
-  o.service_s = r.f64();
-  o.gflops = r.f64();
-  o.clusters = r.i32_vec();
-  o.nodes_per_cluster = r.i32_vec();
-  o.nodes = r.i32();
-  o.backfilled = r.boolean();
-  o.fate = static_cast<JobFate>(r.i32());
-  o.attempts = r.i32();
-  o.wasted_node_s = r.f64();
-  o.credited_s = r.f64();
-  o.reserved_start_s = r.f64();
-  o.wan_slowdown = r.f64();
-  o.executed = r.boolean();
-  o.exec_aborted = r.boolean();
-  o.measured_s = r.f64();
-  o.residual = r.f64();
-  o.orthogonality = r.f64();
-  o.blame_s = r.f64_vec();
-  return o;
+/// Throws qrgrid::Error unless `p` is a placement this topology could
+/// have granted: ascending distinct clusters, each holding 1..capacity
+/// nodes, summing to total_nodes. Restored placements index per-cluster
+/// arrays and build replay topologies, so hostile bytes stop here.
+void check_placement(const Placement& p, const simgrid::GridTopology& topo) {
+  QRGRID_CHECK_MSG(!p.clusters.empty() && p.clusters.size() == p.nodes.size(),
+                   "corrupt snapshot: placement shape");
+  int total = 0;
+  for (std::size_t i = 0; i < p.clusters.size(); ++i) {
+    const int c = p.clusters[i];
+    QRGRID_CHECK_MSG((i == 0 ? c >= 0 : c > p.clusters[i - 1]) &&
+                         c < topo.num_clusters() && p.nodes[i] >= 1 &&
+                         p.nodes[i] <= topo.cluster(c).nodes,
+                     "corrupt snapshot: placement on cluster " << c);
+    total += p.nodes[i];
+  }
+  QRGRID_CHECK_MSG(total == p.total_nodes, "corrupt snapshot: placement total");
 }
 
 }  // namespace
@@ -432,6 +387,9 @@ struct GridJobService::Engine {
   struct BlameOpen {
     int category = 0;
     double since_s = 0.0;
+
+    template <class V>
+    void visit(V& v) { v(category, since_s); }
   };
   std::unordered_map<int, BlameOpen> blame_open;
   std::unordered_map<int, std::array<double, kBlameCategoryCount>>
@@ -504,8 +462,33 @@ struct GridJobService::Engine {
   void admit_arrivals();
   void step();
   ServiceReport finish();
-  void save(SnapshotWriter& w);
-  void load(SnapshotReader& r);
+
+  /// The one trace-emit path: records an event when a tracer is bound
+  /// and builds nothing otherwise. `cluster` tags outage events, a
+  /// `placement` fills a start event's clusters/nodes, and kRunConfig
+  /// carries the policy name.
+  void emit(TraceKind kind, double t_s, int job = -1, double value = 0.0,
+            double value2 = 0.0, int flow = -1, int cluster = -1,
+            const Placement* placement = nullptr) const {
+    if (tracer == nullptr) return;
+    ServiceTraceEvent ev{t_s, kind, job, cluster, flow, value, value2,
+                         {},  {},   {}};
+    if (placement != nullptr) {
+      ev.clusters = placement->clusters;
+      ev.nodes = placement->nodes;
+    }
+    if (kind == TraceKind::kRunConfig) ev.note = policy_->name();
+    tracer->record(std::move(ev));
+  }
+
+  /// Snapshot field list of the in-flight state (the job list travels
+  /// ahead of it: restore() needs it to construct the Engine).
+  template <class V>
+  void visit(V& v);
+  /// Snapshot load: range-checks the restored indices, rebuilds the
+  /// placeable-procs index, and silently re-warms the backend's profile
+  /// cache from `exemplars`.
+  void rebuild_after_load(const std::vector<ProfileExemplar>& exemplars);
 };
 
 GridJobService::Engine::Engine(GridJobService& service,
@@ -535,9 +518,7 @@ GridJobService::Engine::Engine(GridJobService& service,
     // so a million-job workload pays one real placement per distinct size.
     std::unordered_set<int> feasible_procs;
     for (const Job& job : jobs) {
-      QRGRID_CHECK_MSG(job.m >= job.n && job.n >= 1 && job.procs >= 1 &&
-                           job.walltime_s >= 0.0 && job.weight > 0.0,
-                       "malformed job " << job.id);
+      check_job(job);
       if (!feasible_procs.insert(job.procs).second) continue;
       QRGRID_CHECK_MSG(try_place(job, total_nodes).has_value(),
                        "job " << job.id << " (" << job.procs
@@ -587,15 +568,12 @@ GridJobService::Engine::Engine(GridJobService& service,
     wan->set_tracer(tracer);
     wan->set_profiler(profiler);
   }
-  if (!quiet && tracer != nullptr) {
-    ServiceTraceEvent ev;
-    ev.kind = TraceKind::kRunConfig;
-    ev.value = (wan_on ? kTraceConfigWanContention : 0) |
-               (has_outages ? kTraceConfigHasOutages : 0) |
-               (policy_->backfills() ? kTraceConfigBackfills : 0) |
-               (blame_on ? kTraceConfigWaitBlame : 0);
-    ev.note = policy_->name();
-    tracer->record(std::move(ev));
+  if (!quiet) {
+    emit(TraceKind::kRunConfig, 0.0, -1,
+         (wan_on ? kTraceConfigWanContention : 0) |
+             (has_outages ? kTraceConfigHasOutages : 0) |
+             (policy_->backfills() ? kTraceConfigBackfills : 0) |
+             (blame_on ? kTraceConfigWaitBlame : 0));
   }
   if (!quiet && metrics != nullptr) {
     // Series skeleton at t=0: every step curve the loop samples exists
@@ -692,15 +670,8 @@ void GridJobService::Engine::blame_flush(int job_id, double upto_s) {
   if (dt > 0.0) {
     blame_totals[job_id][static_cast<std::size_t>(it->second.category)] +=
         dt;
-    if (tracer != nullptr) {
-      ServiceTraceEvent ev;
-      ev.t_s = upto_s;
-      ev.kind = TraceKind::kWaitBlame;
-      ev.job = job_id;
-      ev.value = dt;
-      ev.value2 = static_cast<double>(it->second.category);
-      tracer->record(std::move(ev));
-    }
+    emit(TraceKind::kWaitBlame, upto_s, job_id, dt,
+         static_cast<double>(it->second.category));
   }
   it->second.since_s = upto_s;
 }
@@ -860,13 +831,7 @@ void GridJobService::Engine::start_job(Job job, const Placement& placement,
     // promise is withdrawn. Backfills are exempt: they are sanctioned
     // BY the reservation. The next blocked-head pass re-promises.
     progress[reserved_job].reserved_start_s = kInf;
-    if (tracer != nullptr) {
-      ServiceTraceEvent ev;
-      ev.t_s = clock;
-      ev.kind = TraceKind::kReservationWithdraw;
-      ev.job = reserved_job;
-      tracer->record(std::move(ev));
-    }
+    emit(TraceKind::kReservationWithdraw, clock, reserved_job);
     reserved_job = -1;
   }
   const ExecutionProfile& replay = replay_for(job, placement);
@@ -976,18 +941,9 @@ void GridJobService::Engine::start_job(Job job, const Placement& placement,
     }
     r.flow = wan->admit(clock, std::move(pools));
   }
-  if (tracer != nullptr) {
-    ServiceTraceEvent ev;
-    ev.t_s = clock;
-    ev.kind = backfilled ? TraceKind::kBackfillStart : TraceKind::kDispatch;
-    ev.job = r.job.id;
-    ev.flow = r.flow;
-    ev.value = r.finish_s;      // isolated replay end
-    ev.value2 = r.est_finish_s; // what EASY plans with
-    ev.clusters = r.placement.clusters;
-    ev.nodes = r.placement.nodes;
-    tracer->record(std::move(ev));
-  }
+  // value: the isolated replay end; value2: what EASY plans with.
+  emit(backfilled ? TraceKind::kBackfillStart : TraceKind::kDispatch, clock,
+       r.job.id, r.finish_s, r.est_finish_s, r.flow, -1, &r.placement);
   if (metrics != nullptr) {
     metrics->add(backfilled ? "dispatch.backfill_admits"
                             : "dispatch.head_starts");
@@ -1028,13 +984,7 @@ void GridJobService::Engine::dispatch() {
   // the no-delay invariant binds exactly the job holding the shadow.
   if (reserved_job != -1 && reserved_job != pending.front().id) {
     progress[reserved_job].reserved_start_s = kInf;
-    if (tracer != nullptr) {
-      ServiceTraceEvent ev;
-      ev.t_s = clock;
-      ev.kind = TraceKind::kReservationWithdraw;
-      ev.job = reserved_job;
-      tracer->record(std::move(ev));
-    }
+    emit(TraceKind::kReservationWithdraw, clock, reserved_job);
   }
   reserved_job = pending.front().id;
   if (metrics != nullptr) metrics->add("dispatch.shadow_computations");
@@ -1051,14 +1001,8 @@ void GridJobService::Engine::dispatch() {
   Progress& head_progress = progress[pending.front().id];
   head_progress.reserved_start_s =
       std::min(head_progress.reserved_start_s, shadow);
-  if (tracer != nullptr) {
-    ServiceTraceEvent ev;
-    ev.t_s = clock;
-    ev.kind = TraceKind::kReservationClaim;
-    ev.job = reserved_job;
-    ev.value = shadow;  // the promised latest start
-    tracer->record(std::move(ev));
-  }
+  // value: the promised latest start.
+  emit(TraceKind::kReservationClaim, clock, reserved_job, shadow);
   const bool priced = wan != nullptr && policy_->wan_priced_shadow();
   // Ordered scan behind the head. Starts (on_attempt_start) dirty
   // fair-share keys mid-scan, but iteration and take() never compare
@@ -1225,13 +1169,8 @@ void GridJobService::Engine::classify_waits() {
 // Lost node-seconds are charged as waste (minus any banked panels) and
 // the job is requeued until its retries run out.
 void GridJobService::Engine::apply_outage(const OutageEvent& ev) {
-  if (tracer != nullptr) {
-    ServiceTraceEvent te;
-    te.t_s = ev.time_s;
-    te.kind = ev.down ? TraceKind::kOutageDown : TraceKind::kOutageUp;
-    te.cluster = ev.cluster;
-    tracer->record(std::move(te));
-  }
+  emit(ev.down ? TraceKind::kOutageDown : TraceKind::kOutageUp, ev.time_s,
+       -1, 0.0, 0.0, -1, ev.cluster);
   if (!ev.down) {
     QRGRID_CHECK(ev.cluster < nclusters &&
                  down_depth[static_cast<std::size_t>(ev.cluster)] > 0);
@@ -1330,17 +1269,10 @@ void GridJobService::Engine::apply_outage(const OutageEvent& ev) {
     // The outage hits the in-flight attempt for REAL on the msg
     // backend: the factorization aborts mid-run at the reached point of
     // the timeline, requeued attempts included.
-    if (tracer != nullptr) {
-      ServiceTraceEvent te;
-      te.t_s = ev.time_s;
-      te.kind = TraceKind::kOutageKill;
-      te.job = victim.job.id;
-      te.cluster = ev.cluster;
-      te.flow = victim.flow;
-      te.value = elapsed;  // node-holding seconds the kill threw away
-      te.value2 = banked;  // of which restart credit banked this much
-      tracer->record(std::move(te));
-    }
+    // value: node-holding seconds the kill threw away; value2: of which
+    // restart credit banked this much.
+    emit(TraceKind::kOutageKill, ev.time_s, victim.job.id, elapsed, banked,
+         victim.flow, ev.cluster);
     const ExecutionResult exec = execute_attempt(
         victim, /*killed=*/true, victim.start_fraction + covered);
     ++report.killed_jobs;
@@ -1354,25 +1286,11 @@ void GridJobService::Engine::apply_outage(const OutageEvent& ev) {
         // summing to (final start - arrival) across retries.
         blame_totals[job.id][static_cast<std::size_t>(
             BlameCategory::kRequeuedRerun)] += elapsed;
-        if (tracer != nullptr) {
-          ServiceTraceEvent te;
-          te.t_s = ev.time_s;
-          te.kind = TraceKind::kWaitBlame;
-          te.job = job.id;
-          te.value = elapsed;
-          te.value2 =
-              static_cast<double>(BlameCategory::kRequeuedRerun);
-          tracer->record(std::move(te));
-        }
+        emit(TraceKind::kWaitBlame, ev.time_s, job.id, elapsed,
+             static_cast<double>(BlameCategory::kRequeuedRerun));
       }
-      if (tracer != nullptr) {
-        ServiceTraceEvent te;
-        te.t_s = ev.time_s;
-        te.kind = TraceKind::kRequeue;
-        te.job = job.id;
-        te.value = static_cast<double>(p.attempts);
-        tracer->record(std::move(te));
-      }
+      emit(TraceKind::kRequeue, ev.time_s, job.id,
+           static_cast<double>(p.attempts));
       // SPJF sort key: only the uncredited remainder still costs time.
       const double predicted =
           predicted_seconds(job) * (1.0 - p.credited_fraction);
@@ -1532,16 +1450,10 @@ void GridJobService::Engine::complete_one(std::size_t index) {
     }
     const ExecutionResult exec = execute_attempt(done, /*killed=*/false, 1.0);
     ++report.completed_jobs;
-    if (tracer != nullptr) {
-      ServiceTraceEvent ev;
-      ev.t_s = finish;
-      ev.kind = TraceKind::kCompletion;
-      ev.job = done.job.id;
-      ev.flow = done.flow;
-      ev.value = held;                     // service seconds of the attempt
-      ev.value2 = finish - done.finish_s;  // WAN drain stretch past replay
-      tracer->record(std::move(ev));
-    }
+    // value: service seconds of the attempt; value2: the WAN drain
+    // stretch past the replay end.
+    emit(TraceKind::kCompletion, finish, done.job.id, held,
+         finish - done.finish_s, done.flow);
     record_outcome(done, finish, JobFate::kCompleted, exec);
   } else {
     // Ran past its user walltime: killed for good, everything wasted.
@@ -1568,15 +1480,9 @@ void GridJobService::Engine::complete_one(std::size_t index) {
     ++report.killed_jobs;
     ++report.walltime_kills;
     ++report.failed_jobs;
-    if (tracer != nullptr) {
-      ServiceTraceEvent ev;
-      ev.t_s = done.kill_s;
-      ev.kind = TraceKind::kWalltimeKill;
-      ev.job = done.job.id;
-      ev.flow = done.flow;
-      ev.value = held;  // node-holding seconds the kill threw away
-      tracer->record(std::move(ev));
-    }
+    // value: node-holding seconds the kill threw away.
+    emit(TraceKind::kWalltimeKill, done.kill_s, done.job.id, held, 0.0,
+         done.flow);
     record_outcome(done, done.kill_s, JobFate::kWalltimeKilled, exec);
   }
 }
@@ -1625,15 +1531,8 @@ void GridJobService::Engine::drain_outages() {
 }
 
 void GridJobService::Engine::admit_one_arrival(Job job) {
-  if (tracer != nullptr) {
-    ServiceTraceEvent ev;
-    ev.t_s = job.arrival_s;
-    ev.kind = TraceKind::kArrival;
-    ev.job = job.id;
-    ev.value = static_cast<double>(job.priority);
-    ev.value2 = static_cast<double>(job.user);
-    tracer->record(std::move(ev));
-  }
+  emit(TraceKind::kArrival, job.arrival_s, job.id,
+       static_cast<double>(job.priority), static_cast<double>(job.user));
   const double predicted = predicted_seconds(job);
   pending.push(std::move(job), predicted);
 }
@@ -1821,265 +1720,97 @@ ServiceReport GridJobService::Engine::finish() {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot encoding of the full in-flight state. Field sequence is the
-// format: save() and load() must mirror each other exactly, and any
-// change bumps kSnapshotVersion. Unordered containers are written in
-// sorted-id order so equal states always produce equal bytes.
-void GridJobService::Engine::save(SnapshotWriter& w) {
-  // Freeze the queue against CURRENT policy keys first: entry iteration
-  // order is part of the snapshot, and a dynamic policy may have dirtied
-  // keys since the last ordered access.
-  pending.resort();
-  w.u64(jobs.size());
-  for (const Job& job : jobs) save_job(w, job);
-  w.u64(next_arrival);
-  w.f64(clock);
-  w.f64(wan_clock);
-  w.i32(seq);
-  w.i32(reserved_job);
-  w.f64(last_shadow);
-  w.f64(useful_node_seconds);
-  w.f64(useful_flops_total);
+// Snapshot field list of the full in-flight state. The sequence is the
+// format: any change bumps kSnapshotVersion (the format-pin test in
+// job_service_snapshot_test catches drift).
+template <class V>
+void GridJobService::Engine::visit(V& v) {
+  v(next_arrival, clock, wan_clock, seq, reserved_job, last_shadow,
+    useful_node_seconds, useful_flops_total);
   // Report fields the event loop mutates; everything else is derived in
   // finish() or fixed by the constructor.
-  w.u64(report.outcomes.size());
-  for (const JobOutcome& o : report.outcomes) save_outcome(w, o);
-  w.f64(report.makespan_s);
-  w.i64(report.backfilled_jobs);
-  w.i64(report.completed_jobs);
-  w.i64(report.failed_jobs);
-  w.i64(report.killed_jobs);
-  w.i64(report.walltime_kills);
-  w.i64(report.outage_kills);
-  w.i64(report.requeued_jobs);
-  w.f64(report.wasted_node_seconds);
-  w.i64_vec(report.wan_egress_bytes);
-  w.i64_vec(report.wan_ingress_bytes);
-  w.i64(report.executed_attempts);
-  w.i64(report.aborted_attempts);
-  w.f64(report.max_residual);
-  w.f64(report.max_orthogonality);
-  w.f64(report.injected_abort_vtime_s);
-  w.f64(report.measured_abort_vtime_s);
-  w.i32_vec(free_nodes);
-  w.i32_vec(down_depth);
-  w.i32_vec(placeable);
-  trace.save_state(w);
-  // Policy state precedes the queue entries: load_state() must restore
-  // the comparator's inputs BEFORE queue pushes compare against them.
-  policy_->save_state(w);
-  w.u64(pending.size());
-  for (auto it = pending.begin(); it != pending.end(); ++it) {
-    save_job(w, it->job);
-    w.f64(it->predicted_s);
-  }
-  w.u64(running.size());
-  for (const Running& run : running) {
-    save_job(w, run.job);
-    w.f64(run.finish_s);
-    w.f64(run.kill_s);
-    w.f64(run.est_finish_s);
-    w.i32(run.seq);
-    save_placement(w, run.placement);
-    w.f64(run.start_s);
-    w.f64(run.start_fraction);
-    w.boolean(run.backfilled);
-    w.i32(run.flow);  // replay ptr re-resolved from the backend on load
-  }
-  {
-    std::vector<int> ids;
-    ids.reserve(progress.size());
-    for (const auto& [id, p] : progress) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    w.u64(ids.size());
-    for (int id : ids) {
-      const Progress& p = progress.at(id);
-      w.i32(id);
-      w.i32(p.attempts);
-      w.f64(p.credited_fraction);
-      w.f64(p.wasted_node_s);
-      w.f64(p.reserved_start_s);
-    }
-  }
-  {
-    std::vector<int> ids;
-    ids.reserve(blame_open.size());
-    for (const auto& [id, b] : blame_open) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    w.u64(ids.size());
-    for (int id : ids) {
-      const BlameOpen& b = blame_open.at(id);
-      w.i32(id);
-      w.i32(b.category);
-      w.f64(b.since_s);
-    }
-  }
-  {
-    std::vector<int> ids;
-    ids.reserve(blame_totals.size());
-    for (const auto& [id, t] : blame_totals) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    w.u64(ids.size());
-    for (int id : ids) {
-      w.i32(id);
-      for (double s : blame_totals.at(id)) w.f64(s);
-    }
-  }
-  w.boolean(wan_on);
-  if (wan_on) wan->save_state(w);
+  v(report.outcomes, report.makespan_s, report.backfilled_jobs,
+    report.completed_jobs, report.failed_jobs, report.killed_jobs,
+    report.walltime_kills, report.outage_kills, report.requeued_jobs,
+    report.wasted_node_seconds, report.wan_egress_bytes,
+    report.wan_ingress_bytes, report.executed_attempts,
+    report.aborted_attempts, report.max_residual, report.max_orthogonality,
+    report.injected_abort_vtime_s, report.measured_abort_vtime_s);
+  // Policy state precedes the queue entries: loading pushes them through
+  // the comparator, which must already see the restored keys.
+  v(free_nodes, down_depth, placeable, trace, *policy_, pending, running,
+    progress, blame_open, blame_totals);
+  v.expect(wan_on, "WAN-contention flag");
+  if (wan_on) v(*wan);
   // The backend's memo-cache warm set, as (job, placement) exemplars in
-  // computation order: load() replays them through profile() so every
-  // future hit/miss counter and compute event matches the uninterrupted
-  // run's.
-  const std::vector<ProfileExemplar>& exemplars =
-      backend_->profile_exemplars();
-  w.u64(exemplars.size());
-  for (const ProfileExemplar& e : exemplars) {
-    save_job(w, e.job);
-    save_placement(w, e.placement);
-  }
-  w.boolean(tracer != nullptr);
-  if (tracer != nullptr) tracer->save_state(w);
-  w.boolean(metrics != nullptr);
-  if (metrics != nullptr) metrics->save_state(w);
+  // computation order: loading replays them so every future hit/miss
+  // counter and compute event matches the uninterrupted run's.
+  std::vector<ProfileExemplar> exemplars;
+  if constexpr (!V::kLoading) exemplars = backend_->profile_exemplars();
+  v(exemplars);
+  v.expect(tracer != nullptr, "tracer presence");
+  if (tracer != nullptr) v(*tracer);
+  v.expect(metrics != nullptr, "metrics presence");
+  if (metrics != nullptr) v(*metrics);
+  if constexpr (V::kLoading) rebuild_after_load(exemplars);
 }
 
-void GridJobService::Engine::load(SnapshotReader& r) {
-  // The caller (GridJobService::restore) has already consumed the header
-  // and the job list — this Engine was constructed from it.
-  next_arrival = r.u64();
-  clock = r.f64();
-  wan_clock = r.f64();
-  seq = r.i32();
-  reserved_job = r.i32();
-  last_shadow = r.f64();
-  useful_node_seconds = r.f64();
-  useful_flops_total = r.f64();
-  const std::uint64_t noutcomes = r.u64();
-  report.outcomes.clear();
-  report.outcomes.reserve(noutcomes);
-  for (std::uint64_t i = 0; i < noutcomes; ++i) {
-    report.outcomes.push_back(load_outcome(r));
-  }
-  report.makespan_s = r.f64();
-  report.backfilled_jobs = r.i64();
-  report.completed_jobs = r.i64();
-  report.failed_jobs = r.i64();
-  report.killed_jobs = r.i64();
-  report.walltime_kills = r.i64();
-  report.outage_kills = r.i64();
-  report.requeued_jobs = r.i64();
-  report.wasted_node_seconds = r.f64();
-  report.wan_egress_bytes = r.i64_vec();
-  report.wan_ingress_bytes = r.i64_vec();
-  report.executed_attempts = r.i64();
-  report.aborted_attempts = r.i64();
-  report.max_residual = r.f64();
-  report.max_orthogonality = r.f64();
-  report.injected_abort_vtime_s = r.f64();
-  report.measured_abort_vtime_s = r.f64();
-  free_nodes = r.i32_vec();
-  down_depth = r.i32_vec();
-  placeable = r.i32_vec();
-  QRGRID_CHECK_MSG(static_cast<int>(free_nodes.size()) == nclusters &&
-                       static_cast<int>(down_depth.size()) == nclusters &&
-                       static_cast<int>(placeable.size()) == nclusters,
+void GridJobService::Engine::rebuild_after_load(
+    const std::vector<ProfileExemplar>& exemplars) {
+  const auto n = static_cast<std::size_t>(nclusters);
+  QRGRID_CHECK_MSG(free_nodes.size() == n && down_depth.size() == n &&
+                       placeable.size() == n &&
+                       report.wan_egress_bytes.size() == n &&
+                       report.wan_ingress_bytes.size() == n,
                    "snapshot cluster count mismatch");
+  QRGRID_CHECK_MSG(next_arrival <= jobs.size(),
+                   "corrupt snapshot: arrival cursor " << next_arrival);
+  for (const Running& run : running) {
+    check_job(run.job);
+    check_placement(run.placement, topology_);
+    QRGRID_CHECK_MSG(!std::isnan(run.finish_s) && !std::isnan(run.kill_s) &&
+                         !std::isnan(run.est_finish_s),
+                     "corrupt snapshot: running job " << run.job.id);
+  }
+  for (const ProfileExemplar& e : exemplars) {
+    check_job(e.job);
+    check_placement(e.placement, topology_);
+  }
+  for (const auto& [id, open] : blame_open) {
+    QRGRID_CHECK_MSG(open.category >= 0 &&
+                         open.category < kBlameCategoryCount,
+                     "corrupt snapshot: blame category " << open.category);
+  }
+  const std::size_t blame_len = blame_on ? kBlameCategoryCount : 0;
+  for (const JobOutcome& o : report.outcomes) {
+    QRGRID_CHECK_MSG(o.blame_s.size() == blame_len,
+                     "corrupt snapshot: outcome blame of job " << o.job.id);
+  }
   placeable_procs_index.clear();
   placeable_procs_total = 0;
-  for (int c = 0; c < nclusters; ++c) {
+  for (std::size_t c = 0; c < n; ++c) {
     const long long procs =
-        static_cast<long long>(placeable[static_cast<std::size_t>(c)]) *
-        cluster_ppn[static_cast<std::size_t>(c)];
+        static_cast<long long>(placeable[c]) * cluster_ppn[c];
     placeable_procs_index.insert(procs);
     placeable_procs_total += procs;
   }
-  trace.load_state(r);
-  // Policy state BEFORE the queue rebuild: the pushes below compare
-  // through the policy's comparator, which must already see the restored
-  // keys (fair-share deficits).
-  policy_->load_state(r);
-  const std::uint64_t npending = r.u64();
-  for (std::uint64_t i = 0; i < npending; ++i) {
-    Job job = load_job(r);
-    const double predicted = r.f64();
-    pending.push(std::move(job), predicted);
-  }
-  const std::uint64_t nrunning = r.u64();
-  running.clear();
-  running.reserve(nrunning);
-  for (std::uint64_t i = 0; i < nrunning; ++i) {
-    Running run;
-    run.job = load_job(r);
-    run.finish_s = r.f64();
-    run.kill_s = r.f64();
-    run.est_finish_s = r.f64();
-    run.seq = r.i32();
-    run.placement = load_placement(r);
-    run.start_s = r.f64();
-    run.start_fraction = r.f64();
-    run.backfilled = r.boolean();
-    run.flow = r.i32();
-    running.push_back(std::move(run));  // replay resolved below
-  }
-  progress.clear();
-  const std::uint64_t nprogress = r.u64();
-  for (std::uint64_t i = 0; i < nprogress; ++i) {
-    const int id = r.i32();
-    Progress p;
-    p.attempts = r.i32();
-    p.credited_fraction = r.f64();
-    p.wasted_node_s = r.f64();
-    p.reserved_start_s = r.f64();
-    progress.emplace(id, p);
-  }
-  blame_open.clear();
-  const std::uint64_t nopen = r.u64();
-  for (std::uint64_t i = 0; i < nopen; ++i) {
-    const int id = r.i32();
-    BlameOpen b;
-    b.category = r.i32();
-    b.since_s = r.f64();
-    blame_open.emplace(id, b);
-  }
-  blame_totals.clear();
-  const std::uint64_t ntotals = r.u64();
-  for (std::uint64_t i = 0; i < ntotals; ++i) {
-    const int id = r.i32();
-    std::array<double, kBlameCategoryCount> t{};
-    for (double& s : t) s = r.f64();
-    blame_totals.emplace(id, t);
-  }
-  const bool saved_wan = r.boolean();
-  QRGRID_CHECK_MSG(saved_wan == wan_on,
-                   "snapshot WAN-contention flag mismatches the service "
-                   "configuration");
-  if (wan_on) wan->load_state(r);
   // Re-warm the backend's memo cache with telemetry unbound: the
   // restored tracer/metrics already contain the original compute events
   // and counters, so the replays must stay silent — and every future
   // profile() call then hits or misses exactly as the uninterrupted run
   // would.
-  const std::uint64_t nexemplars = r.u64();
   backend_->bind_telemetry(nullptr, nullptr);
-  for (std::uint64_t i = 0; i < nexemplars; ++i) {
-    const Job job = load_job(r);
-    const Placement placement = load_placement(r);
-    backend_->profile(job, placement);
+  try {
+    for (const ProfileExemplar& e : exemplars) {
+      backend_->profile(e.job, e.placement);
+    }
+    for (Running& run : running) {
+      run.replay = &svc.replay_for(run.job, run.placement);  // silent hit
+    }
+  } catch (...) {
+    backend_->bind_telemetry(options_.tracer, options_.metrics);
+    throw;
   }
-  for (Running& run : running) {
-    run.replay = &svc.replay_for(run.job, run.placement);  // silent hit
-  }
-  const bool saved_tracer = r.boolean();
-  QRGRID_CHECK_MSG(saved_tracer == (tracer != nullptr),
-                   "snapshot tracer presence mismatches the service "
-                   "configuration");
-  if (tracer != nullptr) tracer->load_state(r);
-  const bool saved_metrics = r.boolean();
-  QRGRID_CHECK_MSG(saved_metrics == (metrics != nullptr),
-                   "snapshot metrics presence mismatches the service "
-                   "configuration");
-  if (metrics != nullptr) metrics->load_state(r);
   backend_->bind_telemetry(options_.tracer, options_.metrics);
 }
 
@@ -2164,10 +1895,8 @@ std::string GridJobService::config_fingerprint() const {
 std::string GridJobService::snapshot() {
   QRGRID_CHECK_MSG(engine_ != nullptr, "no run in flight: start() first");
   SnapshotWriter w;
-  w.str(kSnapshotMagic);
-  w.u32(kSnapshotVersion);
-  w.str(config_fingerprint());
-  engine_->save(w);
+  w(std::string(kSnapshotMagic), kSnapshotVersion, config_fingerprint(),
+    engine_->jobs, *engine_);
   return w.bytes();
 }
 
@@ -2175,26 +1904,32 @@ void GridJobService::restore(const std::string& bytes) {
   QRGRID_CHECK_MSG(engine_ == nullptr,
                    "a run is already in flight; finish() it first");
   SnapshotReader r(bytes);
-  QRGRID_CHECK_MSG(r.str() == kSnapshotMagic,
+  std::string magic;
+  r(magic);
+  QRGRID_CHECK_MSG(magic == kSnapshotMagic,
                    "not a service snapshot (bad magic)");
-  const std::uint32_t version = r.u32();
+  std::uint32_t version = 0;
+  r(version);
   QRGRID_CHECK_MSG(version == kSnapshotVersion,
                    "snapshot format version " << version
                        << " != supported " << kSnapshotVersion);
-  const std::string saved = r.str();
+  std::string saved;
+  r(saved);
   const std::string current = config_fingerprint();
   QRGRID_CHECK_MSG(saved == current,
                    "snapshot was taken under a different service "
                    "configuration\n  saved:   "
                        << saved << "\n  current: " << current);
-  const std::uint64_t njobs = r.u64();
   std::vector<Job> jobs;
-  jobs.reserve(njobs);
-  for (std::uint64_t i = 0; i < njobs; ++i) jobs.push_back(load_job(r));
-  engine_ = std::make_unique<Engine>(*this, std::move(jobs),
-                                     /*quiet=*/true);
-  engine_->load(r);
+  r(jobs);
+  for (const Job& job : jobs) check_job(job);
+  // Built aside and installed only once fully loaded: a refused snapshot
+  // leaves no run in flight.
+  auto engine = std::make_unique<Engine>(*this, std::move(jobs),
+                                         /*quiet=*/true);
+  r(*engine);
   QRGRID_CHECK_MSG(r.at_end(), "snapshot has trailing bytes");
+  engine_ = std::move(engine);
 }
 
 }  // namespace qrgrid::sched

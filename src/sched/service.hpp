@@ -75,8 +75,6 @@ namespace qrgrid::sched {
 class MetricsRegistry;
 class PhaseProfiler;
 class ServiceTracer;
-class SnapshotReader;
-class SnapshotWriter;
 
 /// Deterministic seam over every same-instant ordering choice the service
 /// makes. The event loop's precedence (completions, then outage
@@ -340,6 +338,9 @@ class GridJobService {
   /// Restoring into a service built with the SAME configuration (guarded
   /// by an embedded fingerprint) and stepping to completion reproduces
   /// the uninterrupted run's trace, metrics, and report byte-for-byte.
+  /// restore() treats the bytes as hostile: anything malformed ends in
+  /// qrgrid::Error with no run left in flight (caller-owned telemetry
+  /// sinks may hold partially restored state).
   std::string snapshot();
   void restore(const std::string& bytes);
 
@@ -374,6 +375,14 @@ class GridJobService {
     /// finish_s stays the ISOLATED replay end — the actual completion is
     /// max(finish_s, drain end), resolved inside run()'s event loop.
     int flow = -1;
+
+    /// Snapshot field list; `replay` is re-resolved from the backend on
+    /// load.
+    template <class V>
+    void visit(V& v) {
+      v(job, finish_s, kill_s, est_finish_s, seq, placement, start_s,
+        start_fraction, backfilled, flow);
+    }
   };
 
   /// Per-job state carried across outage kills and requeues.
@@ -388,6 +397,11 @@ class GridJobService {
     /// Tightest EASY reservation promised while this job was the blocked
     /// head; +inf until it first blocks as head.
     double reserved_start_s = std::numeric_limits<double>::infinity();
+
+    template <class V>
+    void visit(V& v) {
+      v(attempts, credited_fraction, wasted_node_s, reserved_start_s);
+    }
   };
 
   /// Builds the residual topology of `free_nodes` and asks a

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/check.hpp"
-#include "sched/snapshot.hpp"
 #include "simgrid/trace.hpp"
 
 namespace qrgrid::sched {
@@ -261,106 +260,6 @@ void MetricsRegistry::write_json(std::ostream& out) const {
     first = false;
   }
   out << (first ? "" : "\n  ") << "}\n}\n";
-}
-
-void MetricsRegistry::save_state(SnapshotWriter& w) const {
-  w.u64(counters_.size());
-  for (const auto& [name, value] : counters_) {
-    w.str(name);
-    w.i64(value);
-  }
-  w.u64(gauges_.size());
-  for (const auto& [name, value] : gauges_) {
-    w.str(name);
-    w.f64(value);
-  }
-  w.u64(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    w.str(name);
-    w.f64_vec(h.bounds);
-    w.i64_vec(h.counts);
-    w.f64(h.sum);
-    w.i64(h.count);
-  }
-  w.u64(series_.size());
-  for (const auto& [name, points] : series_) {
-    w.str(name);
-    w.u64(points.size());
-    for (const auto& [t, v] : points) {
-      w.f64(t);
-      w.f64(v);
-    }
-  }
-}
-
-void MetricsRegistry::load_state(SnapshotReader& r) {
-  clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const std::string name = r.str();
-    counters_[name] = r.i64();
-  }
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const std::string name = r.str();
-    gauges_[name] = r.f64();
-  }
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const std::string name = r.str();
-    HistogramSnapshot h;
-    h.bounds = r.f64_vec();
-    h.counts = r.i64_vec();
-    h.sum = r.f64();
-    h.count = r.i64();
-    histograms_[name] = std::move(h);
-  }
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const std::string name = r.str();
-    auto& points = series_[name];
-    points.resize(static_cast<std::size_t>(r.u64()));
-    for (auto& [t, v] : points) {
-      t = r.f64();
-      v = r.f64();
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// ServiceTracer snapshots
-
-void ServiceTracer::save_state(SnapshotWriter& w) const {
-  w.f64(now_s_);
-  w.u64(events_.size());
-  for (const ServiceTraceEvent& ev : events_) {
-    w.f64(ev.t_s);
-    w.i32(static_cast<int>(ev.kind));
-    w.i32(ev.job);
-    w.i32(ev.cluster);
-    w.i32(ev.flow);
-    w.f64(ev.value);
-    w.f64(ev.value2);
-    w.i32_vec(ev.clusters);
-    w.i32_vec(ev.nodes);
-    w.str(ev.note);
-  }
-}
-
-void ServiceTracer::load_state(SnapshotReader& r) {
-  // Deliberately bypasses sinks_ (see the header contract): these events
-  // were consumed when first recorded; replaying them into a streaming
-  // sink would double-count.
-  now_s_ = r.f64();
-  events_.resize(static_cast<std::size_t>(r.u64()));
-  for (ServiceTraceEvent& ev : events_) {
-    ev.t_s = r.f64();
-    ev.kind = static_cast<TraceKind>(r.i32());
-    ev.job = r.i32();
-    ev.cluster = r.i32();
-    ev.flow = r.i32();
-    ev.value = r.f64();
-    ev.value2 = r.f64();
-    ev.clusters = r.i32_vec();
-    ev.nodes = r.i32_vec();
-    ev.note = r.str();
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -51,9 +51,6 @@
 
 namespace qrgrid::sched {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /// What happened. The four kinds the event-precedence invariant orders
 /// at one instant are kCompletion/kWalltimeKill (finishes), kOutageUp,
 /// kOutageDown, and kArrival; every other kind is free to interleave.
@@ -137,6 +134,11 @@ struct ServiceTraceEvent {
   std::vector<int> clusters;
   std::vector<int> nodes;
   std::string note;
+
+  template <class V>
+  void visit(V& v) {
+    v(t_s, kind, job, cluster, flow, value, value2, clusters, nodes, note);
+  }
 };
 
 /// kRunConfig `value` bits: which invariants the run's configuration
@@ -181,14 +183,14 @@ class ServiceTracer {
     now_s_ = 0.0;
   }
 
-  /// Snapshot seam: serializes the recorded events and the advanced
-  /// clock. load_state() REPLACES events_ without consulting sinks —
-  /// restored events were already consumed when first recorded, so a
-  /// streaming sink attached across a restore must be prepared to see
-  /// only post-restore events (the service validates restored runs
+  /// Snapshot field list (sched/snapshot.hpp): the advanced clock and
+  /// the recorded events. Loading REPLACES events_ without consulting
+  /// sinks — restored events were already consumed when first recorded,
+  /// so a streaming sink attached across a restore must be prepared to
+  /// see only post-restore events (the service validates restored runs
   /// post-hoc via validate_trace() for exactly this reason).
-  void save_state(SnapshotWriter& w) const;
-  void load_state(SnapshotReader& r);
+  template <class V>
+  void visit(V& v) { v(now_s_, events_); }
 
  private:
   std::vector<ServiceTraceEvent> events_;
@@ -204,6 +206,9 @@ struct HistogramSnapshot {
   std::vector<long long> counts;
   double sum = 0.0;
   long long count = 0;
+
+  template <class V>
+  void visit(V& v) { v(bounds, counts, sum, count); }
 };
 
 /// Deterministic metrics store: names map to counters, gauges,
@@ -244,11 +249,11 @@ class MetricsRegistry {
   ///  "series": {...}} with round-trip double formatting.
   void write_json(std::ostream& out) const;
 
-  /// Snapshot seam: all four stores, keys in map order, values as raw
-  /// double bits — a restored registry's write_json is byte-identical
+  /// Snapshot field list: all four stores, keys in map order, values as
+  /// raw double bits — a restored registry's write_json is byte-identical
   /// to the uninterrupted run's at the same virtual instant.
-  void save_state(SnapshotWriter& w) const;
-  void load_state(SnapshotReader& r);
+  template <class V>
+  void visit(V& v) { v(counters_, gauges_, histograms_, series_); }
 
  private:
   std::map<std::string, long long> counters_;

@@ -6,7 +6,6 @@
 
 #include "common/check.hpp"
 #include "sched/profiler.hpp"
-#include "sched/snapshot.hpp"
 #include "sched/telemetry.hpp"
 
 namespace qrgrid::sched {
@@ -941,114 +940,45 @@ int GridWanModel::load_score(int cluster) const {
   return cluster_load_[static_cast<std::size_t>(cluster)];
 }
 
-void GridWanModel::save_state(SnapshotWriter& w) const {
-  // Construction-time configuration travels as a sanity tag only; the
-  // restored model must already be built from the same config.
-  w.i32(num_clusters_);
-  w.u8(static_cast<std::uint8_t>(fairness_));
-  w.u64(flows_.size());
+void GridWanModel::rebuild_after_load() {
+  const auto nc = static_cast<std::size_t>(num_clusters_);
+  const auto in = [](int i, std::size_t n) {
+    return i >= 0 && static_cast<std::size_t>(i) < n;
+  };
+  const auto check = [](bool ok, const char* what) {
+    QRGRID_CHECK_MSG(ok, "corrupt WAN snapshot: " << what);
+  };
+  // Rates and active flags are per pool under max-min, absent otherwise.
+  const std::size_t per_pool = fairness_ == WanFairness::kMaxMin ? 1 : 0;
   for (const Flow& f : flows_) {
-    w.boolean(f.alive);
-    w.i32(f.id);
-    w.u64(f.pools.size());
-    for (const Pool& pool : f.pools) {
-      w.u8(static_cast<std::uint8_t>(pool.link));
-      w.i32(pool.cluster);
-      w.i32(pool.peer);
-      w.f64(pool.bytes);
-      w.f64(pool.activation_s);
+    const std::size_t np = f.pools.size();
+    check(f.moved_bytes.size() == np && f.initial_bytes.size() == np &&
+              f.rate_Bps.size() == per_pool * np &&
+              f.active.size() == per_pool * np,
+          "flow vector sizes");
+    for (const Pool& p : f.pools) {
+      check(p.link <= Pool::Link::kBackbone &&
+                (p.link == Pool::Link::kBackbone || in(p.cluster, nc)) &&
+                (p.peer == -1 || in(p.peer, nc)),
+            "pool link, cluster, or peer");
     }
-    w.f64_vec(f.moved_bytes);
-    w.f64_vec(f.initial_bytes);
-    w.i32(f.undrained);
-    w.f64(f.drained_at_s);
-    w.f64_vec(f.rate_Bps);
-    w.u64(f.active.size());
-    for (const char a : f.active) w.u8(static_cast<std::uint8_t>(a));
-    w.boolean(f.frac_sensitive);
-    w.i32_vec(f.counted_clusters);
-    w.boolean(f.counted_trunk);
+    for (const int c : f.counted_clusters) check(in(c, nc), "counted cluster");
   }
-  w.i32_vec(free_slots_);
-  w.i32_vec(live_);
-  w.i32(next_flow_id_);
-  w.i32(peak_live_);
-  // The activation heap array verbatim: lazy pruning makes its exact
-  // contents depend on when next_event_s was called, and later heap
-  // mutations (push/pop order) depend on the array layout — rebuilding
-  // a pruned heap would fork the byte stream of future mutations.
-  w.u64(activations_.size());
-  for (const Activation& a : activations_) {
-    w.f64(a.t_s);
-    w.i32(a.flow);
-    w.i32(a.pool);
-  }
-  w.f64_vec(up_busy_s_);
-  w.f64_vec(down_busy_s_);
-  w.f64(backbone_busy_s_);
-  // Incremental engine: the dirty list travels verbatim (a pending
-  // rebalance must fire on resume exactly as it would have), the
-  // generation and counters so resumed gauges match an unbroken run.
-  // Link user counts, load counters, and the estimate basis are derived
-  // from the flows on load.
-  w.i32_vec(dirty_links_);
-  w.u64(generation_);
-  w.u64(rebalance_events_);
-  w.u64(rebalance_recomputes_);
-  w.u64(rebalance_links_touched_);
-  w.u64(rebalance_full_refills_);
-}
-
-void GridWanModel::load_state(SnapshotReader& r) {
-  QRGRID_CHECK_MSG(r.i32() == num_clusters_,
-                   "WAN snapshot cluster count mismatch");
-  QRGRID_CHECK_MSG(static_cast<WanFairness>(r.u8()) == fairness_,
-                   "WAN snapshot fairness mismatch");
-  flows_.assign(static_cast<std::size_t>(r.u64()), Flow{});
-  for (Flow& f : flows_) {
-    f.alive = r.boolean();
-    f.id = r.i32();
-    f.pools.resize(static_cast<std::size_t>(r.u64()));
-    for (Pool& pool : f.pools) {
-      pool.link = static_cast<Pool::Link>(r.u8());
-      pool.cluster = r.i32();
-      pool.peer = r.i32();
-      pool.bytes = r.f64();
-      pool.activation_s = r.f64();
-    }
-    f.moved_bytes = r.f64_vec();
-    f.initial_bytes = r.f64_vec();
-    f.undrained = r.i32();
-    f.drained_at_s = r.f64();
-    f.rate_Bps = r.f64_vec();
-    f.active.resize(static_cast<std::size_t>(r.u64()));
-    for (char& a : f.active) a = static_cast<char>(r.u8());
-    f.frac_sensitive = r.boolean();
-    f.counted_clusters = r.i32_vec();
-    f.counted_trunk = r.boolean();
-  }
-  free_slots_ = r.i32_vec();
-  live_ = r.i32_vec();
-  next_flow_id_ = r.i32();
-  peak_live_ = r.i32();
-  activations_.resize(static_cast<std::size_t>(r.u64()));
-  for (Activation& a : activations_) {
-    a.t_s = r.f64();
-    a.flow = r.i32();
-    a.pool = r.i32();
-  }
-  up_busy_s_ = r.f64_vec();
-  down_busy_s_ = r.f64_vec();
-  backbone_busy_s_ = r.f64();
-  dirty_links_ = r.i32_vec();
-  generation_ = r.u64();
-  rebalance_events_ = r.u64();
-  rebalance_recomputes_ = r.u64();
-  rebalance_links_touched_ = r.u64();
-  rebalance_full_refills_ = r.u64();
+  for (const int slot : free_slots_) check(in(slot, flows_.size()), "slot");
+  check(up_busy_s_.size() == nc && down_busy_s_.size() == nc, "busy sizes");
+  for (const int l : dirty_links_) check(in(l, capacity_.size()), "link");
   slot_of_.clear();
   for (const int slot : live_) {
-    slot_of_.emplace(flows_[static_cast<std::size_t>(slot)].id, slot);
+    check(in(slot, flows_.size()), "live slot");
+    const Flow& f = flows_[static_cast<std::size_t>(slot)];
+    check(f.alive, "live slot");
+    slot_of_.emplace(f.id, slot);
+  }
+  for (const Activation& a : activations_) {
+    const auto it = slot_of_.find(a.flow);
+    if (it == slot_of_.end()) continue;  // retired: discarded lazily
+    const Flow& f = flows_[static_cast<std::size_t>(it->second)];
+    check(in(a.pool, f.pools.size()), "activation pool");
   }
   // Derive the per-link user counts and load counters from the restored
   // flows; the estimate basis is rebuilt (bit-identically) on the next
@@ -1056,7 +986,7 @@ void GridWanModel::load_state(SnapshotReader& r) {
   link_users_.assign(capacity_.size(), 0);
   busy_links_ = 0;
   active_pools_ = 0;
-  cluster_load_.assign(static_cast<std::size_t>(num_clusters_), 0);
+  cluster_load_.assign(nc, 0);
   trunk_load_ = 0;
   for (const int slot : live_) {
     Flow& f = flows_[static_cast<std::size_t>(slot)];

@@ -83,12 +83,11 @@
 namespace qrgrid::sched {
 
 class ServiceTracer;
-class SnapshotWriter;
-class SnapshotReader;
 class PhaseProfiler;
 
 /// Which WanAllocator a GridWanModel (or ServiceOptions) asks for.
-enum class WanFairness {
+/// One byte wide: that is its snapshot encoding.
+enum class WanFairness : std::uint8_t {
   kEqualSplit,  ///< per-link C/k fair share (PR-3 baseline)
   kMaxMin,      ///< progressive-filling max-min over multi-link demands
 };
@@ -156,7 +155,7 @@ class GridWanModel {
  public:
   /// One link-level component of an attempt's WAN demand.
   struct Pool {
-    enum class Link { kUplink, kDownlink, kBackbone };
+    enum class Link : std::uint8_t { kUplink, kDownlink, kBackbone };
     Link link = Link::kBackbone;
     int cluster = -1;           ///< master cluster id; -1 for the backbone
     /// Destination (uplink) / source (downlink) cluster of a per-pair
@@ -164,6 +163,9 @@ class GridWanModel {
     int peer = -1;
     double bytes = 0.0;         ///< remaining demand on this link
     double activation_s = 0.0;  ///< absolute instant the demand appears
+
+    template <class V>
+    void visit(V& v) { v(link, cluster, peer, bytes, activation_s); }
   };
 
   /// `pair_Bps` is an optional row-major num_clusters x num_clusters
@@ -285,19 +287,29 @@ class GridWanModel {
   int live_flows() const { return static_cast<int>(live_.size()); }
   int peak_live_flows() const { return peak_live_; }
 
-  /// Snapshot seam: serializes the full mutable drain state — flows with
-  /// their pools/moved/initial bytes, slot free-list, live order, id
-  /// counter, the pending-activation heap array VERBATIM (its pruning is
-  /// call-timing-dependent, so rebuilding it would change later heap
-  /// mutations), the busy-second accumulators, and the incremental
-  /// engine's per-pool rates/active flags, dirty-link list, generation,
-  /// and counters (so resumed runs reproduce the wan.rebalance.* gauges
-  /// byte-identically). Per-link user counts, load counters, and the
-  /// estimate basis are derived on load. load_state() must be applied
-  /// to a model freshly constructed with the same topology/capacity
-  /// configuration; scratch buffers are rebuilt lazily.
-  void save_state(SnapshotWriter& w) const;
-  void load_state(SnapshotReader& r);
+  /// Snapshot field list (sched/snapshot.hpp): the full mutable drain
+  /// state — flows with their pools/moved/initial bytes, slot free-list,
+  /// live order, id counter, the pending-activation heap array VERBATIM
+  /// (its pruning is call-timing-dependent, so rebuilding it would change
+  /// later heap mutations), the busy-second accumulators, and the
+  /// incremental engine's per-pool rates/active flags, the dirty-link
+  /// list (a pending rebalance fires on resume exactly as it would
+  /// have), generation, and counters (so resumed runs reproduce the
+  /// wan.rebalance.* gauges byte-identically). Per-link user counts, load
+  /// counters, and the estimate basis are derived on load. Loading must
+  /// target a model freshly constructed with the same topology/capacity
+  /// configuration (the cluster count and fairness travel as tags only);
+  /// scratch buffers are rebuilt lazily.
+  template <class V>
+  void visit(V& v) {
+    v.expect(num_clusters_, "WAN cluster count");
+    v.expect(fairness_, "WAN fairness");
+    v(flows_, free_slots_, live_, next_flow_id_, peak_live_, activations_,
+      up_busy_s_, down_busy_s_, backbone_busy_s_, dirty_links_, generation_,
+      rebalance_events_, rebalance_recomputes_, rebalance_links_touched_,
+      rebalance_full_refills_);
+    if constexpr (V::kLoading) rebuild_after_load();
+  }
 
  private:
   struct Flow {
@@ -328,6 +340,12 @@ class GridWanModel {
     /// toward in cluster_load_, and whether it counts in trunk_load_.
     std::vector<int> counted_clusters;
     bool counted_trunk = false;
+
+    template <class V>
+    void visit(V& v) {
+      v(alive, id, pools, moved_bytes, initial_bytes, undrained, drained_at_s,
+        rate_Bps, active, frac_sensitive, counted_clusters, counted_trunk);
+    }
   };
   /// One entry of the demand view handed to the allocator: which SLOT's
   /// which pool each rate belongs to.
@@ -342,6 +360,9 @@ class GridWanModel {
     double t_s = 0.0;
     int flow = -1;
     int pool = -1;
+
+    template <class V>
+    void visit(V& v) { v(t_s, flow, pool); }
   };
 
   /// Link ids in the allocator's capacity table: [0, C) uplinks,
@@ -376,6 +397,11 @@ class GridWanModel {
   void count_load(Flow& flow);
   void uncount_load(Flow& flow);
   void bump_generation() { ++generation_; }
+  /// Snapshot load: range-checks every restored index (pool links,
+  /// clusters, peers, slots, activation pools, dirty links) and derives
+  /// slot_of_, the per-link user counts, the load counters, and
+  /// dirty_mark_ from the restored flows.
+  void rebuild_after_load();
 
   int num_clusters_;
   double link_Bps_;

@@ -257,7 +257,7 @@ TEST(ExploreService, QuantizedArrivalsEnumerateCleanAcrossPolicies) {
     std::unique_ptr<GridJobService> plain = factory(&tracer, &metrics);
     const ServiceReport report = plain->run(jobs);
     SnapshotWriter w;
-    tracer.save_state(w);
+    w(tracer);
     EXPECT_EQ(result.canonical_trace_bytes, w.bytes()) << policy_name(policy);
     EXPECT_EQ(summary_row(result.canonical_report), summary_row(report))
         << policy_name(policy);

@@ -1,0 +1,240 @@
+// Snapshot byte format: the pin and the hostile-input contract.
+//
+// The round-trip matrix (job_service_explore_test) proves that a restored
+// service resumes faithfully, but a format that drifted symmetrically —
+// writer and reader changed together — would pass it while silently
+// orphaning every checkpoint written before the change. The format pin
+// closes that hole: three mid-run snapshots whose length and FNV-1a-64
+// hash are committed constants. A layout change must show up here and
+// bump kSnapshotVersion.
+//
+// `serve --resume` reads a user-supplied file, so restore() must also
+// survive arbitrary bytes: the mutation sweep feeds it every truncation
+// prefix and every single-byte 0xFF overwrite of a real checkpoint, and
+// each must end in success or qrgrid::Error — never a crash, a huge
+// allocation, or (under the sanitizer CI job) a UB report.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/check.hpp"
+#include "common/rng.hpp"
+#include "model/roofline.hpp"
+#include "sched/outage.hpp"
+#include "sched/service.hpp"
+#include "sched/telemetry.hpp"
+#include "sched/workload.hpp"
+#include "simgrid/topology.hpp"
+
+namespace qrgrid::sched {
+namespace {
+
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::vector<Job> workload(int jobs, int users, std::uint64_t seed) {
+  WorkloadSpec spec;
+  spec.jobs = jobs;
+  spec.mean_interarrival_s = 0.05;
+  spec.seed = seed;
+  spec.users = users;
+  spec.priority_levels = 3;
+  spec.procs_choices = {2, 4, 8};
+  spec.m_choices = {1 << 16, 1 << 17, 1 << 18};
+  spec.n_choices = {32, 64};
+  spec.tree_choices = {core::TreeKind::kFlat,
+                       core::TreeKind::kGridHierarchical};
+  return generate_workload(spec);
+}
+
+/// One pinned configuration: how to build the service, the workload, and
+/// after how many steps the snapshot is taken.
+struct PinCase {
+  std::string name;
+  simgrid::GridTopology topo;
+  ServiceOptions options;
+  std::vector<Job> jobs;
+  int steps = 0;
+};
+
+/// EASY under outages and over-asked walltimes, with wait-blame and both
+/// telemetry sinks bound (the tracer/metrics sections of the format).
+PinCase easy_case(ServiceTracer* tracer, MetricsRegistry* metrics) {
+  PinCase c{"easy", simgrid::GridTopology::grid5000(2, 2, 2), {}, {}, 30};
+  c.options.policy = Policy::kEasyBackfill;
+  c.options.outages = OutageTrace(OutageSpec{4.0, 0.5, 17}, 2);
+  c.options.wait_blame = true;
+  c.options.tracer = tracer;
+  c.options.metrics = metrics;
+  c.jobs = workload(12, 1, 5);
+  const GridJobService probe(c.topo, model::paper_calibration(), c.options);
+  assign_walltimes(c.jobs, 1.5, 9, [&probe](const Job& job) {
+    return 4.0 * probe.predicted_seconds(job);
+  });
+  return c;
+}
+
+/// Weighted fair-share over four users with restart credit under faults
+/// (the policy-private deficit map and banked-panel progress).
+PinCase fair_case() {
+  PinCase c{"fair", simgrid::GridTopology::grid5000(2, 2, 2), {}, {}, 24};
+  c.options.policy = Policy::kFairShare;
+  c.options.outages = OutageTrace(OutageSpec{1.0, 0.3, 29}, 2);
+  c.options.restart_credit = true;
+  c.options.checkpoint_panels = 4;
+  c.jobs = workload(14, 4, 11);
+  for (Job& job : c.jobs) job.weight = 1.0 + job.user % 2;
+  return c;
+}
+
+/// Priority EASY over a 3-site max-min WAN with asymmetric pair horizons
+/// (flows, per-peer pools, the activation heap, the rebalance counters).
+PinCase prio_case() {
+  PinCase c{"prio-easy", simgrid::GridTopology::grid5000(3, 2, 2), {}, {}, 12};
+  c.options.policy = Policy::kPriorityEasy;
+  c.options.wan_contention = true;
+  c.options.wan_fairness = WanFairness::kMaxMin;
+  c.options.wan_link_Bps = 2e6;
+  c.options.wan_pair_Bps = {0.0, 5e5, 0.0,  //
+                            1e6, 0.0, 0.0,  //
+                            0.0, 2e5, 0.0};
+  c.jobs = workload(12, 2, 13);
+  return c;
+}
+
+/// Steps `c` to its pin point and returns the snapshot bytes.
+std::string pinned_snapshot(const PinCase& c) {
+  GridJobService service(c.topo, model::paper_calibration(), c.options);
+  service.start(c.jobs);
+  for (int i = 0; i < c.steps && service.active(); ++i) service.step();
+  EXPECT_TRUE(service.active()) << c.name << ": pin point must be mid-run";
+  return service.snapshot();
+}
+
+// --------------------------------------------------------- format pin
+
+TEST(SnapshotFormat, PinnedLengthAndHash) {
+  ServiceTracer tracer;
+  MetricsRegistry metrics;
+  struct Pin {
+    PinCase c;
+    std::size_t length;
+    std::uint64_t hash;
+  };
+  const std::vector<Pin> pins = {
+      {easy_case(&tracer, &metrics), 17068, 0xd697c9431433537full},
+      {fair_case(), 4123, 0xd940f35fdbebb3c9ull},
+      {prio_case(), 3467, 0x6c80572e88c631bbull},
+  };
+  for (const Pin& pin : pins) {
+    tracer.clear();
+    metrics.clear();
+    const std::string bytes = pinned_snapshot(pin.c);
+    EXPECT_EQ(bytes.size(), pin.length) << pin.c.name;
+    EXPECT_EQ(fnv1a64(bytes), pin.hash)
+        << pin.c.name << ": 0x" << std::hex << fnv1a64(bytes);
+  }
+}
+
+// ---------------------------------------------------- hostile bytes
+
+/// Feeds corrupted checkpoints to restore(). Anything but success or
+/// qrgrid::Error escapes and fails the test; a success consumes the
+/// target (it now has a run in flight), so a fresh one replaces it.
+class MutationHarness {
+ public:
+  explicit MutationHarness(const PinCase& c) : c_(c) { target_ = fresh(); }
+
+  void attempt(const std::string& bytes) {
+    try {
+      target_->restore(bytes);
+      ++restored_;
+      target_ = fresh();
+    } catch (const Error&) {
+      ++refused_;
+    }
+  }
+
+  std::unique_ptr<GridJobService> fresh() const {
+    return std::make_unique<GridJobService>(c_.topo,
+                                            model::paper_calibration(),
+                                            c_.options);
+  }
+  int restored() const { return restored_; }
+  int refused() const { return refused_; }
+
+ private:
+  const PinCase& c_;
+  std::unique_ptr<GridJobService> target_;
+  int restored_ = 0;
+  int refused_ = 0;
+};
+
+TEST(SnapshotHostileBytes, MutatedCheckpointsEndInSuccessOrError) {
+  // Real checkpoints with every section populated: EASY with tracer,
+  // metrics, blame, and outages; fair-share deficits with restart
+  // credit; a max-min WAN with live per-peer flows, bound to telemetry
+  // too so its sections sit mid-stream rather than at the tail.
+  ServiceTracer tracer;
+  MetricsRegistry metrics;
+  PinCase prio = prio_case();
+  prio.options.tracer = &tracer;
+  prio.options.metrics = &metrics;
+  for (const PinCase& c : {easy_case(&tracer, &metrics), fair_case(), prio}) {
+    tracer.clear();
+    metrics.clear();
+    const std::string checkpoint = pinned_snapshot(c);
+    MutationHarness harness(c);
+    for (std::size_t n = 0; n < checkpoint.size(); ++n) {
+      harness.attempt(checkpoint.substr(0, n));
+    }
+    EXPECT_EQ(harness.restored(), 0)
+        << c.name << ": a truncated checkpoint was accepted";
+    for (std::size_t i = 0; i < checkpoint.size(); ++i) {
+      std::string mutated = checkpoint;
+      mutated[i] = '\xff';
+      harness.attempt(mutated);
+    }
+    // Seeded multi-byte corruption: four random bytes per trial.
+    Rng rng(2026);
+    for (int trial = 0; trial < 400; ++trial) {
+      std::string mutated = checkpoint;
+      for (int k = 0; k < 4; ++k) {
+        mutated[rng.uniform_index(mutated.size())] =
+            static_cast<char>(rng.uniform_index(256));
+      }
+      harness.attempt(mutated);
+    }
+    EXPECT_GT(harness.refused(), 0) << c.name;
+    EXPECT_GT(harness.restored(), 0) << c.name;
+    // The sweep left nothing behind: the intact checkpoint still
+    // round-trips byte for byte.
+    const std::unique_ptr<GridJobService> clean = harness.fresh();
+    clean->restore(checkpoint);
+    EXPECT_EQ(clean->snapshot(), checkpoint) << c.name;
+  }
+}
+
+TEST(SnapshotHostileBytes, RefusedRestoreLeavesNoRunInFlight) {
+  // A refused restore must not half-install an engine: the same service
+  // accepts the intact checkpoint afterwards.
+  const PinCase c = fair_case();
+  const std::string checkpoint = pinned_snapshot(c);
+  GridJobService service(c.topo, model::paper_calibration(), c.options);
+  EXPECT_THROW(service.restore(checkpoint.substr(0, checkpoint.size() - 1)),
+               Error);
+  service.restore(checkpoint);
+  EXPECT_EQ(service.snapshot(), checkpoint);
+}
+
+}  // namespace
+}  // namespace qrgrid::sched

@@ -839,7 +839,7 @@ int cmd_explore(const Args& args) {
         factory(&plain_tracer, &plain_metrics);
     plain->run(jobs);
     sched::SnapshotWriter plain_bytes;
-    plain_tracer.save_state(plain_bytes);
+    plain_bytes(plain_tracer);
     QRGRID_CHECK_MSG(plain_bytes.bytes() == result.canonical_trace_bytes,
                      "canonical leaf trace diverges from the plain run "
                      "under " << policy_name(policy));

@@ -185,12 +185,8 @@ const ExecutionProfile& DesReplayBackend::profile(const Job& job,
   // recomputes exactly this cache entry.
   exemplars_.push_back(ProfileExemplar{job, placement});
   if (tracer_ != nullptr) {
-    ServiceTraceEvent ev;
-    ev.t_s = tracer_->now_s();
-    ev.kind = TraceKind::kProfileCompute;
-    ev.job = job.id;
-    ev.value = entry.seconds;
-    tracer_->record(std::move(ev));
+    tracer_->emit(TraceKind::kProfileCompute, tracer_->now_s(), job.id,
+                  entry.seconds);
   }
   return entry;
 }
@@ -277,13 +273,8 @@ ExecutionResult MsgRuntimeBackend::execute(const Job& job,
       if (r.aborted) metrics_->add("backend.aborted_executions");
     }
     if (tracer_ != nullptr) {
-      ServiceTraceEvent ev;
-      ev.t_s = tracer_->now_s();
-      ev.kind = TraceKind::kExecute;
-      ev.job = job.id;
-      ev.value = r.measured_s;
-      ev.value2 = r.aborted ? 1.0 : 0.0;
-      tracer_->record(std::move(ev));
+      tracer_->emit(TraceKind::kExecute, tracer_->now_s(), job.id,
+                    r.measured_s, r.aborted ? 1.0 : 0.0);
     }
   };
   if (result.aborted) {

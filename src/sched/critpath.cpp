@@ -113,10 +113,9 @@ Parsed parse(const std::vector<ServiceTraceEvent>& events) {
         break;
       }
       case TraceKind::kWaitBlame: {
-        const int category = static_cast<int>(ev.value2);
-        if (category >= 0 && category < kBlameCategoryCount) {
+        if (ev.value2 >= 0.0 && ev.value2 < kBlameCategoryCount) {
           p.blame[ev.job].push_back(
-              {ev.t_s - ev.value, ev.t_s, category});
+              {ev.t_s - ev.value, ev.t_s, static_cast<int>(ev.value2)});
         }
         break;
       }

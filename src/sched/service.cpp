@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <unordered_set>
@@ -53,6 +54,18 @@ void check_placement(const Placement& p, const simgrid::GridTopology& topo) {
     total += p.nodes[i];
   }
   QRGRID_CHECK_MSG(total == p.total_nodes, "corrupt snapshot: placement total");
+}
+
+/// Throws qrgrid::Error unless a restored trace event is one the service
+/// could have recorded on a grid of `nclusters`: a known kind, and
+/// cluster tags that index the grid. The exporters (Chrome trace, Gantt,
+/// critical path) index per-cluster rows by them.
+void check_trace_event(const ServiceTraceEvent& ev, int nclusters) {
+  bool ok = ev.kind >= TraceKind::kRunConfig &&
+            ev.kind <= TraceKind::kWaitBlame && ev.cluster >= -1 &&
+            ev.cluster < nclusters && ev.clusters.size() == ev.nodes.size();
+  for (const int c : ev.clusters) ok = ok && c >= 0 && c < nclusters;
+  QRGRID_CHECK_MSG(ok, "corrupt snapshot: trace event at t=" << ev.t_s);
 }
 
 }  // namespace
@@ -166,178 +179,70 @@ double GridJobService::predicted_seconds(const Job& job) const {
   return model::predict_tsqr_seconds(job.m, job.n, job.procs, mp);
 }
 
-std::optional<Placement> GridJobService::try_place(
-    const Job& job, const std::vector<int>& free_nodes,
-    const GridWanModel* wan) const {
-  // Necessary-condition prechecks before paying for a residual topology
-  // and a MetaScheduler: any allocation needs job.procs free procs in
-  // total, and every group (even at the max split) is confined to one
-  // cluster, so SOME cluster must hold ceil(procs / max_groups) procs.
-  // Pure rejections — a placement that passes is decided exactly as
-  // before, so dispatch decisions are unchanged.
-  long long free_procs = 0;
-  long long max_cluster_procs = 0;
-  for (int c = 0; c < topology_.num_clusters(); ++c) {
-    const long long procs =
-        static_cast<long long>(free_nodes[static_cast<std::size_t>(c)]) *
-        topology_.cluster(c).procs_per_node;
-    free_procs += procs;
-    max_cluster_procs = std::max(max_cluster_procs, procs);
-  }
-  if (job.procs > free_procs) return std::nullopt;
-  const int min_group_procs =
-      (job.procs + options_.max_groups - 1) / options_.max_groups;
-  if (min_group_procs > max_cluster_procs) return std::nullopt;
-
-  // Placement scoring is the policy's: by default master-id order, or
-  // idlest-WAN-first under wan_aware dispatch, so the meta-scheduler's
-  // first-fit lands equally feasible groups away from in-flight flows
-  // (ties keep master-id order — the naive path is exactly PR-2).
-  const std::vector<int> order =
-      policy_->cluster_order(topology_.num_clusters(), wan);
-  SubTopology residual = make_sub_topology(topology_, free_nodes, order);
-  const simgrid::MetaScheduler scheduler(residual.topology);
-
-  // Fewest groups first: every extra group is another cluster boundary the
-  // R-factor reduction must cross on a wide-area link.
-  for (int g = 1; g <= options_.max_groups; ++g) {
-    const int group_procs = (job.procs + g - 1) / g;
-    simgrid::JobProfile profile;
-    profile.name = "job-" + std::to_string(job.id);
-    for (int i = 0; i < g; ++i) {
-      simgrid::GroupRequirement req;
-      req.processes = group_procs;
-      req.max_intra_latency_s = kGroupMaxLatencyS;
-      req.min_intra_bandwidth_Bps = kGroupMinBandwidthBps;
-      profile.groups.push_back(req);
-    }
-    const auto alloc = scheduler.allocate(profile);
-    if (!alloc.has_value()) continue;
-
-    std::vector<int> procs_used(
-        static_cast<std::size_t>(residual.topology.num_clusters()), 0);
-    for (int rank : alloc->placement) {
-      ++procs_used[static_cast<std::size_t>(
-          residual.topology.location_of(rank).cluster)];
-    }
-    // Canonical form: ascending master cluster ids, whatever order the
-    // (possibly wan-reordered) residual presented them in — the replay
-    // cache key and the report's parallel arrays rely on it.
-    std::vector<std::pair<int, int>> grants;
-    for (int c = 0; c < residual.topology.num_clusters(); ++c) {
-      const int procs = procs_used[static_cast<std::size_t>(c)];
-      if (procs == 0) continue;
-      const int ppn = residual.topology.cluster(c).procs_per_node;
-      const int nodes = (procs + ppn - 1) / ppn;  // node-exclusive grant
-      grants.emplace_back(residual.to_master[static_cast<std::size_t>(c)],
-                          nodes);
-    }
-    std::sort(grants.begin(), grants.end());
-    Placement placement;
-    for (const auto& [cluster, nodes] : grants) {
-      placement.clusters.push_back(cluster);
-      placement.nodes.push_back(nodes);
-      placement.total_nodes += nodes;
-    }
-    return placement;
-  }
-  return std::nullopt;
-}
-
-double GridJobService::attempt_seconds(const ExecutionProfile& replay,
-                                       double credited_fraction) const {
-  const double remaining = replay.seconds * (1.0 - credited_fraction);
-  // Same gate as the outage path's credit banking (restart_credit &&
-  // checkpoint_panels > 0): whenever a kill can BANK panels, this path
-  // prices the checkpoints that protect them — and with
-  // checkpoint_cost_s == 0 the priced overhead is exactly zero, the
-  // documented "free credit" configuration (ServiceOptions), not an
-  // accounting hole.
-  if (!options_.restart_credit || options_.checkpoint_panels <= 0) {
-    return remaining;
-  }
-  if (options_.checkpoint_cost_s <= 0.0) return remaining;
-  // Every interior panel boundary still ahead of the attempt writes a
-  // checkpoint over the intra-cluster link (the last panel completes the
-  // job — nothing left to protect). Banked panels were written by the
-  // killed attempt that earned them.
-  const int panels = options_.checkpoint_panels;
-  const int banked = static_cast<int>(
-      std::floor(credited_fraction * panels + 1e-9));
-  const int to_write = std::max(0, panels - 1 - banked);
-  return remaining + to_write * options_.checkpoint_cost_s;
-}
-
-double GridJobService::shadow_time(const Job& head,
-                                   const std::vector<Running>& running,
-                                   const std::vector<int>& free_nodes,
-                                   const GridWanModel* wan,
-                                   double now_s) const {
-  // Sort by ESTIMATED finish: the scheduler plans with walltimes, not with
-  // the exact replays it could not know on a real machine. A WAN-priced
-  // policy knows drains can outlast both bounds, so each running
-  // attempt's finish is lifted to its pessimistic drain estimate.
-  const bool priced = wan != nullptr && policy_->wan_priced_shadow();
-  std::vector<double> drain_estimates;
-  std::vector<int> flow_ids;
-  if (priced) {
-    flow_ids.reserve(running.size());
-    for (const Running& r : running) {
-      if (r.flow >= 0) flow_ids.push_back(r.flow);
-    }
-    wan->drain_estimates_s(now_s, flow_ids, drain_estimates);
-  }
-  std::vector<std::pair<double, const Running*>> by_finish;
-  by_finish.reserve(running.size());
-  std::size_t next_estimate = 0;
-  for (const Running& r : running) {
-    double est = r.est_finish_s;
-    double drain = 0.0;
-    if (priced && r.flow >= 0) {
-      drain = drain_estimates[next_estimate++];  // parallel to flow_ids
-    }
-    // Walltime-bounded attempts release their nodes at kill_s no matter
-    // how far the drains stretch (the kill caps wan_finish), so only
-    // unlimited attempts need their drain estimate priced in.
-    if (priced && r.flow >= 0 && r.job.walltime_s <= 0.0) {
-      est = std::max(est, drain);
-    }
-    by_finish.emplace_back(est, &r);
-  }
-  std::sort(by_finish.begin(), by_finish.end(),
-            [](const auto& a, const auto& b) {
-              return a.first != b.first ? a.first < b.first
-                                        : a.second->seq < b.second->seq;
-            });
-  std::vector<int> free = free_nodes;
-  for (const auto& [est, r] : by_finish) {
-    for (std::size_t i = 0; i < r->placement.clusters.size(); ++i) {
-      free[static_cast<std::size_t>(r->placement.clusters[i])] +=
-          r->placement.nodes[i];
-    }
-    if (try_place(head, free).has_value()) return est;
-  }
-  // Reachable only when a cluster the head needs is down: the reservation
-  // waits on a recovery, not on nodes.
-  return kInf;
-}
-
 // ---------------------------------------------------------------------------
-// Engine: one in-flight workload — every local of the former monolithic
-// run() hoisted into a member of the same name, every lambda into a
-// method, so the loop can pause between steps (the stepping API),
-// serialize itself (save/load), and branch same-instant orderings
-// through the tie oracle. A null-oracle run executes the exact
-// statements the monolith ran, in the same order: the refactor is
-// byte-identical by construction, and the determinism suites pin it.
+// Engine: one in-flight workload — the run's state as members and its
+// event loop as methods, so the loop can pause between steps (the
+// stepping API), serialize itself (visit), and branch same-instant
+// orderings through the tie oracle. Every event class has ONE code path:
+// tied candidates are presented in canonical order and tie_pick() takes
+// index 0 unless an installed oracle chooses another, so an oracle-free
+// run and an always-0 oracle execute the same statements.
 struct GridJobService::Engine {
-  GridJobService& svc;
-  // References into the service so hoisted code reads exactly as it did
-  // when it lived inside GridJobService::run().
-  simgrid::GridTopology& topology_;
-  ServiceOptions& options_;
-  std::unique_ptr<SchedulingPolicy>& policy_;
-  std::unique_ptr<ExecutionBackend>& backend_;
+  struct Running {
+    double finish_s = 0.0;     ///< natural completion (exact replay)
+    double kill_s = 0.0;       ///< walltime bound; +inf when unlimited
+    double est_finish_s = 0.0; ///< what EASY believes: start + walltime
+                               ///  (or the exact finish when unlimited)
+    int seq = 0;  ///< start order, tie-break for simultaneous events
+    Job job;
+    Placement placement;
+    double start_s = 0.0;
+    /// Credited fraction banked BEFORE this attempt: the attempt covers
+    /// [start_fraction, 1] of the factorization, which is what WAN bytes
+    /// are pro-rated against.
+    double start_fraction = 0.0;
+    const ExecutionProfile* replay = nullptr;
+    bool backfilled = false;
+    /// Flow id in the shared-WAN model; -1 when contention is off.
+    /// finish_s stays the ISOLATED replay end — the actual completion is
+    /// max(finish_s, drain end), resolved by the event loop.
+    int flow = -1;
+
+    /// Snapshot field list; `replay` is re-resolved from the backend on
+    /// load.
+    template <class V>
+    void visit(V& v) {
+      v(job, finish_s, kill_s, est_finish_s, seq, placement, start_s,
+        start_fraction, backfilled, flow);
+    }
+  };
+
+  /// Per-job state carried across outage kills and requeues.
+  struct Progress {
+    int attempts = 0;            ///< attempts started so far
+    /// Fraction of the factorization banked by restart credit, in whole
+    /// panels (k / checkpoint_panels). A FRACTION, not seconds: panels
+    /// are row blocks of the matrix, so the credit survives a retry that
+    /// lands on a different placement with a different replay time.
+    double credited_fraction = 0.0;
+    double wasted_node_s = 0.0;  ///< node-seconds lost to kills
+    /// Tightest EASY reservation promised while this job was the blocked
+    /// head; +inf until it first blocks as head.
+    double reserved_start_s = kInf;
+
+    template <class V>
+    void visit(V& v) {
+      v(attempts, credited_fraction, wasted_node_s, reserved_start_s);
+    }
+  };
+
+  /// The owning service: its tie oracle and the Equation (1) estimate.
+  const GridJobService& svc;
+  const simgrid::GridTopology& topology;
+  const ServiceOptions& options;
+  SchedulingPolicy& policy;
+  /// Profiles it hands out are memoized for the service's lifetime.
+  ExecutionBackend& backend;
 
   std::vector<Job> jobs;
   int nclusters = 0;
@@ -348,9 +253,9 @@ struct GridJobService::Engine {
   std::optional<GridWanModel> wan_model;
   GridWanModel* wan = nullptr;
   double wan_clock = 0.0;  ///< how far the WAN horizons have been drained
-  /// Replayed copy of the outage trace: the run never consumes options_'
-  /// original, so the same service can serve several workloads
-  /// identically.
+  /// Replayed copy of the outage trace: the run never consumes the
+  /// configured original, so the same service can serve several
+  /// workloads identically.
   OutageTrace trace;
   ServiceTracer* tracer = nullptr;
   MetricsRegistry* metrics = nullptr;
@@ -408,28 +313,28 @@ struct GridJobService::Engine {
   /// telemetry state already contains them.
   Engine(GridJobService& service, std::vector<Job> jobs_in, bool quiet);
 
-  // Forwarding shims so hoisted code keeps its original spelling.
+  /// Builds the residual topology of `nodes_free` and asks a
+  /// MetaScheduler to place the job as 1, 2, ... max_groups single-cluster
+  /// groups (fewest groups first: WAN crossings cost the most). With a
+  /// WAN model (wan_aware dispatch), candidate clusters are presented to
+  /// the scheduler idlest-uplink-first, so equally feasible placements
+  /// land away from in-flight WAN traffic; feasibility is unaffected.
   std::optional<Placement> try_place(
       const Job& job, const std::vector<int>& nodes_free,
-      const GridWanModel* wan_pref = nullptr) const {
-    return svc.try_place(job, nodes_free, wan_pref);
-  }
-  const ExecutionProfile& replay_for(const Job& job,
-                                     const Placement& placement) {
-    return svc.replay_for(job, placement);
-  }
+      const GridWanModel* wan_pref = nullptr) const;
+  /// Seconds one attempt holds its nodes on an idle grid: the uncredited
+  /// replay remainder plus checkpoint I/O for every interior panel
+  /// boundary the attempt will cross (checkpoint_cost_s).
   double attempt_seconds(const ExecutionProfile& replay,
-                         double credited_fraction) const {
-    return svc.attempt_seconds(replay, credited_fraction);
-  }
-  double shadow_time(const Job& head, const std::vector<Running>& r,
-                     const std::vector<int>& nodes_free,
-                     const GridWanModel* wan_model_ptr, double now_s) const {
-    return svc.shadow_time(head, r, nodes_free, wan_model_ptr, now_s);
-  }
-  double predicted_seconds(const Job& job) const {
-    return svc.predicted_seconds(job);
-  }
+                         double credited_fraction) const;
+  /// EASY reservation: earliest virtual time at which accumulated
+  /// ESTIMATED completions (walltime bounds when set, exact replays when
+  /// not) free enough placeable nodes for `head`. Actual events never
+  /// come later than the estimates, so the reservation is safe either
+  /// way — except under shared-WAN contention, where drains can outlast
+  /// both bounds; a policy with wan_priced_shadow() additionally prices
+  /// each running attempt's drain estimate into its finish.
+  double shadow_time(const Job& head) const;
 
   bool active() const {
     return next_arrival < jobs.size() || !pending.empty() ||
@@ -453,32 +358,52 @@ struct GridJobService::Engine {
   void dispatch();
   void classify_waits();
   void apply_outage(const OutageEvent& ev);
+  /// Kills one running attempt hit by the failure `ev`: charges waste,
+  /// banks restart credit, and requeues the job or records its failure.
+  void outage_kill(Running& victim, const OutageEvent& ev);
   /// Removes running[index] (swap-and-pop) and resolves it as the loop's
   /// next completion-class event — a completion or a walltime kill.
   void complete_one(std::size_t index);
   void resolve_completions();
   void drain_outages();
-  void admit_one_arrival(Job job);
   void admit_arrivals();
+
+  /// Which of k candidates tied at t_s (presented in canonical order)
+  /// resolves next: 0, the canonical pick, unless an installed oracle
+  /// chooses another. An out-of-range choice throws qrgrid::Error.
+  std::size_t tie_pick(TieOracle::Kind kind, double t_s,
+                       std::size_t k) const;
+  /// Resolves the canonically ordered candidates in [first, last), all
+  /// tied at t_s, one at a time: each next one is tie_pick()'s choice
+  /// among those left, and the rest keep their relative order.
+  template <class It, class Resolve>
+  void resolve_tied(TieOracle::Kind kind, double t_s, It first, It last,
+                    Resolve resolve) {
+    for (; first != last; ++first) {
+      const It chosen =
+          first + static_cast<std::ptrdiff_t>(tie_pick(
+                      kind, t_s, static_cast<std::size_t>(last - first)));
+      std::rotate(first, chosen, chosen + 1);
+      resolve(*first);
+    }
+  }
+
   void step();
   ServiceReport finish();
 
-  /// The one trace-emit path: records an event when a tracer is bound
-  /// and builds nothing otherwise. `cluster` tags outage events, a
+  /// The service's trace-emit path: records an event when a tracer is
+  /// bound and builds nothing otherwise. `cluster` tags outage events, a
   /// `placement` fills a start event's clusters/nodes, and kRunConfig
   /// carries the policy name.
   void emit(TraceKind kind, double t_s, int job = -1, double value = 0.0,
             double value2 = 0.0, int flow = -1, int cluster = -1,
             const Placement* placement = nullptr) const {
     if (tracer == nullptr) return;
-    ServiceTraceEvent ev{t_s, kind, job, cluster, flow, value, value2,
-                         {},  {},   {}};
-    if (placement != nullptr) {
-      ev.clusters = placement->clusters;
-      ev.nodes = placement->nodes;
-    }
-    if (kind == TraceKind::kRunConfig) ev.note = policy_->name();
-    tracer->record(std::move(ev));
+    tracer->emit(kind, t_s, job, value, value2, flow, cluster,
+                 placement != nullptr ? placement->clusters
+                                      : std::vector<int>{},
+                 placement != nullptr ? placement->nodes : std::vector<int>{},
+                 kind == TraceKind::kRunConfig ? policy.name() : "");
   }
 
   /// Snapshot field list of the in-flight state (the job list travels
@@ -494,23 +419,23 @@ struct GridJobService::Engine {
 GridJobService::Engine::Engine(GridJobService& service,
                                std::vector<Job> jobs_in, bool quiet)
     : svc(service),
-      topology_(service.topology_),
-      options_(service.options_),
-      policy_(service.policy_),
-      backend_(service.backend_),
+      topology(service.topology_),
+      options(service.options_),
+      policy(*service.policy_),
+      backend(*service.backend_),
       jobs(std::move(jobs_in)),
-      trace(service.options_.outages),
-      pending(service.policy_.get()) {
+      trace(options.outages),
+      pending(&policy) {
   std::stable_sort(jobs.begin(), jobs.end(), [](const Job& a, const Job& b) {
     return a.arrival_s != b.arrival_s ? a.arrival_s < b.arrival_s
                                       : a.id < b.id;
   });
 
-  nclusters = topology_.num_clusters();
+  nclusters = topology.num_clusters();
   total_nodes.assign(static_cast<std::size_t>(nclusters), 0);
   for (int c = 0; c < nclusters; ++c) {
-    total_nodes[static_cast<std::size_t>(c)] = topology_.cluster(c).nodes;
-    grid_nodes += topology_.cluster(c).nodes;
+    total_nodes[static_cast<std::size_t>(c)] = topology.cluster(c).nodes;
+    grid_nodes += topology.cluster(c).nodes;
   }
   if (!quiet) {
     // Admission preflight. Whether a job fits the EMPTY fully-up grid
@@ -530,10 +455,10 @@ GridJobService::Engine::Engine(GridJobService& service,
   // workloads: the same service serving the same jobs twice reports
   // byte-identically. The restore path loads the saved deficits over
   // this clean slate.
-  policy_->reset();
+  policy.reset();
 
-  report.policy = options_.policy;
-  report.policy_label = policy_->name();
+  report.policy = options.policy;
+  report.policy_label = policy.name();
   report.wan_egress_bytes.assign(static_cast<std::size_t>(nclusters), 0);
   report.wan_ingress_bytes.assign(static_cast<std::size_t>(nclusters), 0);
   report.wan_uplink_busy.assign(static_cast<std::size_t>(nclusters), 0.0);
@@ -544,14 +469,14 @@ GridJobService::Engine::Engine(GridJobService& service,
   // trace, so serving several workloads from one service stays pure —
   // and only built when contention is on, so its capacity invariants
   // cannot reject runs that never consult it.
-  wan_on = options_.wan_contention || options_.wan_aware;
+  wan_on = options.wan_contention || options.wan_aware;
   if (wan_on) {
     const double backbone_Bps =
-        options_.wan_backbone_Bps > 0.0
-            ? options_.wan_backbone_Bps
-            : options_.wan_link_Bps * std::max(1, nclusters / 2);
-    wan_model.emplace(nclusters, options_.wan_link_Bps, backbone_Bps,
-                      options_.wan_fairness, options_.wan_pair_Bps);
+        options.wan_backbone_Bps > 0.0
+            ? options.wan_backbone_Bps
+            : options.wan_link_Bps * std::max(1, nclusters / 2);
+    wan_model.emplace(nclusters, options.wan_link_Bps, backbone_Bps,
+                      options.wan_fairness, options.wan_pair_Bps);
   }
   wan = wan_model ? &*wan_model : nullptr;
 
@@ -559,10 +484,10 @@ GridJobService::Engine::Engine(GridJobService& service,
   // usually null; every emit site guards on the pointer so a disabled
   // run never builds an event. Nothing recorded here feeds back into a
   // scheduling decision.
-  tracer = options_.tracer;
-  metrics = options_.metrics;
-  profiler = options_.profiler;
-  blame_on = options_.wait_blame;
+  tracer = options.tracer;
+  metrics = options.metrics;
+  profiler = options.profiler;
+  blame_on = options.wait_blame;
   has_outages = trace.enabled();
   if (wan != nullptr) {
     wan->set_tracer(tracer);
@@ -572,7 +497,7 @@ GridJobService::Engine::Engine(GridJobService& service,
     emit(TraceKind::kRunConfig, 0.0, -1,
          (wan_on ? kTraceConfigWanContention : 0) |
              (has_outages ? kTraceConfigHasOutages : 0) |
-             (policy_->backfills() ? kTraceConfigBackfills : 0) |
+             (policy.backfills() ? kTraceConfigBackfills : 0) |
              (blame_on ? kTraceConfigWaitBlame : 0));
   }
   if (!quiet && metrics != nullptr) {
@@ -597,7 +522,7 @@ GridJobService::Engine::Engine(GridJobService& service,
   cluster_ppn.assign(static_cast<std::size_t>(nclusters), 0);
   for (int c = 0; c < nclusters; ++c) {
     cluster_ppn[static_cast<std::size_t>(c)] =
-        topology_.cluster(c).procs_per_node;
+        topology.cluster(c).procs_per_node;
   }
   for (int c = 0; c < nclusters; ++c) {
     const long long procs =
@@ -606,7 +531,159 @@ GridJobService::Engine::Engine(GridJobService& service,
     placeable_procs_index.insert(procs);
     placeable_procs_total += procs;
   }
-  placement_wan = options_.wan_aware ? wan : nullptr;
+  placement_wan = options.wan_aware ? wan : nullptr;
+}
+
+std::optional<Placement> GridJobService::Engine::try_place(
+    const Job& job, const std::vector<int>& nodes_free,
+    const GridWanModel* wan_pref) const {
+  // Necessary-condition prechecks before paying for a residual topology
+  // and a MetaScheduler: any allocation needs job.procs free procs in
+  // total, and every group (even at the max split) is confined to one
+  // cluster, so SOME cluster must hold ceil(procs / max_groups) procs.
+  // Pure rejections — a placement that passes is decided exactly as
+  // before, so dispatch decisions are unchanged.
+  long long free_procs = 0;
+  long long max_cluster_procs = 0;
+  for (int c = 0; c < topology.num_clusters(); ++c) {
+    const long long procs =
+        static_cast<long long>(nodes_free[static_cast<std::size_t>(c)]) *
+        topology.cluster(c).procs_per_node;
+    free_procs += procs;
+    max_cluster_procs = std::max(max_cluster_procs, procs);
+  }
+  if (job.procs > free_procs) return std::nullopt;
+  const int min_group_procs =
+      (job.procs + options.max_groups - 1) / options.max_groups;
+  if (min_group_procs > max_cluster_procs) return std::nullopt;
+
+  // Placement scoring is the policy's: by default master-id order, or
+  // idlest-WAN-first under wan_aware dispatch, so the meta-scheduler's
+  // first-fit lands equally feasible groups away from in-flight flows
+  // (ties keep master-id order — the naive path is exactly PR-2).
+  const std::vector<int> order =
+      policy.cluster_order(topology.num_clusters(), wan_pref);
+  SubTopology residual = make_sub_topology(topology, nodes_free, order);
+  const simgrid::MetaScheduler scheduler(residual.topology);
+
+  // Fewest groups first: every extra group is another cluster boundary the
+  // R-factor reduction must cross on a wide-area link.
+  for (int g = 1; g <= options.max_groups; ++g) {
+    const int group_procs = (job.procs + g - 1) / g;
+    simgrid::JobProfile profile;
+    profile.name = "job-" + std::to_string(job.id);
+    for (int i = 0; i < g; ++i) {
+      simgrid::GroupRequirement req;
+      req.processes = group_procs;
+      req.max_intra_latency_s = kGroupMaxLatencyS;
+      req.min_intra_bandwidth_Bps = kGroupMinBandwidthBps;
+      profile.groups.push_back(req);
+    }
+    const auto alloc = scheduler.allocate(profile);
+    if (!alloc.has_value()) continue;
+
+    std::vector<int> procs_used(
+        static_cast<std::size_t>(residual.topology.num_clusters()), 0);
+    for (int rank : alloc->placement) {
+      ++procs_used[static_cast<std::size_t>(
+          residual.topology.location_of(rank).cluster)];
+    }
+    // Canonical form: ascending master cluster ids, whatever order the
+    // (possibly wan-reordered) residual presented them in — the replay
+    // cache key and the report's parallel arrays rely on it.
+    std::vector<std::pair<int, int>> grants;
+    for (int c = 0; c < residual.topology.num_clusters(); ++c) {
+      const int procs = procs_used[static_cast<std::size_t>(c)];
+      if (procs == 0) continue;
+      const int ppn = residual.topology.cluster(c).procs_per_node;
+      const int nodes = (procs + ppn - 1) / ppn;  // node-exclusive grant
+      grants.emplace_back(residual.to_master[static_cast<std::size_t>(c)],
+                          nodes);
+    }
+    std::sort(grants.begin(), grants.end());
+    Placement placement;
+    for (const auto& [cluster, nodes] : grants) {
+      placement.clusters.push_back(cluster);
+      placement.nodes.push_back(nodes);
+      placement.total_nodes += nodes;
+    }
+    return placement;
+  }
+  return std::nullopt;
+}
+
+double GridJobService::Engine::attempt_seconds(
+    const ExecutionProfile& replay, double credited_fraction) const {
+  const double remaining = replay.seconds * (1.0 - credited_fraction);
+  // Same gate as the outage path's credit banking (restart_credit &&
+  // checkpoint_panels > 0): whenever a kill can BANK panels, this path
+  // prices the checkpoints that protect them — and with
+  // checkpoint_cost_s == 0 the priced overhead is exactly zero, the
+  // documented "free credit" configuration (ServiceOptions), not an
+  // accounting hole.
+  if (!options.restart_credit || options.checkpoint_panels <= 0) {
+    return remaining;
+  }
+  if (options.checkpoint_cost_s <= 0.0) return remaining;
+  // Every interior panel boundary still ahead of the attempt writes a
+  // checkpoint over the intra-cluster link (the last panel completes the
+  // job — nothing left to protect). Banked panels were written by the
+  // killed attempt that earned them.
+  const int panels = options.checkpoint_panels;
+  const int banked = static_cast<int>(
+      std::floor(credited_fraction * panels + 1e-9));
+  const int to_write = std::max(0, panels - 1 - banked);
+  return remaining + to_write * options.checkpoint_cost_s;
+}
+
+double GridJobService::Engine::shadow_time(const Job& head) const {
+  // Sort by ESTIMATED finish: the scheduler plans with walltimes, not with
+  // the exact replays it could not know on a real machine. A WAN-priced
+  // policy knows drains can outlast both bounds, so each running
+  // attempt's finish is lifted to its pessimistic drain estimate.
+  const bool priced = wan != nullptr && policy.wan_priced_shadow();
+  std::vector<double> drain_estimates;
+  std::vector<int> flow_ids;
+  if (priced) {
+    flow_ids.reserve(running.size());
+    for (const Running& r : running) {
+      if (r.flow >= 0) flow_ids.push_back(r.flow);
+    }
+    wan->drain_estimates_s(clock, flow_ids, drain_estimates);
+  }
+  std::vector<std::pair<double, const Running*>> by_finish;
+  by_finish.reserve(running.size());
+  std::size_t next_estimate = 0;
+  for (const Running& r : running) {
+    double est = r.est_finish_s;
+    double drain = 0.0;
+    if (priced && r.flow >= 0) {
+      drain = drain_estimates[next_estimate++];  // parallel to flow_ids
+    }
+    // Walltime-bounded attempts release their nodes at kill_s no matter
+    // how far the drains stretch (the kill caps wan_finish), so only
+    // unlimited attempts need their drain estimate priced in.
+    if (priced && r.flow >= 0 && r.job.walltime_s <= 0.0) {
+      est = std::max(est, drain);
+    }
+    by_finish.emplace_back(est, &r);
+  }
+  std::sort(by_finish.begin(), by_finish.end(),
+            [](const auto& a, const auto& b) {
+              return a.first != b.first ? a.first < b.first
+                                        : a.second->seq < b.second->seq;
+            });
+  std::vector<int> free = placeable;
+  for (const auto& [est, r] : by_finish) {
+    for (std::size_t i = 0; i < r->placement.clusters.size(); ++i) {
+      free[static_cast<std::size_t>(r->placement.clusters[i])] +=
+          r->placement.nodes[i];
+    }
+    if (try_place(head, free).has_value()) return est;
+  }
+  // Reachable only when a cluster the head needs is down: the reservation
+  // waits on a recovery, not on nodes.
+  return kInf;
 }
 
 // Every placeable[c] mutation goes through here to keep the index true.
@@ -651,7 +728,7 @@ void GridJobService::Engine::release_nodes(const Placement& pl) {
 bool GridJobService::Engine::placeable_precheck(const Job& job) const {
   if (job.procs > placeable_procs_total) return false;
   const int min_group_procs =
-      (job.procs + options_.max_groups - 1) / options_.max_groups;
+      (job.procs + options.max_groups - 1) / options.max_groups;
   return min_group_procs <= *placeable_procs_index.rbegin();
 }
 
@@ -725,13 +802,13 @@ void GridJobService::Engine::charge_wan(const Running& r, double fraction) {
 ExecutionResult GridJobService::Engine::execute_attempt(
     const Running& r, bool killed, double through_fraction) {
   ExecutionResult exec;
-  if (!backend_->executes()) return exec;
+  if (!backend.executes()) return exec;
   const double abort_vtime_s =
       killed ? std::clamp(through_fraction, 0.0, 1.0) * r.replay->seconds
              : kInf;
   {
     PhaseScope scope(profiler, ProfilePhase::kBackendExecute);
-    exec = backend_->execute(r.job, r.placement, abort_vtime_s);
+    exec = backend.execute(r.job, r.placement, abort_vtime_s);
   }
   ++report.executed_attempts;
   if (exec.aborted) ++report.aborted_attempts;
@@ -834,7 +911,7 @@ void GridJobService::Engine::start_job(Job job, const Placement& placement,
     emit(TraceKind::kReservationWithdraw, clock, reserved_job);
     reserved_job = -1;
   }
-  const ExecutionProfile& replay = replay_for(job, placement);
+  const ExecutionProfile& replay = backend.profile(job, placement);
   Progress& p = progress[job.id];
   ++p.attempts;
   // Restart credit: only the unfinished tail of the factorization
@@ -845,7 +922,7 @@ void GridJobService::Engine::start_job(Job job, const Placement& placement,
   // Deficit accounting (fair-share): the attempt is expected to hold
   // its grant for attempt_s — charged at start so the very next head
   // decision already sees this user served.
-  policy_->on_attempt_start(
+  policy.on_attempt_start(
       job, attempt_s * static_cast<double>(placement.total_nodes));
   grant_nodes(placement);
   Running r;
@@ -968,7 +1045,7 @@ void GridJobService::Engine::dispatch() {
     if (!placement.has_value()) break;
     start_job(pending.pop_front(), *placement, /*backfilled=*/false);
   }
-  if (!policy_->backfills() || pending.empty() || running.empty()) {
+  if (!policy.backfills() || pending.empty() || running.empty()) {
     return;
   }
   // EASY family: the blocked head holds a reservation at its shadow
@@ -991,7 +1068,7 @@ void GridJobService::Engine::dispatch() {
   double shadow;
   {
     PhaseScope scope(profiler, ProfilePhase::kShadow);
-    shadow = shadow_time(pending.front(), running, placeable, wan, clock);
+    shadow = shadow_time(pending.front());
   }
   last_shadow = shadow;
   // No computable reservation (the head waits on an outage recovery,
@@ -1003,7 +1080,7 @@ void GridJobService::Engine::dispatch() {
       std::min(head_progress.reserved_start_s, shadow);
   // value: the promised latest start.
   emit(TraceKind::kReservationClaim, clock, reserved_job, shadow);
-  const bool priced = wan != nullptr && policy_->wan_priced_shadow();
+  const bool priced = wan != nullptr && policy.wan_priced_shadow();
   // Ordered scan behind the head. Starts (on_attempt_start) dirty
   // fair-share keys mid-scan, but iteration and take() never compare
   // entries, so the frozen scan order is exactly the order the pass
@@ -1012,8 +1089,8 @@ void GridJobService::Engine::dispatch() {
   auto it = pending.begin();
   ++it;  // the head holds the reservation, not a backfill candidacy
   while (it != pending.end()) {
-    if (options_.backfill_depth > 0 &&
-        ++examined > options_.backfill_depth) {
+    if (options.backfill_depth > 0 &&
+        ++examined > options.backfill_depth) {
       break;
     }
     if (metrics != nullptr) metrics->add("dispatch.backfill_scans");
@@ -1022,7 +1099,7 @@ void GridJobService::Engine::dispatch() {
       placement = try_place(it->job, placeable, placement_wan);
     }
     if (placement.has_value()) {
-      const ExecutionProfile& replay = replay_for(it->job, *placement);
+      const ExecutionProfile& replay = backend.profile(it->job, *placement);
       const Job& candidate = it->job;
       const double remaining = attempt_seconds(
           replay, progress[candidate.id].credited_fraction);
@@ -1044,7 +1121,7 @@ void GridJobService::Engine::dispatch() {
         double earliest_egress_fraction = 1.0;
         for (std::size_t c = 0; c < placement->clusters.size(); ++c) {
           const double share =
-              options_.wan_link_Bps /
+              options.wan_link_Bps /
               (1.0 + wan->load_score(placement->clusters[c]));
           if (replay.egress_bytes[c] > 0) {
             estimate = std::max(
@@ -1095,16 +1172,16 @@ void GridJobService::Engine::classify_waits() {
   for (int c = 0; c < nclusters; ++c) {
     if (down_depth[static_cast<std::size_t>(c)] > 0) any_down = true;
   }
-  const bool backfills = policy_->backfills();
-  const bool priced = wan != nullptr && policy_->wan_priced_shadow();
+  const bool backfills = policy.backfills();
+  const bool priced = wan != nullptr && policy.wan_priced_shadow();
   const Job* head = nullptr;
   int idx = 0;
   for (auto it = pending.begin(); it != pending.end(); ++it, ++idx) {
     const Job& job = it->job;
     if (idx == 0) head = &job;
     BlameCategory category = BlameCategory::kResourceBusy;
-    if (idx > 0 && backfills && options_.backfill_depth > 0 &&
-        idx > options_.backfill_depth) {
+    if (idx > 0 && backfills && options.backfill_depth > 0 &&
+        idx > options.backfill_depth) {
       // The bounded scan examines positions 1..depth only; beyond it
       // the scheduler never even looked.
       category = BlameCategory::kBackfillDepthTruncated;
@@ -1128,14 +1205,14 @@ void GridJobService::Engine::classify_waits() {
         // No reservation bound exists (strict policy, or the head
         // waits on an outage recovery): queue order alone holds the
         // job back — split by WHY the head outranks it.
-        category = policy_->displaces(*head, job)
+        category = policy.displaces(*head, job)
                        ? BlameCategory::kPriorityDisplaced
                        : BlameCategory::kHeldBehindReservation;
       } else {
         // The scan examined this placeable candidate and rejected it
         // on the admission test `clock + estimate <= shadow`;
         // re-derive which bound inside the estimate bit.
-        const ExecutionProfile& replay = replay_for(job, *placement);
+        const ExecutionProfile& replay = backend.profile(job, *placement);
         const double remaining =
             attempt_seconds(replay, progress[job.id].credited_fraction);
         if (priced && job.walltime_s <= 0.0 &&
@@ -1149,7 +1226,7 @@ void GridJobService::Engine::classify_waits() {
           // (what EASY must plan with) does not.
           category = BlameCategory::kWalltimeEstimateBlocked;
         } else {
-          category = policy_->displaces(*head, job)
+          category = policy.displaces(*head, job)
                          ? BlameCategory::kPriorityDisplaced
                          : BlameCategory::kHeldBehindReservation;
         }
@@ -1165,9 +1242,9 @@ void GridJobService::Engine::classify_waits() {
   }
 }
 
-// Outage start: every job holding nodes on the failed cluster dies.
-// Lost node-seconds are charged as waste (minus any banked panels) and
-// the job is requeued until its retries run out.
+// One outage boundary. A recovery returns the cluster's free nodes to
+// the placeable pool; a failure masks them out and kills every job
+// holding nodes on the cluster (outage_kill).
 void GridJobService::Engine::apply_outage(const OutageEvent& ev) {
   emit(ev.down ? TraceKind::kOutageDown : TraceKind::kOutageUp, ev.time_s,
        -1, 0.0, 0.0, -1, ev.cluster);
@@ -1206,100 +1283,98 @@ void GridJobService::Engine::apply_outage(const OutageEvent& ev) {
   }
   std::sort(victims.begin(), victims.end(),
             [](const Running& a, const Running& b) { return a.seq < b.seq; });
-  TieOracle* const oracle = svc.oracle_;
-  while (!victims.empty()) {
-    // Kill order among one failure's victims: canonically start order
-    // (seq — index 0 of the sorted vector), or whichever victim the
-    // tie oracle picks. The order is observable: restart credit,
-    // waste, and requeue positions all accrue victim by victim.
-    std::size_t pick = 0;
-    if (oracle != nullptr && victims.size() > 1) {
-      const int chosen =
-          oracle->choose(TieOracle::Kind::kOutageVictim, ev.time_s,
-                         static_cast<int>(victims.size()));
-      QRGRID_CHECK_MSG(
-          chosen >= 0 && chosen < static_cast<int>(victims.size()),
-          "tie oracle returned " << chosen << " of "
-                                 << victims.size() << " victims");
-      pick = static_cast<std::size_t>(chosen);
-    }
-    Running victim = std::move(victims[static_cast<std::size_t>(pick)]);
-    victims.erase(victims.begin() + static_cast<std::ptrdiff_t>(pick));
-    release_nodes(victim.placement);
-    const double elapsed = ev.time_s - victim.start_s;
-    Progress& p = progress[victim.job.id];
-    // Fraction of the FULL factorization this attempt covered before
-    // dying. Checkpoint overhead smears uniformly over the attempt,
-    // and a WAN-stretched attempt can outlive its isolated span while
-    // waiting on drains with all panels done — hence the cap at the
-    // attempt's own share. covered_span_fraction guards the
-    // kill-at-start edge: a span collapsed to zero by floating-point
-    // absorption must not turn the credit arithmetic into NaN.
-    const double attempt_span = victim.finish_s - victim.start_s;
-    const double covered =
-        covered_span_fraction(elapsed, attempt_span) *
-        (1.0 - p.credited_fraction);
-    double banked = 0.0;
-    if (options_.restart_credit && options_.checkpoint_panels > 0) {
-      // Bank whole panels: round the reached point down to a panel
-      // boundary. The last panel is never banked — completing it IS
-      // completing the job.
-      const double panels =
-          static_cast<double>(options_.checkpoint_panels);
-      const double through = p.credited_fraction + covered;
-      const double reached = std::min(std::floor(through * panels) / panels,
-                                      (panels - 1.0) / panels);
-      const double gained =
-          std::clamp(reached - p.credited_fraction, 0.0, covered);
-      banked = gained * victim.replay->seconds;
-      p.credited_fraction += gained;
-    }
-    const double nodes =
-        static_cast<double>(victim.placement.total_nodes);
-    p.wasted_node_s += nodes * (elapsed - banked);
-    report.wasted_node_seconds += nodes * (elapsed - banked);
-    useful_node_seconds += nodes * banked;
-    if (wan_on) {
-      wan->retire(victim.flow, report.wan_egress_bytes,
-                 report.wan_ingress_bytes);
-    } else {
-      // The attempt covered this share of the full replay timeline.
-      charge_wan(victim, covered);
-    }
-    // The outage hits the in-flight attempt for REAL on the msg
-    // backend: the factorization aborts mid-run at the reached point of
-    // the timeline, requeued attempts included.
-    // value: node-holding seconds the kill threw away; value2: of which
-    // restart credit banked this much.
-    emit(TraceKind::kOutageKill, ev.time_s, victim.job.id, elapsed, banked,
-         victim.flow, ev.cluster);
-    const ExecutionResult exec = execute_attempt(
-        victim, /*killed=*/true, victim.start_fraction + covered);
-    ++report.killed_jobs;
-    ++report.outage_kills;
-    if (p.attempts <= options_.max_retries) {
-      ++report.requeued_jobs;
-      Job job = std::move(victim.job);
-      if (blame_on) {
-        // The killed attempt's runtime is wait the job must sit out
-        // again — blamed as rerun time, which keeps the categories
-        // summing to (final start - arrival) across retries.
-        blame_totals[job.id][static_cast<std::size_t>(
-            BlameCategory::kRequeuedRerun)] += elapsed;
-        emit(TraceKind::kWaitBlame, ev.time_s, job.id, elapsed,
-             static_cast<double>(BlameCategory::kRequeuedRerun));
-      }
-      emit(TraceKind::kRequeue, ev.time_s, job.id,
-           static_cast<double>(p.attempts));
-      // SPJF sort key: only the uncredited remainder still costs time.
-      const double predicted =
-          predicted_seconds(job) * (1.0 - p.credited_fraction);
-      pending.push(std::move(job), predicted);
-    } else {
-      ++report.failed_jobs;
-      record_outcome(victim, ev.time_s, JobFate::kOutageFailed, exec);
-    }
+  // Kill order among one failure's victims: canonically start order.
+  // The order is observable: restart credit, waste, and requeue
+  // positions all accrue victim by victim.
+  resolve_tied(TieOracle::Kind::kOutageVictim, ev.time_s, victims.begin(),
+               victims.end(),
+               [&](Running& victim) { outage_kill(victim, ev); });
+}
+
+void GridJobService::Engine::outage_kill(Running& victim,
+                                         const OutageEvent& ev) {
+  release_nodes(victim.placement);
+  const double elapsed = ev.time_s - victim.start_s;
+  Progress& p = progress[victim.job.id];
+  // Fraction of the FULL factorization this attempt covered before
+  // dying. Checkpoint overhead smears uniformly over the attempt, and a
+  // WAN-stretched attempt can outlive its isolated span while waiting on
+  // drains with all panels done — hence the cap at the attempt's own
+  // share. covered_span_fraction guards the kill-at-start edge: a span
+  // collapsed to zero by floating-point absorption must not turn the
+  // credit arithmetic into NaN.
+  const double attempt_span = victim.finish_s - victim.start_s;
+  const double covered = covered_span_fraction(elapsed, attempt_span) *
+                         (1.0 - p.credited_fraction);
+  double banked = 0.0;
+  if (options.restart_credit && options.checkpoint_panels > 0) {
+    // Bank whole panels: round the reached point down to a panel
+    // boundary. The last panel is never banked — completing it IS
+    // completing the job.
+    const double panels = static_cast<double>(options.checkpoint_panels);
+    const double through = p.credited_fraction + covered;
+    const double reached = std::min(std::floor(through * panels) / panels,
+                                    (panels - 1.0) / panels);
+    const double gained =
+        std::clamp(reached - p.credited_fraction, 0.0, covered);
+    banked = gained * victim.replay->seconds;
+    p.credited_fraction += gained;
   }
+  const double nodes = static_cast<double>(victim.placement.total_nodes);
+  p.wasted_node_s += nodes * (elapsed - banked);
+  report.wasted_node_seconds += nodes * (elapsed - banked);
+  useful_node_seconds += nodes * banked;
+  if (wan_on) {
+    wan->retire(victim.flow, report.wan_egress_bytes,
+                report.wan_ingress_bytes);
+  } else {
+    // The attempt covered this share of the full replay timeline.
+    charge_wan(victim, covered);
+  }
+  // The outage hits the in-flight attempt for REAL on the msg
+  // backend: the factorization aborts mid-run at the reached point of
+  // the timeline, requeued attempts included.
+  // value: node-holding seconds the kill threw away; value2: of which
+  // restart credit banked this much.
+  emit(TraceKind::kOutageKill, ev.time_s, victim.job.id, elapsed, banked,
+       victim.flow, ev.cluster);
+  const ExecutionResult exec = execute_attempt(
+      victim, /*killed=*/true, victim.start_fraction + covered);
+  ++report.killed_jobs;
+  ++report.outage_kills;
+  if (p.attempts <= options.max_retries) {
+    ++report.requeued_jobs;
+    Job job = std::move(victim.job);
+    if (blame_on) {
+      // The killed attempt's runtime is wait the job must sit out
+      // again — blamed as rerun time, which keeps the categories
+      // summing to (final start - arrival) across retries.
+      blame_totals[job.id][static_cast<std::size_t>(
+          BlameCategory::kRequeuedRerun)] += elapsed;
+      emit(TraceKind::kWaitBlame, ev.time_s, job.id, elapsed,
+           static_cast<double>(BlameCategory::kRequeuedRerun));
+    }
+    emit(TraceKind::kRequeue, ev.time_s, job.id,
+         static_cast<double>(p.attempts));
+    // SPJF sort key: only the uncredited remainder still costs time.
+    const double predicted =
+        svc.predicted_seconds(job) * (1.0 - p.credited_fraction);
+    pending.push(std::move(job), predicted);
+  } else {
+    ++report.failed_jobs;
+    record_outcome(victim, ev.time_s, JobFate::kOutageFailed, exec);
+  }
+}
+
+std::size_t GridJobService::Engine::tie_pick(TieOracle::Kind kind,
+                                             double t_s,
+                                             std::size_t k) const {
+  if (svc.oracle_ == nullptr || k < 2) return 0;
+  const int chosen = svc.oracle_->choose(kind, t_s, static_cast<int>(k));
+  QRGRID_CHECK_MSG(chosen >= 0 && static_cast<std::size_t>(chosen) < k,
+                   "tie oracle returned " << chosen << " for a " << k
+                                          << "-way tie");
+  return static_cast<std::size_t>(chosen);
 }
 
 // One event-loop iteration: advance virtual time to the next event, then
@@ -1369,60 +1444,30 @@ void GridJobService::Engine::step() {
 }
 
 // Resolves every completion-class event due at the current clock, one at
-// a time in (event time, seq) order — or, under an installed oracle, in
-// whatever order it picks among exact event-time ties.
+// a time: the earliest due event time first and, among attempts tied on
+// it, start order (seq) canonically. Candidates are re-collected per
+// pick: each resolution can retire a WAN flow and move later finish
+// times.
 void GridJobService::Engine::resolve_completions() {
-  TieOracle* const oracle = svc.oracle_;
-  if (oracle == nullptr) {
-    // Canonical path, verbatim from the monolith: repeatedly select the
-    // (event time, seq) minimum among due events.
-    for (bool found = true; found;) {
-      found = false;
-      std::size_t best = 0;
-      for (std::size_t i = 0; i < running.size(); ++i) {
-        if (event_of(running[i]) > clock) continue;
-        if (!found || event_of(running[i]) < event_of(running[best]) ||
-            (event_of(running[i]) == event_of(running[best]) &&
-             running[i].seq < running[best].seq)) {
-          best = i;
-          found = true;
-        }
-      }
-      if (!found) break;
-      complete_one(best);
-    }
-    return;
-  }
-  // Oracle path: resolve the earliest due event time; among attempts
-  // TIED on it (seq-sorted, so index 0 is the canonical pick) the oracle
-  // chooses which resolves first. Candidates are re-collected per pick:
-  // each resolution can retire a WAN flow and move later finish times.
+  std::vector<std::size_t> tied;
   for (;;) {
     double due = kInf;
-    for (const Running& r : running) {
-      const double e = event_of(r);
-      if (e <= clock && e < due) due = e;
-    }
-    if (due == kInf) break;
-    std::vector<std::size_t> tied;
+    tied.clear();
     for (std::size_t i = 0; i < running.size(); ++i) {
-      if (event_of(running[i]) == due) tied.push_back(i);
+      const double e = event_of(running[i]);
+      if (e > clock || e > due) continue;
+      if (e < due) {
+        due = e;
+        tied.clear();
+      }
+      tied.push_back(i);
     }
+    if (tied.empty()) return;
     std::sort(tied.begin(), tied.end(), [&](std::size_t a, std::size_t b) {
       return running[a].seq < running[b].seq;
     });
-    std::size_t pick = 0;
-    if (tied.size() > 1) {
-      const int chosen =
-          oracle->choose(TieOracle::Kind::kCompletion, due,
-                         static_cast<int>(tied.size()));
-      QRGRID_CHECK_MSG(
-          chosen >= 0 && chosen < static_cast<int>(tied.size()),
-          "tie oracle returned " << chosen << " of " << tied.size()
-                                 << " completions");
-      pick = static_cast<std::size_t>(chosen);
-    }
-    complete_one(tied[pick]);
+    complete_one(tied[tie_pick(TieOracle::Kind::kCompletion, due,
+                               tied.size())]);
   }
 }
 
@@ -1489,98 +1534,52 @@ void GridJobService::Engine::complete_one(std::size_t index) {
 
 // Applies every outage boundary due at the current clock. Canonically
 // the trace's pop order (time, recoveries before failures, cluster id);
-// an installed oracle permutes WITHIN one (time, direction) group only,
-// so the up-before-down precedence is never reordered.
+// ties are picked WITHIN one (time, direction) group only, so the
+// up-before-down precedence is never reordered.
 void GridJobService::Engine::drain_outages() {
-  TieOracle* const oracle = svc.oracle_;
-  if (oracle == nullptr) {
-    while (trace.peek_s() <= clock) apply_outage(trace.pop());
-    return;
+  std::vector<OutageEvent> due;
+  while (trace.peek_s() <= clock) due.push_back(trace.pop());
+  for (auto first = due.begin(); first != due.end();) {
+    const auto last =
+        std::find_if(first, due.end(), [&](const OutageEvent& e) {
+          return e.time_s != first->time_s || e.down != first->down;
+        });
+    resolve_tied(first->down ? TieOracle::Kind::kOutageDown
+                             : TieOracle::Kind::kOutageUp,
+                 first->time_s, first, last,
+                 [&](const OutageEvent& ev) { apply_outage(ev); });
+    first = last;
   }
-  std::vector<OutageEvent> batch;
-  while (trace.peek_s() <= clock) batch.push_back(trace.pop());
-  std::size_t i = 0;
-  while (i < batch.size()) {
-    std::size_t j = i;
-    while (j < batch.size() && batch[j].time_s == batch[i].time_s &&
-           batch[j].down == batch[i].down) {
-      ++j;
-    }
-    std::vector<OutageEvent> group(
-        batch.begin() + static_cast<std::ptrdiff_t>(i),
-        batch.begin() + static_cast<std::ptrdiff_t>(j));
-    while (!group.empty()) {
-      const TieOracle::Kind kind = group.front().down
-                                       ? TieOracle::Kind::kOutageDown
-                                       : TieOracle::Kind::kOutageUp;
-      std::size_t pick = 0;
-      if (group.size() > 1) {
-        const int chosen = oracle->choose(kind, group.front().time_s,
-                                          static_cast<int>(group.size()));
-        QRGRID_CHECK_MSG(
-            chosen >= 0 && chosen < static_cast<int>(group.size()),
-            "tie oracle returned " << chosen << " of " << group.size()
-                                   << " outage boundaries");
-        pick = static_cast<std::size_t>(chosen);
-      }
-      apply_outage(group[pick]);
-      group.erase(group.begin() + static_cast<std::ptrdiff_t>(pick));
-    }
-    i = j;
-  }
-}
-
-void GridJobService::Engine::admit_one_arrival(Job job) {
-  emit(TraceKind::kArrival, job.arrival_s, job.id,
-       static_cast<double>(job.priority), static_cast<double>(job.user));
-  const double predicted = predicted_seconds(job);
-  pending.push(std::move(job), predicted);
 }
 
 // Admits every arrival due at the current clock. Canonically in
-// (arrival_s, id) order — the pre-sorted jobs vector; an installed
-// oracle permutes jobs sharing one arrival instant (the order is
-// observable through kArrival events and queue tie-breaks).
+// (arrival_s, id) order — the pre-sorted jobs vector; ties are picked
+// among jobs sharing one arrival instant (the order is observable
+// through kArrival events and queue tie-breaks).
 void GridJobService::Engine::admit_arrivals() {
-  TieOracle* const oracle = svc.oracle_;
-  if (oracle == nullptr) {
-    while (next_arrival < jobs.size() &&
-           jobs[next_arrival].arrival_s <= clock) {
-      admit_one_arrival(jobs[next_arrival++]);
-    }
-    return;
-  }
   while (next_arrival < jobs.size() &&
          jobs[next_arrival].arrival_s <= clock) {
-    std::size_t j = next_arrival;
-    while (j < jobs.size() &&
-           jobs[j].arrival_s == jobs[next_arrival].arrival_s) {
-      ++j;
-    }
+    const double t = jobs[next_arrival].arrival_s;
+    std::size_t end = next_arrival + 1;
+    while (end < jobs.size() && jobs[end].arrival_s == t) ++end;
+    // A copy: the oracle's pick order must not permute the snapshotted
+    // job list.
     std::vector<Job> group(
         jobs.begin() + static_cast<std::ptrdiff_t>(next_arrival),
-        jobs.begin() + static_cast<std::ptrdiff_t>(j));
-    next_arrival = j;
-    while (!group.empty()) {
-      std::size_t pick = 0;
-      if (group.size() > 1) {
-        const int chosen =
-            oracle->choose(TieOracle::Kind::kArrival,
-                           group.front().arrival_s,
-                           static_cast<int>(group.size()));
-        QRGRID_CHECK_MSG(
-            chosen >= 0 && chosen < static_cast<int>(group.size()),
-            "tie oracle returned " << chosen << " of " << group.size()
-                                   << " arrivals");
-        pick = static_cast<std::size_t>(chosen);
-      }
-      admit_one_arrival(std::move(group[pick]));
-      group.erase(group.begin() + static_cast<std::ptrdiff_t>(pick));
-    }
+        jobs.begin() + static_cast<std::ptrdiff_t>(end));
+    next_arrival = end;
+    resolve_tied(TieOracle::Kind::kArrival, t, group.begin(), group.end(),
+                 [&](Job& job) {
+                   emit(TraceKind::kArrival, job.arrival_s, job.id,
+                        static_cast<double>(job.priority),
+                        static_cast<double>(job.user));
+                   const double predicted = svc.predicted_seconds(job);
+                   pending.push(std::move(job), predicted);
+                 });
   }
 }
 
-// Final accounting over the finished run — the monolith's post-loop tail.
+// Final accounting over the finished run.
 ServiceReport GridJobService::Engine::finish() {
   QRGRID_CHECK_MSG(report.completed_jobs + report.failed_jobs ==
                        static_cast<long long>(jobs.size()),
@@ -1738,7 +1737,7 @@ void GridJobService::Engine::visit(V& v) {
     report.injected_abort_vtime_s, report.measured_abort_vtime_s);
   // Policy state precedes the queue entries: loading pushes them through
   // the comparator, which must already see the restored keys.
-  v(free_nodes, down_depth, placeable, trace, *policy_, pending, running,
+  v(free_nodes, down_depth, placeable, trace, policy, pending, running,
     progress, blame_open, blame_totals);
   v.expect(wan_on, "WAN-contention flag");
   if (wan_on) v(*wan);
@@ -1746,7 +1745,7 @@ void GridJobService::Engine::visit(V& v) {
   // computation order: loading replays them so every future hit/miss
   // counter and compute event matches the uninterrupted run's.
   std::vector<ProfileExemplar> exemplars;
-  if constexpr (!V::kLoading) exemplars = backend_->profile_exemplars();
+  if constexpr (!V::kLoading) exemplars = backend.profile_exemplars();
   v(exemplars);
   v.expect(tracer != nullptr, "tracer presence");
   if (tracer != nullptr) v(*tracer);
@@ -1767,19 +1766,24 @@ void GridJobService::Engine::rebuild_after_load(
                    "corrupt snapshot: arrival cursor " << next_arrival);
   for (const Running& run : running) {
     check_job(run.job);
-    check_placement(run.placement, topology_);
+    check_placement(run.placement, topology);
     QRGRID_CHECK_MSG(!std::isnan(run.finish_s) && !std::isnan(run.kill_s) &&
                          !std::isnan(run.est_finish_s),
                      "corrupt snapshot: running job " << run.job.id);
   }
   for (const ProfileExemplar& e : exemplars) {
     check_job(e.job);
-    check_placement(e.placement, topology_);
+    check_placement(e.placement, topology);
   }
   for (const auto& [id, open] : blame_open) {
     QRGRID_CHECK_MSG(open.category >= 0 &&
                          open.category < kBlameCategoryCount,
                      "corrupt snapshot: blame category " << open.category);
+  }
+  if (tracer != nullptr) {
+    for (const ServiceTraceEvent& ev : tracer->events()) {
+      check_trace_event(ev, nclusters);
+    }
   }
   const std::size_t blame_len = blame_on ? kBlameCategoryCount : 0;
   for (const JobOutcome& o : report.outcomes) {
@@ -1799,19 +1803,19 @@ void GridJobService::Engine::rebuild_after_load(
   // and counters, so the replays must stay silent — and every future
   // profile() call then hits or misses exactly as the uninterrupted run
   // would.
-  backend_->bind_telemetry(nullptr, nullptr);
+  backend.bind_telemetry(nullptr, nullptr);
   try {
     for (const ProfileExemplar& e : exemplars) {
-      backend_->profile(e.job, e.placement);
+      backend.profile(e.job, e.placement);
     }
     for (Running& run : running) {
-      run.replay = &svc.replay_for(run.job, run.placement);  // silent hit
+      run.replay = &backend.profile(run.job, run.placement);  // silent hit
     }
   } catch (...) {
-    backend_->bind_telemetry(options_.tracer, options_.metrics);
+    backend.bind_telemetry(options.tracer, options.metrics);
     throw;
   }
-  backend_->bind_telemetry(options_.tracer, options_.metrics);
+  backend.bind_telemetry(options.tracer, options.metrics);
 }
 
 // ---------------------------------------------------------------------------

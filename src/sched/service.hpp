@@ -56,9 +56,7 @@
 #pragma once
 
 #include <functional>
-#include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,10 +82,11 @@ class ServiceTracer;
 /// outage boundaries, id for arrivals). An installed oracle is consulted
 /// at exactly those ties: `choose` picks which of the k tied candidates
 /// goes next, where the candidates are presented in canonical order —
-/// index 0 always reproduces the un-oracled service exactly. The
-/// interleaving explorer (sched/explore.hpp) drives this seam to
-/// enumerate ALL legal event orderings; a null oracle (the default) costs
-/// nothing and changes nothing.
+/// index 0 is the canonical pick. The service has one code path per
+/// event class: without an oracle (the default) every tie takes index 0,
+/// so an oracle that always answers 0 reproduces the oracle-free run by
+/// construction. The interleaving explorer (sched/explore.hpp) drives
+/// this seam to enumerate ALL legal event orderings.
 class TieOracle {
  public:
   enum class Kind : int {
@@ -356,91 +355,10 @@ class GridJobService {
   const simgrid::GridTopology& topology() const { return topology_; }
 
  private:
-  struct Running {
-    double finish_s = 0.0;     ///< natural completion (exact replay)
-    double kill_s = 0.0;       ///< walltime bound; +inf when unlimited
-    double est_finish_s = 0.0; ///< what EASY believes: start + walltime
-                               ///  (or the exact finish when unlimited)
-    int seq = 0;  ///< start order, tie-break for simultaneous events
-    Job job;
-    Placement placement;
-    double start_s = 0.0;
-    /// Credited fraction banked BEFORE this attempt: the attempt covers
-    /// [start_fraction, 1] of the factorization, which is what WAN bytes
-    /// are pro-rated against.
-    double start_fraction = 0.0;
-    const ExecutionProfile* replay = nullptr;
-    bool backfilled = false;
-    /// Flow id in the shared-WAN model; -1 when contention is off.
-    /// finish_s stays the ISOLATED replay end — the actual completion is
-    /// max(finish_s, drain end), resolved inside run()'s event loop.
-    int flow = -1;
-
-    /// Snapshot field list; `replay` is re-resolved from the backend on
-    /// load.
-    template <class V>
-    void visit(V& v) {
-      v(job, finish_s, kill_s, est_finish_s, seq, placement, start_s,
-        start_fraction, backfilled, flow);
-    }
-  };
-
-  /// Per-job state carried across outage kills and requeues.
-  struct Progress {
-    int attempts = 0;            ///< attempts started so far
-    /// Fraction of the factorization banked by restart credit, in whole
-    /// panels (k / checkpoint_panels). A FRACTION, not seconds: panels
-    /// are row blocks of the matrix, so the credit survives a retry that
-    /// lands on a different placement with a different replay time.
-    double credited_fraction = 0.0;
-    double wasted_node_s = 0.0;  ///< node-seconds lost to kills
-    /// Tightest EASY reservation promised while this job was the blocked
-    /// head; +inf until it first blocks as head.
-    double reserved_start_s = std::numeric_limits<double>::infinity();
-
-    template <class V>
-    void visit(V& v) {
-      v(attempts, credited_fraction, wasted_node_s, reserved_start_s);
-    }
-  };
-
-  /// Builds the residual topology of `free_nodes` and asks a
-  /// MetaScheduler to place the job as 1, 2, ... max_groups single-cluster
-  /// groups (fewest groups first: WAN crossings cost the most). With a
-  /// WAN model (wan_aware dispatch), candidate clusters are presented to
-  /// the scheduler idlest-uplink-first, so equally feasible placements
-  /// land away from in-flight WAN traffic; feasibility is unaffected.
-  std::optional<Placement> try_place(const Job& job,
-                                     const std::vector<int>& free_nodes,
-                                     const GridWanModel* wan = nullptr) const;
-
-  /// Performance profile of the job on its granted nodes (memoized by
-  /// the backend; identical across backends by contract).
-  const ExecutionProfile& replay_for(const Job& job,
-                                     const Placement& placement) {
-    return backend_->profile(job, placement);
-  }
-
-  /// Seconds one attempt holds its nodes on an idle grid: the uncredited
-  /// replay remainder plus checkpoint I/O for every interior panel
-  /// boundary the attempt will cross (checkpoint_cost_s).
-  double attempt_seconds(const ExecutionProfile& replay,
-                         double credited_fraction) const;
-
-  /// EASY reservation: earliest virtual time at which accumulated
-  /// ESTIMATED completions (walltime bounds when set, exact replays when
-  /// not) free enough nodes for `head`. Actual events never come later
-  /// than the estimates, so the reservation is safe either way — except
-  /// under shared-WAN contention, where drains can outlast both bounds;
-  /// a policy with wan_priced_shadow() additionally prices each running
-  /// attempt's drain estimate (`wan`, `now_s`) into its finish.
-  double shadow_time(const Job& head, const std::vector<Running>& running,
-                     const std::vector<int>& free_nodes,
-                     const GridWanModel* wan, double now_s) const;
-
-  /// One in-flight workload: every former run() local hoisted into a
-  /// struct (defined in service.cpp) so the loop can pause between steps
-  /// and serialize itself. Null when no run is in flight.
+  /// One in-flight workload: the run's state and its event loop
+  /// (defined in service.cpp), kept out of the service so the loop can
+  /// pause between steps and serialize itself. Null when no run is in
+  /// flight.
   struct Engine;
 
   /// Everything that must match for a snapshot to be restorable here:

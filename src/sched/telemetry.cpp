@@ -465,7 +465,7 @@ std::string render_cluster_gantt(const std::vector<ServiceTraceEvent>& events,
   std::vector<std::string> labels;
   for (const auto& [neg_busy, c] : ranked) {
     row_of[c] = static_cast<int>(labels.size());
-    std::string name = c < topology.num_clusters()
+    std::string name = c >= 0 && c < topology.num_clusters()
                            ? topology.cluster(c).name
                            : "site" + std::to_string(c);
     labels.push_back(name + " (c" + std::to_string(c) + ")");
@@ -525,6 +525,11 @@ void TraceValidator::consume(const ServiceTraceEvent& event) {
   switch (event.kind) {
     case TraceKind::kRunConfig: {
       saw_config_ = true;
+      // Range first: casting an out-of-range double to int is undefined.
+      if (!(event.value >= 0.0 && event.value < 2 * kTraceConfigWaitBlame)) {
+        fail(event, "invalid run-config flags " + std::to_string(event.value));
+        break;
+      }
       const int bits = static_cast<int>(event.value);
       enforce_no_delay_ = (bits & kTraceConfigWanContention) == 0 &&
                           (bits & kTraceConfigHasOutages) == 0;
@@ -630,12 +635,12 @@ void TraceValidator::consume(const ServiceTraceEvent& event) {
         fail(event, "negative blame interval");
         break;
       }
-      const int category = static_cast<int>(event.value2);
-      if (category < 0 || category >= kBlameCategoryCount ||
-          static_cast<double>(category) != event.value2) {
+      if (!(event.value2 >= 0.0 && event.value2 < kBlameCategoryCount) ||
+          std::floor(event.value2) != event.value2) {
         fail(event, "invalid blame category " + std::to_string(event.value2));
         break;
       }
+      const int category = static_cast<int>(event.value2);
       auto it = jobs_.find(event.job);
       // Waiting blame attaches to pending jobs; the requeued-rerun share
       // is stamped in the killed-limbo between an outage kill and its

@@ -157,13 +157,23 @@ class TraceSink {
 };
 
 /// Append-only event stream. The emitting code holds a possibly-null
-/// pointer and tests it before building an event — record() itself is
-/// never the guard.
+/// pointer and tests it before building an event — record() and emit()
+/// themselves are never the guard.
 class ServiceTracer {
  public:
   void record(ServiceTraceEvent event) {
     for (TraceSink* sink : sinks_) sink->consume(event);
     events_.push_back(std::move(event));
+  }
+  /// Builds and records one event: the emit path shared by the service,
+  /// the WAN model, and the execution backends.
+  void emit(TraceKind kind, double t_s, int job = -1, double value = 0.0,
+            double value2 = 0.0, int flow = -1, int cluster = -1,
+            std::vector<int> clusters = {}, std::vector<int> nodes = {},
+            std::string note = {}) {
+    record(ServiceTraceEvent{t_s, kind, job, cluster, flow, value, value2,
+                             std::move(clusters), std::move(nodes),
+                             std::move(note)});
   }
 
   /// Emitters without a timestamp of their own (backend profile misses,

@@ -602,13 +602,10 @@ int GridWanModel::admit(double now_s, std::vector<Pool> pools) {
   }
   if (admitted.undrained > 0) bump_generation();
   if (tracer_ != nullptr) {
-    ServiceTraceEvent ev;
-    ev.t_s = now_s;
-    ev.kind = TraceKind::kWanFlowOpen;
-    ev.flow = id;
-    for (const Pool& pool : admitted.pools) ev.value += pool.bytes;
-    ev.value2 = static_cast<double>(admitted.pools.size());
-    tracer_->record(std::move(ev));
+    double bytes = 0.0;
+    for (const Pool& pool : admitted.pools) bytes += pool.bytes;
+    tracer_->emit(TraceKind::kWanFlowOpen, now_s, -1, bytes,
+                  static_cast<double>(admitted.pools.size()), id);
   }
   return id;
 }
@@ -752,12 +749,8 @@ void GridWanModel::advance(double from_s, double to_s) {
       }
     }
     if (pools_drained > 0 || pools_activated > 0) {
-      ServiceTraceEvent ev;
-      ev.t_s = to_s;
-      ev.kind = TraceKind::kWanRebalance;
-      ev.value = pools_drained;
-      ev.value2 = pools_activated;
-      tracer_->record(std::move(ev));
+      tracer_->emit(TraceKind::kWanRebalance, to_s, -1, pools_drained,
+                    pools_activated);
     }
   }
 }
@@ -882,13 +875,10 @@ void GridWanModel::retire(int flow, std::vector<long long>& egress_bytes,
   const int slot = slot_it->second;
   Flow& f = flows_[static_cast<std::size_t>(slot)];
   if (tracer_ != nullptr) {
-    ServiceTraceEvent ev;
-    ev.t_s = tracer_->now_s();
-    ev.kind = TraceKind::kWanFlowRetire;
-    ev.flow = flow;
-    for (const double moved : f.moved_bytes) ev.value += moved;
-    ev.value2 = f.undrained == 0 ? 1.0 : 0.0;
-    tracer_->record(std::move(ev));
+    double moved = 0.0;
+    for (const double bytes : f.moved_bytes) moved += bytes;
+    tracer_->emit(TraceKind::kWanFlowRetire, tracer_->now_s(), -1, moved,
+                  f.undrained == 0 ? 1.0 : 0.0, flow);
   }
   for (std::size_t i = 0; i < f.pools.size(); ++i) {
     const Pool& pool = f.pools[i];

@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -362,6 +363,97 @@ TEST(ExploreService, OutageKillTimingSweepHoldsInvariants) {
     EXPECT_GT(result.leaves, 0) << "outage at t=" << instants[i];
   }
   EXPECT_GT(sweeps, 0);
+}
+
+// ------------------------------------------------------ tie oracle seam
+
+/// Two identical 1-node jobs tied at t = 0 that land on one cluster,
+/// then both clusters failing and recovering together mid-run: the
+/// instance ties at every TieOracle::Kind — arrivals, the two outage
+/// boundaries, the failure's two victims, and the requeued pair's
+/// simultaneous completions.
+struct AllKindsInstance {
+  simgrid::GridTopology topo = small_grid();
+  std::vector<Job> jobs = {make_job(0, 0.0, 1 << 18, 64, 2),
+                           make_job(1, 0.0, 1 << 18, 64, 2)};
+  ServiceOptions options;
+
+  AllKindsInstance() {
+    const ServiceReport probe =
+        GridJobService(topo, model::paper_calibration()).run(jobs);
+    const double down_s = 0.5 * probe.outcomes[0].service_s;
+    options.outages = OutageTrace(std::vector<Outage>{
+        {0, down_s, down_s + 1.0}, {1, down_s, down_s + 1.0}});
+  }
+};
+
+/// Answers every tie canonically except at `bad_kind`, where it returns
+/// `bad` (out of range when bad is negative or >= k).
+class RogueOracle : public TieOracle {
+ public:
+  RogueOracle(Kind bad_kind, int bad) : bad_kind_(bad_kind), bad_(bad) {}
+  int choose(Kind kind, double, int k) override {
+    return kind == bad_kind_ ? (bad_ < 0 ? bad_ : k + bad_) : 0;
+  }
+
+ private:
+  Kind bad_kind_;
+  int bad_;
+};
+
+TEST(TieOracleSeam, CanonicalPickAtEveryKindReproducesTheOracleFreeRun) {
+  // One code path per event class: an oracle that answers 0 at every tie
+  // must execute exactly what the oracle-free run executes, at every
+  // kind of tie — trace, metrics, and report byte for byte.
+  const AllKindsInstance inst;
+  ServiceTracer t0;
+  MetricsRegistry m0;
+  ServiceOptions o0 = inst.options;
+  o0.tracer = &t0;
+  o0.metrics = &m0;
+  const ServiceReport plain =
+      GridJobService(inst.topo, model::paper_calibration(), o0).run(inst.jobs);
+
+  ServiceTracer t1;
+  MetricsRegistry m1;
+  ServiceOptions o1 = inst.options;
+  o1.tracer = &t1;
+  o1.metrics = &m1;
+  GridJobService oracled(inst.topo, model::paper_calibration(), o1);
+  PrescribedOracle canonical;
+  oracled.set_tie_oracle(&canonical);
+  const ServiceReport picked = oracled.run(inst.jobs);
+
+  std::set<TieOracle::Kind> kinds;
+  for (const PrescribedOracle::Decision& d : canonical.log()) {
+    EXPECT_GE(d.k, 2);
+    EXPECT_EQ(d.chosen, 0);
+    kinds.insert(d.kind);
+  }
+  EXPECT_EQ(kinds.size(), 5u) << "the instance must tie at every kind";
+  EXPECT_EQ(picked.outage_kills, 2);
+  EXPECT_EQ(summary_row(plain), summary_row(picked));
+  EXPECT_EQ(trace_json(t0), trace_json(t1));
+  EXPECT_EQ(metrics_json(m0), metrics_json(m1));
+}
+
+TEST(TieOracleSeam, OutOfRangeChoiceAtAnyKindIsAnError) {
+  // tie_pick validates every oracle answer in one place: whichever kind
+  // the rogue choice lands on, the run ends in qrgrid::Error.
+  const AllKindsInstance inst;
+  for (const TieOracle::Kind kind :
+       {TieOracle::Kind::kCompletion, TieOracle::Kind::kOutageUp,
+        TieOracle::Kind::kOutageDown, TieOracle::Kind::kArrival,
+        TieOracle::Kind::kOutageVictim}) {
+    for (const int bad : {-1, 0}) {
+      GridJobService service(inst.topo, model::paper_calibration(),
+                             inst.options);
+      RogueOracle rogue(kind, bad);
+      service.set_tie_oracle(&rogue);
+      EXPECT_THROW(service.run(inst.jobs), Error)
+          << "kind " << static_cast<int>(kind) << ", bad " << bad;
+    }
+  }
 }
 
 }  // namespace

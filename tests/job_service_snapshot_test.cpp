@@ -17,12 +17,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "model/roofline.hpp"
+#include "sched/critpath.hpp"
 #include "sched/outage.hpp"
 #include "sched/service.hpp"
 #include "sched/telemetry.hpp"
@@ -147,9 +149,23 @@ TEST(SnapshotFormat, PinnedLengthAndHash) {
 
 // ---------------------------------------------------- hostile bytes
 
+/// Runs a (restored, possibly partial) event stream through the
+/// validator, the Chrome-trace and Gantt writers, and the critical-path
+/// analyzer. Only their crash-freedom is asserted here.
+void export_all(const std::vector<ServiceTraceEvent>& events,
+                const simgrid::GridTopology& topo) {
+  validate_trace(events);
+  std::ostringstream out;
+  write_chrome_trace(events, out);
+  render_cluster_gantt(events, topo, 8);
+  write_critpath_json(analyze_critical_path(events), out);
+}
+
 /// Feeds corrupted checkpoints to restore(). Anything but success or
 /// qrgrid::Error escapes and fails the test; a success consumes the
-/// target (it now has a run in flight), so a fresh one replaces it.
+/// target (it now has a run in flight), so a fresh one replaces it —
+/// after the restored event stream went through every exporter, which
+/// index per-cluster rows by the restored tags.
 class MutationHarness {
  public:
   explicit MutationHarness(const PinCase& c) : c_(c) { target_ = fresh(); }
@@ -158,6 +174,9 @@ class MutationHarness {
     try {
       target_->restore(bytes);
       ++restored_;
+      if (c_.options.tracer != nullptr) {
+        export_all(c_.options.tracer->events(), c_.topo);
+      }
       target_ = fresh();
     } catch (const Error&) {
       ++refused_;
@@ -221,6 +240,40 @@ TEST(SnapshotHostileBytes, MutatedCheckpointsEndInSuccessOrError) {
     const std::unique_ptr<GridJobService> clean = harness.fresh();
     clean->restore(checkpoint);
     EXPECT_EQ(clean->snapshot(), checkpoint) << c.name;
+  }
+}
+
+TEST(SnapshotHostileBytes, TraceEventsOffTheGridAreRefused) {
+  // The tracer section holds events restore() did not write itself; an
+  // unknown kind or a cluster tag off the grid would reach the exporters'
+  // per-cluster indexing. Plant each in a caller-owned tracer mid-run:
+  // the checkpoint must be refused.
+  ServiceTracer tracer;
+  MetricsRegistry metrics;
+  const PinCase c = easy_case(&tracer, &metrics);
+  const int nclusters = c.topo.num_clusters();
+  std::vector<ServiceTraceEvent> hostile(4);
+  hostile[0].kind = static_cast<TraceKind>(99);
+  hostile[1].kind = TraceKind::kOutageDown;
+  hostile[1].cluster = nclusters;
+  hostile[2].kind = TraceKind::kDispatch;
+  hostile[2].clusters = {-1};
+  hostile[2].nodes = {1};
+  hostile[3].kind = TraceKind::kDispatch;
+  hostile[3].clusters = {0, 1};
+  hostile[3].nodes = {1};
+  for (const ServiceTraceEvent& ev : hostile) {
+    tracer.clear();
+    metrics.clear();
+    GridJobService source(c.topo, model::paper_calibration(), c.options);
+    source.start(c.jobs);
+    for (int i = 0; i < 5 && source.active(); ++i) source.step();
+    const std::string clean = source.snapshot();
+    tracer.record(ev);
+    const std::string planted = source.snapshot();
+    GridJobService target(c.topo, model::paper_calibration(), c.options);
+    EXPECT_THROW(target.restore(planted), Error);
+    target.restore(clean);  // the refusal left no run in flight
   }
 }
 

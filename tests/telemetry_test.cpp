@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -358,6 +359,18 @@ TEST(ClusterGantt, RendersBusiestClustersWithLabels) {
   EXPECT_LT(one.size(), both.size());
   // No attempts => nothing to draw.
   EXPECT_TRUE(render_cluster_gantt({}, topo, 8).empty());
+  // A cluster tag off the grid (negative included) is labeled by id,
+  // never looked up in the topology.
+  ServiceTraceEvent start;
+  start.kind = TraceKind::kDispatch;
+  start.job = 0;
+  start.clusters = {-1};
+  start.nodes = {1};
+  ServiceTraceEvent done = start;
+  done.kind = TraceKind::kCompletion;
+  done.t_s = 1.0;
+  EXPECT_NE(render_cluster_gantt({start, done}, topo, 8).find("(c-1)"),
+            std::string::npos);
 }
 
 // ----------------------------------------------------------- validator
@@ -380,6 +393,28 @@ std::vector<ServiceTraceEvent> with_config(
   events.push_back(config);
   events.insert(events.end(), tail.begin(), tail.end());
   return events;
+}
+
+TEST(TraceValidator, FlagsPayloadsNoIntCanHold) {
+  // Streams can come from restored snapshot bytes: run-config flags and
+  // blame categories far outside int range (or NaN) are violations, not
+  // undefined double-to-int casts.
+  const double huge = 1e300;
+  EXPECT_TRUE(validate_trace(with_config(0, {})).empty());
+  std::vector<ServiceTraceEvent> bad_flags = with_config(0, {});
+  bad_flags[0].value = huge;
+  EXPECT_FALSE(validate_trace(bad_flags).empty());
+  for (const double category : {huge, -huge, std::nan(""), 2.5}) {
+    ServiceTraceEvent blame = ev(1.0, TraceKind::kWaitBlame, 0);
+    blame.value = 1.0;
+    blame.value2 = category;
+    const auto violations = validate_trace(with_config(
+        kTraceConfigWaitBlame, {ev(0.0, TraceKind::kArrival, 0), blame}));
+    ASSERT_FALSE(violations.empty()) << category;
+    EXPECT_NE(violations.front().find("invalid blame category"),
+              std::string::npos)
+        << category;
+  }
 }
 
 TEST(TraceValidator, CatchesDecreasingTimestamps) {

@@ -15,8 +15,9 @@
 //   service accounting    on_attempt_start()/reset(): accrued state for
 //                                          deficit-based orderings
 //
-// so later PRs add policies without reopening service.cpp: implement the
-// interface and hand ServiceOptions::policy_factory a constructor.
+// so a new policy never reopens service.cpp: implement the interface,
+// add a Policy value, and give it a name in policy_of/policy_name and a
+// case in make_policy — the one selection path.
 //
 // Five built-ins (make_policy):
 //
@@ -224,7 +225,7 @@ class FairSharePolicy : public SchedulingPolicy {
 };
 
 /// Policy object for one enum value (the CLI's fcfs|spjf|easy|prio-easy|
-/// fair). Custom policies bypass this via ServiceOptions::policy_factory.
+/// fair): the only way the service obtains its policy.
 std::unique_ptr<SchedulingPolicy> make_policy(Policy policy);
 
 }  // namespace qrgrid::sched

@@ -16,11 +16,12 @@
 //                        dispatch-scan — totals overlap by design)
 //   wan-advance          GridWanModel::advance: draining every activated
 //                        pool to the next horizon event
-//   wan-rebalance        the incremental max-min engine's component
-//                        recompute: one progressive-filling pass over
-//                        the links whose flow set changed (nested inside
-//                        whichever phase consulted the WAN model —
-//                        usually wan-advance; totals overlap by design)
+//   wan-rebalance        the incremental rate engine's component
+//                        recompute (either fairness rule): one rate
+//                        assignment over the links whose flow set
+//                        changed (nested inside whichever phase
+//                        consulted the WAN model — usually
+//                        wan-advance; totals overlap by design)
 //   completion-extract   the completion/walltime-kill extraction scan
 //                        plus per-completion accounting
 //   backend-execute      ExecutionBackend::execute (msg runtime only;

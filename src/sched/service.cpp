@@ -35,7 +35,7 @@ constexpr double kGroupMinBandwidthBps = 100e6 / 8.0;
 /// Snapshot framing (see GridJobService::snapshot). The version bumps on
 /// ANY layout change — restore refuses mismatches instead of misreading.
 const char kSnapshotMagic[] = "QRGS";
-constexpr std::uint32_t kSnapshotVersion = 2;
+constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// Throws qrgrid::Error unless `p` is a placement this topology could
 /// have granted: ascending distinct clusters, each holding 1..capacity
@@ -107,8 +107,7 @@ std::vector<std::string> summary_row(const ServiceReport& report) {
   std::ostringstream resid;
   resid.precision(2);
   resid << std::scientific << report.max_residual;
-  return {report.policy_label.empty() ? policy_name(report.policy)
-                                      : report.policy_label,
+  return {policy_name(report.policy),
           format_number(report.makespan_s, 5),
           format_number(report.mean_wait_s, 4),
           format_number(report.max_wait_s, 4),
@@ -145,11 +144,9 @@ GridJobService::GridJobService(simgrid::GridTopology topology,
   QRGRID_CHECK_MSG(options_.wan_backbone_Bps >= 0.0,
                    "wan_backbone_Bps must be >= 0 (0 = auto)");
   // The policy seam: one object owns queue order, backfill decisions,
-  // and placement scoring. Built by enum or by the custom factory; run()
-  // resets its accrued state (fair-share deficits) per workload.
-  policy_ = options_.policy_factory ? options_.policy_factory()
-                                    : make_policy(options_.policy);
-  QRGRID_CHECK_MSG(policy_ != nullptr, "policy_factory returned null");
+  // and placement scoring. run() resets its accrued state (fair-share
+  // deficits) per workload.
+  policy_ = make_policy(options_.policy);
   BackendOptions backend_options;
   backend_options.domains_per_cluster = options_.domains_per_cluster;
   backend_options.wan_link_Bps = options_.wan_link_Bps;
@@ -458,7 +455,6 @@ GridJobService::Engine::Engine(GridJobService& service,
   policy.reset();
 
   report.policy = options.policy;
-  report.policy_label = policy.name();
   report.wan_egress_bytes.assign(static_cast<std::size_t>(nclusters), 0);
   report.wan_ingress_bytes.assign(static_cast<std::size_t>(nclusters), 0);
   report.wan_uplink_busy.assign(static_cast<std::size_t>(nclusters), 0.0);
@@ -1651,7 +1647,7 @@ ServiceReport GridJobService::Engine::finish() {
       metrics->set("wan.backbone_busy_frac", report.wan_backbone_busy);
       metrics->set("wan.live_flows.peak",
                    static_cast<double>(wan->peak_live_flows()));
-      // Incremental max-min engine counters (zero under equal-split):
+      // Incremental rate engine counters (both fairness rules):
       // full_refills << events is the contended-scaling claim.
       metrics->set("wan.rebalance.events",
                    static_cast<double>(wan->rebalance_events()));

@@ -55,7 +55,6 @@
 // finish-time agreement within a stated tolerance.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -103,14 +102,10 @@ class TieOracle {
 };
 
 struct ServiceOptions {
-  /// Which built-in SchedulingPolicy make_policy constructs
-  /// (fcfs|spjf|easy|prio-easy|fair). Ignored when policy_factory is set.
+  /// Which SchedulingPolicy make_policy constructs
+  /// (fcfs|spjf|easy|prio-easy|fair) — the one selection path; run()
+  /// resets the instance before every workload.
   Policy policy = Policy::kFcfs;
-  /// Custom-policy seam: when set, the service schedules with THIS
-  /// policy object instead of make_policy(policy) — new policies plug in
-  /// without reopening service.cpp. The factory is invoked once per
-  /// service; run() resets the instance before every workload.
-  std::function<std::unique_ptr<SchedulingPolicy>()> policy_factory;
   /// Domains per cluster for each job's TSQR replay; 0 = auto (one domain
   /// per process for N <= 128, at most 16 for wider panels — the Fig. 6/7
   /// trade-off).
@@ -161,15 +156,17 @@ struct ServiceOptions {
   /// horizon and the cross-job contention model.
   double wan_link_Bps = 10e9 / 8.0;
   /// Shared backbone capacity; 0 = auto, wan_link_Bps x max(1, sites/2).
-  /// +infinity = unconstrained core: the site access links bind and the
-  /// trunk imposes no rate constraint (Grid'5000's overprovisioned
-  /// RENATER core), so max-min components stay per-site islands.
+  /// +infinity = unconstrained core under either fairness rule: the
+  /// site access links bind and the trunk imposes no rate constraint
+  /// (Grid'5000's overprovisioned RENATER core), so no backbone pools
+  /// are admitted and rebalance components stay per-site islands.
   /// — a trunk that can carry about half the sites at full tilt.
   double wan_backbone_Bps = 0.0;
-  /// How concurrent flows share the WAN links (the WanAllocator
-  /// strategy): equal-split per link is the PR-3 regression baseline;
-  /// max-min runs progressive filling over multi-link demands, so flows
-  /// bottlenecked on one link return their unused share everywhere else.
+  /// How concurrent flows share the WAN links (the assign_wan_rates
+  /// rule; both run through the one incremental rate engine):
+  /// equal-split per link is the regression baseline; max-min runs
+  /// progressive filling over multi-link demands, so flows bottlenecked
+  /// on one link return their unused share everywhere else.
   WanFairness wan_fairness = WanFairness::kEqualSplit;
   /// Optional per-(src_site, dst_site) WAN horizons for asymmetric
   /// backbones: row-major sites x sites matrix in bytes/second (0
@@ -224,10 +221,6 @@ struct ServiceOptions {
 ///   useful_node_seconds + wasted_node_seconds <= capacity x makespan
 struct ServiceReport {
   Policy policy = Policy::kFcfs;
-  /// The scheduling policy's own name() — what the summary row shows.
-  /// Matches policy_name(policy) for the built-ins; custom policies
-  /// (policy_factory) report whatever they call themselves.
-  std::string policy_label;
   std::vector<JobOutcome> outcomes;  ///< ALL jobs, sorted by job id
 
   double makespan_s = 0.0;           ///< last completion-or-final-kill time

@@ -64,42 +64,33 @@ std::string wan_fairness_name(WanFairness fairness) {
   return "?";
 }
 
-void EqualSplitAllocator::assign_rates(const std::vector<WanDemand>& demands,
-                                       const std::vector<double>& capacity_Bps,
-                                       std::vector<double>& rate_Bps) const {
-  // Flow-weighted user counts: fracs sum to 1 per flow per link, so a
-  // split flow still counts once. Unsplit demands contribute exactly
-  // 1.0 each, making the sum the same integer-valued double the PR-3
-  // kernel divided by.
-  std::vector<double> users(capacity_Bps.size(), 0.0);
-  for (const WanDemand& d : demands) {
-    for (int k = 0; k < d.nlinks; ++k) {
-      users[static_cast<std::size_t>(d.links[k])] += d.frac[k];
-    }
-  }
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    const WanDemand& d = demands[i];
-    double rate = kInf;
-    for (int k = 0; k < d.nlinks; ++k) {
-      const auto l = static_cast<std::size_t>(d.links[k]);
-      rate = std::min(rate, capacity_Bps[l] / users[l] * d.frac[k]);
-    }
-    rate_Bps[i] = rate;
-  }
-}
-
-void MaxMinAllocator::assign_rates(const std::vector<WanDemand>& demands,
-                                   const std::vector<double>& capacity_Bps,
-                                   std::vector<double>& rate_Bps) const {
+void assign_wan_rates(WanFairness fairness,
+                      const std::vector<WanDemand>& demands,
+                      const std::vector<double>& capacity_Bps,
+                      std::vector<double>& rate_Bps) {
   const std::size_t n = demands.size();
-  std::vector<double> remaining = capacity_Bps;
-  // Flow-weighted: W[l] sums the fracs, so a flow split across several
-  // pools of one link fills as one session, not several.
+  rate_Bps.assign(n, 0.0);
+  // Flow-weighted user counts: fracs sum to 1 per flow per link, so a
+  // split flow still counts once (and fills as one session). Unsplit
+  // demands contribute exactly 1.0 each, making the sum the same
+  // integer-valued double the original per-link C/k kernel divided by.
   std::vector<double> users(capacity_Bps.size(), 0.0);
   for (const WanDemand& d : demands) {
     for (int k = 0; k < d.nlinks; ++k) {
       users[static_cast<std::size_t>(d.links[k])] += d.frac[k];
     }
+  }
+  if (fairness == WanFairness::kEqualSplit) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const WanDemand& d = demands[i];
+      double rate = kInf;
+      for (int k = 0; k < d.nlinks; ++k) {
+        const auto l = static_cast<std::size_t>(d.links[k]);
+        rate = std::min(rate, capacity_Bps[l] / users[l] * d.frac[k]);
+      }
+      rate_Bps[i] = rate;
+    }
+    return;
   }
   // Progressive filling: the tightest link's per-flow share freezes every
   // demand crossing it (at share x its frac); the frozen bandwidth
@@ -108,6 +99,7 @@ void MaxMinAllocator::assign_rates(const std::vector<WanDemand>& demands,
   // (the frozen share was the minimum), which is the max-min property;
   // the clamp guards the corner where a demand's fracs differ across
   // its links and FP dust would drive a remainder negative.
+  std::vector<double> remaining = capacity_Bps;
   constexpr double kUserEps = 1e-12;
   std::vector<char> frozen(n, 0);
   std::size_t left = n;
@@ -148,15 +140,6 @@ void MaxMinAllocator::assign_rates(const std::vector<WanDemand>& demands,
   }
 }
 
-std::unique_ptr<WanAllocator> make_wan_allocator(WanFairness fairness) {
-  switch (fairness) {
-    case WanFairness::kEqualSplit:
-      return std::make_unique<EqualSplitAllocator>();
-    case WanFairness::kMaxMin: return std::make_unique<MaxMinAllocator>();
-  }
-  throw Error("make_wan_allocator: unknown fairness value");
-}
-
 GridWanModel::GridWanModel(int num_clusters, double link_Bps,
                            double backbone_Bps, WanFairness fairness,
                            std::vector<double> pair_Bps)
@@ -166,7 +149,6 @@ GridWanModel::GridWanModel(int num_clusters, double link_Bps,
       trunk_constrained_(std::isfinite(backbone_Bps)),
       fairness_(fairness),
       pair_Bps_(std::move(pair_Bps)),
-      allocator_(make_wan_allocator(fairness)),
       up_busy_s_(static_cast<std::size_t>(num_clusters), 0.0),
       down_busy_s_(static_cast<std::size_t>(num_clusters), 0.0) {
   QRGRID_CHECK(num_clusters >= 1 && link_Bps > 0.0 && backbone_Bps > 0.0);
@@ -309,6 +291,69 @@ void GridWanModel::uncount_load(Flow& flow) {
   }
 }
 
+template <class Included>
+void GridWanModel::collect(Included included, std::vector<PoolRef>& refs,
+                           std::vector<WanDemand>& demands) const {
+  refs.clear();
+  demands.clear();
+  // Per-flow per-link byte totals of the included pools, so each
+  // demand's frac makes the flow count as ONE user per link however its
+  // pools are split. Reset via the touched list — capacity_ can be
+  // sites^2-sized and most flows touch a handful of links.
+  if (flow_link_scratch_.size() != capacity_.size()) {
+    flow_link_scratch_.assign(capacity_.size(), 0.0);
+  }
+  std::vector<double>& flow_link_bytes = flow_link_scratch_;
+  std::vector<int>& touched = touched_scratch_;
+  // live_ holds alive slots in admission (id) order — the same flow
+  // order the historical all-flows walk produced, so the rate rule's
+  // floating-point accumulation order (and thus every rate) is
+  // byte-identical while the cost drops to O(live).
+  for (const int slot : live_) {
+    const Flow& flow = flows_[static_cast<std::size_t>(slot)];
+    if (flow.undrained == 0) continue;
+    touched.clear();
+    for (std::size_t j = 0; j < flow.pools.size(); ++j) {
+      if (!included(flow, j)) continue;
+      int links[3];
+      const int nlinks = links_of(flow.pools[j], links);
+      for (int k = 0; k < nlinks; ++k) {
+        // Exact-zero here is a MEMBERSHIP marker, not drain arithmetic:
+        // the touched list resets entries to literal 0.0 below, so the
+        // comparison is exact by construction. Near-empty pools are
+        // retired by the relative epsilon in covers(), never by this
+        // check.
+        if (flow_link_bytes[static_cast<std::size_t>(links[k])] == 0.0) {
+          touched.push_back(links[k]);
+        }
+        flow_link_bytes[static_cast<std::size_t>(links[k])] +=
+            flow.pools[j].bytes;
+      }
+    }
+    for (std::size_t j = 0; j < flow.pools.size(); ++j) {
+      if (!included(flow, j)) continue;
+      const Pool& pool = flow.pools[j];
+      WanDemand d;
+      d.bytes = pool.bytes;
+      d.flow = flow.id;
+      d.nlinks = links_of(pool, d.links);
+      for (int k = 0; k < d.nlinks; ++k) {
+        // x / x == 1.0 exactly for an unsplit pool, which is what keeps
+        // the default equal-split path bit-identical to the original
+        // per-link C/k kernel.
+        d.frac[k] =
+            pool.bytes /
+            flow_link_bytes[static_cast<std::size_t>(d.links[k])];
+      }
+      refs.push_back({slot, static_cast<int>(j)});
+      demands.push_back(d);
+    }
+    for (const int l : touched) {
+      flow_link_bytes[static_cast<std::size_t>(l)] = 0.0;
+    }
+  }
+}
+
 void GridWanModel::refresh(double now_s) {
   // Pop every activation due by now_s into the active set. The calendar
   // is a min-heap on t_s, so once the top is in the future, every entry
@@ -352,7 +397,9 @@ void GridWanModel::rebalance(double now_s) {
   // Close over flows transitively sharing links: a pool with ANY link in
   // the component drags all its links in (under max-min every uplink
   // pool crosses the trunk, so uplink-side events close over the
-  // backbone component quickly; downlink pools stay their own islands).
+  // backbone component quickly; downlink pools stay their own islands,
+  // and under equal-split, where a pool crosses one link or an uplink
+  // plus its pair horizon, so does nearly every component).
   bool grew = true;
   while (grew) {
     grew = false;
@@ -387,58 +434,20 @@ void GridWanModel::rebalance(double now_s) {
   }
   // Collect the component's demands in live (admission) order — the
   // identical subsequence, frac arithmetic, and accumulation order the
-  // global demand view would hand the allocator, so the restricted fill
-  // below reproduces the global fill's rates bit-for-bit on them.
-  comp_refs_.clear();
-  comp_demands_.clear();
-  if (flow_link_scratch_.size() != capacity_.size()) {
-    flow_link_scratch_.assign(capacity_.size(), 0.0);
-  }
-  std::vector<double>& flow_link_bytes = flow_link_scratch_;
-  std::vector<int>& touched = touched_scratch_;
-  for (const int slot : live_) {
-    const Flow& flow = flows_[static_cast<std::size_t>(slot)];
-    if (flow.undrained == 0) continue;
-    touched.clear();
-    bool flow_in = false;
-    for (std::size_t j = 0; j < flow.pools.size(); ++j) {
-      if (flow.active[j] == 0) continue;
-      int links[3];
-      const int nlinks = links_of(flow.pools[j], links);
-      // Closure invariant: any marked link on a pool means all marked.
-      if (comp_mark_[static_cast<std::size_t>(links[0])] == 0) continue;
-      flow_in = true;
-      for (int k = 0; k < nlinks; ++k) {
-        const auto li = static_cast<std::size_t>(links[k]);
-        if (flow_link_bytes[li] == 0.0) touched.push_back(links[k]);
-        flow_link_bytes[li] += flow.pools[j].bytes;
-      }
-    }
-    if (!flow_in) continue;
-    for (std::size_t j = 0; j < flow.pools.size(); ++j) {
-      if (flow.active[j] == 0) continue;
-      const Pool& pool = flow.pools[j];
-      WanDemand d;
-      d.nlinks = links_of(pool, d.links);
-      if (comp_mark_[static_cast<std::size_t>(d.links[0])] == 0) continue;
-      d.bytes = pool.bytes;
-      d.flow = flow.id;
-      for (int k = 0; k < d.nlinks; ++k) {
-        d.frac[k] =
-            pool.bytes / flow_link_bytes[static_cast<std::size_t>(d.links[k])];
-      }
-      comp_refs_.push_back({slot, static_cast<int>(j)});
-      comp_demands_.push_back(d);
-    }
-    for (const int l : touched) {
-      flow_link_bytes[static_cast<std::size_t>(l)] = 0.0;
-    }
-  }
+  // global demand view would hand the rate rule, so the restricted fill
+  // below reproduces the global fill's rates bit-for-bit on them. By the
+  // closure invariant a pool with its first link marked has all marked.
+  collect(
+      [this](const Flow& flow, std::size_t j) {
+        return flow.active[j] != 0 &&
+               comp_mark_[static_cast<std::size_t>(
+                   link_id(flow.pools[j]))] != 0;
+      },
+      comp_refs_, comp_demands_);
   ++rebalance_recomputes_;
   rebalance_links_touched_ += static_cast<std::uint64_t>(comp_links_.size());
   if (!comp_refs_.empty()) {
-    comp_rates_.assign(comp_demands_.size(), 0.0);
-    allocator_->assign_rates(comp_demands_, capacity_, comp_rates_);
+    assign_wan_rates(fairness_, comp_demands_, capacity_, comp_rates_);
     for (std::size_t k = 0; k < comp_refs_.size(); ++k) {
       Flow& flow = flows_[static_cast<std::size_t>(comp_refs_[k].flow)];
       flow.rate_Bps[static_cast<std::size_t>(comp_refs_[k].pool)] =
@@ -454,8 +463,13 @@ void GridWanModel::rebalance(double now_s) {
     // Differential oracle: the historical global fill over the full
     // activated view must agree with every cached rate — the component
     // argument says exactly, not approximately.
-    demand_view(now_s, /*include_pending=*/false, refs_scratch_,
-                demands_scratch_, rates_scratch_);
+    collect(
+        [now_s](const Flow& flow, std::size_t j) {
+          return flow.pools[j].bytes > 0.0 &&
+                 flow.pools[j].activation_s <= now_s;
+        },
+        refs_scratch_, demands_scratch_);
+    assign_wan_rates(fairness_, demands_scratch_, capacity_, rates_scratch_);
     QRGRID_CHECK_MSG(
         refs_scratch_.size() == static_cast<std::size_t>(active_pools_),
         "incremental active set diverged from the time-based view");
@@ -471,74 +485,6 @@ void GridWanModel::rebalance(double now_s) {
   comp_links_.clear();
 }
 
-void GridWanModel::demand_view(double now_s, bool include_pending,
-                               std::vector<PoolRef>& refs,
-                               std::vector<WanDemand>& demands,
-                               std::vector<double>& rates) const {
-  refs.clear();
-  demands.clear();
-  // Per-flow per-link byte totals of the included pools, so each
-  // demand's frac makes the flow count as ONE user per link however its
-  // pools are split. Reset via the touched list — capacity_ can be
-  // sites^2-sized and most flows touch a handful of links.
-  if (flow_link_scratch_.size() != capacity_.size()) {
-    flow_link_scratch_.assign(capacity_.size(), 0.0);
-  }
-  std::vector<double>& flow_link_bytes = flow_link_scratch_;
-  std::vector<int>& touched = touched_scratch_;
-  auto included = [&](const Pool& pool) {
-    return pool.bytes > 0.0 &&
-           (include_pending || pool.activation_s <= now_s);
-  };
-  // live_ holds alive slots in admission (id) order — the same flow
-  // order the historical all-flows walk produced, so the allocators'
-  // floating-point accumulation order (and thus every rate) is
-  // byte-identical while the cost drops to O(live).
-  for (const int slot : live_) {
-    const Flow& flow = flows_[static_cast<std::size_t>(slot)];
-    if (flow.undrained == 0) continue;
-    touched.clear();
-    for (const Pool& pool : flow.pools) {
-      if (!included(pool)) continue;
-      int links[3];
-      const int nlinks = links_of(pool, links);
-      for (int k = 0; k < nlinks; ++k) {
-        // Exact-zero here is a MEMBERSHIP marker, not drain arithmetic:
-        // the touched list resets entries to literal 0.0 below, so the
-        // comparison is exact by construction. Near-empty pools are
-        // retired by the relative epsilon in covers(), never by this
-        // check.
-        if (flow_link_bytes[static_cast<std::size_t>(links[k])] == 0.0) {
-          touched.push_back(links[k]);
-        }
-        flow_link_bytes[static_cast<std::size_t>(links[k])] += pool.bytes;
-      }
-    }
-    for (std::size_t j = 0; j < flow.pools.size(); ++j) {
-      const Pool& pool = flow.pools[j];
-      if (!included(pool)) continue;
-      WanDemand d;
-      d.bytes = pool.bytes;
-      d.flow = flow.id;
-      d.nlinks = links_of(pool, d.links);
-      for (int k = 0; k < d.nlinks; ++k) {
-        // x / x == 1.0 exactly for an unsplit pool, which is what keeps
-        // the default equal-split path bit-identical to PR-3.
-        d.frac[k] =
-            pool.bytes /
-            flow_link_bytes[static_cast<std::size_t>(d.links[k])];
-      }
-      refs.push_back({slot, static_cast<int>(j)});
-      demands.push_back(d);
-    }
-    for (const int l : touched) {
-      flow_link_bytes[static_cast<std::size_t>(l)] = 0.0;
-    }
-  }
-  rates.assign(demands.size(), 0.0);
-  allocator_->assign_rates(demands, capacity_, rates);
-}
-
 int GridWanModel::admit(double now_s, std::vector<Pool> pools) {
   Flow flow;
   flow.alive = true;
@@ -548,10 +494,11 @@ int GridWanModel::admit(double now_s, std::vector<Pool> pools) {
                  (pool.cluster >= 0 && pool.cluster < num_clusters_));
     QRGRID_CHECK(pool.peer < num_clusters_);
     // Max-min carries the trunk constraint on the uplink demands that
-    // cross it; a parallel backbone pool would double-count them.
-    if (fairness_ == WanFairness::kMaxMin &&
-        pool.link == Pool::Link::kBackbone) {
-      pool.bytes = 0.0;
+    // cross it; a parallel backbone pool would double-count them. An
+    // infinite trunk never binds under either rule, and a pool on it
+    // would drain at an infinite rate.
+    if (pool.link == Pool::Link::kBackbone &&
+        (fairness_ == WanFairness::kMaxMin || !trunk_constrained_)) {
       continue;
     }
     if (pool.bytes > 0.0) ++flow.undrained;
@@ -574,7 +521,7 @@ int GridWanModel::admit(double now_s, std::vector<Pool> pools) {
   }
   slot_of_.emplace(id, slot);
   // Monotone ids keep live_ sorted by id: admission order, which
-  // demand_view depends on for byte-identical allocator arithmetic.
+  // collect() depends on for byte-identical rate arithmetic.
   live_.push_back(slot);
   peak_live_ = std::max(peak_live_, static_cast<int>(live_.size()));
   Flow& admitted = flows_[static_cast<std::size_t>(slot)];
@@ -589,18 +536,18 @@ int GridWanModel::admit(double now_s, std::vector<Pool> pools) {
   }
   admitted.frac_sensitive = compute_frac_sensitive(admitted);
   count_load(admitted);
-  if (fairness_ == WanFairness::kMaxMin) {
-    admitted.rate_Bps.assign(admitted.pools.size(), 0.0);
-    admitted.active.assign(admitted.pools.size(), 0);
-    for (std::size_t j = 0; j < admitted.pools.size(); ++j) {
-      if (admitted.pools[j].bytes > 0.0 &&
-          admitted.pools[j].activation_s <= now_s) {
-        activate_pool(admitted, static_cast<int>(j));
-      }
+  admitted.rate_Bps.assign(admitted.pools.size(), 0.0);
+  admitted.active.assign(admitted.pools.size(), 0);
+  for (std::size_t j = 0; j < admitted.pools.size(); ++j) {
+    if (admitted.pools[j].bytes > 0.0 &&
+        admitted.pools[j].activation_s <= now_s) {
+      activate_pool(admitted, static_cast<int>(j));
     }
-    if (admitted.undrained > 0) ++rebalance_events_;
   }
-  if (admitted.undrained > 0) bump_generation();
+  if (admitted.undrained > 0) {
+    ++rebalance_events_;
+    bump_generation();
+  }
   if (tracer_ != nullptr) {
     double bytes = 0.0;
     for (const Pool& pool : admitted.pools) bytes += pool.bytes;
@@ -616,118 +563,63 @@ void GridWanModel::advance(double from_s, double to_s) {
 
   int pools_drained = 0;
   bool fracs_moved = false;
-  if (fairness_ == WanFairness::kMaxMin) {
-    // Incremental path: pull due activations in, repair rates if any
-    // link is dirty, then drain against the CACHED per-pool rates —
-    // bit-identical to the historical recompute-at-every-step values.
-    refresh(from_s);
-    const auto nc = static_cast<std::size_t>(num_clusters_);
-    for (std::size_t c = 0; c < nc; ++c) {
-      if (link_users_[c] > 0) up_busy_s_[c] += dt;
-      if (link_users_[nc + c] > 0) down_busy_s_[c] += dt;
-    }
-    // With an unconstrained trunk no demand maps onto the backbone link,
-    // so fall back to the trunk-load counter for the busy statistic.
-    if (link_users_[2 * nc] > 0 ||
-        (!trunk_constrained_ && trunk_load_ > 0)) {
-      backbone_busy_s_ += dt;
-    }
+  // Pull due activations in, repair rates if any link is dirty, then
+  // drain against the CACHED per-pool rates — bit-identical to the
+  // historical recompute-at-every-step values.
+  refresh(from_s);
+  const auto nc = static_cast<std::size_t>(num_clusters_);
+  for (std::size_t c = 0; c < nc; ++c) {
+    if (link_users_[c] > 0) up_busy_s_[c] += dt;
+    if (link_users_[nc + c] > 0) down_busy_s_[c] += dt;
+  }
+  // With an unconstrained trunk no demand maps onto the backbone link,
+  // so fall back to the trunk-load counter for the busy statistic.
+  if (link_users_[2 * nc] > 0 || (!trunk_constrained_ && trunk_load_ > 0)) {
+    backbone_busy_s_ += dt;
+  }
 
-    for (const int slot : live_) {
-      Flow& flow = flows_[static_cast<std::size_t>(slot)];
-      if (flow.undrained == 0) continue;
-      bool flow_active = false;
-      int flow_drained = 0;
-      for (std::size_t j = 0; j < flow.pools.size(); ++j) {
-        if (flow.active[j] == 0) continue;
-        flow_active = true;
-        Pool& pool = flow.pools[j];
-        const double moved = flow.rate_Bps[j] * dt;
-        if (covers(moved, pool.bytes, flow.initial_bytes[j])) {
-          flow.moved_bytes[j] += pool.bytes;
-          pool.bytes = 0.0;
-          if (--flow.undrained == 0) flow.drained_at_s = to_s;
-          deactivate_pool(flow, static_cast<int>(j));
-          ++rebalance_events_;
-          ++flow_drained;
-        } else {
-          flow.moved_bytes[j] += moved;
-          pool.bytes -= moved;
-        }
-      }
-      if (flow_drained > 0) {
-        uncount_load(flow);
-        count_load(flow);
-        pools_drained += flow_drained;
-      }
-      if (flow.frac_sensitive) {
-        if (flow_active) {
-          // Link-sharing pools: this flow's byte movement shifted its
-          // per-link fracs, so its remaining active links must re-fill
-          // even though no pool drained or activated.
-          fracs_moved = true;
-          for (std::size_t j = 0; j < flow.pools.size(); ++j) {
-            if (flow.active[j] == 0) continue;
-            int links[3];
-            const int nlinks = links_of(flow.pools[j], links);
-            for (int k = 0; k < nlinks; ++k) mark_dirty(links[k]);
-          }
-        }
-        if (flow_drained > 0) {
-          flow.frac_sensitive = compute_frac_sensitive(flow);
-        }
-      }
-    }
-  } else {
-    demand_view(from_s, /*include_pending=*/false, refs_scratch_,
-                demands_scratch_, rates_scratch_);
-
-    // A link is busy while at least one activated, undrained demand
-    // crosses it.
-    std::vector<char> up_busy(static_cast<std::size_t>(num_clusters_), 0);
-    std::vector<char> down_busy(static_cast<std::size_t>(num_clusters_), 0);
-    bool backbone_busy = false;
-    for (const WanDemand& d : demands_scratch_) {
-      for (int k = 0; k < d.nlinks; ++k) {
-        const int l = d.links[k];
-        if (l < num_clusters_) {
-          up_busy[static_cast<std::size_t>(l)] = 1;
-        } else if (l < 2 * num_clusters_) {
-          down_busy[static_cast<std::size_t>(l - num_clusters_)] = 1;
-        } else if (l == 2 * num_clusters_) {
-          backbone_busy = true;
-        }
-      }
-    }
-    for (int c = 0; c < num_clusters_; ++c) {
-      if (up_busy[static_cast<std::size_t>(c)]) {
-        up_busy_s_[static_cast<std::size_t>(c)] += dt;
-      }
-      if (down_busy[static_cast<std::size_t>(c)]) {
-        down_busy_s_[static_cast<std::size_t>(c)] += dt;
-      }
-    }
-    if (backbone_busy) backbone_busy_s_ += dt;
-
-    for (std::size_t k = 0; k < refs_scratch_.size(); ++k) {
-      Flow& flow = flows_[static_cast<std::size_t>(refs_scratch_[k].flow)];
-      Pool& pool = flow.pools[static_cast<std::size_t>(refs_scratch_[k].pool)];
-      const auto j = static_cast<std::size_t>(refs_scratch_[k].pool);
-      const double moved = rates_scratch_[k] * dt;
-      if (flow.frac_sensitive) fracs_moved = true;
+  for (const int slot : live_) {
+    Flow& flow = flows_[static_cast<std::size_t>(slot)];
+    if (flow.undrained == 0) continue;
+    bool flow_active = false;
+    int flow_drained = 0;
+    for (std::size_t j = 0; j < flow.pools.size(); ++j) {
+      if (flow.active[j] == 0) continue;
+      flow_active = true;
+      Pool& pool = flow.pools[j];
+      const double moved = flow.rate_Bps[j] * dt;
       if (covers(moved, pool.bytes, flow.initial_bytes[j])) {
         flow.moved_bytes[j] += pool.bytes;
         pool.bytes = 0.0;
         if (--flow.undrained == 0) flow.drained_at_s = to_s;
-        uncount_load(flow);
-        count_load(flow);
-        if (flow.frac_sensitive) {
-          flow.frac_sensitive = compute_frac_sensitive(flow);
-        }
-        ++pools_drained;
+        deactivate_pool(flow, static_cast<int>(j));
+        ++rebalance_events_;
+        ++flow_drained;
       } else {
         flow.moved_bytes[j] += moved;
         pool.bytes -= moved;
+      }
+    }
+    if (flow_drained > 0) {
+      uncount_load(flow);
+      count_load(flow);
+      pools_drained += flow_drained;
+    }
+    if (flow.frac_sensitive) {
+      if (flow_active) {
+        // Link-sharing pools: this flow's byte movement shifted its
+        // per-link fracs, so its remaining active links must re-fill
+        // even though no pool drained or activated.
+        fracs_moved = true;
+        for (std::size_t j = 0; j < flow.pools.size(); ++j) {
+          if (flow.active[j] == 0) continue;
+          int links[3];
+          const int nlinks = links_of(flow.pools[j], links);
+          for (int k = 0; k < nlinks; ++k) mark_dirty(links[k]);
+        }
+      }
+      if (flow_drained > 0) {
+        flow.frac_sensitive = compute_frac_sensitive(flow);
       }
     }
   }
@@ -737,7 +629,7 @@ void GridWanModel::advance(double from_s, double to_s) {
   if (pools_drained > 0 || fracs_moved) bump_generation();
   if (tracer_ != nullptr) {
     // The share structure changes when a pool runs dry or a pending pool
-    // activates inside the step — the allocator re-splits either way.
+    // activates inside the step — the rate rule re-splits either way.
     int pools_activated = 0;
     for (const int slot : live_) {
       const Flow& flow = flows_[static_cast<std::size_t>(slot)];
@@ -756,43 +648,33 @@ void GridWanModel::advance(double from_s, double to_s) {
 }
 
 double GridWanModel::next_event_s(double now_s) const {
+  // Lazy maintenance from a const query: activations due by now_s and
+  // any pending rebalance are absorbed here, which is also what
+  // coalesces a same-instant burst of opens/retires/drains into ONE
+  // recompute — the service consults the horizon once per step.
+  const_cast<GridWanModel*>(this)->refresh(now_s);
+  // At a huge rate, clock rounding in advance() can leave more bytes
+  // than covers() forgives yet drain them in less than one ulp of now_s;
+  // the next representable instant is the earliest step that moves them.
+  const double soonest = std::nextafter(now_s, kInf);
   double next = kInf;
-  if (fairness_ == WanFairness::kMaxMin) {
-    // Lazy maintenance from a const query: activations due by now_s and
-    // any pending rebalance are absorbed here, which is also what
-    // coalesces a same-instant burst of opens/retires/drains into ONE
-    // recompute — the service consults the horizon once per step.
-    const_cast<GridWanModel*>(this)->refresh(now_s);
-    for (const int slot : live_) {
-      const Flow& flow = flows_[static_cast<std::size_t>(slot)];
-      if (flow.undrained == 0) continue;
-      for (std::size_t j = 0; j < flow.pools.size(); ++j) {
-        if (flow.active[j] == 0) continue;
-        if (flow.rate_Bps[j] > 0.0) {
-          next = std::min(next, now_s + flow.pools[j].bytes / flow.rate_Bps[j]);
-        }
-      }
-    }
-  } else {
-    demand_view(now_s, /*include_pending=*/false, refs_scratch_,
-                demands_scratch_, rates_scratch_);
-    for (std::size_t k = 0; k < refs_scratch_.size(); ++k) {
-      const Flow& flow =
-          flows_[static_cast<std::size_t>(refs_scratch_[k].flow)];
-      const Pool& pool =
-          flow.pools[static_cast<std::size_t>(refs_scratch_[k].pool)];
-      if (rates_scratch_[k] > 0.0) {
-        next = std::min(next, now_s + pool.bytes / rates_scratch_[k]);
+  for (const int slot : live_) {
+    const Flow& flow = flows_[static_cast<std::size_t>(slot)];
+    if (flow.undrained == 0) continue;
+    for (std::size_t j = 0; j < flow.pools.size(); ++j) {
+      if (flow.active[j] == 0) continue;
+      const double rate = flow.rate_Bps[j];
+      if (rate > 0.0) {
+        next = std::min(next,
+                        std::max(soonest, now_s + flow.pools[j].bytes / rate));
       }
     }
   }
   // Pending activations change the share structure too: the calendar's
-  // top, after lazily shedding entries of retired flows and instants
-  // already reached (the virtual clock only moves forward, so a shed
-  // entry can never be needed again).
-  while (!activations_.empty()) {
-    const Activation& top = activations_.front();
-    if (top.t_s > now_s && slot_of_.count(top.flow) != 0) break;
+  // top, after lazily shedding entries of retired flows (refresh above
+  // already consumed every instant up to now_s).
+  while (!activations_.empty() &&
+         slot_of_.count(activations_.front().flow) == 0) {
     std::pop_heap(activations_.begin(), activations_.end(),
                   ActivationAfter{});
     activations_.pop_back();
@@ -836,8 +718,10 @@ void GridWanModel::drain_estimates_s(double now_s,
   // Only each pool's CURRENT bytes and max(now, activation) enter per
   // call below, which is exactly what a fresh view would use.
   if (!est_basis_valid_ || est_basis_generation_ != generation_) {
-    demand_view(now_s, /*include_pending=*/true, est_refs_, est_demands_,
-                est_rates_);
+    collect([](const Flow& flow,
+               std::size_t j) { return flow.pools[j].bytes > 0.0; },
+            est_refs_, est_demands_);
+    assign_wan_rates(fairness_, est_demands_, capacity_, est_rates_);
     est_basis_valid_ = true;
     est_basis_generation_ = generation_;
   }
@@ -895,13 +779,13 @@ void GridWanModel::retire(int flow, std::vector<long long>& egress_bytes,
     }
   }
   uncount_load(f);
-  if (fairness_ == WanFairness::kMaxMin) {
-    if (f.undrained > 0) ++rebalance_events_;
-    for (std::size_t j = 0; j < f.active.size(); ++j) {
-      if (f.active[j] != 0) deactivate_pool(f, static_cast<int>(j));
-    }
+  for (std::size_t j = 0; j < f.active.size(); ++j) {
+    if (f.active[j] != 0) deactivate_pool(f, static_cast<int>(j));
   }
-  if (f.undrained > 0) bump_generation();
+  if (f.undrained > 0) {
+    ++rebalance_events_;
+    bump_generation();
+  }
   f.alive = false;
   f.pools.clear();
   f.moved_bytes.clear();
@@ -938,13 +822,10 @@ void GridWanModel::rebuild_after_load() {
   const auto check = [](bool ok, const char* what) {
     QRGRID_CHECK_MSG(ok, "corrupt WAN snapshot: " << what);
   };
-  // Rates and active flags are per pool under max-min, absent otherwise.
-  const std::size_t per_pool = fairness_ == WanFairness::kMaxMin ? 1 : 0;
   for (const Flow& f : flows_) {
     const std::size_t np = f.pools.size();
     check(f.moved_bytes.size() == np && f.initial_bytes.size() == np &&
-              f.rate_Bps.size() == per_pool * np &&
-              f.active.size() == per_pool * np,
+              f.rate_Bps.size() == np && f.active.size() == np,
           "flow vector sizes");
     for (const Pool& p : f.pools) {
       check(p.link <= Pool::Link::kBackbone &&

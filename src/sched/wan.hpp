@@ -21,7 +21,8 @@
 // (local factorizations first, R-factor reduction last), and the pools
 // reproduce that: a freshly started job does not contend yet.
 //
-// HOW the activated pools share the links is a WanAllocator strategy:
+// HOW the activated pools share the links is the WanFairness rule that
+// assign_wan_rates() applies:
 //
 //   equal-split (WanFairness::kEqualSplit, the regression baseline) —
 //     every pool is a demand on exactly one link; a link with capacity C
@@ -38,8 +39,11 @@
 //     not admitted in this mode (the trunk constraint lives on the
 //     uplink demands that actually cross it).
 //
+// An infinite backbone is an unconstrained core under both rules: it
+// never binds, so it admits no backbone pools and no demand crosses it.
+//
 // Rates are piecewise constant between events (a pool activating or
-// running dry) under either allocator, so the service can advance its
+// running dry) under either rule, so the service can advance its
 // virtual clock to the next event exactly — no time-stepping, no
 // tolerance drift.
 //
@@ -50,32 +54,31 @@
 // reproduces the cached replay times byte-for-byte; under contention
 // finish times stretch, monotonically in the load.
 //
-// INCREMENTAL MAX-MIN MAINTENANCE. Under max-min the model no longer
-// runs a progressive-filling pass over every live flow at every
-// consultation. Instead it keeps the allocation cached per pool and
-// repairs it lazily: admissions, retirements, drains, and activations
-// mark the links whose flow set changed dirty; the next consultation
-// (advance / next_event_s) closes the dirty set over flows that share
-// links with it — the *bottleneck component* — and re-runs the SAME
-// progressive filling restricted to that component's demands. Because a
-// component link's users and residuals receive exactly the terms they
-// receive in the global fill (all demands crossing a component link are
-// component demands, in the same live-order), the component-local fill
-// is bit-identical to the global one, so fixed-seed max-min runs
-// reproduce the historical full-recompute traces byte-for-byte. Rates
-// read only fracs and capacities — never pool bytes — so cached rates
-// stay exact across byte drains; flows whose pools can share a link
-// (frac_sensitive) are the one exception and re-dirty their links as
-// their bytes move. Deferring the repair to the next consultation also
-// coalesces same-instant open/retire/drain bursts into ONE rebalance.
-// The wan.rebalance.{events,recomputes,links_touched,full_refills}
-// counters and the wan-rebalance profiler phase expose the machinery;
+// INCREMENTAL RATE MAINTENANCE. Both rules run through one engine: the
+// model never re-fills every live flow at every consultation. It keeps
+// the allocation cached per pool and repairs it lazily: admissions,
+// retirements, drains, and activations mark the links whose flow set
+// changed dirty; the next consultation (advance / next_event_s) closes
+// the dirty set over flows that share links with it — the *bottleneck
+// component* — and re-runs the SAME rate assignment restricted to that
+// component's demands. Because a component link's users and residuals
+// receive exactly the terms they receive in the global fill (all
+// demands crossing a component link are component demands, in the same
+// live-order), the component-local fill is bit-identical to the global
+// one under either rule, so fixed-seed runs reproduce the historical
+// full-recompute traces byte-for-byte. Rates read only fracs and
+// capacities — never pool bytes — so cached rates stay exact across
+// byte drains; flows whose pools can share a link (frac_sensitive) are
+// the one exception and re-dirty their links as their bytes move.
+// Deferring the repair to the next consultation also coalesces
+// same-instant open/retire/drain bursts into ONE rebalance. The
+// wan.rebalance.{events,recomputes,links_touched,full_refills} counters
+// and the wan-rebalance profiler phase expose the machinery;
 // set_rate_oracle_check() keeps the global fill as a differential
 // oracle the cached rates are checked against after every recompute.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -85,7 +88,7 @@ namespace qrgrid::sched {
 class ServiceTracer;
 class PhaseProfiler;
 
-/// Which WanAllocator a GridWanModel (or ServiceOptions) asks for.
+/// Which rate rule a GridWanModel (or ServiceOptions) applies.
 /// One byte wide: that is its snapshot encoding.
 enum class WanFairness : std::uint8_t {
   kEqualSplit,  ///< per-link C/k fair share (PR-3 baseline)
@@ -95,7 +98,7 @@ enum class WanFairness : std::uint8_t {
 WanFairness wan_fairness_of(const std::string& name);
 std::string wan_fairness_name(WanFairness fairness);
 
-/// One activated, undrained pool as an allocator sees it: the links it
+/// One activated, undrained pool as the rate rule sees it: the links it
 /// crosses (indices into the model's capacity table), the bytes left,
 /// and its per-link share of the owning flow's bytes there. Fairness is
 /// per FLOW, not per pool: a flow split across several pools on one
@@ -112,44 +115,22 @@ struct WanDemand {
   int nlinks = 0;
 };
 
-/// Rate-assignment strategy: fills `rate_Bps` (pre-sized, parallel to
-/// `demands`) with every demand's drain rate given per-link capacities.
-/// Stateless and deterministic — the event loop calls it at every
-/// horizon event and the service relies on byte-identical replays.
-class WanAllocator {
- public:
-  virtual ~WanAllocator() = default;
-  virtual std::string name() const = 0;
-  virtual void assign_rates(const std::vector<WanDemand>& demands,
-                            const std::vector<double>& capacity_Bps,
-                            std::vector<double>& rate_Bps) const = 0;
-};
-
-/// Per-link C/k over FLOWS: a demand's rate is the minimum over its
-/// links of (capacity / flow-users) x its frac of the flow there. With
-/// the single-link, frac-1 demands the equal-split model builds by
-/// default, this is exactly the PR-3 drain kernel.
-class EqualSplitAllocator final : public WanAllocator {
- public:
-  std::string name() const override { return "equal"; }
-  void assign_rates(const std::vector<WanDemand>& demands,
-                    const std::vector<double>& capacity_Bps,
-                    std::vector<double>& rate_Bps) const override;
-};
-
-/// Progressive filling: repeatedly find the tightest link (smallest
-/// remaining-capacity / unfrozen-demands), grant that share to every
-/// demand crossing it, freeze them, and subtract the granted bandwidth
-/// from every link they cross. Yields the max-min fair allocation.
-class MaxMinAllocator final : public WanAllocator {
- public:
-  std::string name() const override { return "maxmin"; }
-  void assign_rates(const std::vector<WanDemand>& demands,
-                    const std::vector<double>& capacity_Bps,
-                    std::vector<double>& rate_Bps) const override;
-};
-
-std::unique_ptr<WanAllocator> make_wan_allocator(WanFairness fairness);
+/// Sets `rate_Bps` (resized parallel to `demands`) to every demand's
+/// drain rate given per-link capacities. Stateless and deterministic —
+/// the model calls it at every rebalance and the service relies on
+/// byte-identical replays. Link users are flow-weighted (a demand adds
+/// its frac to each link it crosses), then:
+///   kEqualSplit — a demand's rate is the minimum over its links of
+///     (capacity / users) x its frac there; with the single-link, frac-1
+///     demands the model builds by default, exactly per-link C/k.
+///   kMaxMin — progressive filling: repeatedly find the tightest link
+///     (smallest remaining-capacity / unfrozen users), grant that share
+///     to every demand crossing it, freeze them, and subtract the
+///     granted bandwidth from every link they cross.
+void assign_wan_rates(WanFairness fairness,
+                      const std::vector<WanDemand>& demands,
+                      const std::vector<double>& capacity_Bps,
+                      std::vector<double>& rate_Bps);
 
 class GridWanModel {
  public:
@@ -182,19 +163,23 @@ class GridWanModel {
   bool pair_aware() const { return !pair_Bps_.empty(); }
 
   /// Admits one attempt's demand and returns its flow id. A flow with no
-  /// pools (a single-cluster job) is born drained at `now_s`. Under
-  /// max-min fairness, kBackbone pools are dropped (the trunk constraint
-  /// lives on the uplink demands crossing it).
+  /// pools (a single-cluster job) is born drained at `now_s`. kBackbone
+  /// pools are dropped under max-min fairness (the trunk constraint lives
+  /// on the uplink demands crossing it) and on an infinite trunk (an
+  /// unconstrained core never binds).
   int admit(double now_s, std::vector<Pool> pools);
 
   /// Drains every activated pool from `from_s` to `to_s` under the
-  /// allocator's current rates. The caller must not step across an
-  /// event: `to_s` may not exceed next_event_s(from_s).
+  /// current rates. The caller must not step across an event: `to_s`
+  /// may not exceed next_event_s(from_s).
   void advance(double from_s, double to_s);
 
   /// Earliest future instant the share structure changes — a pending
-  /// pool activates or an activated pool runs dry at current rates.
-  /// +infinity when nothing undrained is in flight.
+  /// pool activates or an activated pool runs dry at current rates. A
+  /// drain is never reported before the next representable instant
+  /// after `now_s`, so a residual too small to move a large clock still
+  /// gets a step that empties it. +infinity when nothing undrained is in
+  /// flight.
   double next_event_s(double now_s) const;
 
   bool drained(int flow) const;
@@ -241,14 +226,14 @@ class GridWanModel {
   /// flows are admitted, retired, and as the share structure changes.
   /// Null (the default) records nothing and costs nothing.
   void set_tracer(ServiceTracer* tracer) { tracer_ = tracer; }
-  /// When set, component recomputes of the incremental max-min engine
-  /// are timed under ProfilePhase::kWanRebalance. Null costs nothing.
+  /// When set, component recomputes of the incremental rate engine are
+  /// timed under ProfilePhase::kWanRebalance. Null costs nothing.
   void set_profiler(PhaseProfiler* profiler) { profiler_ = profiler; }
 
-  /// Incremental max-min engine telemetry (equal-split runs report 0):
-  /// structural events absorbed (admissions/retirements with undrained
-  /// demand, pool activations, pool drains), component recomputes those
-  /// events coalesced into, links touched summed over recomputes, and
+  /// Incremental rate engine telemetry (both rules): structural events
+  /// absorbed (admissions/retirements with undrained demand, pool
+  /// activations, pool drains), component recomputes those events
+  /// coalesced into, links touched summed over recomputes, and
   /// recomputes whose component spanned every busy link (the global-
   /// fill fallback). full_refills << events is the scaling claim.
   std::uint64_t rebalance_events() const { return rebalance_events_; }
@@ -324,10 +309,9 @@ class GridWanModel {
     std::vector<double> initial_bytes;
     int undrained = 0;
     double drained_at_s = 0.0;
-    /// Incremental max-min engine state, parallel to pools (empty under
-    /// equal-split): the cached drain rate from the last component
-    /// recompute, and whether the pool is in the activated-undrained set
-    /// those rates cover.
+    /// Incremental rate engine state, parallel to pools: the cached drain
+    /// rate from the last component recompute, and whether the pool is in
+    /// the activated-undrained set those rates cover.
     std::vector<double> rate_Bps;
     std::vector<char> active;
     /// True when two undrained pools of this flow can share a link, so
@@ -347,8 +331,8 @@ class GridWanModel {
         rate_Bps, active, frac_sensitive, counted_clusters, counted_trunk);
     }
   };
-  /// One entry of the demand view handed to the allocator: which SLOT's
-  /// which pool each rate belongs to.
+  /// One entry of a demand view: which SLOT's which pool each rate
+  /// belongs to.
   struct PoolRef {
     int flow = 0;
     int pool = 0;
@@ -365,28 +349,29 @@ class GridWanModel {
     void visit(V& v) { v(t_s, flow, pool); }
   };
 
-  /// Link ids in the allocator's capacity table: [0, C) uplinks,
+  /// Link ids in the capacity table: [0, C) uplinks,
   /// [C, 2C) downlinks, 2C the backbone, then (when pair horizons are
   /// configured) 2C + 1 + src * C + dst per pair.
   int link_id(const Pool& pool) const;
   /// Links the pool crosses under the active fairness mode.
   int links_of(const Pool& pool, int out[3]) const;
-  /// Builds the activated-undrained demand view at `now_s` (or, when
-  /// `include_pending`, every undrained pool regardless of activation —
-  /// the pessimistic planning view) and the allocator's rates for it.
-  void demand_view(double now_s, bool include_pending,
-                   std::vector<PoolRef>& refs,
-                   std::vector<WanDemand>& demands,
-                   std::vector<double>& rates) const;
+  /// The one demand-view collector: every live flow's pools that
+  /// `included(flow, pool_index)` admits, in live (admission) order,
+  /// each with its per-flow per-link fracs over the included pools.
+  /// Serves the rebalance component, the oracle's time-based view, and
+  /// the pessimistic estimate basis.
+  template <class Included>
+  void collect(Included included, std::vector<PoolRef>& refs,
+               std::vector<WanDemand>& demands) const;
 
-  /// --- incremental max-min engine (no-ops under equal-split) ---
+  /// --- incremental rate engine ---
   /// Pops every pending activation at or before `now_s` into the active
   /// set, then repairs the cached rates if any link is dirty. Invoked
   /// from const queries via const_cast: lazy maintenance, logically
   /// const.
   void refresh(double now_s);
   /// Closes the dirty links over flows sharing links with them (the
-  /// bottleneck component) and re-runs progressive filling restricted
+  /// bottleneck component) and re-runs the rate assignment restricted
   /// to that component's demands — bit-identical to the global fill.
   void rebalance(double now_s);
   void activate_pool(Flow& flow, int pool);
@@ -414,7 +399,6 @@ class GridWanModel {
   WanFairness fairness_;
   std::vector<double> pair_Bps_;   ///< row-major src x dst; empty = off
   std::vector<double> capacity_;   ///< per link id
-  std::unique_ptr<WanAllocator> allocator_;
   ServiceTracer* tracer_ = nullptr;
   /// Slot-indexed flow storage. retire() recycles slots through
   /// free_slots_, so memory scales with PEAK in-flight flows, not flows
@@ -422,9 +406,9 @@ class GridWanModel {
   std::vector<Flow> flows_;
   std::vector<int> free_slots_;
   /// Slots of alive flows in admission (id) order — every walk
-  /// (demand_view, load scores, rebalance counting) iterates THIS, so
-  /// per-step cost scales with live flows and the floating-point
-  /// accumulation order the allocators see matches the historical
+  /// (collect, drains, rebalance closure) iterates THIS, so per-step
+  /// cost scales with live flows and the floating-point accumulation
+  /// order the rate rule sees matches the historical
   /// all-flows-skipping-dead order exactly (dead flows contributed no
   /// terms).
   std::vector<int> live_;
@@ -432,23 +416,24 @@ class GridWanModel {
   int next_flow_id_ = 0;
   int peak_live_ = 0;
   /// Pending pool activations as a lazy min-heap over t_s: next_event_s
-  /// consults the top instead of rescanning every pool; entries of
-  /// retired flows or past instants are discarded on sight.
+  /// consults the top instead of rescanning every pool; refresh()
+  /// consumes due entries, and entries of retired flows are discarded
+  /// on sight.
   mutable std::vector<Activation> activations_;
   std::vector<double> up_busy_s_;
   std::vector<double> down_busy_s_;
   double backbone_busy_s_ = 0.0;
-  /// demand_view scratch, reused across the event loop's many calls.
-  mutable std::vector<PoolRef> refs_scratch_;
-  mutable std::vector<WanDemand> demands_scratch_;
-  mutable std::vector<double> rates_scratch_;
+  /// Oracle-view scratch, reused across recomputes.
+  std::vector<PoolRef> refs_scratch_;
+  std::vector<WanDemand> demands_scratch_;
+  std::vector<double> rates_scratch_;
   mutable std::vector<double> estimates_scratch_;  ///< per slot
   /// Per-flow per-link byte totals (frac computation); zeroed via the
   /// touched list, so its sites^2-with-pairs size is paid once.
   mutable std::vector<double> flow_link_scratch_;
   mutable std::vector<int> touched_scratch_;
 
-  /// --- incremental max-min engine state (idle under equal-split) ---
+  /// --- incremental rate engine state ---
   PhaseProfiler* profiler_ = nullptr;
   /// Activated-undrained demands per link; busy_links_ counts links with
   /// a nonzero entry (what the full-refill classification compares

@@ -1,8 +1,8 @@
-// The pluggable scheduling-policy engine: policy-object parity with the
-// enum dispatch, tie-break determinism of the JobQueue across ALL
-// policies, priority-aware EASY's reservation claim and no-delay
-// invariant (WAN-priced shadows included), weighted fair-share's
-// deficit-round-robin, the max-min WanAllocator (progressive filling,
+// The pluggable scheduling-policy engine: policy names and traits,
+// tie-break determinism of the JobQueue across ALL policies,
+// priority-aware EASY's reservation claim and no-delay invariant
+// (WAN-priced shadows included), weighted fair-share's
+// deficit-round-robin, the max-min WAN rate rule (progressive filling,
 // per-pair horizons, conservation, monotonicity), and the policy suite
 // end to end on the msg execution backend (the TSan lane's target).
 #include "sched/policy.hpp"
@@ -122,35 +122,6 @@ TEST(GridJobService, TiedWorkloadByteIdenticalAcrossTwoRuns) {
     // service replaying the workload reports byte-identically.
     EXPECT_EQ(summary_row(first.run(tied_batches())), summary_row(a))
         << policy_name(policy) << " (service reuse)";
-  }
-}
-
-// The custom-policy seam: a factory-built policy object must reproduce
-// the enum-dispatched service decision for decision.
-TEST(GridJobService, PolicyFactoryMatchesEnumDispatch) {
-  WorkloadSpec spec;
-  spec.jobs = 30;
-  spec.mean_interarrival_s = 0.1;
-  spec.procs_choices = {2, 4, 8};
-  spec.seed = 41;
-  ServiceOptions by_enum;
-  by_enum.policy = Policy::kEasyBackfill;
-  ServiceOptions by_factory = by_enum;
-  by_factory.policy_factory = [] {
-    return std::make_unique<EasyBackfillPolicy>();
-  };
-  const ServiceReport a =
-      GridJobService(small_grid(), model::paper_calibration(), by_enum)
-          .run(generate_workload(spec));
-  const ServiceReport b =
-      GridJobService(small_grid(), model::paper_calibration(), by_factory)
-          .run(generate_workload(spec));
-  EXPECT_EQ(summary_row(a), summary_row(b));
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-    EXPECT_EQ(a.outcomes[i].start_s, b.outcomes[i].start_s);
-    EXPECT_EQ(a.outcomes[i].clusters, b.outcomes[i].clusters);
-    EXPECT_EQ(a.outcomes[i].backfilled, b.outcomes[i].backfilled);
   }
 }
 
@@ -362,7 +333,7 @@ TEST(FairShare, WeightedUserGetsProportionallyEarlierService) {
             0.2 * balanced.makespan_s);
 }
 
-// --- The max-min WanAllocator ------------------------------------------
+// --- The WAN rate rules -------------------------------------------------
 
 GridWanModel::Pool pool_of(GridWanModel::Pool::Link link, int cluster,
                            int peer, double bytes, double activation_s) {
@@ -377,7 +348,7 @@ GridWanModel::Pool pool_of(GridWanModel::Pool::Link link, int cluster,
 
 using Link = GridWanModel::Pool::Link;
 
-TEST(MaxMinAllocator, ProgressiveFillingReassignsBottleneckedShare) {
+TEST(WanRates, ProgressiveFillingReassignsBottleneckedShare) {
   // Demand A crosses a 25 B/s pair horizon; demand B shares only the
   // 100 B/s backbone with it. Equal split would hand both 50 on the
   // trunk; max-min freezes A at 25 and fills B to 75.
@@ -392,18 +363,18 @@ TEST(MaxMinAllocator, ProgressiveFillingReassignsBottleneckedShare) {
   demands[1].links[1] = 2;  // shared backbone
   demands[1].nlinks = 2;
   const std::vector<double> capacity = {100.0, 25.0, 100.0, 100.0};
-  std::vector<double> rates(2, 0.0);
-  MaxMinAllocator().assign_rates(demands, capacity, rates);
+  std::vector<double> rates;
+  assign_wan_rates(WanFairness::kMaxMin, demands, capacity, rates);
   EXPECT_DOUBLE_EQ(rates[0], 25.0);
   EXPECT_DOUBLE_EQ(rates[1], 75.0);
   // Equal split on the same geometry: both trunk users get 50, A is
   // additionally capped at its pair link.
-  EqualSplitAllocator().assign_rates(demands, capacity, rates);
+  assign_wan_rates(WanFairness::kEqualSplit, demands, capacity, rates);
   EXPECT_DOUBLE_EQ(rates[0], 25.0);
   EXPECT_DOUBLE_EQ(rates[1], 50.0);
 }
 
-TEST(Allocators, SplitFlowCountsAsOneUserPerLink) {
+TEST(WanRates, SplitFlowCountsAsOneUserPerLink) {
   // Flow 0 is split into two pools on link 0 (fracs 0.6/0.4); flow 1 is
   // one pool. Per-FLOW fairness: each flow gets C/2 = 50 in aggregate —
   // splitting must never multiply a flow's share.
@@ -423,11 +394,11 @@ TEST(Allocators, SplitFlowCountsAsOneUserPerLink) {
   demands[2].links[0] = 0;
   demands[2].nlinks = 1;  // frac defaults to 1.0
   const std::vector<double> capacity = {100.0};
-  std::vector<double> rates(3, 0.0);
-  EqualSplitAllocator().assign_rates(demands, capacity, rates);
+  std::vector<double> rates;
+  assign_wan_rates(WanFairness::kEqualSplit, demands, capacity, rates);
   EXPECT_DOUBLE_EQ(rates[0] + rates[1], 50.0);
   EXPECT_DOUBLE_EQ(rates[2], 50.0);
-  MaxMinAllocator().assign_rates(demands, capacity, rates);
+  assign_wan_rates(WanFairness::kMaxMin, demands, capacity, rates);
   EXPECT_DOUBLE_EQ(rates[0] + rates[1], 50.0);
   EXPECT_DOUBLE_EQ(rates[2], 50.0);
 }

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "sched/policy.hpp"
@@ -209,11 +210,12 @@ TEST(ScaleWan, IncrementalMaintenanceMatchesOracleUnderHeavyChurn) {
 }
 
 TEST(ScaleWan, RebalanceCountersStayCoherentUnderContendedStream) {
-  // Service-level counter surface: a compressed contended max-min stream
-  // (wide flat-tree jobs straddling 64-proc cluster boundaries on thin
+  // Service-level counter surface: a compressed contended stream (wide
+  // flat-tree jobs straddling 64-proc cluster boundaries on thin
   // uplinks) must record structural events, coalesce them (recomputes
   // strictly below events), and export the same numbers through the
-  // metrics gauges the bench gates on.
+  // metrics gauges the bench gates on — under both fairness rules, which
+  // share the one incremental engine.
   WorkloadSpec spec;
   spec.jobs = 300;
   spec.users = 20;
@@ -224,27 +226,32 @@ TEST(ScaleWan, RebalanceCountersStayCoherentUnderContendedStream) {
   spec.tree_choices = {core::TreeKind::kFlat};
   spec.seed = 404;
   const std::vector<Job> jobs = generate_workload(spec);
-  ServiceOptions options;
-  options.policy = Policy::kEasyBackfill;
-  options.backfill_depth = 64;
-  options.wan_contention = true;
-  options.wan_fairness = WanFairness::kMaxMin;
-  options.wan_link_Bps = 0.05e9 / 8.0;
-  MetricsRegistry metrics;
-  options.metrics = &metrics;
-  GridJobService service(paper_grid(), model::paper_calibration(), options);
-  const ServiceReport report = service.run(jobs);
-  EXPECT_EQ(report.completed_jobs + report.failed_jobs, 300);
-  EXPECT_GT(report.max_wan_slowdown, 1.0);  // the stream really contends
-  const double events = metrics.gauge("wan.rebalance.events");
-  const double recomputes = metrics.gauge("wan.rebalance.recomputes");
-  const double links = metrics.gauge("wan.rebalance.links_touched");
-  const double full = metrics.gauge("wan.rebalance.full_refills");
-  EXPECT_GT(events, 0.0);
-  EXPECT_GT(recomputes, 0.0);
-  EXPECT_LT(recomputes, events);  // same-instant events coalesce
-  EXPECT_GE(links, recomputes);   // every recompute touches >= 1 link
-  EXPECT_LE(full, recomputes);    // a full refill is one kind of recompute
+  for (const WanFairness fairness :
+       {WanFairness::kEqualSplit, WanFairness::kMaxMin}) {
+    ServiceOptions options;
+    options.policy = Policy::kEasyBackfill;
+    options.backfill_depth = 64;
+    options.wan_contention = true;
+    options.wan_fairness = fairness;
+    options.wan_link_Bps = 0.05e9 / 8.0;
+    MetricsRegistry metrics;
+    options.metrics = &metrics;
+    GridJobService service(paper_grid(), model::paper_calibration(),
+                           options);
+    const ServiceReport report = service.run(jobs);
+    const std::string rule = wan_fairness_name(fairness);
+    EXPECT_EQ(report.completed_jobs + report.failed_jobs, 300) << rule;
+    EXPECT_GT(report.max_wan_slowdown, 1.0) << rule;  // really contends
+    const double events = metrics.gauge("wan.rebalance.events");
+    const double recomputes = metrics.gauge("wan.rebalance.recomputes");
+    const double links = metrics.gauge("wan.rebalance.links_touched");
+    const double full = metrics.gauge("wan.rebalance.full_refills");
+    EXPECT_GT(events, 0.0) << rule;
+    EXPECT_GT(recomputes, 0.0) << rule;
+    EXPECT_LT(recomputes, events) << rule;  // same-instant events coalesce
+    EXPECT_GE(links, recomputes) << rule;   // each recompute touches >= 1
+    EXPECT_LE(full, recomputes) << rule;    // a full refill is a recompute
+  }
 }
 
 // ---------------------------------------------------------- regression

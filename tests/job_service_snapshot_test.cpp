@@ -4,7 +4,7 @@
 // service resumes faithfully, but a format that drifted symmetrically —
 // writer and reader changed together — would pass it while silently
 // orphaning every checkpoint written before the change. The format pin
-// closes that hole: three mid-run snapshots whose length and FNV-1a-64
+// closes that hole: four mid-run snapshots whose length and FNV-1a-64
 // hash are committed constants. A layout change must show up here and
 // bump kSnapshotVersion.
 //
@@ -113,6 +113,18 @@ PinCase prio_case() {
   return c;
 }
 
+/// EASY over a 4-site equal-split WAN with one 2-proc node per site, so
+/// every 4- and 8-proc job spans sites; pinned while two multi-cluster
+/// flows are live (per-pool rates and active flags, backbone pools).
+PinCase equal_case() {
+  PinCase c{"equal-wan", simgrid::GridTopology::grid5000(4, 1, 2), {}, {}, 12};
+  c.options.policy = Policy::kEasyBackfill;
+  c.options.wan_contention = true;
+  c.options.wan_link_Bps = 2e6;
+  c.jobs = workload(12, 1, 7);
+  return c;
+}
+
 /// Steps `c` to its pin point and returns the snapshot bytes.
 std::string pinned_snapshot(const PinCase& c) {
   GridJobService service(c.topo, model::paper_calibration(), c.options);
@@ -133,9 +145,10 @@ TEST(SnapshotFormat, PinnedLengthAndHash) {
     std::uint64_t hash;
   };
   const std::vector<Pin> pins = {
-      {easy_case(&tracer, &metrics), 17068, 0xd697c9431433537full},
-      {fair_case(), 4123, 0xd940f35fdbebb3c9ull},
-      {prio_case(), 3467, 0x6c80572e88c631bbull},
+      {easy_case(&tracer, &metrics), 17068, 0xd4a781a86a9c13caull},
+      {fair_case(), 4123, 0x9619f1051e672926ull},
+      {prio_case(), 3467, 0xa84fee892b1d9ea4ull},
+      {equal_case(), 3669, 0xf88bc12cd4ff8da9ull},
   };
   for (const Pin& pin : pins) {
     tracer.clear();
@@ -145,6 +158,20 @@ TEST(SnapshotFormat, PinnedLengthAndHash) {
     EXPECT_EQ(fnv1a64(bytes), pin.hash)
         << pin.c.name << ": 0x" << std::hex << fnv1a64(bytes);
   }
+}
+
+TEST(SnapshotFormat, EqualSplitPinHoldsLiveWanFlows) {
+  // The equal-split pin guards the per-pool WAN state only if flows are
+  // in flight at its pin step: the trunk load sampled there counts the
+  // multi-cluster flows with undrained demand.
+  MetricsRegistry metrics;
+  PinCase c = equal_case();
+  c.options.metrics = &metrics;
+  pinned_snapshot(c);
+  const auto* trunk = metrics.series("wan.backbone_load");
+  ASSERT_NE(trunk, nullptr);
+  ASSERT_FALSE(trunk->empty());
+  EXPECT_GE(trunk->back().second, 2.0);
 }
 
 // ---------------------------------------------------- hostile bytes
@@ -202,13 +229,15 @@ TEST(SnapshotHostileBytes, MutatedCheckpointsEndInSuccessOrError) {
   // Real checkpoints with every section populated: EASY with tracer,
   // metrics, blame, and outages; fair-share deficits with restart
   // credit; a max-min WAN with live per-peer flows, bound to telemetry
-  // too so its sections sit mid-stream rather than at the tail.
+  // too so its sections sit mid-stream rather than at the tail; and an
+  // equal-split WAN with live multi-cluster flows.
   ServiceTracer tracer;
   MetricsRegistry metrics;
   PinCase prio = prio_case();
   prio.options.tracer = &tracer;
   prio.options.metrics = &metrics;
-  for (const PinCase& c : {easy_case(&tracer, &metrics), fair_case(), prio}) {
+  for (const PinCase& c :
+       {easy_case(&tracer, &metrics), fair_case(), prio, equal_case()}) {
     tracer.clear();
     metrics.clear();
     const std::string checkpoint = pinned_snapshot(c);

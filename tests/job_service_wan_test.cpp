@@ -13,6 +13,7 @@
 #include <limits>
 #include <numeric>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "sched/service.hpp"
@@ -156,7 +157,44 @@ TEST(WanModel, SubEpsilonResidualRetiresAtRelativeTolerance) {
   EXPECT_DOUBLE_EQ(wan2.drained_at_s(flow2), 1.0e13);
 }
 
-// --- Incremental max-min maintenance ------------------------------------
+TEST(WanModel, HugeOrInfiniteTrunkDrainsInBoundedSteps) {
+  // Equal-split, one flow admitted at t = 50 s with 1037-byte uplink and
+  // backbone pools. At 1.25e17 B/s the backbone pool drains in about one
+  // ulp of the clock, so rounding leaves ~150 bytes whose own drain time
+  // is below an ulp: now + bytes/rate == now. An infinite trunk would
+  // drain its pool at an infinite rate. Either way the event loop must
+  // keep moving — next_event_s steps at least to the next representable
+  // instant, and an infinite trunk admits no backbone pool at all — and
+  // the site uplink alone sets the drain time.
+  for (const double trunk_Bps :
+       {1.25e17, std::numeric_limits<double>::infinity()}) {
+    GridWanModel wan(2, 12.5e6, trunk_Bps, WanFairness::kEqualSplit);
+    const double t0 = 50.0;
+    const int flow =
+        wan.admit(t0, {make_pool(Link::kUplink, 0, 1037.0, t0),
+                       make_pool(Link::kBackbone, -1, 1037.0, t0)});
+    double now = t0;
+    int steps = 0;
+    for (; steps < 8 && !wan.drained(flow); ++steps) {
+      const double next = wan.next_event_s(now);
+      ASSERT_GT(next, now) << "trunk " << trunk_Bps << " step " << steps;
+      wan.advance(now, next);
+      now = next;
+    }
+    ASSERT_TRUE(wan.drained(flow)) << "trunk " << trunk_Bps;
+    EXPECT_NEAR(wan.drained_at_s(flow), t0 + 1037.0 / 12.5e6, 1e-9);
+    // No backbone pool on the unconstrained core: the uplink drain is the
+    // only event.
+    if (std::isinf(trunk_Bps)) {
+      EXPECT_EQ(steps, 1);
+    }
+    std::vector<long long> egress(2, 0), ingress(2, 0);
+    wan.retire(flow, egress, ingress);
+    EXPECT_EQ(egress[0], 1037);
+  }
+}
+
+// --- Incremental rate maintenance (both fairness rules) -----------------
 
 /// Scripted random churn against a model: admissions with mixed
 /// immediate/deferred activations, event-aligned and mid-interval
@@ -237,23 +275,30 @@ std::vector<int> churn_models(std::vector<GridWanModel*> models,
   return live;
 }
 
+constexpr WanFairness kBothRules[] = {WanFairness::kEqualSplit,
+                                      WanFairness::kMaxMin};
+
 TEST(WanModelIncremental, RandomChurnMatchesGlobalOracle) {
   // The differential acceptance gate: with the oracle armed, EVERY
   // component rebalance is shadowed by a global fill over the time-based
   // demand view and compared rate-by-rate. The incremental path is
-  // bit-identical by construction (same allocator, same demand order,
+  // bit-identical by construction (same rate rule, same demand order,
   // same arithmetic), so the recorded divergence must be exactly zero —
   // the 1e-12 bound is the acceptance threshold, the zero is what
   // construction promises.
-  for (const unsigned seed : {11u, 23u, 57u}) {
-    GridWanModel wan(4, 100.0, 250.0, WanFairness::kMaxMin);
-    wan.set_rate_oracle_check(true);
-    std::mt19937 rng(seed);
-    churn_models({&wan}, rng, 400, 4, /*pair_peers=*/false,
-                 /*query_first_each_op=*/false);
-    EXPECT_GT(wan.rebalance_recomputes(), 0u) << "seed " << seed;
-    EXPECT_LE(wan.max_oracle_rate_error(), 1e-12) << "seed " << seed;
-    EXPECT_EQ(wan.max_oracle_rate_error(), 0.0) << "seed " << seed;
+  for (const WanFairness fairness : kBothRules) {
+    for (const unsigned seed : {11u, 23u, 57u}) {
+      GridWanModel wan(4, 100.0, 250.0, fairness);
+      wan.set_rate_oracle_check(true);
+      std::mt19937 rng(seed);
+      churn_models({&wan}, rng, 400, 4, /*pair_peers=*/false,
+                   /*query_first_each_op=*/false);
+      const std::string where =
+          wan_fairness_name(fairness) + " seed " + std::to_string(seed);
+      EXPECT_GT(wan.rebalance_recomputes(), 0u) << where;
+      EXPECT_LE(wan.max_oracle_rate_error(), 1e-12) << where;
+      EXPECT_EQ(wan.max_oracle_rate_error(), 0.0) << where;
+    }
   }
 }
 
@@ -265,15 +310,19 @@ TEST(WanModelIncremental, RandomChurnMatchesOracleWithPairHorizons) {
   pair_Bps[0 * 3 + 1] = 40.0;  // tight horizon
   pair_Bps[1 * 3 + 2] = 60.0;
   pair_Bps[2 * 3 + 0] = 25.0;  // tighter than any uplink share
-  for (const unsigned seed : {5u, 71u}) {
-    GridWanModel wan(3, 100.0, 250.0, WanFairness::kMaxMin, pair_Bps);
-    ASSERT_TRUE(wan.pair_aware());
-    wan.set_rate_oracle_check(true);
-    std::mt19937 rng(seed);
-    churn_models({&wan}, rng, 400, 3, /*pair_peers=*/true,
-                 /*query_first_each_op=*/false);
-    EXPECT_GT(wan.rebalance_recomputes(), 0u) << "seed " << seed;
-    EXPECT_EQ(wan.max_oracle_rate_error(), 0.0) << "seed " << seed;
+  for (const WanFairness fairness : kBothRules) {
+    for (const unsigned seed : {5u, 71u}) {
+      GridWanModel wan(3, 100.0, 250.0, fairness, pair_Bps);
+      ASSERT_TRUE(wan.pair_aware());
+      wan.set_rate_oracle_check(true);
+      std::mt19937 rng(seed);
+      churn_models({&wan}, rng, 400, 3, /*pair_peers=*/true,
+                   /*query_first_each_op=*/false);
+      const std::string where =
+          wan_fairness_name(fairness) + " seed " + std::to_string(seed);
+      EXPECT_GT(wan.rebalance_recomputes(), 0u) << where;
+      EXPECT_EQ(wan.max_oracle_rate_error(), 0.0) << where;
+    }
   }
 }
 
@@ -388,22 +437,6 @@ TEST(WanModelIncremental, SameInstantEventsCoalesceIntoOneRebalance) {
   EXPECT_LE(wan.rebalance_full_refills(), wan.rebalance_recomputes());
   wan.advance(0.0, 18.0);
   EXPECT_TRUE(wan.drained(b));
-}
-
-TEST(WanModelIncremental, EqualSplitReportsNoRebalanceCounters) {
-  // The counters are the incremental engine's telemetry; the equal-split
-  // baseline keeps its legacy time-based path and must stay silent.
-  GridWanModel wan(2, 100.0, 200.0, WanFairness::kEqualSplit);
-  const int flow = wan.admit(0.0, {make_pool(Link::kUplink, 0, 500.0, 0.0)});
-  wan.advance(0.0, wan.next_event_s(0.0));
-  EXPECT_TRUE(wan.drained(flow));
-  EXPECT_EQ(wan.rebalance_events(), 0u);
-  EXPECT_EQ(wan.rebalance_recomputes(), 0u);
-  EXPECT_EQ(wan.rebalance_links_touched(), 0u);
-  EXPECT_EQ(wan.rebalance_full_refills(), 0u);
-  // The estimate-basis generation still advances (both modes share the
-  // cached planning basis), so estimates stay fresh across drains.
-  EXPECT_GT(wan.rebalance_generation(), 0u);
 }
 
 // --- Service level ------------------------------------------------------

@@ -55,12 +55,14 @@
 //       uplink (wired through to DesEngine::set_wan_aggregate_Bps for
 //       every replay); --wan-contention makes concurrent jobs SHARE
 //       those uplinks plus a backbone (--backbone-gbps, default sites/2
-//       x uplink), stretching finish times under load; --wan-fair picks
-//       the WanAllocator (equal-split per link, the default, or
-//       progressive-filling max-min); --wan-aware steers placements
-//       toward currently-idle uplinks and REQUIRES --wan-contention
-//       (network-aware placement is meaningless without the shared
-//       model — the bare flag is rejected).
+//       x uplink; inf = an unconstrained core under either rule),
+//       stretching finish times under load; --wan-fair picks the rate
+//       rule (equal-split per link, the default, or progressive-filling
+//       max-min; both run through the one incremental rate engine);
+//       --wan-aware steers placements toward currently-idle uplinks and
+//       REQUIRES --wan-contention (network-aware placement is
+//       meaningless without the shared model — the bare flag is
+//       rejected).
 //       --backend selects how granted attempts run: des (cached DES
 //       replay, the default — figure-scale jobs in milliseconds) or msg
 //       (REAL threaded execution of every attempt on msg::Runtime with

@@ -27,6 +27,11 @@ struct Roofline {
   /// Effective per-process rate in Gflop/s for kernels working on
   /// ncols-column blocks; ncols <= 0 means "peak" (pure DGEMM).
   double rate_gflops(int ncols) const;
+
+  bool operator==(const Roofline&) const = default;
+  /// Field list for visitors (the job service's snapshot guard).
+  template <class V>
+  void visit(V& v) { v(dgemm_gflops, f_min, f_max, n_half); }
 };
 
 /// The calibration used by all benches (kept in one place so EXPERIMENTS.md

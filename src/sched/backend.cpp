@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -13,11 +15,23 @@
 #include "linalg/norms.hpp"
 #include "model/costs.hpp"
 #include "msg/comm.hpp"
+#include "sched/service.hpp"
 #include "sched/telemetry.hpp"
 #include "simgrid/cost.hpp"
 #include "simgrid/des.hpp"
 
 namespace qrgrid::sched {
+
+namespace {
+
+/// Matrix payload seed of real executions (per-job-id diffused).
+constexpr std::uint64_t kMatrixSeed = 2026;
+/// Real executions refuse jobs with more matrix entries (m x n) than
+/// this: the msg-runtime kind is for SMALL workloads; figure-scale jobs
+/// belong on the replay kind.
+constexpr double kMaxExecuteElements = 8e6;
+
+}  // namespace
 
 BackendKind backend_of(const std::string& name) {
   if (name == "des") return BackendKind::kDesReplay;
@@ -92,25 +106,20 @@ SubTopology placement_topology(const simgrid::GridTopology& master,
 
 }  // namespace
 
-const std::vector<ProfileExemplar>& ExecutionBackend::profile_exemplars()
-    const {
-  static const std::vector<ProfileExemplar> kEmpty;
-  return kEmpty;
+ExecutionBackend::ExecutionBackend(const simgrid::GridTopology& topology,
+                                   const model::Roofline& roofline,
+                                   const ServiceOptions& options)
+    : topology_(topology),
+      roofline_(roofline),
+      options_(options),
+      tracer_(options.tracer),
+      metrics_(options.metrics) {}
+
+bool ExecutionBackend::executes() const {
+  return options_.backend == BackendKind::kMsgRuntime;
 }
 
-DesReplayBackend::DesReplayBackend(const simgrid::GridTopology* topology,
-                                   model::Roofline roofline,
-                                   BackendOptions options)
-    : topology_(topology), roofline_(roofline), options_(options) {
-  QRGRID_CHECK(topology != nullptr);
-  QRGRID_CHECK(options_.domains_per_cluster >= 0 ||
-               options_.domains_per_cluster == core::kOneDomainPerProcess);
-  QRGRID_CHECK_MSG(options_.wan_link_Bps > 0.0,
-                   "wan_link_Bps must be positive (got "
-                       << options_.wan_link_Bps << ")");
-}
-
-const ExecutionProfile& DesReplayBackend::profile(const Job& job,
+const ExecutionProfile& ExecutionBackend::profile(const Job& job,
                                                   const Placement& placement) {
   std::ostringstream key;
   key.precision(17);  // round-trip doubles: distinct m must not collide
@@ -127,7 +136,7 @@ const ExecutionProfile& DesReplayBackend::profile(const Job& job,
   }
   if (metrics_ != nullptr) metrics_->add("backend.profile_misses");
 
-  SubTopology sub = placement_topology(*topology_, placement);
+  SubTopology sub = placement_topology(topology_, placement);
 
   int domains = options_.domains_per_cluster;
   if (domains == 0) {
@@ -143,7 +152,9 @@ const ExecutionProfile& DesReplayBackend::profile(const Job& job,
 
   simgrid::DesEngine engine(&sub.topology, roofline_);
   engine.set_wan_aggregate_Bps(options_.wan_link_Bps);
-  engine.record_wan_transfers(options_.record_wan_transfers);
+  // Per-transfer WAN events feed only the shared-WAN model's activation
+  // windows: contention-free services never grow vectors nothing reads.
+  engine.record_wan_transfers(options_.wan_contention);
   const core::DomainLayout layout =
       core::make_domain_layout(sub.topology, domains);
   core::des_tsqr(engine, layout.groups, layout.domain_cluster, job.m, job.n,
@@ -181,7 +192,7 @@ const ExecutionProfile& DesReplayBackend::profile(const Job& job,
   const ExecutionProfile& entry =
       profile_cache_.emplace(key.str(), std::move(profile)).first->second;
   // Exemplar for snapshot pre-warm: the key above is a pure function of
-  // (job shape, placement, backend options), so replaying this pair
+  // (job shape, placement, service options), so replaying this pair
   // recomputes exactly this cache entry.
   exemplars_.push_back(ProfileExemplar{job, placement});
   if (tracer_ != nullptr) {
@@ -191,20 +202,22 @@ const ExecutionProfile& DesReplayBackend::profile(const Job& job,
   return entry;
 }
 
-ExecutionResult MsgRuntimeBackend::execute(const Job& job,
-                                           const Placement& placement,
-                                           double abort_vtime_s) {
+ExecutionResult ExecutionBackend::execute(const Job& job,
+                                          const Placement& placement,
+                                          double abort_vtime_s) {
+  QRGRID_CHECK(executes());
   const auto m_total = static_cast<std::int64_t>(std::llround(job.m));
   const auto n = static_cast<Index>(job.n);
   QRGRID_CHECK_MSG(static_cast<double>(m_total) * job.n <=
-                       options_.max_execute_elements,
+                       kMaxExecuteElements,
                    "job " << job.id << " (" << job.m << " x " << job.n
                           << ") is too large for the msg-runtime backend "
-                             "(max_execute_elements = "
-                          << options_.max_execute_elements
-                          << "); run it on the des-replay backend");
+                             "(at most "
+                          << kMaxExecuteElements
+                          << " matrix entries); run it on the des-replay "
+                             "backend");
 
-  SubTopology sub = placement_topology(*topology_, placement);
+  SubTopology sub = placement_topology(topology_, placement);
   const int procs = sub.topology.total_procs();
   QRGRID_CHECK_MSG(m_total / procs >= n,
                    "job " << job.id << ": " << m_total << " rows over "
@@ -221,13 +234,13 @@ ExecutionResult MsgRuntimeBackend::execute(const Job& job,
   runtime.set_vtime_limit(abort_vtime_s);
 
   // Every job factors a genuinely distinct matrix: the payload seed is a
-  // per-job-id diffusion of the backend seed (same idiom as the outage
+  // per-job-id diffusion of kMatrixSeed (same idiom as the outage
   // generator's per-cluster streams).
   const std::uint64_t seed =
-      options_.matrix_seed +
+      kMatrixSeed +
       0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(job.id + 1);
-  const bool use_caqr =
-      options_.caqr_panel_width > 0 && job.n > options_.caqr_panel_width;
+  const int panel_width = options_.backend_caqr_panel_width;
+  const bool use_caqr = panel_width > 0 && job.n > panel_width;
 
   std::vector<Matrix> q_blocks(static_cast<std::size_t>(procs));
   std::vector<double> factor_vtime(static_cast<std::size_t>(procs), 0.0);
@@ -243,7 +256,7 @@ ExecutionResult MsgRuntimeBackend::execute(const Job& job,
                          seed);
       if (use_caqr) {
         core::CaqrOptions opts;
-        opts.panel_width = options_.caqr_panel_width;
+        opts.panel_width = panel_width;
         opts.tsqr.tree = job.tree;
         opts.tsqr.rank_cluster = rank_cluster;
         core::CaqrFactors f = core::caqr_factor(
@@ -302,18 +315,6 @@ ExecutionResult MsgRuntimeBackend::execute(const Job& job,
   result.orthogonality = orthogonality_error(q.view());
   note_execution(result);
   return result;
-}
-
-std::unique_ptr<ExecutionBackend> make_backend(
-    BackendKind kind, const simgrid::GridTopology* topology,
-    model::Roofline roofline, const BackendOptions& options) {
-  switch (kind) {
-    case BackendKind::kDesReplay:
-      return std::make_unique<DesReplayBackend>(topology, roofline, options);
-    case BackendKind::kMsgRuntime:
-      return std::make_unique<MsgRuntimeBackend>(topology, roofline, options);
-  }
-  throw Error("unreachable backend kind");
 }
 
 }  // namespace qrgrid::sched

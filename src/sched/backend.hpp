@@ -1,15 +1,15 @@
-// Pluggable execution backends for the grid job service.
+// The execution backend of the grid job service: one class, two kinds.
 //
 // GridJobService turns a queue of factorization requests into virtual-time
 // scheduling decisions; HOW one granted attempt actually runs is this
-// interface. Two implementations:
+// class, in the kind ServiceOptions::backend selects:
 //
-//   DesReplayBackend — the cached des_tsqr replay (the PR-1..3 behavior,
-//     byte-identical): one DES pass per (shape x placement), memoized, no
-//     payload data ever touched. This is what lets a 1000-job bench finish
-//     in seconds and is the production path for figure-scale matrices.
+//   kDesReplay — the cached des_tsqr replay: one DES pass per (shape x
+//     placement), memoized, no payload data ever touched. This is what
+//     lets a 1000-job bench finish in seconds and is the production path
+//     for figure-scale matrices.
 //
-//   MsgRuntimeBackend — actually executes tsqr_factor / caqr_factor on a
+//   kMsgRuntime — additionally executes tsqr_factor / caqr_factor on a
 //     threaded msg::Runtime sized to the placement, with the placement's
 //     sub-topology mapped through msg::cost_model (TopologyCostModel), and
 //     reports real numerics (residual, orthogonality) per job. Injected
@@ -19,17 +19,14 @@
 //     synthetically truncating a replay.
 //
 // The contract that makes the service's decisions backend-INDEPENDENT:
-// both backends derive their performance profile from the same DES replay
-// code (MsgRuntimeBackend inherits DesReplayBackend::profile), so
+// both kinds schedule with the same cached replay profile(), so
 // placement, start order, and backfill choices are identical under either
-// backend by construction — and the equivalence suite pins exactly that,
+// kind by construction — and the equivalence suite pins exactly that,
 // plus the measured-vs-replayed finish-time agreement that turns the
 // simulator into a validated predictor.
 #pragma once
 
-#include <cstdint>
 #include <limits>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -42,6 +39,7 @@ namespace qrgrid::sched {
 
 class MetricsRegistry;
 class ServiceTracer;
+struct ServiceOptions;
 
 /// Nodes granted to one job, parallel arrays over the clusters used
 /// (ascending master cluster id — the canonical form the profile cache
@@ -87,47 +85,18 @@ struct ExecutionResult {
   double orthogonality = std::numeric_limits<double>::quiet_NaN();
 };
 
-/// Which backend a ServiceOptions asks for.
+/// Which kind of backend a ServiceOptions asks for.
 enum class BackendKind {
   kDesReplay,   ///< cached DES replay (default, figure-scale)
-  kMsgRuntime,  ///< threaded msg::Runtime execution (small workloads)
+  kMsgRuntime,  ///< replay plus threaded msg::Runtime execution (small)
 };
 /// Parses "des" | "msg"; throws qrgrid::Error otherwise.
 BackendKind backend_of(const std::string& name);
 std::string backend_name(BackendKind kind);
 
-/// Knobs shared by every backend (split out of ServiceOptions so backends
-/// do not depend on scheduling policy).
-struct BackendOptions {
-  /// Domains per cluster for the TSQR replay; 0 = auto (one domain per
-  /// process for N <= 128, at most 16 for wider panels),
-  /// core::kOneDomainPerProcess = exactly one single-rank domain per
-  /// process — the layout under which the msg runtime's execution is
-  /// structurally identical to the replay schedule.
-  int domains_per_cluster = 0;
-  /// Aggregate per-site WAN uplink capacity forwarded to every replay's
-  /// DesEngine (part of the profile cache key).
-  double wan_link_Bps = 10e9 / 8.0;
-  /// Record per-transfer WAN events in the replay (the shared-WAN
-  /// contention model's activation windows). Off for contention-free
-  /// services so figure-scale replays never grow vectors nothing reads.
-  bool record_wan_transfers = false;
-  /// Matrix data seed for real executions; each job's payload is drawn
-  /// from a per-job-id diffusion of this, so distinct jobs factor
-  /// genuinely different matrices.
-  std::uint64_t matrix_seed = 2026;
-  /// Real executions refuse jobs with more than this many matrix entries
-  /// (m x n): the msg backend is for SMALL workloads; figure-scale jobs
-  /// belong on the replay backend.
-  double max_execute_elements = 8e6;
-  /// When > 0, jobs wider than this run the full CAQR panel algorithm
-  /// (caqr_factor, panels of this width) instead of single-panel TSQR.
-  int caqr_panel_width = 0;
-};
-
 /// Topology over a per-cluster node subset of `master`, plus the mapping
 /// from its cluster indices back to master cluster ids. Shared by the
-/// service's placement path (free nodes) and the backends' replay /
+/// service's placement path (free nodes) and the backend's replay /
 /// execution paths (granted nodes). `order` lists master cluster ids in
 /// the sequence the MetaScheduler's first-fit should consider them
 /// (identity = naive; the wan-aware path passes idlest-uplink-first).
@@ -155,92 +124,57 @@ struct ProfileExemplar {
 };
 
 /// How granted attempts run. profile() is what the service schedules and
-/// accounts with — it MUST be backend-independent (see the header
-/// comment); execute() is the optional real run.
+/// accounts with — the same for both kinds (see the header comment);
+/// execute() is the kMsgRuntime kind's real run. Borrows the owning
+/// service's topology, roofline, and options: one declaration of the
+/// run's configuration, read where it is used.
 class ExecutionBackend {
  public:
-  virtual ~ExecutionBackend() = default;
+  ExecutionBackend(const simgrid::GridTopology& topology,
+                   const model::Roofline& roofline,
+                   const ServiceOptions& options);
 
-  virtual std::string name() const = 0;
-
-  /// True when execute() actually runs factorizations (the service skips
-  /// the call entirely otherwise — no result plumbing on the hot path).
-  virtual bool executes() const = 0;
+  /// True for the kMsgRuntime kind: execute() actually runs
+  /// factorizations (the service skips the call entirely otherwise — no
+  /// result plumbing on the hot path).
+  bool executes() const;
 
   /// Memoized performance profile of the job on its granted nodes.
   /// The reference stays valid for the backend's lifetime.
-  virtual const ExecutionProfile& profile(const Job& job,
-                                          const Placement& placement) = 0;
+  const ExecutionProfile& profile(const Job& job, const Placement& placement);
 
-  /// Runs the attempt for real. `abort_vtime_s` is where an injected kill
-  /// (outage or walltime) lands on the factorization's virtual timeline:
-  /// any rank whose clock crosses it aborts the communicator, releasing
-  /// every peer — +infinity runs to completion and verifies numerics.
-  virtual ExecutionResult execute(const Job& job, const Placement& placement,
-                                  double abort_vtime_s) = 0;
+  /// Runs the attempt for real; requires executes(). `abort_vtime_s` is
+  /// where an injected kill (outage or walltime) lands on the
+  /// factorization's virtual timeline: any rank whose clock crosses it
+  /// aborts the communicator, releasing every peer — +infinity runs to
+  /// completion and verifies numerics.
+  ExecutionResult execute(const Job& job, const Placement& placement,
+                          double abort_vtime_s);
 
-  /// Observability seam: the service binds its (optional) tracer and
-  /// metrics before a run so backends can report profile-cache traffic
-  /// and real executions. Nulls (the default) disable recording; nothing
-  /// here may influence a profile or an execution.
+  /// Observability seam: the service's (optional) tracer and metrics,
+  /// bound at construction, through which the backend reports
+  /// profile-cache traffic and real executions. The restore path unbinds
+  /// them (nulls) while it re-warms the cache; nothing here may influence
+  /// a profile or an execution.
   void bind_telemetry(ServiceTracer* tracer, MetricsRegistry* metrics) {
     tracer_ = tracer;
     metrics_ = metrics;
   }
 
   /// Snapshot seam: every cache miss this backend ever computed, in
-  /// order. The base backend has no cache and returns an empty list.
-  virtual const std::vector<ProfileExemplar>& profile_exemplars() const;
-
- protected:
-  ServiceTracer* tracer_ = nullptr;
-  MetricsRegistry* metrics_ = nullptr;
-};
-
-/// The cached-DES-replay backend (refactored out of GridJobService,
-/// byte-identical behavior). execute() never runs anything.
-class DesReplayBackend : public ExecutionBackend {
- public:
-  DesReplayBackend(const simgrid::GridTopology* topology,
-                   model::Roofline roofline, BackendOptions options);
-
-  std::string name() const override { return "des-replay"; }
-  bool executes() const override { return false; }
-  const ExecutionProfile& profile(const Job& job,
-                                  const Placement& placement) override;
-  ExecutionResult execute(const Job&, const Placement&, double) override {
-    return {};
-  }
-
-  const std::vector<ProfileExemplar>& profile_exemplars() const override {
+  /// order.
+  const std::vector<ProfileExemplar>& profile_exemplars() const {
     return exemplars_;
   }
 
- protected:
-  const simgrid::GridTopology* topology_;
-  model::Roofline roofline_;
-  BackendOptions options_;
-
  private:
+  const simgrid::GridTopology& topology_;
+  const model::Roofline& roofline_;
+  const ServiceOptions& options_;
+  ServiceTracer* tracer_ = nullptr;
+  MetricsRegistry* metrics_ = nullptr;
   std::unordered_map<std::string, ExecutionProfile> profile_cache_;
   std::vector<ProfileExemplar> exemplars_;  ///< cache misses, in order
 };
-
-/// Threaded-runtime backend: schedules with the inherited DES profile
-/// (identical decisions by construction) and additionally executes every
-/// attempt on a msg::Runtime over the placement's sub-topology.
-class MsgRuntimeBackend final : public DesReplayBackend {
- public:
-  using DesReplayBackend::DesReplayBackend;
-
-  std::string name() const override { return "msg-runtime"; }
-  bool executes() const override { return true; }
-  ExecutionResult execute(const Job& job, const Placement& placement,
-                          double abort_vtime_s) override;
-};
-
-std::unique_ptr<ExecutionBackend> make_backend(
-    BackendKind kind, const simgrid::GridTopology* topology,
-    model::Roofline roofline, const BackendOptions& options);
 
 }  // namespace qrgrid::sched

@@ -55,10 +55,10 @@ class PrescribedOracle : public TieOracle {
 };
 
 /// Builds one fresh service per enumerated interleaving, identically
-/// configured every time (the snapshot fingerprint enforces this), with
-/// the explorer's tracer/metrics bound through ServiceOptions. The
-/// tracer must be bound (leaf validation reads it); metrics may be
-/// ignored by the factory.
+/// configured every time (the snapshot's configuration tags enforce
+/// this), with the explorer's tracer/metrics bound through
+/// ServiceOptions. The tracer must be bound (leaf validation reads it);
+/// metrics may be ignored by the factory.
 using ServiceFactory = std::function<std::unique_ptr<GridJobService>(
     ServiceTracer* tracer, MetricsRegistry* metrics)>;
 

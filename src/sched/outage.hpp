@@ -87,7 +87,7 @@ class OutageTrace {
     }
   }
 
-  /// Configuration digest for the service snapshot fingerprint: a hash
+  /// Configuration digest for the service snapshot's `outages` tag: a hash
   /// over the defining boundary list (explicit mode) or the generator
   /// means and initial per-cluster stream states (generated mode).
   /// Consumable position (cursor, consumed draws) is excluded — the key

@@ -42,7 +42,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -59,9 +58,6 @@ class SnapshotReader;
 class SchedulingPolicy {
  public:
   virtual ~SchedulingPolicy() = default;
-
-  /// Stable identifier, also the summary-table row label ("fcfs", ...).
-  virtual std::string name() const = 0;
 
   /// Strict weak ordering of the pending queue; the front is the next
   /// job the policy owes the grid.
@@ -146,14 +142,12 @@ class SchedulingPolicy {
 /// id), no backfilling.
 class FcfsPolicy : public SchedulingPolicy {
  public:
-  std::string name() const override { return "fcfs"; }
   bool before(const PendingEntry& a, const PendingEntry& b) const override;
 };
 
 /// Shortest predicted job first: (predicted seconds, id).
 class SpjfPolicy : public SchedulingPolicy {
  public:
-  std::string name() const override { return "spjf"; }
   bool before(const PendingEntry& a, const PendingEntry& b) const override;
 };
 
@@ -163,7 +157,6 @@ class SpjfPolicy : public SchedulingPolicy {
 /// uniform — which the legacy-equivalence suites pin byte-for-byte.
 class EasyBackfillPolicy : public SchedulingPolicy {
  public:
-  std::string name() const override { return "easy"; }
   bool before(const PendingEntry& a, const PendingEntry& b) const override;
   bool backfills() const override { return true; }
 };
@@ -174,7 +167,6 @@ class EasyBackfillPolicy : public SchedulingPolicy {
 /// WAN-priced shadow times under contention.
 class PriorityEasyPolicy : public SchedulingPolicy {
  public:
-  std::string name() const override { return "prio-easy"; }
   bool before(const PendingEntry& a, const PendingEntry& b) const override;
   bool backfills() const override { return true; }
   bool wan_priced_shadow() const override { return true; }
@@ -185,7 +177,6 @@ class PriorityEasyPolicy : public SchedulingPolicy {
 /// attempts charge expected node-seconds to their user.
 class FairSharePolicy : public SchedulingPolicy {
  public:
-  std::string name() const override { return "fair"; }
   bool before(const PendingEntry& a, const PendingEntry& b) const override;
   bool dynamic_order() const override { return true; }
   /// Fair-share displacement is a deficit story, not a priority one: the

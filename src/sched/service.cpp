@@ -31,11 +31,14 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// cluster: intra-cluster GigE passes, wide-area links (>= 6 ms) do not.
 constexpr double kGroupMaxLatencyS = 1e-3;
 constexpr double kGroupMinBandwidthBps = 100e6 / 8.0;
+/// Largest number of process groups a job may be split into when the
+/// meta-scheduler cannot place it on fewer clusters.
+constexpr int kMaxGroups = 8;
 
 /// Snapshot framing (see GridJobService::snapshot). The version bumps on
 /// ANY layout change — restore refuses mismatches instead of misreading.
 const char kSnapshotMagic[] = "QRGS";
-constexpr std::uint32_t kSnapshotVersion = 3;
+constexpr std::uint32_t kSnapshotVersion = 4;
 
 /// Throws qrgrid::Error unless `p` is a placement this topology could
 /// have granted: ascending distinct clusters, each holding 1..capacity
@@ -131,8 +134,9 @@ GridJobService::GridJobService(simgrid::GridTopology topology,
                                ServiceOptions options)
     : topology_(std::move(topology)),
       roofline_(roofline),
-      options_(options) {
-  QRGRID_CHECK(options_.max_groups >= 1);
+      options_(std::move(options)),
+      policy_(make_policy(options_.policy)),
+      backend_(topology_, roofline_, options_) {
   QRGRID_CHECK(options_.domains_per_cluster >= 0 ||
                options_.domains_per_cluster == core::kOneDomainPerProcess);
   // The uplink capacity feeds every replay's WAN horizon (and, when
@@ -143,24 +147,14 @@ GridJobService::GridJobService(simgrid::GridTopology topology,
                        << options_.wan_link_Bps << ")");
   QRGRID_CHECK_MSG(options_.wan_backbone_Bps >= 0.0,
                    "wan_backbone_Bps must be >= 0 (0 = auto)");
-  // The policy seam: one object owns queue order, backfill decisions,
-  // and placement scoring. run() resets its accrued state (fair-share
-  // deficits) per workload.
-  policy_ = make_policy(options_.policy);
-  BackendOptions backend_options;
-  backend_options.domains_per_cluster = options_.domains_per_cluster;
-  backend_options.wan_link_Bps = options_.wan_link_Bps;
-  backend_options.record_wan_transfers =
-      options_.wan_contention || options_.wan_aware;
-  backend_options.matrix_seed = options_.backend_seed;
-  backend_options.max_execute_elements = options_.backend_max_elements;
-  backend_options.caqr_panel_width = options_.backend_caqr_panel_width;
-  backend_ = make_backend(options_.backend, &topology_, roofline_,
-                          backend_options);
-  // Observability: the policy and backend report through the same
-  // caller-owned sinks as the service itself (null = disabled).
+  // Network-aware placement steers around the shared-WAN model's flows;
+  // without that model there is nothing to steer around.
+  QRGRID_CHECK_MSG(!options_.wan_aware || options_.wan_contention,
+                   "wan_aware requires wan_contention");
+  // Observability: the policy reports through the same caller-owned
+  // sinks as the service itself (null = disabled); the backend binds
+  // them from options_.
   policy_->bind_metrics(options_.metrics);
-  backend_->bind_telemetry(options_.tracer, options_.metrics);
 }
 
 GridJobService::~GridJobService() = default;
@@ -311,7 +305,7 @@ struct GridJobService::Engine {
   Engine(GridJobService& service, std::vector<Job> jobs_in, bool quiet);
 
   /// Builds the residual topology of `nodes_free` and asks a
-  /// MetaScheduler to place the job as 1, 2, ... max_groups single-cluster
+  /// MetaScheduler to place the job as 1, 2, ... kMaxGroups single-cluster
   /// groups (fewest groups first: WAN crossings cost the most). With a
   /// WAN model (wan_aware dispatch), candidate clusters are presented to
   /// the scheduler idlest-uplink-first, so equally feasible placements
@@ -400,7 +394,8 @@ struct GridJobService::Engine {
                  placement != nullptr ? placement->clusters
                                       : std::vector<int>{},
                  placement != nullptr ? placement->nodes : std::vector<int>{},
-                 kind == TraceKind::kRunConfig ? policy.name() : "");
+                 kind == TraceKind::kRunConfig ? policy_name(options.policy)
+                                              : "");
   }
 
   /// Snapshot field list of the in-flight state (the job list travels
@@ -419,7 +414,7 @@ GridJobService::Engine::Engine(GridJobService& service,
       topology(service.topology_),
       options(service.options_),
       policy(*service.policy_),
-      backend(*service.backend_),
+      backend(service.backend_),
       jobs(std::move(jobs_in)),
       trace(options.outages),
       pending(&policy) {
@@ -465,7 +460,7 @@ GridJobService::Engine::Engine(GridJobService& service,
   // trace, so serving several workloads from one service stays pure —
   // and only built when contention is on, so its capacity invariants
   // cannot reject runs that never consult it.
-  wan_on = options.wan_contention || options.wan_aware;
+  wan_on = options.wan_contention;
   if (wan_on) {
     const double backbone_Bps =
         options.wan_backbone_Bps > 0.0
@@ -536,7 +531,7 @@ std::optional<Placement> GridJobService::Engine::try_place(
   // Necessary-condition prechecks before paying for a residual topology
   // and a MetaScheduler: any allocation needs job.procs free procs in
   // total, and every group (even at the max split) is confined to one
-  // cluster, so SOME cluster must hold ceil(procs / max_groups) procs.
+  // cluster, so SOME cluster must hold ceil(procs / kMaxGroups) procs.
   // Pure rejections — a placement that passes is decided exactly as
   // before, so dispatch decisions are unchanged.
   long long free_procs = 0;
@@ -550,7 +545,7 @@ std::optional<Placement> GridJobService::Engine::try_place(
   }
   if (job.procs > free_procs) return std::nullopt;
   const int min_group_procs =
-      (job.procs + options.max_groups - 1) / options.max_groups;
+      (job.procs + kMaxGroups - 1) / kMaxGroups;
   if (min_group_procs > max_cluster_procs) return std::nullopt;
 
   // Placement scoring is the policy's: by default master-id order, or
@@ -564,7 +559,7 @@ std::optional<Placement> GridJobService::Engine::try_place(
 
   // Fewest groups first: every extra group is another cluster boundary the
   // R-factor reduction must cross on a wide-area link.
-  for (int g = 1; g <= options.max_groups; ++g) {
+  for (int g = 1; g <= kMaxGroups; ++g) {
     const int group_procs = (job.procs + g - 1) / g;
     simgrid::JobProfile profile;
     profile.name = "job-" + std::to_string(job.id);
@@ -724,7 +719,7 @@ void GridJobService::Engine::release_nodes(const Placement& pl) {
 bool GridJobService::Engine::placeable_precheck(const Job& job) const {
   if (job.procs > placeable_procs_total) return false;
   const int min_group_procs =
-      (job.procs + options.max_groups - 1) / options.max_groups;
+      (job.procs + kMaxGroups - 1) / kMaxGroups;
   return min_group_procs <= *placeable_procs_index.rbegin();
 }
 
@@ -1855,48 +1850,30 @@ double GridJobService::now_s() const {
   return engine_->clock;
 }
 
-std::string GridJobService::config_fingerprint() const {
-  // Everything a snapshot's byte layout or replayed decisions depend on.
-  // Deliberately excludes the profiler (wall clock only, no snapshot
-  // bytes) and the oracle (a harness installs its own per branch).
-  std::ostringstream out;
-  out.precision(17);
-  out << "policy=" << policy_->name() << ";backend=" << backend_->name()
-      << ";grid=";
-  for (int c = 0; c < topology_.num_clusters(); ++c) {
-    if (c > 0) out << ',';
-    out << topology_.cluster(c).nodes << 'x'
-        << topology_.cluster(c).procs_per_node;
+template <class V>
+void GridJobService::visit_config(V& v) const {
+  // The tie oracle is deliberately absent: a harness installs its own
+  // per branch.
+  const int nclusters = topology_.num_clusters();
+  v.expect(nclusters, "cluster count");
+  for (int c = 0; c < nclusters; ++c) v.expect(topology_.cluster(c), "cluster");
+  v.expect(topology_.intra_node_link(), "intra_node_link");
+  v.expect(topology_.intra_cluster_link(), "intra_cluster_link");
+  for (int a = 0; a < nclusters; ++a) {
+    for (int b = 0; b < nclusters; ++b) {
+      v.expect(topology_.inter_cluster_link(a, b), "inter_cluster_link");
+    }
   }
-  out << ";domains=" << options_.domains_per_cluster
-      << ";max_groups=" << options_.max_groups
-      << ";backfill_depth=" << options_.backfill_depth
-      << ";max_retries=" << options_.max_retries
-      << ";restart_credit=" << options_.restart_credit
-      << ";checkpoint_panels=" << options_.checkpoint_panels
-      << ";checkpoint_cost_s=" << options_.checkpoint_cost_s
-      << ";outages=" << options_.outages.config_key()
-      << ";wan_contention=" << options_.wan_contention
-      << ";wan_aware=" << options_.wan_aware
-      << ";wan_link_Bps=" << options_.wan_link_Bps
-      << ";wan_backbone_Bps=" << options_.wan_backbone_Bps
-      << ";wan_fairness=" << static_cast<int>(options_.wan_fairness)
-      << ";wan_pairs=";
-  for (double v : options_.wan_pair_Bps) out << v << ',';
-  out << ";wait_blame=" << options_.wait_blame
-      << ";backend_seed=" << options_.backend_seed
-      << ";backend_max_elements=" << options_.backend_max_elements
-      << ";caqr_width=" << options_.backend_caqr_panel_width
-      << ";tracer=" << (options_.tracer != nullptr)
-      << ";metrics=" << (options_.metrics != nullptr);
-  return out.str();
+  v.expect(roofline_, "roofline");
+  options_.visit(v);
 }
 
 std::string GridJobService::snapshot() {
   QRGRID_CHECK_MSG(engine_ != nullptr, "no run in flight: start() first");
   SnapshotWriter w;
-  w(std::string(kSnapshotMagic), kSnapshotVersion, config_fingerprint(),
-    engine_->jobs, *engine_);
+  w(std::string(kSnapshotMagic), kSnapshotVersion);
+  visit_config(w);
+  w(engine_->jobs, *engine_);
   return w.bytes();
 }
 
@@ -1913,13 +1890,7 @@ void GridJobService::restore(const std::string& bytes) {
   QRGRID_CHECK_MSG(version == kSnapshotVersion,
                    "snapshot format version " << version
                        << " != supported " << kSnapshotVersion);
-  std::string saved;
-  r(saved);
-  const std::string current = config_fingerprint();
-  QRGRID_CHECK_MSG(saved == current,
-                   "snapshot was taken under a different service "
-                   "configuration\n  saved:   "
-                       << saved << "\n  current: " << current);
+  visit_config(r);
   std::vector<Job> jobs;
   r(jobs);
   for (const Job& job : jobs) check_job(job);

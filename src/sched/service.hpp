@@ -43,16 +43,17 @@
 // flows. Note EASY's no-delay guarantee is proved against replay-exact
 // (or walltime-bounded) completions; under contention running jobs can
 // outlast their estimates, so the reservation becomes best-effort.
-// Execution backends (sched/backend.hpp): the virtual-time bookkeeping
-// above is always driven by the backend's DES profile, so WHICH backend
-// runs the attempts never changes a scheduling decision. The default
-// DesReplayBackend stops there; the MsgRuntimeBackend additionally
-// executes every attempt for real on a threaded msg::Runtime — completed
-// jobs carry measured makespans and numerics (residual/orthogonality),
-// and injected kills abort the communicator mid-factorization, so the
-// fault accounting is exercised against genuine partial executions. The
-// equivalence suite pins the two backends to identical decisions and to
-// finish-time agreement within a stated tolerance.
+// Execution backend (sched/backend.hpp): one class in two kinds. The
+// virtual-time bookkeeping above is always driven by its cached DES
+// replay profile, so WHICH kind runs the attempts never changes a
+// scheduling decision. The default kDesReplay kind stops there;
+// kMsgRuntime additionally executes every attempt for real on a threaded
+// msg::Runtime — completed jobs carry measured makespans and numerics
+// (residual/orthogonality), and injected kills abort the communicator
+// mid-factorization, so the fault accounting is exercised against
+// genuine partial executions. The equivalence suite pins the two kinds
+// to identical decisions and to finish-time agreement within a stated
+// tolerance.
 #pragma once
 
 #include <memory>
@@ -108,11 +109,11 @@ struct ServiceOptions {
   Policy policy = Policy::kFcfs;
   /// Domains per cluster for each job's TSQR replay; 0 = auto (one domain
   /// per process for N <= 128, at most 16 for wider panels — the Fig. 6/7
-  /// trade-off).
+  /// trade-off), core::kOneDomainPerProcess = exactly one single-rank
+  /// domain per process (the layout under which a msg-runtime execution
+  /// is structurally identical to the replay schedule). Part of the
+  /// profile cache key.
   int domains_per_cluster = 0;
-  /// Largest number of process groups a job may be split into when the
-  /// meta-scheduler cannot place it on fewer clusters.
-  int max_groups = 8;
   /// Bound on how many pending candidates one backfill pass examines
   /// behind the blocked head (SLURM's bf_max_job_test). 0 = unlimited,
   /// byte-identical to the historical unbounded scan; production-scale
@@ -147,20 +148,20 @@ struct ServiceOptions {
   bool wan_contention = false;
   /// Network-aware placement: order candidate clusters by how many
   /// in-flight flows currently touch their WAN links, so new placements
-  /// land on idle uplinks when the meta-scheduler has a choice. Implies
-  /// wan_contention.
+  /// land on idle uplinks when the meta-scheduler has a choice. Requires
+  /// wan_contention (the service refuses it alone).
   bool wan_aware = false;
   /// Aggregate capacity of each site's WAN uplink (and downlink), in
   /// bytes/second. Also forwarded to every replay's DesEngine
   /// (set_wan_aggregate_Bps), so one knob governs both the intra-replay
   /// horizon and the cross-job contention model.
   double wan_link_Bps = 10e9 / 8.0;
-  /// Shared backbone capacity; 0 = auto, wan_link_Bps x max(1, sites/2).
+  /// Shared backbone capacity; 0 = auto, wan_link_Bps x max(1, sites/2)
+  /// — a trunk that can carry about half the sites at full tilt.
   /// +infinity = unconstrained core under either fairness rule: the
   /// site access links bind and the trunk imposes no rate constraint
   /// (Grid'5000's overprovisioned RENATER core), so no backbone pools
   /// are admitted and rebalance components stay per-site islands.
-  /// — a trunk that can carry about half the sites at full tilt.
   double wan_backbone_Bps = 0.0;
   /// How concurrent flows share the WAN links (the assign_wan_rates
   /// rule; both run through the one incremental rate engine):
@@ -177,13 +178,10 @@ struct ServiceOptions {
 
   /// --- Execution backend (sched/backend.hpp) ---
   /// How granted attempts run: kDesReplay (cached replay, the default)
-  /// or kMsgRuntime (real threaded execution per attempt, small
-  /// workloads only). Scheduling decisions are backend-independent.
+  /// or kMsgRuntime (real threaded execution per attempt of at most 8M
+  /// matrix entries, small workloads only). Scheduling decisions are
+  /// backend-independent.
   BackendKind backend = BackendKind::kDesReplay;
-  /// Matrix payload seed for real executions (per-job-id diffused).
-  std::uint64_t backend_seed = 2026;
-  /// Real executions refuse jobs with more than this many m x n entries.
-  double backend_max_elements = 8e6;
   /// When > 0, msg-executed jobs wider than this run full CAQR with
   /// panels of this width instead of single-panel TSQR.
   int backend_caqr_panel_width = 0;
@@ -211,6 +209,34 @@ struct ServiceOptions {
   /// times land in `profiler.*` gauges only — never in the virtual-time
   /// trace — so trace byte-determinism is unaffected.
   PhaseProfiler* profiler = nullptr;
+
+  /// Snapshot guard (sched/snapshot.hpp): every option a checkpoint's
+  /// bytes or its replayed decisions depend on, as `expect` tags named
+  /// after the fields — the writer stores them, and restore() compares
+  /// each against this service's value, refusing the first mismatch by
+  /// name. The profiler (wall clock only) is deliberately absent.
+  template <class V>
+  void visit(V& v) const {
+    v.expect(policy, "policy");
+    v.expect(domains_per_cluster, "domains_per_cluster");
+    v.expect(backfill_depth, "backfill_depth");
+    v.expect(outages.config_key(), "outages");
+    v.expect(max_retries, "max_retries");
+    v.expect(restart_credit, "restart_credit");
+    v.expect(checkpoint_panels, "checkpoint_panels");
+    v.expect(checkpoint_cost_s, "checkpoint_cost_s");
+    v.expect(wan_contention, "wan_contention");
+    v.expect(wan_aware, "wan_aware");
+    v.expect(wan_link_Bps, "wan_link_Bps");
+    v.expect(wan_backbone_Bps, "wan_backbone_Bps");
+    v.expect(wan_fairness, "wan_fairness");
+    v.expect(wan_pair_Bps, "wan_pair_Bps");
+    v.expect(backend, "backend");
+    v.expect(backend_caqr_panel_width, "backend_caqr_panel_width");
+    v.expect(tracer != nullptr, "tracer");
+    v.expect(metrics != nullptr, "metrics");
+    v.expect(wait_blame, "wait_blame");
+  }
 };
 
 /// Grid-wide accounting of one service run.
@@ -328,8 +354,9 @@ class GridJobService {
   /// free-node accounting, WAN flows and horizons, outage cursors and RNG
   /// streams, restart-credit progress, and telemetry high-water marks.
   /// Restoring into a service built with the SAME configuration (guarded
-  /// by an embedded fingerprint) and stepping to completion reproduces
-  /// the uninterrupted run's trace, metrics, and report byte-for-byte.
+  /// by the embedded visit_config tags) and stepping to completion
+  /// reproduces the uninterrupted run's trace, metrics, and report
+  /// byte-for-byte.
   /// restore() treats the bytes as hostile: anything malformed ends in
   /// qrgrid::Error with no run left in flight (caller-owned telemetry
   /// sinks may hold partially restored state).
@@ -354,11 +381,13 @@ class GridJobService {
   /// flight.
   struct Engine;
 
-  /// Everything that must match for a snapshot to be restorable here:
-  /// policy, backend, per-cluster topology, and every ServiceOptions
-  /// field that shapes decisions or telemetry. Embedded in snapshots and
+  /// Everything that must match for a snapshot to be restorable here,
+  /// as expect tags: the cluster count (first, so a mismatch stops before
+  /// the per-cluster tags misalign), every ClusterSpec, every link, the
+  /// roofline, and ServiceOptions::visit. Embedded in snapshots and
   /// compared on restore().
-  std::string config_fingerprint() const;
+  template <class V>
+  void visit_config(V& v) const;
 
   simgrid::GridTopology topology_;
   model::Roofline roofline_;
@@ -367,9 +396,9 @@ class GridJobService {
   /// placement-scoring decision goes through (never the enum). Stateful
   /// policies (fair-share) are reset at the top of every run().
   std::unique_ptr<SchedulingPolicy> policy_;
-  /// Owned after topology_ (it holds a pointer into it); profiles it
-  /// caches stay valid for the service's lifetime.
-  std::unique_ptr<ExecutionBackend> backend_;
+  /// Declared after the configuration it borrows; profiles it caches
+  /// stay valid for the service's lifetime.
+  ExecutionBackend backend_;
   std::unique_ptr<Engine> engine_;
   TieOracle* oracle_ = nullptr;
 };

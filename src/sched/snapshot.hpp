@@ -24,8 +24,9 @@
 // u64 count plus elements, std::array and C arrays as bare elements,
 // and unordered maps in sorted-key order so equal states always produce
 // equal bytes. Snapshots are NOT portable across endianness or
-// struct-layout changes; the service prepends a magic/version/config
-// fingerprint and refuses mismatches.
+// struct-layout changes; the service prepends a magic, a version, and its
+// configuration as `expect` tags (GridJobService::visit_config), and
+// refuses mismatches by tag name.
 #pragma once
 
 #include <algorithm>

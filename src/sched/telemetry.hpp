@@ -10,7 +10,7 @@
 //                    withdrawal, outage boundaries, kills, requeues, WAN
 //                    flow open/retire/rebalance, completions) emitted from
 //                    GridJobService, the SchedulingPolicy hooks, the
-//                    GridWanModel, and both ExecutionBackends. Timestamps
+//                    GridWanModel, and the ExecutionBackend. Timestamps
 //                    are VIRTUAL time only — no wall clock ever leaks in,
 //                    so two runs with one seed produce byte-identical
 //                    streams.

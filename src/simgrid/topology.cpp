@@ -90,6 +90,7 @@ double GridTopology::theoretical_peak_gflops() const {
 GridTopology GridTopology::grid5000(int sites, int nodes_per_cluster,
                                     int procs_per_node, bool equal_power) {
   QRGRID_CHECK(sites >= 1 && sites <= 4);
+  QRGRID_CHECK(nodes_per_cluster >= 1 && procs_per_node >= 1);
   // Fig. 3(a): measured latency (ms) and throughput (Mb/s) between the four
   // sites; per-processor theoretical peaks from §V-A (Opteron 246 -> 2218,
   // 4.0 to 5.2 Gflop/s per processor).

@@ -24,6 +24,11 @@ struct LinkParams {
   double transfer_seconds(std::size_t bytes) const {
     return latency_s + static_cast<double>(bytes) / bandwidth_Bps;
   }
+
+  bool operator==(const LinkParams&) const = default;
+  /// Field list for visitors (the job service's snapshot guard).
+  template <class V>
+  void visit(V& v) { v(latency_s, bandwidth_Bps); }
 };
 
 /// One geographical site.
@@ -34,6 +39,11 @@ struct ClusterSpec {
   double proc_peak_gflops = 4.0;  ///< theoretical peak per processor
 
   int procs() const { return nodes * procs_per_node; }
+
+  bool operator==(const ClusterSpec&) const = default;
+  /// Field list for visitors (the job service's snapshot guard).
+  template <class V>
+  void visit(V& v) { v(name, nodes, procs_per_node, proc_peak_gflops); }
 };
 
 /// Where a global rank lives.

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -185,25 +186,138 @@ TEST(SnapshotRestore, RoundTripByteIdentityAcrossMatrix) {
   }
 }
 
+/// The parts a GridTopology is built from, so a test can change one.
+struct TopologyParts {
+  std::vector<simgrid::ClusterSpec> clusters;
+  simgrid::LinkParams intra_node;
+  simgrid::LinkParams intra_cluster;
+  std::vector<std::vector<simgrid::LinkParams>> inter;
+};
+
+/// `topo` rebuilt after `edit` changed its parts.
+simgrid::GridTopology edited(const simgrid::GridTopology& topo,
+                             const std::function<void(TopologyParts&)>& edit) {
+  TopologyParts parts{{}, topo.intra_node_link(), topo.intra_cluster_link(),
+                      {}};
+  for (int a = 0; a < topo.num_clusters(); ++a) {
+    parts.clusters.push_back(topo.cluster(a));
+    parts.inter.emplace_back();
+    for (int b = 0; b < topo.num_clusters(); ++b) {
+      parts.inter.back().push_back(topo.inter_cluster_link(a, b));
+    }
+  }
+  edit(parts);
+  return simgrid::GridTopology(std::move(parts.clusters), parts.intra_node,
+                               parts.intra_cluster, std::move(parts.inter));
+}
+
 TEST(SnapshotRestore, RefusesMismatchedConfigurationAndGarbage) {
-  // The embedded fingerprint pins every decision-shaping option: a
-  // checkpoint from an fcfs service must not restore into an spjf one.
+  // The embedded configuration tags pin everything a resumed run's
+  // decisions depend on: a checkpoint restores only into a service on
+  // the same grid and roofline with the same options. One case per
+  // tag, each a single change; the refusal must name that tag.
   const simgrid::GridTopology topo = small_grid();
   const model::Roofline roof = model::paper_calibration();
   const std::vector<Job> jobs = small_workload(6, 3);
-  ServiceOptions fcfs;
-  fcfs.policy = Policy::kFcfs;
-  GridJobService source(topo, roof, fcfs);
+  ServiceOptions base;
+  base.policy = Policy::kFcfs;
+  base.wan_contention = true;  // so wan_aware can flip on its own
+  GridJobService source(topo, roof, base);
   source.start(jobs);
   source.step();
   const std::string checkpoint = source.snapshot();
+  GridJobService(topo, roof, base).restore(checkpoint);  // same: accepted
 
-  ServiceOptions spjf;
-  spjf.policy = Policy::kSpjf;
-  GridJobService wrong_policy(topo, roof, spjf);
-  EXPECT_THROW(wrong_policy.restore(checkpoint), Error);
+  const auto expect_refusal = [&](const std::string& tag,
+                                  GridJobService& target) {
+    try {
+      target.restore(checkpoint);
+      ADD_FAILURE() << tag << ": a mismatched checkpoint was restored";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("snapshot " + tag + " mismatches"),
+                std::string::npos)
+          << tag << ": " << e.what();
+    }
+  };
 
-  GridJobService garbage_target(topo, roof, fcfs);
+  ServiceTracer tracer;
+  MetricsRegistry metrics;
+  const std::vector<
+      std::pair<std::string, std::function<void(ServiceOptions&)>>>
+      option_cases = {
+          {"policy", [](ServiceOptions& o) { o.policy = Policy::kSpjf; }},
+          {"domains_per_cluster",
+           [](ServiceOptions& o) { o.domains_per_cluster = 1; }},
+          {"backfill_depth", [](ServiceOptions& o) { o.backfill_depth = 2; }},
+          {"outages",
+           [](ServiceOptions& o) {
+             o.outages = OutageTrace(OutageSpec{4.0, 0.5, 17}, 2);
+           }},
+          {"max_retries", [](ServiceOptions& o) { o.max_retries = 5; }},
+          {"restart_credit",
+           [](ServiceOptions& o) { o.restart_credit = true; }},
+          {"checkpoint_panels",
+           [](ServiceOptions& o) { o.checkpoint_panels = 4; }},
+          {"checkpoint_cost_s",
+           [](ServiceOptions& o) { o.checkpoint_cost_s = 0.5; }},
+          {"wan_contention",
+           [](ServiceOptions& o) { o.wan_contention = false; }},
+          {"wan_aware", [](ServiceOptions& o) { o.wan_aware = true; }},
+          {"wan_link_Bps", [](ServiceOptions& o) { o.wan_link_Bps = 1e8; }},
+          {"wan_backbone_Bps",
+           [](ServiceOptions& o) { o.wan_backbone_Bps = 1e9; }},
+          {"wan_fairness",
+           [](ServiceOptions& o) { o.wan_fairness = WanFairness::kMaxMin; }},
+          {"wan_pair_Bps",
+           [](ServiceOptions& o) { o.wan_pair_Bps = {0.0, 1e6, 1e6, 0.0}; }},
+          {"backend",
+           [](ServiceOptions& o) { o.backend = BackendKind::kMsgRuntime; }},
+          {"backend_caqr_panel_width",
+           [](ServiceOptions& o) { o.backend_caqr_panel_width = 8; }},
+          {"tracer", [&](ServiceOptions& o) { o.tracer = &tracer; }},
+          {"metrics", [&](ServiceOptions& o) { o.metrics = &metrics; }},
+          {"wait_blame", [](ServiceOptions& o) { o.wait_blame = true; }},
+      };
+  for (const auto& [tag, change] : option_cases) {
+    ServiceOptions options = base;
+    change(options);
+    GridJobService target(topo, roof, options);
+    expect_refusal(tag, target);
+  }
+
+  // The grid and the roofline the replays run on are configuration too.
+  model::Roofline faster = roof;
+  faster.dgemm_gflops *= 2.0;
+  struct GridCase {
+    std::string tag;
+    simgrid::GridTopology topo;
+    model::Roofline roof;
+  };
+  const std::vector<GridCase> grid_cases = {
+      {"roofline", topo, faster},
+      {"cluster count", simgrid::GridTopology::grid5000(3, 2, 2), roof},
+      {"cluster",
+       edited(topo,
+              [](TopologyParts& p) { p.clusters[1].proc_peak_gflops *= 2.0; }),
+       roof},
+      {"intra_node_link",
+       edited(topo,
+              [](TopologyParts& p) { p.intra_node.bandwidth_Bps *= 2.0; }),
+       roof},
+      {"intra_cluster_link",
+       edited(topo,
+              [](TopologyParts& p) { p.intra_cluster.latency_s *= 2.0; }),
+       roof},
+      {"inter_cluster_link",
+       edited(topo, [](TopologyParts& p) { p.inter[0][1].latency_s *= 10.0; }),
+       roof},
+  };
+  for (const GridCase& c : grid_cases) {
+    GridJobService target(c.topo, c.roof, base);
+    expect_refusal(c.tag, target);
+  }
+
+  GridJobService garbage_target(topo, roof, base);
   EXPECT_THROW(garbage_target.restore("not a snapshot"), Error);
   // Truncated checkpoints are refused, not misread.
   EXPECT_THROW(

@@ -145,10 +145,10 @@ TEST(SnapshotFormat, PinnedLengthAndHash) {
     std::uint64_t hash;
   };
   const std::vector<Pin> pins = {
-      {easy_case(&tracer, &metrics), 17068, 0xd4a781a86a9c13caull},
-      {fair_case(), 4123, 0x9619f1051e672926ull},
-      {prio_case(), 3467, 0xa84fee892b1d9ea4ull},
-      {equal_case(), 3669, 0xf88bc12cd4ff8da9ull},
+      {easy_case(&tracer, &metrics), 16975, 0x0d2afe1bb29cde4dull},
+      {fair_case(), 4030, 0xf3d0cf72e1beef8full},
+      {prio_case(), 3518, 0x78f0f8a6c1238c8eull},
+      {equal_case(), 3825, 0x5b6338a48cb9a4ccull},
   };
   for (const Pin& pin : pins) {
     tracer.clear();

@@ -562,6 +562,21 @@ TEST(WanService, ZeroContentionReproducesCachedReplayTimes) {
   }
 }
 
+TEST(WanService, AwarePlacementRequiresContention) {
+  // Network-aware placement steers around the shared-WAN model's flows:
+  // without the model the service refuses it, as the CLI does.
+  ServiceOptions options;
+  options.wan_aware = true;
+  EXPECT_THROW(
+      { GridJobService service(small_grid(), model::paper_calibration(),
+                               options); },
+      Error);
+  options.wan_contention = true;
+  EXPECT_NO_THROW(
+      { GridJobService service(small_grid(), model::paper_calibration(),
+                               options); });
+}
+
 TEST(WanService, DeterministicUnderContention) {
   WorkloadSpec spec;
   spec.jobs = 40;

@@ -99,32 +99,54 @@
 //       [--checkpoint-at T] snapshots the FULL mid-run service state the
 //       first time the virtual clock reaches T (default 0) and keeps
 //       running to completion; --resume FILE restores such a snapshot
-//       into an identically-configured service (an embedded fingerprint
-//       refuses mismatches) and runs it to completion — the resumed
-//       run's trace, metrics, and summary are byte-identical to the
-//       uninterrupted one's. Both require a single --policy.
+//       into an identically-configured service and runs it to
+//       completion — the resumed run's trace, metrics, and summary are
+//       byte-identical to the uninterrupted one's. The snapshot embeds
+//       its configuration (the grid's clusters and links, the roofline,
+//       and every option that shapes decisions), and a resume under any
+//       other configuration is refused with an error naming the first
+//       differing tag (e.g. "snapshot wan_link_Bps mismatches" after a
+//       changed --wan-gbps). Both require a single --policy.
 //
 //   qrgrid_cli explore   [--jobs J] [--policy ...|all] [--sites S]
 //                        [--nodes N] [--procs-per-node P] [--seed X]
-//                        [--arrival-s T] [--quantize-s Q] [--mtbf S]
-//                        [--repair S] [--walltime-factor F]
-//                        [--wan-contention] [--wan-fair equal|maxmin]
-//                        [--backend des|msg] [--max-leaves L]
+//                        [--arrival-s T] [--users U] [--weights W,...]
+//                        [--priorities L] [--tree grid|binary|flat]
+//                        [--mtbf S] [--repair S] [--outage-seed X]
+//                        [--walltime-factor F] [--retries K]
+//                        [--backfill-depth D] [--restart-credit]
+//                        [--panels K] [--checkpoint-cost S]
+//                        [--wan-gbps G] [--backbone-gbps G]
+//                        [--wan-contention] [--wan-aware]
+//                        [--wan-fair equal|maxmin] [--backend des|msg]
+//                        [--domains D] [--blame]
+//                        [--quantize-s Q] [--max-leaves L]
 //       Exhaustively enumerate every legal same-instant tie ordering of
 //       a BOUNDED workload (sched/explore.hpp): snapshot before every
 //       event-loop step, branch each k-way completion / outage / arrival
 //       tie through the tie oracle, and validate the full TraceValidator
-//       invariant set plus report-level conservation on every leaf.
-//       --quantize-s rounds arrivals onto a Q-second grid to manufacture
-//       same-instant ties; --max-leaves (default 20000) bounds the
-//       enumeration. The canonical leaf is byte-compared against a plain
-//       oracle-free run. Non-zero exit on any violation, with the
-//       choice-sequence reproduction recipe printed per finding.
+//       invariant set plus report-level conservation on every leaf. The
+//       workload and service flags mean exactly what they mean for
+//       serve (one builder serves both; --blame adds the wait-blame
+//       partition to every leaf's checks). --quantize-s rounds arrivals
+//       onto a Q-second grid to manufacture same-instant ties;
+//       --max-leaves (default 20000) bounds the enumeration. The
+//       canonical leaf is byte-compared against a plain oracle-free run.
+//       Non-zero exit on any violation, with the choice-sequence
+//       reproduction recipe printed per finding.
+//
+// Numeric flags are strict: each value is one whole token and never NaN
+// (inf is legal, e.g. --backbone-gbps inf); integer flags must be
+// integral and fit an int, seeds integral in [0, 2^64). A malformed
+// value exits non-zero with an error that names the flag.
 #include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -161,9 +183,45 @@ struct Args {
     auto it = options.find(name);
     return it == options.end() ? fallback : it->second;
   }
+  /// A numeric flag: one whole token and never NaN (inf is legal:
+  /// --backbone-gbps inf is an unconstrained core).
   double num(const std::string& name, double fallback) const {
     auto it = options.find(name);
-    return it == options.end() ? fallback : std::stod(it->second);
+    if (it == options.end()) return fallback;
+    const std::string& text = it->second;
+    std::size_t used = 0;
+    double value = std::numeric_limits<double>::quiet_NaN();
+    try {
+      value = std::stod(text, &used);
+    } catch (const std::exception&) {
+      // malformed or out of double range: refused below
+    }
+    if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
+        used != text.size() || std::isnan(value)) {
+      throw Error("--" + name + " expects a number, got '" + text + "'");
+    }
+    return value;
+  }
+  /// An integer flag: a number that is integral and fits an int.
+  int integer(const std::string& name, int fallback) const {
+    const double value = num(name, fallback);
+    if (value != std::floor(value) ||
+        value < std::numeric_limits<int>::min() ||
+        value > std::numeric_limits<int>::max()) {
+      throw Error("--" + name + " expects an integer that fits an int, got '" +
+                  get(name, "") + "'");
+    }
+    return static_cast<int>(value);
+  }
+  /// A seed flag: an integer in [0, 2^64).
+  std::uint64_t seed(const std::string& name, std::uint64_t fallback) const {
+    if (!flag(name)) return fallback;
+    const double value = num(name, 0.0);
+    if (value != std::floor(value) || value < 0.0 || value >= 0x1p64) {
+      throw Error("--" + name + " expects an integer seed in [0, 2^64), got '" +
+                  get(name, "") + "'");
+    }
+    return static_cast<std::uint64_t>(value);
   }
 };
 
@@ -193,10 +251,9 @@ core::TreeKind tree_of(const std::string& name) {
 }
 
 simgrid::GridTopology topo_of(const Args& args) {
-  return simgrid::GridTopology::grid5000(
-      static_cast<int>(args.num("sites", 4)),
-      static_cast<int>(args.num("nodes", 32)),
-      static_cast<int>(args.num("procs-per-node", 2)));
+  return simgrid::GridTopology::grid5000(args.integer("sites", 4),
+                                         args.integer("nodes", 32),
+                                         args.integer("procs-per-node", 2));
 }
 
 int cmd_topology(const Args& args) {
@@ -236,14 +293,12 @@ core::DesRunResult run_sim(const Args& args,
   const std::string algo = args.get("algo", "tsqr");
   const model::Roofline roof = model::paper_calibration();
   if (algo == "tsqr") {
-    return core::run_des_tsqr(topo, roof,
-                              static_cast<int>(args.num("domains", 64)), m,
-                              n, tree_of(args.get("tree", "grid")),
+    return core::run_des_tsqr(topo, roof, args.integer("domains", 64), m, n,
+                              tree_of(args.get("tree", "grid")),
                               args.flag("form-q"));
   }
   if (algo == "scalapack") {
-    return core::run_des_scalapack(topo, roof, m, n,
-                                   static_cast<int>(args.num("nb", 64)),
+    return core::run_des_scalapack(topo, roof, m, n, args.integer("nb", 64),
                                    args.flag("form-q"));
   }
   throw Error("unknown --algo '" + algo + "' (tsqr|scalapack)");
@@ -274,8 +329,8 @@ int cmd_simulate(const Args& args) {
     simgrid::TraceLog log;
     engine.set_trace(&log);
     if (args.get("algo", "tsqr") == "tsqr") {
-      core::DomainLayout layout = core::make_domain_layout(
-          topo, static_cast<int>(args.num("domains", 64)));
+      core::DomainLayout layout =
+          core::make_domain_layout(topo, args.integer("domains", 64));
       core::des_tsqr(engine, layout.groups, layout.domain_cluster, m, n,
                      tree_of(args.get("tree", "grid")), args.flag("form-q"));
     } else {
@@ -283,12 +338,10 @@ int cmd_simulate(const Args& args) {
       for (int i = 0; i < topo.total_procs(); ++i) {
         ranks[static_cast<std::size_t>(i)] = i;
       }
-      core::des_pdgeqrf(engine, ranks, m, n,
-                        static_cast<int>(args.num("nb", 64)),
+      core::des_pdgeqrf(engine, ranks, m, n, args.integer("nb", 64),
                         args.flag("form-q"));
     }
-    const int rows = std::min(topo.total_procs(),
-                              static_cast<int>(args.num("rows", 16)));
+    const int rows = std::min(topo.total_procs(), args.integer("rows", 16));
     std::cout << "\nTimeline (first " << rows << " ranks):\n"
               << simgrid::render_timeline(log, rows, engine.makespan(), 72);
   }
@@ -311,10 +364,10 @@ int cmd_sweep(const Args& args) {
 }
 
 int cmd_factor(const Args& args) {
-  const int procs = static_cast<int>(args.num("procs", 8));
-  const Index m_loc = static_cast<Index>(args.num("rows-per-proc", 1024));
-  const Index n = static_cast<Index>(args.num("n", 32));
-  const auto seed = static_cast<std::uint64_t>(args.num("seed", 2026));
+  const int procs = args.integer("procs", 8);
+  const Index m_loc = args.integer("rows-per-proc", 1024);
+  const Index n = args.integer("n", 32);
+  const std::uint64_t seed = args.seed("seed", 2026);
 
   // Build a small grid holding exactly `procs` ranks (2 sites when even).
   const int sites = procs % 2 == 0 && procs >= 4 ? 2 : 1;
@@ -366,21 +419,78 @@ int cmd_factor(const Args& args) {
   return (resid < 1e-10 && ortho < 1e-10) ? 0 : 2;
 }
 
-int cmd_serve(const Args& args) {
-  simgrid::GridTopology topo = topo_of(args);
-  const model::Roofline roof = model::paper_calibration();
+// ---------------------------------------------------------------------
+// serve and explore build their services from one set of flags.
 
-  // Backend validation before any work: an unknown name must fail fast.
-  const sched::BackendKind backend =
-      sched::backend_of(args.get("backend", "des"));
-  const bool msg_backend = backend == sched::BackendKind::kMsgRuntime;
+/// --policy: one policy name, or `all` (the default) for all five.
+std::vector<sched::Policy> policies_of(const Args& args) {
+  const std::string which = args.get("policy", "all");
+  if (which != "all") return {sched::policy_of(which)};
+  return {sched::Policy::kFcfs, sched::Policy::kSpjf,
+          sched::Policy::kEasyBackfill, sched::Policy::kPriorityEasy,
+          sched::Policy::kFairShare};
+}
 
-  sched::WorkloadSpec spec;
-  spec.jobs = static_cast<int>(args.num("jobs", msg_backend ? 20 : 200));
-  spec.mean_interarrival_s = args.num("arrival-s", msg_backend ? 0.004 : 0.25);
-  spec.seed = static_cast<std::uint64_t>(args.num("seed", 2026));
-  spec.users = static_cast<int>(args.num("users", 1));
-  spec.priority_levels = static_cast<int>(args.num("priorities", 1));
+/// --mtbf / --repair / --outage-seed (default: --seed + 1).
+sched::OutageSpec outage_spec_of(const Args& args) {
+  sched::OutageSpec spec;
+  spec.mtbf_s = args.num("mtbf", 0.0);
+  spec.mean_outage_s = args.num("repair", spec.mtbf_s / 10.0);
+  spec.seed = args.seed("outage-seed", 1 + args.seed("seed", 2026));
+  return spec;
+}
+
+/// Every ServiceOptions field a flag sets, for every policy alike; the
+/// caller adds the policy and its telemetry sinks.
+sched::ServiceOptions options_of(const Args& args,
+                                 const simgrid::GridTopology& topo) {
+  sched::ServiceOptions options;
+  options.backend = sched::backend_of(args.get("backend", "des"));
+  const sched::OutageSpec outage_spec = outage_spec_of(args);
+  if (outage_spec.mtbf_s > 0.0) {
+    options.outages = sched::OutageTrace(outage_spec, topo.num_clusters());
+  }
+  options.max_retries = args.integer("retries", 3);
+  options.backfill_depth = args.integer("backfill-depth", 0);
+  options.restart_credit = args.flag("restart-credit");
+  options.checkpoint_panels = args.integer("panels", 8);
+  options.checkpoint_cost_s = args.num("checkpoint-cost", 0.0);
+  options.wan_contention = args.flag("wan-contention");
+  options.wan_aware = args.flag("wan-aware");
+  // Network-aware placement only means anything over a shared WAN.
+  // Silently (or footnote-ly) enabling a second model from one flag bit
+  // us before: reject the bare flag loudly instead (the CLI-validation
+  // tests pin both spellings).
+  if (options.wan_aware && !options.wan_contention) {
+    throw Error(
+        "--wan-aware requires --wan-contention (network-aware placement "
+        "steers around the shared-WAN flows that flag models; pass both)");
+  }
+  options.wan_fairness = sched::wan_fairness_of(args.get("wan-fair", "equal"));
+  options.wan_link_Bps = args.num("wan-gbps", 10.0) * 1e9 / 8.0;
+  options.wan_backbone_Bps = args.num("backbone-gbps", 0.0) * 1e9 / 8.0;
+  options.wait_blame = args.flag("blame");
+  // The msg backend defaults to the one-domain-per-process layout the
+  // equivalence suite validates the predictor under.
+  options.domains_per_cluster = args.integer(
+      "domains", options.backend == sched::BackendKind::kMsgRuntime
+                     ? core::kOneDomainPerProcess
+                     : 0);
+  return options;
+}
+
+/// The seeded Poisson workload: the caller sets spec.jobs and
+/// spec.mean_interarrival_s (their defaults differ per command); the
+/// other flags fill in the rest. Process counts scale to the grid, the
+/// msg backend keeps shapes small, and --walltime-factor F gives every
+/// job a walltime = predicted x U[1, F).
+std::vector<sched::Job> workload_of(const Args& args,
+                                    const simgrid::GridTopology& topo,
+                                    bool msg_backend,
+                                    sched::WorkloadSpec& spec) {
+  spec.seed = args.seed("seed", 2026);
+  spec.users = args.integer("users", 1);
+  spec.priority_levels = args.integer("priorities", 1);
   const std::string weights = args.get("weights", "");
   if (!weights.empty()) {
     std::string token;
@@ -414,7 +524,7 @@ int cmd_serve(const Args& args) {
     // at least n local rows — a whole-grid job is granted all `total`
     // processes plus up to one node's worth of round-up per group.
     const int max_n = 32;
-    const int ppn = static_cast<int>(args.num("procs-per-node", 2));
+    const int ppn = args.integer("procs-per-node", 2);
     const double min_m =
         static_cast<double>(max_n) * (total + 8 * std::max(1, ppn - 1));
     double m = 512;
@@ -424,45 +534,40 @@ int cmd_serve(const Args& args) {
   }
   spec.tree_choices = {tree_of(args.get("tree", "grid"))};
   std::vector<sched::Job> jobs = sched::generate_workload(spec);
-
-  // Fault and walltime knobs, shared by every policy below.
-  const double mtbf_s = args.num("mtbf", 0.0);
   const double walltime_factor = args.num("walltime-factor", 0.0);
-  sched::OutageSpec outage_spec;
-  outage_spec.mtbf_s = mtbf_s;
-  outage_spec.mean_outage_s = args.num("repair", mtbf_s / 10.0);
-  outage_spec.seed =
-      static_cast<std::uint64_t>(args.num("outage-seed", 1 + spec.seed));
   if (walltime_factor > 0.0) {
-    const sched::GridJobService predictor(topo, roof);
+    const sched::GridJobService predictor(topo, model::paper_calibration());
     sched::assign_walltimes(
         jobs, walltime_factor, spec.seed,
         [&](const sched::Job& job) { return predictor.predicted_seconds(job); });
   }
+  return jobs;
+}
 
-  std::vector<sched::Policy> policies;
-  const std::string which = args.get("policy", "all");
-  if (which == "all") {
-    policies = {sched::Policy::kFcfs, sched::Policy::kSpjf,
-                sched::Policy::kEasyBackfill, sched::Policy::kPriorityEasy,
-                sched::Policy::kFairShare};
-  } else {
-    policies = {sched::policy_of(which)};
-  }
+int cmd_serve(const Args& args) {
+  simgrid::GridTopology topo = topo_of(args);
+  const model::Roofline roof = model::paper_calibration();
+
+  // Options before any work: an unknown backend or rate rule, a
+  // malformed number, or a bare --wan-aware must fail fast.
+  const sched::ServiceOptions base = options_of(args, topo);
+  const bool msg_backend = base.backend == sched::BackendKind::kMsgRuntime;
+  sched::WorkloadSpec spec;
+  spec.jobs = args.integer("jobs", msg_backend ? 20 : 200);
+  spec.mean_interarrival_s = args.num("arrival-s", msg_backend ? 0.004 : 0.25);
+  const std::vector<sched::Job> jobs =
+      workload_of(args, topo, msg_backend, spec);
+  const std::vector<sched::Policy> policies = policies_of(args);
 
   // Observability knobs. Any of --trace-out / --metrics-out / --gantt
   // arms the tracer; --gantt's optional value is the cluster budget (a
-  // bare flag parses as "", NOT a number — args.num would throw).
+  // bare flag parses as "", NOT a number — args.integer would throw).
   const std::string trace_out = args.get("trace-out", "");
   const std::string metrics_out = args.get("metrics-out", "");
   const bool want_gantt = args.flag("gantt");
-  int gantt_clusters = 8;
-  {
-    const std::string raw = args.get("gantt", "");
-    if (!raw.empty()) gantt_clusters = std::stoi(raw);
-  }
+  const int gantt_clusters =
+      args.get("gantt", "").empty() ? 8 : args.integer("gantt", 8);
   const std::string critpath_out = args.get("critpath-out", "");
-  const bool want_blame = args.flag("blame");
   const bool want_profile = args.flag("profile");
   // Checkpoint/restart: a snapshot embeds ONE service configuration, so
   // the multi-policy sweep cannot carry either flag.
@@ -476,7 +581,7 @@ int cmd_serve(const Args& args) {
         "embeds one service configuration)");
   }
   const bool want_trace = !trace_out.empty() || want_gantt ||
-                          !critpath_out.empty() || want_blame;
+                          !critpath_out.empty() || base.wait_blame;
   const bool want_metrics = !metrics_out.empty();
   // With several policies in one run, suffix output files per policy.
   const auto policy_path = [&](const std::string& path,
@@ -504,46 +609,32 @@ int cmd_serve(const Args& args) {
   }
 
   std::cout << "Serving " << spec.jobs << " queued TSQR jobs on "
-            << topo.num_clusters() << " site(s), " << total
+            << topo.num_clusters() << " site(s), " << topo.total_procs()
             << " processes (seed " << spec.seed << ", mean inter-arrival "
             << format_number(spec.mean_interarrival_s, 3) << " s)\n";
-  if (mtbf_s > 0.0) {
+  const sched::OutageSpec outage_spec = outage_spec_of(args);
+  if (outage_spec.mtbf_s > 0.0) {
     std::cout << "Outages: per-site MTBF "
               << format_number(outage_spec.mtbf_s, 4) << " s, mean repair "
               << format_number(outage_spec.mean_outage_s, 4) << " s (seed "
-              << outage_spec.seed << "), "
-              << static_cast<int>(args.num("retries", 3)) << " retries"
-              << (args.flag("restart-credit") ? ", restart credit" : "")
-              << '\n';
+              << outage_spec.seed << "), " << base.max_retries << " retries"
+              << (base.restart_credit ? ", restart credit" : "") << '\n';
   }
+  const double walltime_factor = args.num("walltime-factor", 0.0);
   if (walltime_factor > 0.0) {
     std::cout << "Walltimes: predicted x U[1, "
               << format_number(walltime_factor, 3)
               << ") per job, enforced\n";
   }
-  const bool wan_aware = args.flag("wan-aware");
-  const bool wan_contention = args.flag("wan-contention");
-  // Network-aware placement only means anything over a shared WAN.
-  // Silently (or footnote-ly) enabling a second model from one flag bit
-  // us before: reject the bare flag loudly instead (the CLI-validation
-  // tests pin both spellings).
-  if (wan_aware && !wan_contention) {
-    throw Error(
-        "--wan-aware requires --wan-contention (network-aware placement "
-        "steers around the shared-WAN flows that flag models; pass both)");
-  }
-  const sched::WanFairness wan_fairness =
-      sched::wan_fairness_of(args.get("wan-fair", "equal"));
-  const double wan_gbps = args.num("wan-gbps", 10.0);
-  if (wan_contention) {
-    std::cout << "Shared WAN: " << format_number(wan_gbps, 4)
+  if (base.wan_contention) {
+    std::cout << "Shared WAN: " << format_number(args.num("wan-gbps", 10.0), 4)
               << " Gb/s per site uplink, "
-              << sched::wan_fairness_name(wan_fairness)
+              << sched::wan_fairness_name(base.wan_fairness)
               << " contention on"
-              << (wan_aware ? ", network-aware placement" : "") << '\n';
+              << (base.wan_aware ? ", network-aware placement" : "") << '\n';
   }
   if (msg_backend) {
-    std::cout << "Backend: " << sched::backend_name(backend)
+    std::cout << "Backend: " << sched::backend_name(base.backend)
               << " — every attempt executes for real on a threaded "
                  "msg::Runtime (numerics in the executed / max-resid "
                  "columns); workload shapes kept small\n";
@@ -556,31 +647,11 @@ int cmd_serve(const Args& args) {
     sched::ServiceTracer tracer;
     sched::MetricsRegistry metrics;
     sched::PhaseProfiler profiler;
-    sched::ServiceOptions options;
+    sched::ServiceOptions options = base;
     options.policy = policy;
     options.tracer = want_trace ? &tracer : nullptr;
     options.metrics = want_metrics ? &metrics : nullptr;
-    options.wait_blame = want_blame;
     options.profiler = want_profile ? &profiler : nullptr;
-    if (mtbf_s > 0.0) {
-      options.outages = sched::OutageTrace(outage_spec, topo.num_clusters());
-    }
-    options.max_retries = static_cast<int>(args.num("retries", 3));
-    options.backfill_depth =
-        static_cast<int>(args.num("backfill-depth", 0));
-    options.restart_credit = args.flag("restart-credit");
-    options.checkpoint_panels = static_cast<int>(args.num("panels", 8));
-    options.checkpoint_cost_s = args.num("checkpoint-cost", 0.0);
-    options.wan_link_Bps = wan_gbps * 1e9 / 8.0;
-    options.wan_backbone_Bps = args.num("backbone-gbps", 0.0) * 1e9 / 8.0;
-    options.wan_contention = wan_contention;
-    options.wan_aware = wan_aware;
-    options.wan_fairness = wan_fairness;
-    options.backend = backend;
-    // The msg backend defaults to the one-domain-per-process layout the
-    // equivalence suite validates the predictor under.
-    options.domains_per_cluster = static_cast<int>(args.num(
-        "domains", msg_backend ? core::kOneDomainPerProcess : 0));
     sched::GridJobService service(topo, roof, options);
     sched::ServiceReport report;
     if (!resume_path.empty()) {
@@ -724,38 +795,18 @@ int cmd_serve(const Args& args) {
 int cmd_explore(const Args& args) {
   simgrid::GridTopology topo = topo_of(args);
   const model::Roofline roof = model::paper_calibration();
-  const sched::BackendKind backend =
-      sched::backend_of(args.get("backend", "des"));
-  const bool msg_backend = backend == sched::BackendKind::kMsgRuntime;
+  const sched::ServiceOptions base = options_of(args, topo);
 
   sched::WorkloadSpec spec;
-  spec.jobs = static_cast<int>(args.num("jobs", 6));
+  spec.jobs = args.integer("jobs", 6);
   QRGRID_CHECK_MSG(
       spec.jobs >= 1 && spec.jobs <= 16,
       "explore enumerates EVERY tie ordering (exponential): --jobs must "
       "be in [1, 16], got " << spec.jobs);
   spec.mean_interarrival_s = args.num("arrival-s", 0.05);
-  spec.seed = static_cast<std::uint64_t>(args.num("seed", 2026));
-  spec.users = static_cast<int>(args.num("users", 1));
-  spec.priority_levels = static_cast<int>(args.num("priorities", 1));
-  const int total = topo.total_procs();
-  spec.procs_choices.clear();
-  for (int p = std::min(total, std::max(2, total / 16)); p <= total;
-       p *= 2) {
-    spec.procs_choices.push_back(p);
-  }
-  if (msg_backend) {
-    const int max_n = 32;
-    const int ppn = static_cast<int>(args.num("procs-per-node", 2));
-    const double min_m =
-        static_cast<double>(max_n) * (total + 8 * std::max(1, ppn - 1));
-    double m = 512;
-    while (m < min_m) m *= 2;
-    spec.m_choices = {m, 2 * m, 4 * m};
-    spec.n_choices = {16, max_n};
-  }
-  spec.tree_choices = {tree_of(args.get("tree", "grid"))};
-  std::vector<sched::Job> jobs = sched::generate_workload(spec);
+  std::vector<sched::Job> jobs = workload_of(
+      args, topo, base.backend == sched::BackendKind::kMsgRuntime, spec);
+  const std::vector<sched::Policy> policies = policies_of(args);
   // Poisson arrivals almost never tie; snapping them onto a coarse grid
   // manufactures the same-instant arrival groups worth exploring.
   const double quantize = args.num("quantize-s", 0.0);
@@ -765,35 +816,8 @@ int cmd_explore(const Args& args) {
     }
   }
 
-  const double mtbf_s = args.num("mtbf", 0.0);
-  sched::OutageSpec outage_spec;
-  outage_spec.mtbf_s = mtbf_s;
-  outage_spec.mean_outage_s = args.num("repair", mtbf_s / 10.0);
-  outage_spec.seed =
-      static_cast<std::uint64_t>(args.num("outage-seed", 1 + spec.seed));
-  const double walltime_factor = args.num("walltime-factor", 0.0);
-  if (walltime_factor > 0.0) {
-    const sched::GridJobService predictor(topo, roof);
-    sched::assign_walltimes(jobs, walltime_factor, spec.seed,
-                            [&](const sched::Job& job) {
-                              return predictor.predicted_seconds(job);
-                            });
-  }
-  const sched::WanFairness wan_fairness =
-      sched::wan_fairness_of(args.get("wan-fair", "equal"));
-
-  std::vector<sched::Policy> policies;
-  const std::string which = args.get("policy", "all");
-  if (which == "all") {
-    policies = {sched::Policy::kFcfs, sched::Policy::kSpjf,
-                sched::Policy::kEasyBackfill, sched::Policy::kPriorityEasy,
-                sched::Policy::kFairShare};
-  } else {
-    policies = {sched::policy_of(which)};
-  }
-
   sched::ExploreLimits limits;
-  limits.max_leaves = static_cast<long long>(args.num("max-leaves", 20000));
+  limits.max_leaves = args.integer("max-leaves", 20000);
 
   std::cout << "Exploring " << spec.jobs << " jobs on "
             << topo.num_clusters() << " site(s) (seed " << spec.seed
@@ -807,25 +831,10 @@ int cmd_explore(const Args& args) {
     const sched::ServiceFactory factory =
         [&, policy](sched::ServiceTracer* tracer,
                     sched::MetricsRegistry* metrics) {
-          sched::ServiceOptions options;
+          sched::ServiceOptions options = base;
           options.policy = policy;
           options.tracer = tracer;
           options.metrics = metrics;
-          if (mtbf_s > 0.0) {
-            options.outages =
-                sched::OutageTrace(outage_spec, topo.num_clusters());
-          }
-          options.max_retries = static_cast<int>(args.num("retries", 3));
-          options.restart_credit = args.flag("restart-credit");
-          options.checkpoint_panels =
-              static_cast<int>(args.num("panels", 8));
-          options.checkpoint_cost_s = args.num("checkpoint-cost", 0.0);
-          options.wan_contention = args.flag("wan-contention");
-          options.wan_fairness = wan_fairness;
-          options.wan_link_Bps = args.num("wan-gbps", 10.0) * 1e9 / 8.0;
-          options.backend = backend;
-          options.domains_per_cluster = static_cast<int>(args.num(
-              "domains", msg_backend ? core::kOneDomainPerProcess : 0));
           return std::make_unique<sched::GridJobService>(topo, roof,
                                                          options);
         };

@@ -29,19 +29,15 @@ void des_column_step(simgrid::DesEngine& engine, std::span<const int> ranks,
       engine.allreduce(ranks, bytes, flops, ncols);
     }
   };
-  for (int r : ranks) engine.compute(r, 2.0 * m_loc, ncols);
+  engine.compute(ranks, 2.0 * m_loc, ncols);
   combine(static_cast<std::size_t>(2 * kDouble), 2.0);
   if (trailing_cols > 0.0) {
     // w = v^T A_trail before the reduction, the rank-1 update after —
     // split to mirror the SPMD implementation's clock profile exactly.
-    for (int r : ranks) {
-      engine.compute(r, 2.0 * m_loc * trailing_cols, ncols);
-    }
+    engine.compute(ranks, 2.0 * m_loc * trailing_cols, ncols);
     combine(static_cast<std::size_t>(trailing_cols * kDouble),
             trailing_cols);
-    for (int r : ranks) {
-      engine.compute(r, 2.0 * m_loc * trailing_cols, ncols);
-    }
+    engine.compute(ranks, 2.0 * m_loc * trailing_cols, ncols);
   }
 }
 
@@ -64,7 +60,7 @@ void des_pdgeqr2(simgrid::DesEngine& engine, std::span<const int> ranks,
     const double m_loc = m / static_cast<double>(ranks.size());
     for (double i = n; i-- > 0.0;) {
       const double width = n - i;
-      for (int r : ranks) engine.compute(r, 4.0 * m_loc * width, ncols);
+      engine.compute(ranks, 4.0 * m_loc * width, ncols);
       engine.allreduce(ranks, static_cast<std::size_t>(width * kDouble),
                        width, ncols);
     }
@@ -90,9 +86,7 @@ void des_pdgeqrf(simgrid::DesEngine& engine, std::span<const int> ranks,
     const double width = n - j0 - jb;
     if (width > 0.0) {
       const double m_loc = m_active / p;
-      for (int r : ranks) {
-        engine.compute(r, 4.0 * m_loc * jb * width, ncols);
-      }
+      engine.compute(ranks, 4.0 * m_loc * jb * width, ncols);
       engine.reduce_bcast(ranks,
                           static_cast<std::size_t>(jb * width * kDouble),
                           jb * width, ncols);
@@ -159,7 +153,7 @@ void des_tsqr(simgrid::DesEngine& engine,
     for (const auto& group : domain_groups) {
       const double share =
           flops::orgqr(m_d, n) / static_cast<double>(group.size());
-      for (int r : group) engine.compute(r, share, ncols);
+      engine.compute(group, share, ncols);
       if (group.size() > 1) {
         engine.allreduce(group, c_bytes, 0.0, ncols);
       }

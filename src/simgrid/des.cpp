@@ -6,9 +6,20 @@
 
 namespace qrgrid::simgrid {
 
-DesEngine::DesEngine(const GridTopology* topology, model::Roofline roofline)
-    : topology_(topology), roofline_(roofline) {
+namespace {
+
+const GridTopology& checked(const GridTopology* topology) {
   QRGRID_CHECK(topology != nullptr);
+  return *topology;
+}
+
+}  // namespace
+
+DesEngine::DesEngine(const GridTopology* topology, model::Roofline roofline)
+    : topology_(topology),
+      roofline_(roofline),
+      routes_(checked(topology)),
+      rate_gflops_(roofline_.rate_gflops(rate_ncols_)) {
   clock_.assign(static_cast<std::size_t>(topology->total_procs()), 0.0);
   compute_seconds_.assign(static_cast<std::size_t>(topology->total_procs()),
                           0.0);
@@ -22,19 +33,33 @@ DesEngine::DesEngine(const GridTopology* topology, model::Roofline roofline)
       static_cast<std::size_t>(topology->num_clusters()), 0);
 }
 
-void DesEngine::compute(int rank, double flops, int ncols) {
-  const auto loc = topology_->location_of(rank);
-  const double scale = topology_->cluster(loc.cluster).proc_peak_gflops /
-                       topology_->cluster(0).proc_peak_gflops;
-  const double seconds =
-      flops / (roofline_.rate_gflops(ncols) * scale * 1e9);
-  auto& clock = clock_[static_cast<std::size_t>(rank)];
-  if (trace_ != nullptr) {
-    trace_->record(rank, clock, clock + seconds, ActivityKind::kCompute);
+double DesEngine::rate_gflops(int ncols) {
+  if (ncols != rate_ncols_) {
+    rate_ncols_ = ncols;
+    rate_gflops_ = roofline_.rate_gflops(ncols);
   }
-  clock += seconds;
-  compute_seconds_[static_cast<std::size_t>(rank)] += seconds;
-  total_flops_ += flops;
+  return rate_gflops_;
+}
+
+void DesEngine::compute(std::span<const int> ranks, double flops,
+                        int ncols) {
+  const double rate = rate_gflops(ncols);
+  int cluster = -1;
+  double seconds = 0.0;
+  for (int rank : ranks) {
+    const RankSite& site = routes_.site(rank);
+    if (site.cluster != cluster) {
+      cluster = site.cluster;
+      seconds = flop_seconds(flops, rate, site.scale);
+    }
+    auto& clock = clock_[static_cast<std::size_t>(rank)];
+    if (trace_ != nullptr) {
+      trace_->record(rank, clock, clock + seconds, ActivityKind::kCompute);
+    }
+    clock += seconds;
+    compute_seconds_[static_cast<std::size_t>(rank)] += seconds;
+    total_flops_ += flops;
+  }
 }
 
 double DesEngine::compute_utilization() const {
@@ -45,19 +70,15 @@ double DesEngine::compute_utilization() const {
   return acc / (span * static_cast<double>(compute_seconds_.size()));
 }
 
-double DesEngine::transfer(int src, int dst, std::size_t bytes) {
+double DesEngine::transfer(int src, const Route& route, std::size_t bytes) {
   // Latency overlaps across concurrent messages; the per-flow byte time is
   // paid by the receiver and serializes back-to-back arrivals (LogGP
   // receiver occupancy) — mirrors msg::Comm::recv. Inter-cluster flows
   // additionally contend for their sites' aggregate WAN uplink/downlink.
-  const LinkParams link = topology_->link(src, dst);
-  const msg::LinkClass cls = topology_->link_class(src, dst);
   double start = clock_[static_cast<std::size_t>(src)];
-  if (cls == msg::LinkClass::kInterCluster) {
-    const auto sc =
-        static_cast<std::size_t>(topology_->location_of(src).cluster);
-    const auto dc =
-        static_cast<std::size_t>(topology_->location_of(dst).cluster);
+  if (route.cls == msg::LinkClass::kInterCluster) {
+    const auto sc = static_cast<std::size_t>(route.src_cluster);
+    const auto dc = static_cast<std::size_t>(route.dst_cluster);
     start = std::max({start, egress_free_[sc], ingress_free_[dc]});
     const double channel_done =
         start + static_cast<double>(bytes) / wan_aggregate_Bps_;
@@ -72,19 +93,20 @@ double DesEngine::transfer(int src, int dst, std::size_t bytes) {
     }
   }
   messages_ += 1;
-  messages_by_class_[static_cast<std::size_t>(cls)] += 1;
-  bytes_by_class_[static_cast<std::size_t>(cls)] +=
+  messages_by_class_[static_cast<std::size_t>(route.cls)] += 1;
+  bytes_by_class_[static_cast<std::size_t>(route.cls)] +=
       static_cast<long long>(bytes);
   // Wire arrival: the receiver additionally pays the per-flow byte time
   // (receiver serialization), added by the caller.
-  return start + link.latency_s;
+  return start + route.link.latency_s;
 }
 
 void DesEngine::p2p(int src, int dst, std::size_t bytes) {
   if (src == dst) return;
+  const Route route = routes_.route(src, dst);
   const double flow_time =
-      static_cast<double>(bytes) / topology_->link(src, dst).bandwidth_Bps;
-  const double arrival = transfer(src, dst, bytes);
+      static_cast<double>(bytes) / route.link.bandwidth_Bps;
+  const double arrival = transfer(src, route, bytes);
   auto& dst_clock = clock_[static_cast<std::size_t>(dst)];
   const double recv_start = std::max(dst_clock, arrival);
   if (trace_ != nullptr) {
@@ -120,11 +142,14 @@ void DesEngine::allreduce(std::span<const int> ranks, std::size_t bytes,
         const int b = vrank_to_rank(partner);
         // Exchange is concurrent: both wire arrivals computed from
         // pre-round clocks (transfer reads the sender clock before either
-        // side advances); each side then pays the receive serialization.
-        const double byte_time = static_cast<double>(bytes) /
-                                 topology_->link(a, b).bandwidth_Bps;
-        const double t_ab = transfer(a, b, bytes);
-        const double t_ba = transfer(b, a, bytes);
+        // side advances); each side then pays the receive serialization,
+        // priced on the (a, b) link for both directions.
+        const Route ab = routes_.route(a, b);
+        const Route ba = routes_.route(b, a);
+        const double byte_time =
+            static_cast<double>(bytes) / ab.link.bandwidth_Bps;
+        const double t_ab = transfer(a, ab, bytes);
+        const double t_ba = transfer(b, ba, bytes);
         auto& ca = clock_[static_cast<std::size_t>(a)];
         auto& cb = clock_[static_cast<std::size_t>(b)];
         const double a_start = std::max(ca, t_ba);

@@ -8,6 +8,14 @@
 // original testbed) in milliseconds. Costs use exactly the same
 // GridTopology links and Roofline rates as the threaded runtime, and the
 // engine-equivalence test pins the two to identical critical paths.
+//
+// Route-table contract: each engine resolves every rank's cluster, node,
+// speed scale and the cluster-pair links once, in its constructor (a
+// RouteTable), and never asks the GridTopology again. The arithmetic is
+// the topology's — same expressions, same operand order, same
+// accumulation order — so replays are bit-identical to per-event lookups
+// (DesReplay.PinnedBits), and a rank outside [0, nprocs()) still throws
+// qrgrid::Error from compute, p2p and the collectives.
 #pragma once
 
 #include <cstddef>
@@ -16,6 +24,7 @@
 
 #include "model/roofline.hpp"
 #include "msg/cost_model.hpp"
+#include "simgrid/route.hpp"
 #include "simgrid/topology.hpp"
 #include "simgrid/trace.hpp"
 
@@ -29,7 +38,15 @@ class DesEngine {
 
   /// Advances `rank`'s clock by the time to execute `flops` on
   /// ncols-column blocks at the rank's roofline rate.
-  void compute(int rank, double flops, int ncols);
+  void compute(int rank, double flops, int ncols) {
+    compute(std::span<const int>(&rank, 1), flops, ncols);
+  }
+
+  /// compute(rank, flops, ncols) for every rank of `ranks`, in order —
+  /// the SPMD step where each participant does the same local work. The
+  /// seconds depend only on a rank's cluster, so each run of same-cluster
+  /// ranks pays one division.
+  void compute(std::span<const int> ranks, double flops, int ncols);
 
   /// Point-to-point transfer: dst cannot proceed before the message
   /// arrives. Also accrues the message/byte counters by link class.
@@ -124,12 +141,19 @@ class DesEngine {
   }
 
  private:
-  /// Books the (possibly contended) channel for a transfer and returns
-  /// the arrival time at the receiver; updates counters.
-  double transfer(int src, int dst, std::size_t bytes);
+  /// Books the (possibly contended) channel for a transfer from `src`
+  /// along `route` and returns the arrival time at the receiver; updates
+  /// counters.
+  double transfer(int src, const Route& route, std::size_t bytes);
+
+  /// roofline_.rate_gflops(ncols), memoized for the last ncols asked.
+  double rate_gflops(int ncols);
 
   const GridTopology* topology_;
   model::Roofline roofline_;
+  RouteTable routes_;
+  int rate_ncols_ = 0;
+  double rate_gflops_ = 0.0;
   std::vector<double> clock_;
   std::vector<double> compute_seconds_;
   TraceLog* trace_ = nullptr;

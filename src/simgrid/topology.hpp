@@ -78,7 +78,9 @@ class GridTopology {
     return base_[static_cast<std::size_t>(c)];
   }
 
-  /// Link parameters between two ranks (self links are free).
+  /// Link parameters between two ranks (self links are free). Each call
+  /// decomposes both ranks; the replay engines ask per event, so they read
+  /// a RouteTable (simgrid/route.hpp) that tests pin to these answers.
   LinkParams link(int rank_a, int rank_b) const;
 
   msg::LinkClass link_class(int rank_a, int rank_b) const;

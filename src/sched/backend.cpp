@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "common/check.hpp"
@@ -121,15 +120,8 @@ bool ExecutionBackend::executes() const {
 
 const ExecutionProfile& ExecutionBackend::profile(const Job& job,
                                                   const Placement& placement) {
-  std::ostringstream key;
-  key.precision(17);  // round-trip doubles: distinct m must not collide
-  key << job.m << ':' << job.n << ':' << static_cast<int>(job.tree) << ':'
-      << options_.domains_per_cluster << ':' << options_.wan_link_Bps;
-  for (std::size_t i = 0; i < placement.clusters.size(); ++i) {
-    key << (i == 0 ? ';' : ',') << placement.clusters[i] << 'x'
-        << placement.nodes[i];
-  }
-  const auto cached = profile_cache_.find(key.str());
+  ProfileKey key{job.m, job.n, job.tree, placement.clusters, placement.nodes};
+  const auto cached = profile_cache_.find(key);
   if (cached != profile_cache_.end()) {
     if (metrics_ != nullptr) metrics_->add("backend.profile_hits");
     return cached->second;
@@ -190,8 +182,8 @@ const ExecutionProfile& ExecutionBackend::profile(const Job& job,
     first_in = std::min(first_in, frac);
   }
   const ExecutionProfile& entry =
-      profile_cache_.emplace(key.str(), std::move(profile)).first->second;
-  // Exemplar for snapshot pre-warm: the key above is a pure function of
+      profile_cache_.emplace(std::move(key), std::move(profile)).first->second;
+  // Exemplar for snapshot pre-warm: the entry above is a pure function of
   // (job shape, placement, service options), so replaying this pair
   // recomputes exactly this cache entry.
   exemplars_.push_back(ProfileExemplar{job, placement});

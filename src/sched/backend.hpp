@@ -26,9 +26,10 @@
 // simulator into a validated predictor.
 #pragma once
 
+#include <compare>
 #include <limits>
+#include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "model/roofline.hpp"
@@ -168,12 +169,26 @@ class ExecutionBackend {
   }
 
  private:
+  /// Profile-cache key: the job's shape and its canonical placement,
+  /// compared exactly (m too — no rounding). The options that also
+  /// shape a replay (domains_per_cluster, wan_link_Bps, ...) are the
+  /// borrowed service's, fixed for this backend's lifetime.
+  struct ProfileKey {
+    double m = 0.0;
+    int n = 0;
+    core::TreeKind tree = core::TreeKind::kFlat;
+    std::vector<int> clusters;
+    std::vector<int> nodes;
+
+    auto operator<=>(const ProfileKey&) const = default;
+  };
+
   const simgrid::GridTopology& topology_;
   const model::Roofline& roofline_;
   const ServiceOptions& options_;
   ServiceTracer* tracer_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;
-  std::unordered_map<std::string, ExecutionProfile> profile_cache_;
+  std::map<ProfileKey, ExecutionProfile> profile_cache_;
   std::vector<ProfileExemplar> exemplars_;  ///< cache misses, in order
 };
 

@@ -97,7 +97,9 @@ class SchedulingPolicy {
   /// presented to the meta-scheduler's first-fit. The default is master-id
   /// order, or idlest-WAN-link-first when a model is supplied (the
   /// wan_aware dispatch path); ties keep master-id order, which makes the
-  /// naive path exactly the PR-2 behavior.
+  /// naive path exactly the PR-2 behavior. An override may read only the
+  /// WAN load scores and state on_attempt_start() moves: the service
+  /// memoizes placements from one start to the next.
   virtual std::vector<int> cluster_order(int num_clusters,
                                          const GridWanModel* wan) const;
 

@@ -7,10 +7,11 @@
 // phase (dispatch suddenly rescanning the queue, the WAN walk going
 // quadratic) shows up even when absolute walls jitter across machines.
 //
-// Six phases, chosen to cover the loop's real hot spots:
+// Eight phases, chosen to cover the loop's real hot spots:
 //
 //   dispatch-scan        one dispatch() pass: head placements + the
-//                        bounded backfill scan (includes shadow below)
+//                        bounded backfill scan (includes shadow and
+//                        place below)
 //   shadow               shadow_time(): the EASY reservation estimate,
 //                        including WAN drain pricing (nested inside
 //                        dispatch-scan — totals overlap by design)
@@ -26,6 +27,13 @@
 //                        plus per-completion accounting
 //   backend-execute      ExecutionBackend::execute (msg runtime only;
 //                        zero calls on the replay backend)
+//   place                one try_place on a memo miss (the dispatch
+//                        memo, or the blame pass's fully-up probe): the
+//                        residual topology and meta-scheduler walk
+//                        (nested inside whichever phase asked —
+//                        dispatch-scan or blame-classify)
+//   blame-classify       classify_waits(): the wait-blame pass after
+//                        each dispatch (wait_blame runs only)
 //
 // Cost contract, same shape as the tracer's: ServiceOptions::profiler is
 // a nullable pointer, and a PhaseScope over a null profiler never reads
@@ -50,8 +58,10 @@ enum class ProfilePhase : int {
   kWanRebalance,
   kCompletionExtract,
   kBackendExecute,
+  kPlace,
+  kBlameClassify,
 };
-inline constexpr int kProfilePhaseCount = 6;
+inline constexpr int kProfilePhaseCount = 8;
 
 inline const char* profile_phase_name(ProfilePhase phase) {
   switch (phase) {
@@ -67,6 +77,10 @@ inline const char* profile_phase_name(ProfilePhase phase) {
       return "completion-extract";
     case ProfilePhase::kBackendExecute:
       return "backend-execute";
+    case ProfilePhase::kPlace:
+      return "place";
+    case ProfilePhase::kBlameClassify:
+      return "blame-classify";
   }
   return "unknown";
 }

@@ -8,6 +8,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -297,6 +298,13 @@ struct GridJobService::Engine {
   /// Placement preference: only wan_aware dispatch consults the WAN
   /// model; feasibility checks and shadow estimates stay naive.
   const GridWanModel* placement_wan = nullptr;
+  /// place_now()'s answers on the CURRENT free state, keyed on procs
+  /// (a placement depends on nothing else of the job): nullopt = does
+  /// not fit. Both inputs — `placeable` and the WAN load scores that
+  /// order clusters — move only between passes and inside start_job, so
+  /// dispatch() clears it on entry and start_job on exit. Not snapshot
+  /// state: it is empty at every pass start.
+  std::unordered_map<int, std::optional<Placement>> placement_memo;
 
   /// quiet = the restore path: skip workload admission (validated by the
   /// original start()) and the preamble's telemetry emissions (the
@@ -336,6 +344,11 @@ struct GridJobService::Engine {
   void grant_nodes(const Placement& pl);
   void release_nodes(const Placement& pl);
   bool placeable_precheck(const Job& job) const;
+  /// Where `job` would go on the current free state (placeable, ordered
+  /// by placement_wan), or null: the O(1) precheck, then the memo,
+  /// filled on a miss by try_place. The pointee lives until the memo is
+  /// next cleared — the end of the next start_job at the latest.
+  const Placement* place_now(const Job& job);
   void blame_flush(int job_id, double upto_s);
   double wan_finish(const Running& r) const;
   double event_of(const Running& r) const;
@@ -345,6 +358,8 @@ struct GridJobService::Engine {
                                   double through_fraction);
   void record_outcome(Running& r, double end_s, JobFate fate,
                       const ExecutionResult& exec);
+  /// Grants `placement` and starts the attempt; `placement` may be a
+  /// place_now() answer, which start_job invalidates as its last step.
   void start_job(Job job, const Placement& placement, bool backfilled);
   void dispatch();
   void classify_waits();
@@ -559,25 +574,28 @@ std::optional<Placement> GridJobService::Engine::try_place(
 
   // Fewest groups first: every extra group is another cluster boundary the
   // R-factor reduction must cross on a wide-area link.
+  simgrid::GroupRequirement req;
+  req.max_intra_latency_s = kGroupMaxLatencyS;
+  req.min_intra_bandwidth_Bps = kGroupMinBandwidthBps;
+  simgrid::JobProfile profile;
   for (int g = 1; g <= kMaxGroups; ++g) {
     const int group_procs = (job.procs + g - 1) / g;
-    simgrid::JobProfile profile;
-    profile.name = "job-" + std::to_string(job.id);
-    for (int i = 0; i < g; ++i) {
-      simgrid::GroupRequirement req;
-      req.processes = group_procs;
-      req.max_intra_latency_s = kGroupMaxLatencyS;
-      req.min_intra_bandwidth_Bps = kGroupMinBandwidthBps;
-      profile.groups.push_back(req);
-    }
+    req.processes = group_procs;
+    profile.groups.assign(static_cast<std::size_t>(g), req);
     const auto alloc = scheduler.allocate(profile);
     if (!alloc.has_value()) continue;
 
+    // The meta-scheduler lays group i out as the contiguous rank block
+    // [i * group_procs, (i + 1) * group_procs) on one cluster, so each
+    // group's first rank names its cluster.
     std::vector<int> procs_used(
         static_cast<std::size_t>(residual.topology.num_clusters()), 0);
-    for (int rank : alloc->placement) {
-      ++procs_used[static_cast<std::size_t>(
-          residual.topology.location_of(rank).cluster)];
+    for (int i = 0; i < g; ++i) {
+      const int first_rank =
+          alloc->placement[static_cast<std::size_t>(i * group_procs)];
+      procs_used[static_cast<std::size_t>(
+          residual.topology.location_of(first_rank).cluster)] +=
+          group_procs;
     }
     // Canonical form: ascending master cluster ids, whatever order the
     // (possibly wan-reordered) residual presented them in — the replay
@@ -721,6 +739,16 @@ bool GridJobService::Engine::placeable_precheck(const Job& job) const {
   const int min_group_procs =
       (job.procs + kMaxGroups - 1) / kMaxGroups;
   return min_group_procs <= *placeable_procs_index.rbegin();
+}
+
+const Placement* GridJobService::Engine::place_now(const Job& job) {
+  if (!placeable_precheck(job)) return nullptr;
+  const auto [entry, miss] = placement_memo.try_emplace(job.procs);
+  if (miss) {
+    PhaseScope scope(profiler, ProfilePhase::kPlace);
+    entry->second = try_place(job, placeable, placement_wan);
+  }
+  return entry->second ? &*entry->second : nullptr;
 }
 
 // Wait-blame attribution (opt-in via ServiceOptions::wait_blame): one
@@ -1017,10 +1045,16 @@ void GridJobService::Engine::start_job(Job job, const Placement& placement,
                             : "dispatch.head_starts");
   }
   running.push_back(std::move(r));
+  // The grant and the admitted flow moved the free state; `placement`
+  // (possibly a memo entry) is not read past this point.
+  placement_memo.clear();
 }
 
 void GridJobService::Engine::dispatch() {
   last_shadow = kInf;
+  // Completions, outages, arrivals and WAN drains since the last pass
+  // moved the free state.
+  placement_memo.clear();
   // Policy order: start from the head while it fits the up clusters.
   // front() re-establishes policy order itself when keys moved
   // (fair-share deficits after each start) — the incremental sync that
@@ -1028,12 +1062,8 @@ void GridJobService::Engine::dispatch() {
   // entirely.
   while (!pending.empty()) {
     if (metrics != nullptr) metrics->add("dispatch.head_place_scans");
-    const Job& head = pending.front();
-    std::optional<Placement> placement;
-    if (placeable_precheck(head)) {
-      placement = try_place(head, placeable, placement_wan);
-    }
-    if (!placement.has_value()) break;
+    const Placement* placement = place_now(pending.front());
+    if (placement == nullptr) break;
     start_job(pending.pop_front(), *placement, /*backfilled=*/false);
   }
   if (!policy.backfills() || pending.empty() || running.empty()) {
@@ -1085,11 +1115,8 @@ void GridJobService::Engine::dispatch() {
       break;
     }
     if (metrics != nullptr) metrics->add("dispatch.backfill_scans");
-    std::optional<Placement> placement;
-    if (placeable_precheck(it->job)) {
-      placement = try_place(it->job, placeable, placement_wan);
-    }
-    if (placement.has_value()) {
+    const Placement* placement = place_now(it->job);
+    if (placement != nullptr) {
       const ExecutionProfile& replay = backend.profile(it->job, *placement);
       const Job& candidate = it->job;
       const double remaining = attempt_seconds(
@@ -1165,6 +1192,8 @@ void GridJobService::Engine::classify_waits() {
   }
   const bool backfills = policy.backfills();
   const bool priced = wan != nullptr && policy.wan_priced_shadow();
+  // The fully-up probe's answers by procs, for this pass only.
+  std::unordered_map<int, bool> fully_up_fits;
   const Job* head = nullptr;
   int idx = 0;
   for (auto it = pending.begin(); it != pending.end(); ++it, ++idx) {
@@ -1177,17 +1206,24 @@ void GridJobService::Engine::classify_waits() {
       // the scheduler never even looked.
       category = BlameCategory::kBackfillDepthTruncated;
     } else {
-      std::optional<Placement> placement;
-      if (placeable_precheck(job)) {
-        placement = try_place(job, placeable, placement_wan);
-      }
-      if (!placement.has_value()) {
+      // dispatch() just settled on this very free state, so its memo
+      // still answers.
+      const Placement* placement = place_now(job);
+      if (placement == nullptr) {
         // Would the job fit if every cluster were up? free_nodes still
         // counts down clusters' (outage-released) nodes, so it IS the
         // fully-up view that placeable masks out.
-        category = any_down && try_place(job, free_nodes).has_value()
-                       ? BlameCategory::kOutageBlocked
-                       : BlameCategory::kResourceBusy;
+        bool fits_fully_up = false;
+        if (any_down) {
+          const auto [probe, miss] = fully_up_fits.try_emplace(job.procs);
+          if (miss) {
+            PhaseScope scope(profiler, ProfilePhase::kPlace);
+            probe->second = try_place(job, free_nodes).has_value();
+          }
+          fits_fully_up = probe->second;
+        }
+        category = fits_fully_up ? BlameCategory::kOutageBlocked
+                                 : BlameCategory::kResourceBusy;
       } else if (idx == 0) {
         // Unreachable — dispatch starts every placeable head — but a
         // defensive fallback beats asserting inside an observer.
@@ -1412,7 +1448,10 @@ void GridJobService::Engine::step() {
     PhaseScope phase(profiler, ProfilePhase::kDispatchScan);
     dispatch();
   }
-  if (blame_on) classify_waits();
+  if (blame_on) {
+    PhaseScope phase(profiler, ProfilePhase::kBlameClassify);
+    classify_waits();
+  }
 
   if (metrics != nullptr) {
     // Step curves over virtual time, sampled once per event-loop

@@ -111,8 +111,9 @@ struct ServiceOptions {
   /// per process for N <= 128, at most 16 for wider panels — the Fig. 6/7
   /// trade-off), core::kOneDomainPerProcess = exactly one single-rank
   /// domain per process (the layout under which a msg-runtime execution
-  /// is structurally identical to the replay schedule). Part of the
-  /// profile cache key.
+  /// is structurally identical to the replay schedule). Fixed for the
+  /// service's lifetime, like every option, so the profile cache (one
+  /// per service) needs no key for it.
   int domains_per_cluster = 0;
   /// Bound on how many pending candidates one backfill pass examines
   /// behind the blocked head (SLURM's bf_max_job_test). 0 = unlimited,

@@ -4,9 +4,10 @@
 // fair-share resync stays incremental (bounded reinserts, not full-queue
 // resorts), the WAN flow table reclaims retired flows (live_flows
 // bounded by concurrency, not by total flows admitted), the bounded
-// backfill scan honors its depth, and — the regression that motivated
-// the queue rewrite — jobs ARRIVING mid-run under fair-share insert
-// against fresh deficit keys instead of a stale-sorted range.
+// backfill scan honors its depth, placements track free-state changes
+// rather than queue depth, and — the regression that motivated the
+// queue rewrite — jobs ARRIVING mid-run under fair-share insert against
+// fresh deficit keys instead of a stale-sorted range.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "sched/policy.hpp"
+#include "sched/profiler.hpp"
 #include "sched/service.hpp"
 #include "sched/telemetry.hpp"
 #include "sched/wan.hpp"
@@ -108,6 +110,35 @@ TEST(ScaleDispatch, BackfillDepthBoundsTheScan) {
   EXPECT_LE(metrics.counter("dispatch.backfill_scans"),
             kDepth * metrics.counter("dispatch.shadow_computations"));
   EXPECT_GT(report.backfilled_jobs, 0);
+}
+
+TEST(ScaleDispatch, PlacementsTrackStartsNotQueueDepth) {
+  // A burst backlog of one matrix shape under an unbounded EASY scan.
+  // Thousands of candidates pass the O(1) precheck behind each blocked
+  // head, but a placement depends only on procs and the free state, and
+  // the free state moves only between dispatch passes and at starts. So
+  // at most one placement is computed per procs size per free state,
+  // however deep the backlog the scan walks.
+  WorkloadSpec spec = scale_spec(2000, 1);
+  spec.mean_interarrival_s = 0.001;
+  MetricsRegistry metrics;
+  PhaseProfiler profiler;
+  ServiceOptions options;
+  options.policy = Policy::kEasyBackfill;
+  options.metrics = &metrics;
+  options.profiler = &profiler;
+  GridJobService service(paper_grid(), model::paper_calibration(), options);
+  const ServiceReport report = service.run(generate_workload(spec));
+  EXPECT_EQ(report.completed_jobs, 2000);
+  const long long starts = metrics.counter("policy.attempt_starts");
+  const long long free_states =
+      profiler.calls(ProfilePhase::kDispatchScan) + starts;
+  const auto sizes = static_cast<long long>(spec.procs_choices.size());
+  EXPECT_LE(profiler.calls(ProfilePhase::kPlace), sizes * free_states);
+  // The bound sits far below the scan's work: without the placement
+  // memo, every scanned candidate that passes the precheck places anew.
+  EXPECT_GT(metrics.counter("dispatch.backfill_scans"),
+            10 * sizes * free_states);
 }
 
 TEST(ScaleWan, LiveFlowTableReclaimsRetiredFlows) {

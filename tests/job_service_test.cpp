@@ -4,11 +4,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "sched/outage.hpp"
+#include "sched/telemetry.hpp"
 #include "sched/workload.hpp"
 #include "simgrid/des.hpp"
 
@@ -420,6 +425,221 @@ TEST(GridJobService, PredictedSecondsGrowWithWork) {
   const Job large_job = make_job(1, 0.0, 1 << 22, 64, 8);
   EXPECT_LT(service.predicted_seconds(small_job),
             service.predicted_seconds(large_job));
+}
+
+// ------------------------------------------------------ pinned decisions
+
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// One pinned run: its service configuration and workload.
+struct DecisionCase {
+  std::string name;
+  simgrid::GridTopology topo;
+  ServiceOptions options;
+  std::vector<Job> jobs;
+};
+
+/// A burst backlog of small jobs in every tree shape, so one shape and
+/// placement recurs under different trees, with sizes up to twice a
+/// site's processes, which must split across clusters.
+std::vector<Job> burst_backlog(int jobs, int users, std::uint64_t seed) {
+  WorkloadSpec spec;
+  spec.jobs = jobs;
+  spec.mean_interarrival_s = 0.0005;
+  spec.users = users;
+  spec.priority_levels = 3;
+  spec.m_choices = {1 << 15, 1 << 16, 1 << 17};
+  spec.n_choices = {16, 32};
+  spec.procs_choices = {2, 4, 8, 16};
+  spec.tree_choices = {core::TreeKind::kFlat, core::TreeKind::kBinary,
+                       core::TreeKind::kGridHierarchical};
+  spec.seed = seed;
+  return generate_workload(spec);
+}
+
+/// The pinned matrix: every policy on one burst backlog with an
+/// unbounded scan, a bounded EASY scan, EASY under faults with
+/// over-asked walltimes, restart credit and wait-blame, both WAN rules
+/// under WAN-aware placement, and fair-share over four users.
+std::vector<DecisionCase> decision_cases() {
+  const simgrid::GridTopology grid = simgrid::GridTopology::grid5000(4, 4, 2);
+  std::vector<DecisionCase> cases;
+  for (const Policy policy :
+       {Policy::kFcfs, Policy::kSpjf, Policy::kEasyBackfill,
+        Policy::kPriorityEasy, Policy::kFairShare}) {
+    DecisionCase c{"burst/" + policy_name(policy), grid, {}, {}};
+    c.options.policy = policy;
+    c.jobs = burst_backlog(60, 2, 41);
+    cases.push_back(std::move(c));
+  }
+  {
+    DecisionCase c{"easy/depth3", grid, {}, {}};
+    c.options.policy = Policy::kEasyBackfill;
+    c.options.backfill_depth = 3;
+    c.jobs = burst_backlog(60, 1, 43);
+    cases.push_back(std::move(c));
+  }
+  {
+    DecisionCase c{"easy/faults", grid, {}, {}};
+    c.options.policy = Policy::kEasyBackfill;
+    c.options.outages =
+        OutageTrace(OutageSpec{0.4, 0.08, 47}, grid.num_clusters());
+    c.options.restart_credit = true;
+    c.options.checkpoint_panels = 4;
+    c.options.wait_blame = true;
+    c.jobs = burst_backlog(50, 1, 45);
+    const GridJobService probe(grid, model::paper_calibration(), c.options);
+    assign_walltimes(c.jobs, 1.6, 9, [&probe](const Job& job) {
+      return probe.predicted_seconds(job);
+    });
+    cases.push_back(std::move(c));
+  }
+  for (const WanFairness rule : {WanFairness::kMaxMin,
+                                 WanFairness::kEqualSplit}) {
+    const bool maxmin = rule == WanFairness::kMaxMin;
+    DecisionCase c{maxmin ? "prio-easy/maxmin-aware" : "easy/equal-aware",
+                   simgrid::GridTopology::grid5000(4, 2, 2), {}, {}};
+    c.options.policy =
+        maxmin ? Policy::kPriorityEasy : Policy::kEasyBackfill;
+    c.options.wan_contention = true;
+    c.options.wan_aware = true;
+    c.options.wan_fairness = rule;
+    c.options.wan_link_Bps = 2e6;
+    c.jobs = burst_backlog(40, 2, maxmin ? 51 : 53);
+    cases.push_back(std::move(c));
+  }
+  {
+    DecisionCase c{"fair/4-users", grid, {}, {}};
+    c.options.policy = Policy::kFairShare;
+    c.jobs = burst_backlog(60, 4, 57);
+    for (Job& job : c.jobs) job.weight = 1.0 + job.user % 2;
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+/// Length and FNV-1a-64 of one run's Chrome-trace JSON, of its full
+/// event stream (every field, doubles as hexfloats: node counts,
+/// reservations, blame intervals and profile computes the Chrome trace
+/// does not render), and of its summary row.
+struct DecisionBits {
+  std::size_t trace_len = 0;
+  std::uint64_t trace_hash = 0;
+  std::size_t events_len = 0;
+  std::uint64_t events_hash = 0;
+  std::size_t row_len = 0;
+  std::uint64_t row_hash = 0;
+};
+
+std::string event_stream(const std::vector<ServiceTraceEvent>& events) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  for (const ServiceTraceEvent& ev : events) {
+    out << ev.t_s << ' ' << static_cast<int>(ev.kind) << ' ' << ev.job
+        << ' ' << ev.cluster << ' ' << ev.flow << ' ' << ev.value << ' '
+        << ev.value2 << " [";
+    for (std::size_t i = 0; i < ev.clusters.size(); ++i) {
+      out << ev.clusters[i] << 'x' << ev.nodes[i] << ' ';
+    }
+    out << "] " << ev.note << '\n';
+  }
+  return out.str();
+}
+
+/// Steps the case to completion under a step cap: a decision bug that
+/// livelocks the loop fails here instead of hanging the suite.
+DecisionBits decision_bits(DecisionCase c) {
+  constexpr int kMaxSteps = 20000;
+  ServiceTracer tracer;
+  c.options.tracer = &tracer;
+  GridJobService service(c.topo, model::paper_calibration(), c.options);
+  service.start(c.jobs);
+  int steps = 0;
+  while (service.active() && steps < kMaxSteps) {
+    service.step();
+    ++steps;
+  }
+  EXPECT_FALSE(service.active()) << c.name << ": no end after " << steps
+                                 << " steps";
+  if (service.active()) return {};
+  const ServiceReport report = service.finish();
+  std::ostringstream trace;
+  write_chrome_trace(tracer.events(), trace);
+  const std::string stream = event_stream(tracer.events());
+  std::string row;
+  for (const std::string& cell : summary_row(report)) row += cell + '|';
+  return {trace.str().size(), fnv1a64(trace.str()), stream.size(),
+          fnv1a64(stream), row.size(), fnv1a64(row)};
+}
+
+// Every scheduling decision of the matrix above, pinned as bytes: which
+// job starts when, where, for how long, and by which path (head start or
+// backfill), plus every kill, requeue and blame interval in the trace.
+// A placement shortcut that answers from a stale free state, or a profile
+// cache that confuses two shapes, moves these hashes.
+TEST(GridJobService, PinnedDecisions) {
+  struct Pin {
+    const char* name;
+    DecisionBits bits;
+  };
+  const Pin kPinned[] = {
+      {"burst/fcfs",
+       {55122, 0xc7d6a83c035de45ull, 15228, 0x98c69241667135c8ull,
+        79, 0xe4e39c135beb0b28ull}},
+      {"burst/spjf",
+       {54491, 0x50def26b75c86247ull, 15175, 0x8477505c91dd909cull,
+        79, 0xf194b1376b3fd8adull}},
+      {"burst/easy",
+       {55172, 0x3d06cbeb13e43305ull, 25708, 0x3fcafa6f7a875e15ull,
+        79, 0x1fb22c8f5ec798bcull}},
+      {"burst/prio-easy",
+       {54425, 0xbf13c6c8a657910ull, 24587, 0x98c1cac12eda7815ull,
+        85, 0x2be51ad37a406fd1ull}},
+      {"burst/fair",
+       {56346, 0xd2dd0aa87dd6bcccull, 15542, 0x111f3baf415ccf2cull,
+        78, 0x23d1cf3d705cc898ull}},
+      {"easy/depth3",
+       {56410, 0xe43ffec0e75d5297ull, 23111, 0xa339d1367669382dull,
+        80, 0x7a517008020491a8ull}},
+      {"easy/faults",
+       {48884, 0x9558f54153168a74ull, 48366, 0x96b7ff299730530eull,
+        87, 0x3db3618f75163126ull}},
+      {"prio-easy/maxmin-aware",
+       {47539, 0xb6212077364de017ull, 27462, 0x7a91bc2d1c443da5ull,
+        87, 0xd6b4655d9a4cb0e8ull}},
+      {"easy/equal-aware",
+       {48464, 0x16a9de48bdb2b173ull, 34968, 0x838da20fa7a69aa3ull,
+        81, 0x2154ea28180fe7dull}},
+      {"fair/4-users",
+       {58119, 0x3b8ebac981dd4eedull, 15697, 0x99b0a7dd04559013ull,
+        78, 0x26840c626bbdff05ull}},
+  };
+  const std::vector<DecisionCase> cases = decision_cases();
+  ASSERT_EQ(cases.size(), std::size(kPinned));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const DecisionBits got = decision_bits(cases[i]);
+    const DecisionBits& want = kPinned[i].bits;
+    std::ostringstream row;
+    row << "{\"" << cases[i].name << "\", {" << got.trace_len << ", 0x"
+        << std::hex << got.trace_hash << "ull, " << std::dec
+        << got.events_len << ", 0x" << std::hex << got.events_hash
+        << "ull, " << std::dec << got.row_len << ", 0x" << std::hex
+        << got.row_hash << "ull}},";
+    EXPECT_EQ(cases[i].name, kPinned[i].name);
+    EXPECT_EQ(got.trace_len, want.trace_len) << row.str();
+    EXPECT_EQ(got.trace_hash, want.trace_hash) << row.str();
+    EXPECT_EQ(got.events_len, want.events_len) << row.str();
+    EXPECT_EQ(got.events_hash, want.events_hash) << row.str();
+    EXPECT_EQ(got.row_len, want.row_len) << row.str();
+    EXPECT_EQ(got.row_hash, want.row_hash) << row.str();
+  }
 }
 
 }  // namespace

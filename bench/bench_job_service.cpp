@@ -106,11 +106,7 @@ TracedRun run_traced(const simgrid::GridTopology& topo,
   const sched::CriticalPathReport cp =
       sched::analyze_critical_path(tracer.events());
   // The analyzer's self-check: the chain tiles [0, makespan] exactly.
-  // Tile boundaries are exact doubles; only the SUM of tile lengths may
-  // round, hence the relative epsilon.
-  out.crit_ok = cp.makespan_s == out.report.makespan_s &&
-                std::abs(cp.path_length_s() - cp.makespan_s) <=
-                    1e-9 * std::max(1.0, cp.makespan_s);
+  out.crit_ok = cp.tiles(out.report.makespan_s);
   out.crit_run_frac =
       cp.makespan_s > 0.0 ? cp.run_s / cp.makespan_s : 0.0;
   return out;

@@ -10,6 +10,7 @@
 //
 // The example prints the allocation, the per-link-class message counts,
 // and contrasts them with a topology-blind run.
+#include <algorithm>
 #include <iostream>
 
 #include "common/table.hpp"
@@ -54,15 +55,9 @@ int main() {
   TextTable placement;
   placement.set_header({"group", "processes", "site"});
   for (int g = 0; g < 4; ++g) {
-    int count = 0;
-    int site = -1;
-    for (int r = 0; r < alloc->size(); ++r) {
-      if (alloc->group_of(r) == g) {
-        ++count;
-        site = topo.location_of(
-            alloc->placement[static_cast<std::size_t>(r)]).cluster;
-      }
-    }
+    const auto count = std::count(alloc->rank_to_group.begin(),
+                                  alloc->rank_to_group.end(), g);
+    const int site = alloc->group_cluster[static_cast<std::size_t>(g)];
     placement.add_row({std::to_string(g), std::to_string(count),
                        topo.cluster(site).name});
   }

@@ -48,59 +48,31 @@ std::string backend_name(BackendKind kind) {
   throw Error("unreachable backend kind");
 }
 
-SubTopology make_sub_topology(const simgrid::GridTopology& master,
-                              const std::vector<int>& nodes_per_cluster,
-                              const std::vector<int>& order) {
+namespace {
+
+/// Topology of the granted nodes (clusters in ascending master id) —
+/// shared by the replay and the real execution so both run the job on
+/// the SAME simulated hardware.
+simgrid::GridTopology placement_topology(const simgrid::GridTopology& master,
+                                         const Placement& placement) {
   std::vector<simgrid::ClusterSpec> clusters;
-  std::vector<int> to_master;
-  for (const int c : order) {
-    const int nodes = nodes_per_cluster[static_cast<std::size_t>(c)];
-    if (nodes <= 0) continue;
-    simgrid::ClusterSpec spec = master.cluster(c);
-    spec.nodes = nodes;
+  for (std::size_t i = 0; i < placement.clusters.size(); ++i) {
+    simgrid::ClusterSpec spec = master.cluster(placement.clusters[i]);
+    spec.nodes = placement.nodes[i];
     clusters.push_back(spec);
-    to_master.push_back(c);
   }
-  QRGRID_CHECK(!clusters.empty());
   const std::size_t k = clusters.size();
   std::vector<std::vector<simgrid::LinkParams>> inter(
       k, std::vector<simgrid::LinkParams>(k));
   for (std::size_t i = 0; i < k; ++i) {
     for (std::size_t j = 0; j < k; ++j) {
       inter[i][j] = i == j ? master.intra_cluster_link()
-                           : master.inter_cluster_link(
-                                 to_master[i], to_master[j]);
+                           : master.inter_cluster_link(placement.clusters[i],
+                                                       placement.clusters[j]);
     }
   }
-  return SubTopology{
-      simgrid::GridTopology(std::move(clusters), master.intra_node_link(),
-                            master.intra_cluster_link(), std::move(inter)),
-      std::move(to_master)};
-}
-
-std::vector<int> identity_order(int num_clusters) {
-  std::vector<int> order(static_cast<std::size_t>(num_clusters));
-  for (int c = 0; c < num_clusters; ++c) {
-    order[static_cast<std::size_t>(c)] = c;
-  }
-  return order;
-}
-
-namespace {
-
-/// Sub-topology of the granted nodes in canonical (identity) order —
-/// shared by the replay and the real execution so both run the job on the
-/// SAME simulated hardware.
-SubTopology placement_topology(const simgrid::GridTopology& master,
-                               const Placement& placement) {
-  std::vector<int> nodes_per_cluster(
-      static_cast<std::size_t>(master.num_clusters()), 0);
-  for (std::size_t i = 0; i < placement.clusters.size(); ++i) {
-    nodes_per_cluster[static_cast<std::size_t>(placement.clusters[i])] =
-        placement.nodes[i];
-  }
-  return make_sub_topology(master, nodes_per_cluster,
-                           identity_order(master.num_clusters()));
+  return simgrid::GridTopology(std::move(clusters), master.intra_node_link(),
+                               master.intra_cluster_link(), std::move(inter));
 }
 
 }  // namespace
@@ -128,27 +100,28 @@ const ExecutionProfile& ExecutionBackend::profile(const Job& job,
   }
   if (metrics_ != nullptr) metrics_->add("backend.profile_misses");
 
-  SubTopology sub = placement_topology(topology_, placement);
+  const simgrid::GridTopology granted =
+      placement_topology(topology_, placement);
 
   int domains = options_.domains_per_cluster;
   if (domains == 0) {
     // Auto: one domain per process while panels are narrow (Fig. 6's
     // regime), at most 16 for N > 128 where the combine flops stop paying
     // for themselves (Fig. 7b).
-    int min_procs = sub.topology.cluster(0).procs();
-    for (int c = 1; c < sub.topology.num_clusters(); ++c) {
-      min_procs = std::min(min_procs, sub.topology.cluster(c).procs());
+    int min_procs = granted.cluster(0).procs();
+    for (int c = 1; c < granted.num_clusters(); ++c) {
+      min_procs = std::min(min_procs, granted.cluster(c).procs());
     }
     domains = std::min(min_procs, job.n <= 128 ? 64 : 16);
   }
 
-  simgrid::DesEngine engine(&sub.topology, roofline_);
+  simgrid::DesEngine engine(&granted, roofline_);
   engine.set_wan_aggregate_Bps(options_.wan_link_Bps);
   // Per-transfer WAN events feed only the shared-WAN model's activation
   // windows: contention-free services never grow vectors nothing reads.
   engine.record_wan_transfers(options_.wan_contention);
   const core::DomainLayout layout =
-      core::make_domain_layout(sub.topology, domains);
+      core::make_domain_layout(granted, domains);
   core::des_tsqr(engine, layout.groups, layout.domain_cluster, job.m, job.n,
                  job.tree, /*form_q=*/false);
 
@@ -157,10 +130,10 @@ const ExecutionProfile& ExecutionBackend::profile(const Job& job,
   profile.gflops =
       model::useful_flops(job.m, job.n) / profile.seconds / 1e9;
   profile.compute_utilization = engine.compute_utilization();
-  const auto k = static_cast<std::size_t>(sub.topology.num_clusters());
+  const auto k = static_cast<std::size_t>(granted.num_clusters());
   profile.egress_first_fraction.assign(k, 1.0);
   profile.ingress_first_fraction.assign(k, 1.0);
-  for (int c = 0; c < sub.topology.num_clusters(); ++c) {
+  for (int c = 0; c < granted.num_clusters(); ++c) {
     profile.egress_bytes.push_back(engine.wan_egress_bytes(c));
     profile.ingress_bytes.push_back(engine.wan_ingress_bytes(c));
   }
@@ -209,18 +182,19 @@ ExecutionResult ExecutionBackend::execute(const Job& job,
                           << " matrix entries); run it on the des-replay "
                              "backend");
 
-  SubTopology sub = placement_topology(topology_, placement);
-  const int procs = sub.topology.total_procs();
+  const simgrid::GridTopology granted =
+      placement_topology(topology_, placement);
+  const int procs = granted.total_procs();
   QRGRID_CHECK_MSG(m_total / procs >= n,
                    "job " << job.id << ": " << m_total << " rows over "
                           << procs
                           << " granted processes leaves local blocks "
                              "shorter than n = "
                           << n);
-  const std::vector<int> rank_cluster = sub.topology.rank_clusters();
+  const std::vector<int> rank_cluster = granted.rank_clusters();
   const auto blocks = core::partition_rows(m_total, procs);
 
-  auto cost = std::make_shared<simgrid::TopologyCostModel>(sub.topology,
+  auto cost = std::make_shared<simgrid::TopologyCostModel>(granted,
                                                            roofline_);
   msg::Runtime runtime(procs, std::move(cost));
   runtime.set_vtime_limit(abort_vtime_s);

@@ -95,21 +95,6 @@ enum class BackendKind {
 BackendKind backend_of(const std::string& name);
 std::string backend_name(BackendKind kind);
 
-/// Topology over a per-cluster node subset of `master`, plus the mapping
-/// from its cluster indices back to master cluster ids. Shared by the
-/// service's placement path (free nodes) and the backend's replay /
-/// execution paths (granted nodes). `order` lists master cluster ids in
-/// the sequence the MetaScheduler's first-fit should consider them
-/// (identity = naive; the wan-aware path passes idlest-uplink-first).
-struct SubTopology {
-  simgrid::GridTopology topology;
-  std::vector<int> to_master;
-};
-SubTopology make_sub_topology(const simgrid::GridTopology& master,
-                              const std::vector<int>& nodes_per_cluster,
-                              const std::vector<int>& order);
-std::vector<int> identity_order(int num_clusters);
-
 /// One profile-cache MISS, recorded in computation order: the (job
 /// shape, placement) pair whose profile the backend had to compute. A
 /// restored service replays these through profile() with telemetry

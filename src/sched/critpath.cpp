@@ -147,6 +147,17 @@ std::string crit_segment_kind_name(CritSegment::Kind kind) {
   return "unknown";
 }
 
+bool CriticalPathReport::tiles(double run_makespan_s) const {
+  if (makespan_s != run_makespan_s) return false;
+  if (chain.empty()) return run_makespan_s == 0.0;
+  bool adjacent =
+      chain.front().t0_s == 0.0 && chain.back().t1_s == run_makespan_s;
+  for (std::size_t i = 0; adjacent && i + 1 < chain.size(); ++i) {
+    adjacent = chain[i].t1_s == chain[i + 1].t0_s;
+  }
+  return adjacent;
+}
+
 CriticalPathReport analyze_critical_path(
     const std::vector<ServiceTraceEvent>& events) {
   CriticalPathReport report;

@@ -56,8 +56,8 @@ std::string crit_segment_kind_name(CritSegment::Kind kind);
 
 struct CriticalPathReport {
   double makespan_s = 0.0;
-  /// The chain, chronological; tiles [0, makespan_s] exactly, so
-  /// path_length_s() == makespan_s is the analyzer's self-check.
+  /// The chain, chronological; tiles [0, makespan_s] exactly — tiles()
+  /// is the analyzer's self-check.
   std::vector<CritSegment> chain;
   int chain_attempts = 0;  ///< kRun tiles on the chain
   /// Chain composition by tile kind.
@@ -76,6 +76,13 @@ struct CriticalPathReport {
     for (const CritSegment& seg : chain) total += seg.t1_s - seg.t0_s;
     return total;
   }
+
+  /// Does the chain tile [0, run_makespan_s] of the run it came from?
+  /// An empty chain does for a zero makespan; otherwise the first tile
+  /// starts at 0, each tile ends exactly where the next begins, and the
+  /// last tile and makespan_s both equal the argument. Exact double
+  /// equality: every boundary is a recorded event time.
+  bool tiles(double run_makespan_s) const;
 };
 
 /// Rebuilds the run's dependency structure from a recorded stream and
@@ -90,24 +97,5 @@ CriticalPathReport analyze_critical_path(
 /// totals, the chain, and the per-job slack map.
 void write_critpath_json(const CriticalPathReport& report,
                          std::ostream& out);
-
-/// TraceSink adapter: buffers the stream during a run; finish() runs
-/// the analysis once. Lets a caller attach critical-path extraction the
-/// same way it attaches the TraceValidator.
-class CriticalPathAnalyzer : public TraceSink {
- public:
-  void consume(const ServiceTraceEvent& event) override {
-    events_.push_back(event);
-  }
-  const CriticalPathReport& finish() {
-    report_ = analyze_critical_path(events_);
-    return report_;
-  }
-  const CriticalPathReport& report() const { return report_; }
-
- private:
-  std::vector<ServiceTraceEvent> events_;
-  CriticalPathReport report_;
-};
 
 }  // namespace qrgrid::sched

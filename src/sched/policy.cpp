@@ -4,10 +4,8 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "sched/backend.hpp"
 #include "sched/snapshot.hpp"
 #include "sched/telemetry.hpp"
-#include "sched/wan.hpp"
 
 namespace qrgrid::sched {
 
@@ -31,25 +29,6 @@ bool priority_then_arrival(const PendingEntry& a, const PendingEntry& b) {
 }
 
 }  // namespace
-
-std::vector<int> SchedulingPolicy::cluster_order(
-    int num_clusters, const GridWanModel* wan) const {
-  std::vector<int> order = identity_order(num_clusters);
-  if (wan != nullptr) {
-    if (metrics_ != nullptr) metrics_->add("policy.cluster_order_wan_sorts");
-    // Idlest-WAN-link-first; stable sort keeps master-id order among
-    // ties, so an idle WAN reproduces the naive order exactly.
-    std::vector<int> score(order.size());
-    for (int c = 0; c < num_clusters; ++c) {
-      score[static_cast<std::size_t>(c)] = wan->load_score(c);
-    }
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-      return score[static_cast<std::size_t>(a)] <
-             score[static_cast<std::size_t>(b)];
-    });
-  }
-  return order;
-}
 
 void SchedulingPolicy::on_attempt_start(const Job&, double) {
   if (metrics_ != nullptr) metrics_->add("policy.attempt_starts");

@@ -1,23 +1,24 @@
 // Pluggable scheduling policies for the grid job service.
 //
 // GridJobService used to dispatch on a closed Policy enum: queue ordering
-// lived in JobQueue::before, the backfill decision was an `if (easy)`
-// inside run(), and placement scoring was hard-wired into try_place. This
-// interface is that seam made explicit — a SchedulingPolicy owns
+// lived in JobQueue::before and the backfill decision was an `if (easy)`
+// inside run(). This interface is that seam made explicit — a
+// SchedulingPolicy owns
 //
 //   queue ordering        before():        which pending job is owed next
 //   reservation/backfill  backfills():     may later jobs jump a blocked
 //                                          head, bounded by its shadow time
 //   shadow pricing        wan_priced_shadow(): price running jobs' WAN
 //                                          drain estimates into the shadow
-//   placement scoring     cluster_order(): the order candidate clusters
-//                                          are offered to the first-fit
 //   service accounting    on_attempt_start()/reset(): accrued state for
 //                                          deficit-based orderings
 //
 // so a new policy never reopens service.cpp: implement the interface,
 // add a Policy value, and give it a name in policy_of/policy_name and a
-// case in make_policy — the one selection path.
+// case in make_policy — the one selection path. Placement is not a
+// policy decision: every policy places through the same meta-scheduler
+// walk (master-id cluster order, or idlest-WAN-first under
+// ServiceOptions::wan_aware).
 //
 // Five built-ins (make_policy):
 //
@@ -32,7 +33,7 @@
 //              shadow reservation from a lower-priority blocked head the
 //              moment it arrives; under shared-WAN contention the shadow
 //              additionally prices every running attempt's drain estimate
-//              (GridWanModel::drain_estimate_s), restoring the no-delay
+//              (GridWanModel::drain_estimates_s), restoring the no-delay
 //              property the plain-EASY reservation loses under contention.
 //   fair       weighted fair-share: deficit-round-robin over accumulated
 //              service. Every started attempt charges its expected
@@ -50,7 +51,6 @@
 
 namespace qrgrid::sched {
 
-class GridWanModel;
 class MetricsRegistry;
 class SnapshotWriter;
 class SnapshotReader;
@@ -92,16 +92,6 @@ class SchedulingPolicy {
   /// key it moves here — the queue has no full-reinsert fallback. This
   /// is queue bookkeeping, not scheduling state, hence const.
   virtual std::vector<int> moved_classes() const { return {}; }
-
-  /// Placement scoring: the order in which candidate master clusters are
-  /// presented to the meta-scheduler's first-fit. The default is master-id
-  /// order, or idlest-WAN-link-first when a model is supplied (the
-  /// wan_aware dispatch path); ties keep master-id order, which makes the
-  /// naive path exactly the PR-2 behavior. An override may read only the
-  /// WAN load scores and state on_attempt_start() moves: the service
-  /// memoizes placements from one start to the next.
-  virtual std::vector<int> cluster_order(int num_clusters,
-                                         const GridWanModel* wan) const;
 
   /// Wait-blame attribution hook (ServiceOptions::wait_blame): is the
   /// queue holding `behind` back for a PRIORITY-class reason — `ahead`

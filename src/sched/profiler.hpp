@@ -29,7 +29,7 @@
 //                        zero calls on the replay backend)
 //   place                one try_place on a memo miss (the dispatch
 //                        memo, or the blame pass's fully-up probe): the
-//                        residual topology and meta-scheduler walk
+//                        meta-scheduler walk over the free processes
 //                        (nested inside whichever phase asked —
 //                        dispatch-scan or blame-classify)
 //   blame-classify       classify_waits(): the wait-blame pass after

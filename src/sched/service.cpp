@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -235,10 +236,14 @@ struct GridJobService::Engine {
   SchedulingPolicy& policy;
   /// Profiles it hands out are memoized for the service's lifetime.
   ExecutionBackend& backend;
+  /// The meta-scheduler every placement of the run asks, over the full
+  /// grid: try_place hands it the free processes of the moment.
+  const simgrid::MetaScheduler scheduler;
 
   std::vector<Job> jobs;
   int nclusters = 0;
   std::vector<int> total_nodes;
+  std::vector<int> cluster_ppn;
   int grid_nodes = 0;
   ServiceReport report;
   bool wan_on = false;
@@ -275,7 +280,6 @@ struct GridJobService::Engine {
   /// boundary, with an ordered index over per-cluster free procs so the
   /// dispatch loop's feasibility prechecks are O(1) lookups.
   std::vector<int> placeable;
-  std::vector<int> cluster_ppn;
   std::multiset<long long> placeable_procs_index;
   long long placeable_procs_total = 0;
   /// Wait-blame attribution (ServiceOptions::wait_blame): one OPEN
@@ -312,12 +316,12 @@ struct GridJobService::Engine {
   /// telemetry state already contains them.
   Engine(GridJobService& service, std::vector<Job> jobs_in, bool quiet);
 
-  /// Builds the residual topology of `nodes_free` and asks a
-  /// MetaScheduler to place the job as 1, 2, ... kMaxGroups single-cluster
-  /// groups (fewest groups first: WAN crossings cost the most). With a
-  /// WAN model (wan_aware dispatch), candidate clusters are presented to
-  /// the scheduler idlest-uplink-first, so equally feasible placements
-  /// land away from in-flight WAN traffic; feasibility is unaffected.
+  /// Asks the meta-scheduler to place the job on the free processes of
+  /// `nodes_free` as 1, 2, ... kMaxGroups single-cluster groups (fewest
+  /// groups first: WAN crossings cost the most). With a WAN model
+  /// (wan_aware dispatch), candidate clusters are offered
+  /// idlest-uplink-first, so equally feasible placements land away from
+  /// in-flight WAN traffic; feasibility is unaffected.
   std::optional<Placement> try_place(
       const Job& job, const std::vector<int>& nodes_free,
       const GridWanModel* wan_pref = nullptr) const;
@@ -340,6 +344,8 @@ struct GridJobService::Engine {
            !running.empty();
   }
 
+  /// Rebuilds the placeable-procs index and total from `placeable`.
+  void index_placeable();
   void set_placeable(int cluster, int nodes);
   void grant_nodes(const Placement& pl);
   void release_nodes(const Placement& pl);
@@ -417,9 +423,9 @@ struct GridJobService::Engine {
   /// ahead of it: restore() needs it to construct the Engine).
   template <class V>
   void visit(V& v);
-  /// Snapshot load: range-checks the restored indices, rebuilds the
-  /// placeable-procs index, and silently re-warms the backend's profile
-  /// cache from `exemplars`.
+  /// Snapshot load: range-checks the restored indices and free-node
+  /// state, rebuilds the placeable-procs index, and silently re-warms
+  /// the backend's profile cache from `exemplars`.
   void rebuild_after_load(const std::vector<ProfileExemplar>& exemplars);
 };
 
@@ -430,6 +436,7 @@ GridJobService::Engine::Engine(GridJobService& service,
       options(service.options_),
       policy(*service.policy_),
       backend(service.backend_),
+      scheduler(service.topology_),
       jobs(std::move(jobs_in)),
       trace(options.outages),
       pending(&policy) {
@@ -440,8 +447,11 @@ GridJobService::Engine::Engine(GridJobService& service,
 
   nclusters = topology.num_clusters();
   total_nodes.assign(static_cast<std::size_t>(nclusters), 0);
+  cluster_ppn.assign(static_cast<std::size_t>(nclusters), 0);
   for (int c = 0; c < nclusters; ++c) {
     total_nodes[static_cast<std::size_t>(c)] = topology.cluster(c).nodes;
+    cluster_ppn[static_cast<std::size_t>(c)] =
+        topology.cluster(c).procs_per_node;
     grid_nodes += topology.cluster(c).nodes;
   }
   if (!quiet) {
@@ -525,52 +535,46 @@ GridJobService::Engine::Engine(GridJobService& service,
   down_depth.assign(static_cast<std::size_t>(nclusters), 0);
   pending.bind_metrics(metrics);
   placeable = free_nodes;
-  cluster_ppn.assign(static_cast<std::size_t>(nclusters), 0);
-  for (int c = 0; c < nclusters; ++c) {
-    cluster_ppn[static_cast<std::size_t>(c)] =
-        topology.cluster(c).procs_per_node;
-  }
-  for (int c = 0; c < nclusters; ++c) {
-    const long long procs =
-        static_cast<long long>(placeable[static_cast<std::size_t>(c)]) *
-        cluster_ppn[static_cast<std::size_t>(c)];
-    placeable_procs_index.insert(procs);
-    placeable_procs_total += procs;
-  }
+  index_placeable();
   placement_wan = options.wan_aware ? wan : nullptr;
 }
 
 std::optional<Placement> GridJobService::Engine::try_place(
     const Job& job, const std::vector<int>& nodes_free,
     const GridWanModel* wan_pref) const {
-  // Necessary-condition prechecks before paying for a residual topology
-  // and a MetaScheduler: any allocation needs job.procs free procs in
-  // total, and every group (even at the max split) is confined to one
-  // cluster, so SOME cluster must hold ceil(procs / kMaxGroups) procs.
-  // Pure rejections — a placement that passes is decided exactly as
-  // before, so dispatch decisions are unchanged.
-  long long free_procs = 0;
+  // Necessary-condition prechecks before the meta-scheduler walk: any
+  // allocation needs job.procs free procs in total, and every group
+  // (even at the max split) is confined to one cluster, so SOME cluster
+  // must hold ceil(procs / kMaxGroups) procs. Pure rejections: a job
+  // that passes is placed by the walk alone.
+  std::vector<int> free_procs(static_cast<std::size_t>(nclusters));
+  long long free_total = 0;
   long long max_cluster_procs = 0;
-  for (int c = 0; c < topology.num_clusters(); ++c) {
+  for (std::size_t c = 0; c < free_procs.size(); ++c) {
     const long long procs =
-        static_cast<long long>(nodes_free[static_cast<std::size_t>(c)]) *
-        topology.cluster(c).procs_per_node;
-    free_procs += procs;
+        static_cast<long long>(nodes_free[c]) * cluster_ppn[c];
+    free_procs[c] = static_cast<int>(procs);  // <= the cluster's procs
+    free_total += procs;
     max_cluster_procs = std::max(max_cluster_procs, procs);
   }
-  if (job.procs > free_procs) return std::nullopt;
+  if (job.procs > free_total) return std::nullopt;
   const int min_group_procs =
       (job.procs + kMaxGroups - 1) / kMaxGroups;
   if (min_group_procs > max_cluster_procs) return std::nullopt;
 
-  // Placement scoring is the policy's: by default master-id order, or
-  // idlest-WAN-first under wan_aware dispatch, so the meta-scheduler's
-  // first-fit lands equally feasible groups away from in-flight flows
-  // (ties keep master-id order — the naive path is exactly PR-2).
-  const std::vector<int> order =
-      policy.cluster_order(topology.num_clusters(), wan_pref);
-  SubTopology residual = make_sub_topology(topology, nodes_free, order);
-  const simgrid::MetaScheduler scheduler(residual.topology);
+  // Placement scoring: master-id order, or idlest-WAN-link-first under
+  // wan_aware dispatch, so the meta-scheduler's first-fit lands equally
+  // feasible groups away from in-flight flows. The stable sort keeps
+  // master-id order among ties, so an idle WAN reproduces the naive
+  // order exactly.
+  std::vector<int> order(static_cast<std::size_t>(nclusters));
+  std::iota(order.begin(), order.end(), 0);
+  if (wan_pref != nullptr) {
+    if (metrics != nullptr) metrics->add("policy.cluster_order_wan_sorts");
+    std::stable_sort(order.begin(), order.end(), [wan_pref](int a, int b) {
+      return wan_pref->load_score(a) < wan_pref->load_score(b);
+    });
+  }
 
   // Fewest groups first: every extra group is another cluster boundary the
   // R-factor reduction must cross on a wide-area link.
@@ -582,37 +586,23 @@ std::optional<Placement> GridJobService::Engine::try_place(
     const int group_procs = (job.procs + g - 1) / g;
     req.processes = group_procs;
     profile.groups.assign(static_cast<std::size_t>(g), req);
-    const auto alloc = scheduler.allocate(profile);
+    const auto alloc = scheduler.allocate(profile, free_procs, order);
     if (!alloc.has_value()) continue;
 
-    // The meta-scheduler lays group i out as the contiguous rank block
-    // [i * group_procs, (i + 1) * group_procs) on one cluster, so each
-    // group's first rank names its cluster.
-    std::vector<int> procs_used(
-        static_cast<std::size_t>(residual.topology.num_clusters()), 0);
-    for (int i = 0; i < g; ++i) {
-      const int first_rank =
-          alloc->placement[static_cast<std::size_t>(i * group_procs)];
-      procs_used[static_cast<std::size_t>(
-          residual.topology.location_of(first_rank).cluster)] +=
-          group_procs;
+    // Node-exclusive grant per cluster, in ascending cluster id whatever
+    // order the clusters were offered in: the canonical form the replay
+    // cache key and the report's parallel arrays rely on.
+    std::vector<int> procs_used(static_cast<std::size_t>(nclusters), 0);
+    for (const int c : alloc->group_cluster) {
+      procs_used[static_cast<std::size_t>(c)] += group_procs;
     }
-    // Canonical form: ascending master cluster ids, whatever order the
-    // (possibly wan-reordered) residual presented them in — the replay
-    // cache key and the report's parallel arrays rely on it.
-    std::vector<std::pair<int, int>> grants;
-    for (int c = 0; c < residual.topology.num_clusters(); ++c) {
+    Placement placement;
+    for (int c = 0; c < nclusters; ++c) {
       const int procs = procs_used[static_cast<std::size_t>(c)];
       if (procs == 0) continue;
-      const int ppn = residual.topology.cluster(c).procs_per_node;
-      const int nodes = (procs + ppn - 1) / ppn;  // node-exclusive grant
-      grants.emplace_back(residual.to_master[static_cast<std::size_t>(c)],
-                          nodes);
-    }
-    std::sort(grants.begin(), grants.end());
-    Placement placement;
-    for (const auto& [cluster, nodes] : grants) {
-      placement.clusters.push_back(cluster);
+      const int ppn = cluster_ppn[static_cast<std::size_t>(c)];
+      const int nodes = (procs + ppn - 1) / ppn;
+      placement.clusters.push_back(c);
       placement.nodes.push_back(nodes);
       placement.total_nodes += nodes;
     }
@@ -693,6 +683,17 @@ double GridJobService::Engine::shadow_time(const Job& head) const {
   // Reachable only when a cluster the head needs is down: the reservation
   // waits on a recovery, not on nodes.
   return kInf;
+}
+
+void GridJobService::Engine::index_placeable() {
+  placeable_procs_index.clear();
+  placeable_procs_total = 0;
+  for (std::size_t c = 0; c < placeable.size(); ++c) {
+    const long long procs =
+        static_cast<long long>(placeable[c]) * cluster_ppn[c];
+    placeable_procs_index.insert(procs);
+    placeable_procs_total += procs;
+  }
 }
 
 // Every placeable[c] mutation goes through here to keep the index true.
@@ -1794,12 +1795,28 @@ void GridJobService::Engine::rebuild_after_load(
                    "snapshot cluster count mismatch");
   QRGRID_CHECK_MSG(next_arrival <= jobs.size(),
                    "corrupt snapshot: arrival cursor " << next_arrival);
+  std::vector<long long> held_nodes(n, 0);
   for (const Running& run : running) {
     check_job(run.job);
     check_placement(run.placement, topology);
     QRGRID_CHECK_MSG(!std::isnan(run.finish_s) && !std::isnan(run.kill_s) &&
                          !std::isnan(run.est_finish_s),
                      "corrupt snapshot: running job " << run.job.id);
+    for (std::size_t i = 0; i < run.placement.clusters.size(); ++i) {
+      held_nodes[static_cast<std::size_t>(run.placement.clusters[i])] +=
+          run.placement.nodes[i];
+    }
+  }
+  // The free-node state grant, release and outage maintain: each node is
+  // free or held by one running attempt, and placeable masks out down
+  // clusters. try_place scales these counts by procs per node, so
+  // hostile values stop here.
+  for (std::size_t c = 0; c < n; ++c) {
+    QRGRID_CHECK_MSG(
+        down_depth[c] >= 0 && free_nodes[c] >= 0 &&
+            free_nodes[c] + held_nodes[c] == total_nodes[c] &&
+            placeable[c] == (down_depth[c] == 0 ? free_nodes[c] : 0),
+        "corrupt snapshot: free-node state of cluster " << c);
   }
   for (const ProfileExemplar& e : exemplars) {
     check_job(e.job);
@@ -1820,14 +1837,7 @@ void GridJobService::Engine::rebuild_after_load(
     QRGRID_CHECK_MSG(o.blame_s.size() == blame_len,
                      "corrupt snapshot: outcome blame of job " << o.job.id);
   }
-  placeable_procs_index.clear();
-  placeable_procs_total = 0;
-  for (std::size_t c = 0; c < n; ++c) {
-    const long long procs =
-        static_cast<long long>(placeable[c]) * cluster_ppn[c];
-    placeable_procs_index.insert(procs);
-    placeable_procs_total += procs;
-  }
+  index_placeable();
   // Re-warm the backend's memo cache with telemetry unbound: the
   // restored tracer/metrics already contain the original compute events
   // and counters, so the replays must stay silent — and every future

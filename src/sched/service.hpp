@@ -3,17 +3,18 @@
 // The service co-executes a stream of TSQR factorization jobs on one
 // shared grid in virtual time. Placement goes through the paper's
 // QCG-OMPI contract: for each job a JobProfile (g groups confined to
-// single clusters by their latency bound) is handed to a MetaScheduler
-// built over the *residual* topology of currently-free nodes; the job's
-// runtime on the granted nodes is the exact des_tsqr replay of its
-// schedule (cached per shape x placement, which is what lets a 1000-job
-// bench finish in seconds). Nodes are held exclusively for the job's
-// duration and returned at completion — space sharing, the way Grid'5000's
-// OAR batch scheduler actually hands out the paper's testbed.
+// single clusters by their latency bound) is handed to the run's one
+// MetaScheduler, which allocates from the currently-free processes of
+// each cluster; the job's runtime on the granted nodes is the exact
+// des_tsqr replay of its schedule (cached per shape x placement, which
+// is what lets a 1000-job bench finish in seconds). Nodes are held
+// exclusively for the job's duration and returned at completion — space
+// sharing, the way Grid'5000's OAR batch scheduler actually hands out
+// the paper's testbed.
 //
-// Scheduling is pluggable (sched/policy.hpp): every queue-order,
-// reservation/backfill, and placement-scoring decision goes through a
-// SchedulingPolicy object. Built-ins: FCFS (head blocks), shortest-
+// Scheduling is pluggable (sched/policy.hpp): every queue-order and
+// reservation/backfill decision goes through a SchedulingPolicy
+// object. Built-ins: FCFS (head blocks), shortest-
 // predicted-job-first (Section-IV Equation (1) as the sort key), EASY
 // backfilling (arrival-ordered head keeps a reservation at the earliest
 // time enough nodes free up; later jobs may jump ahead only if they

@@ -701,8 +701,7 @@ void GridWanModel::drain_estimates_s(double now_s,
                                      const std::vector<int>& flows,
                                      std::vector<double>& out) const {
   // One shared pessimistic view, estimates gathered per live SLOT, then
-  // projected onto the requested ids — the math per flow is exactly the
-  // single-flow estimate's.
+  // projected onto the requested ids.
   if (estimates_scratch_.size() < flows_.size()) {
     estimates_scratch_.resize(flows_.size(), 0.0);
   }
@@ -743,13 +742,6 @@ void GridWanModel::drain_estimates_s(double now_s,
     if (it == slot_of_.end()) continue;  // retired: report 0
     out[i] = estimates_scratch_[static_cast<std::size_t>(it->second)];
   }
-}
-
-double GridWanModel::drain_estimate_s(int flow, double now_s) const {
-  QRGRID_CHECK(slot_of_.count(flow) != 0);
-  std::vector<double> estimates;
-  drain_estimates_s(now_s, {flow}, estimates);
-  return estimates.front();
 }
 
 void GridWanModel::retire(int flow, std::vector<long long>& egress_bytes,

@@ -187,20 +187,17 @@ class GridWanModel {
   /// born drained). Requires drained(flow).
   double drained_at_s(int flow) const;
 
-  /// Planning estimate of when the flow's last pool will run dry,
-  /// assuming pessimistic shares: every undrained pool in the model
+  /// Planning estimates of when each requested flow's last pool will run
+  /// dry, assuming pessimistic shares: every undrained pool in the model
   /// (activated or not) is counted a user on its links, and each of the
   /// flow's pools then drains from max(now, activation) at that rate.
   /// Not a proof — admissions after `now_s` can still stretch it — but
-  /// what a WAN-priced EASY shadow plans with. Returns drained_at_s for
-  /// drained flows.
-  double drain_estimate_s(int flow, double now_s) const;
-  /// Batched drain_estimate_s over the requested flows at once: ONE
-  /// shared pessimistic demand view instead of one per flow — what
-  /// shadow_time calls, since it prices all running flows at the same
-  /// instant. `out` is filled parallel to `flows`; retired flows report
-  /// 0. Callers pass the flows they hold, so the cost scales with
-  /// in-flight attempts, never with flows ever admitted.
+  /// what a WAN-priced EASY shadow plans with. One shared demand view
+  /// serves every flow, since shadow_time prices all running flows at
+  /// the same instant. `out` is filled parallel to `flows`: drained
+  /// flows report drained_at_s, retired flows 0. Callers pass the flows
+  /// they hold, so the cost scales with in-flight attempts, never with
+  /// flows ever admitted.
   void drain_estimates_s(double now_s, const std::vector<int>& flows,
                          std::vector<double>& out) const;
 
@@ -244,10 +241,6 @@ class GridWanModel {
   std::uint64_t rebalance_full_refills() const {
     return rebalance_full_refills_;
   }
-  /// Monotone counter bumped on every structural change (admission /
-  /// retirement with undrained demand, pool drain, frac-sensitive byte
-  /// movement) — the key the drain-estimate basis cache is valid under.
-  std::uint64_t rebalance_generation() const { return generation_; }
 
   /// Differential-oracle mode (tests): after every component recompute,
   /// re-run the GLOBAL progressive fill over the full demand view and
@@ -445,6 +438,8 @@ class GridWanModel {
   /// changed since the last recompute; dirty_mark_ dedupes the list.
   std::vector<int> dirty_links_;
   std::vector<char> dirty_mark_;
+  /// Bumped on every structural change (admission/retirement with
+  /// undrained demand, pool drain, frac-sensitive byte movement).
   std::uint64_t generation_ = 0;
   std::uint64_t rebalance_events_ = 0;
   std::uint64_t rebalance_recomputes_ = 0;

@@ -22,12 +22,12 @@ bool cluster_satisfies(const GridTopology& topo,
 }  // namespace
 
 std::optional<Allocation> MetaScheduler::allocate(
-    const JobProfile& profile) const {
+    const JobProfile& profile, const std::vector<int>& free_procs,
+    const std::vector<int>& order) const {
   const int nclusters = topology_.num_clusters();
-  std::vector<int> free_procs(static_cast<std::size_t>(nclusters));
-  for (int c = 0; c < nclusters; ++c) {
-    free_procs[static_cast<std::size_t>(c)] = topology_.cluster(c).procs();
-  }
+  QRGRID_CHECK(free_procs.size() == static_cast<std::size_t>(nclusters));
+  for (const int c : order) QRGRID_CHECK(c >= 0 && c < nclusters);
+  std::vector<int> left = free_procs;
 
   // With equal_group_power we emulate the paper's reservation trick: every
   // group gets the same process count, but on clusters whose processors
@@ -37,7 +37,8 @@ std::optional<Allocation> MetaScheduler::allocate(
   // verify the resulting imbalance and reject if out of tolerance.
   Allocation alloc;
   std::vector<double> group_power;
-  int next_cluster = 0;
+  const int norder = static_cast<int>(order.size());
+  int next = 0;  // position in `order` the next first-fit starts at
   for (std::size_t g = 0; g < profile.groups.size(); ++g) {
     const GroupRequirement& req = profile.groups[g];
     QRGRID_CHECK(req.processes > 0);
@@ -45,25 +46,27 @@ std::optional<Allocation> MetaScheduler::allocate(
     // connectivity bounds. Groups are placed on distinct clusters first
     // (round-robin start) to reflect the clusters-of-clusters intent.
     int chosen = -1;
-    for (int step = 0; step < nclusters; ++step) {
-      const int c = (next_cluster + step) % nclusters;
-      if (free_procs[static_cast<std::size_t>(c)] >= req.processes &&
+    for (int step = 0; step < norder; ++step) {
+      const int pos = (next + step) % norder;
+      const int c = order[static_cast<std::size_t>(pos)];
+      if (left[static_cast<std::size_t>(c)] >= req.processes &&
           cluster_satisfies(topology_, req)) {
         chosen = c;
+        next = (pos + 1) % norder;
         break;
       }
     }
     if (chosen < 0) return std::nullopt;
-    next_cluster = (chosen + 1) % nclusters;
 
-    const int base = topology_.cluster_rank_base(chosen) +
-                     (topology_.cluster(chosen).procs() -
-                      free_procs[static_cast<std::size_t>(chosen)]);
+    const auto cc = static_cast<std::size_t>(chosen);
+    const int base =
+        topology_.cluster_rank_base(chosen) + (free_procs[cc] - left[cc]);
     for (int i = 0; i < req.processes; ++i) {
       alloc.rank_to_group.push_back(static_cast<int>(g));
       alloc.placement.push_back(base + i);
     }
-    free_procs[static_cast<std::size_t>(chosen)] -= req.processes;
+    left[cc] -= req.processes;
+    alloc.group_cluster.push_back(chosen);
     group_power.push_back(req.processes *
                           topology_.cluster(chosen).proc_peak_gflops);
   }
@@ -78,6 +81,17 @@ std::optional<Allocation> MetaScheduler::allocate(
     }
   }
   return alloc;
+}
+
+std::optional<Allocation> MetaScheduler::allocate(
+    const JobProfile& profile) const {
+  std::vector<int> free_procs;
+  std::vector<int> order;
+  for (int c = 0; c < topology_.num_clusters(); ++c) {
+    free_procs.push_back(topology_.cluster(c).procs());
+    order.push_back(c);
+  }
+  return allocate(profile, free_procs, order);
 }
 
 ProcessGroupAttributes attributes_from(const Allocation& alloc) {

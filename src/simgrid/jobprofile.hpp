@@ -48,6 +48,8 @@ struct Allocation {
   /// global topology ranks backing each allocated rank (the "machine
   /// file"): allocated rank i runs on topology rank placement[i].
   std::vector<int> placement;
+  /// The cluster each group is confined to, indexed by group id.
+  std::vector<int> group_cluster;
 
   int group_of(int rank) const {
     return rank_to_group[static_cast<std::size_t>(rank)];
@@ -63,9 +65,18 @@ class MetaScheduler {
   explicit MetaScheduler(GridTopology topology)
       : topology_(std::move(topology)) {}
 
-  /// Attempts to place every group; returns std::nullopt if the grid
-  /// cannot satisfy the profile (not enough processes, or power
-  /// equalization impossible within tolerance).
+  /// Attempts to place every group on what is free now: `free_procs[c]`
+  /// processes of cluster c (one entry per cluster). Round-robin
+  /// first-fit offers the clusters in `order` (cluster ids; a cluster
+  /// not listed is never used) and resumes after the last one chosen.
+  /// A cluster's free processes are taken to be its lowest-numbered
+  /// ranks. Returns std::nullopt if the free processes cannot satisfy
+  /// the profile (not enough of them, or power equalization impossible
+  /// within tolerance).
+  std::optional<Allocation> allocate(const JobProfile& profile,
+                                     const std::vector<int>& free_procs,
+                                     const std::vector<int>& order) const;
+  /// The same on the idle grid, offering clusters in id order.
   std::optional<Allocation> allocate(const JobProfile& profile) const;
 
   const GridTopology& topology() const { return topology_; }

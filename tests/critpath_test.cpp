@@ -175,12 +175,7 @@ TEST(CriticalPath, TilesMakespanExactlyAndDeterministically) {
   // The chain tiles [0, makespan] with exactly-adjacent tiles — double
   // equality, not tolerance: every boundary is a recorded event time.
   ASSERT_FALSE(cp.chain.empty());
-  EXPECT_EQ(cp.makespan_s, first.report.makespan_s);
-  EXPECT_EQ(cp.chain.front().t0_s, 0.0);
-  EXPECT_EQ(cp.chain.back().t1_s, cp.makespan_s);
-  for (std::size_t i = 1; i < cp.chain.size(); ++i) {
-    EXPECT_EQ(cp.chain[i - 1].t1_s, cp.chain[i].t0_s) << "tile " << i;
-  }
+  EXPECT_TRUE(cp.tiles(first.report.makespan_s));
   EXPECT_NEAR(cp.path_length_s(), cp.makespan_s,
               1e-9 * std::max(1.0, cp.makespan_s));
   // The chain ends in the makespan-defining run and counts its attempts.
@@ -229,6 +224,33 @@ TEST(CriticalPath, EmptyAndAttemptFreeStreamsYieldEmptyReports) {
   EXPECT_EQ(empty.makespan_s, 0.0);
   EXPECT_TRUE(empty.chain.empty());
   EXPECT_TRUE(empty.job_slack_s.empty());
+  EXPECT_TRUE(empty.tiles(0.0));
+  EXPECT_FALSE(empty.tiles(1.0));
+}
+
+TEST(CriticalPath, TilesRefusesGapsOverlapsAndOtherMakespans) {
+  CriticalPathReport cp;
+  cp.makespan_s = 3.0;
+  cp.chain.resize(2);
+  cp.chain[0] = {CritSegment::Kind::kWait, 0, -1, 0.0, 1.0, -1};
+  cp.chain[1] = {CritSegment::Kind::kRun, 0, -1, 1.0, 3.0, -1};
+  EXPECT_TRUE(cp.tiles(3.0));
+  EXPECT_FALSE(cp.tiles(2.0));  // another run's makespan
+  CriticalPathReport bad = cp;
+  bad.chain[0].t0_s = 0.5;  // starts after 0
+  EXPECT_FALSE(bad.tiles(3.0));
+  bad = cp;
+  bad.chain[1].t0_s = 1.5;  // gap between tiles
+  EXPECT_FALSE(bad.tiles(3.0));
+  bad = cp;
+  bad.chain[1].t0_s = 0.5;  // overlapping tiles
+  EXPECT_FALSE(bad.tiles(3.0));
+  bad = cp;
+  bad.chain[1].t1_s = 2.5;  // ends before the makespan
+  EXPECT_FALSE(bad.tiles(3.0));
+  bad = cp;
+  bad.makespan_s = 2.5;  // the report disagrees with the run
+  EXPECT_FALSE(bad.tiles(3.0));
 }
 
 // ------------------------------------------------------ validator teeth

@@ -441,12 +441,17 @@ TEST(MaxMinModel, DrainEstimatePricesPendingActivations) {
   GridWanModel wan(2, 100.0, 100.0, WanFairness::kMaxMin);
   const int flow =
       wan.admit(0.0, {pool_of(Link::kUplink, 0, -1, 500.0, 4.0)});
+  std::vector<double> estimate;
   // Pessimistic planning: the pool is counted a user now even though it
   // activates at t=4; alone that is full capacity from activation.
-  EXPECT_DOUBLE_EQ(wan.drain_estimate_s(flow, 0.0), 4.0 + 5.0);
+  wan.drain_estimates_s(0.0, {flow}, estimate);
+  ASSERT_EQ(estimate.size(), 1u);
+  EXPECT_DOUBLE_EQ(estimate[0], 4.0 + 5.0);
   // A second flow halves the planned share (trunk: 100/2 = 50 B/s).
   wan.admit(0.0, {pool_of(Link::kUplink, 1, -1, 500.0, 0.0)});
-  EXPECT_DOUBLE_EQ(wan.drain_estimate_s(flow, 0.0), 4.0 + 10.0);
+  wan.drain_estimates_s(0.0, {flow}, estimate);
+  ASSERT_EQ(estimate.size(), 1u);
+  EXPECT_DOUBLE_EQ(estimate[0], 4.0 + 10.0);
 }
 
 /// Wide flat-tree workload on 4 sites (the WAN suite's geometry) under a

@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -303,6 +305,55 @@ TEST(SnapshotHostileBytes, TraceEventsOffTheGridAreRefused) {
     GridJobService target(c.topo, model::paper_calibration(), c.options);
     EXPECT_THROW(target.restore(planted), Error);
     target.restore(clean);  // the refusal left no run in flight
+  }
+}
+
+TEST(SnapshotHostileBytes, InconsistentFreeNodeStateIsRefused) {
+  // placeable[c] is free_nodes[c] on an up cluster and 0 on a down one,
+  // and placement scales it by procs per node: a checkpoint breaking
+  // that invariant must be refused, never scheduled from. Right after
+  // start() the three per-cluster vectors are easy to find: free_nodes
+  // and placeable hold every cluster's node count, down_depth zeros.
+  const simgrid::GridTopology topo = simgrid::GridTopology::grid5000(2, 3, 2);
+  ServiceOptions options;
+  options.policy = Policy::kEasyBackfill;
+  GridJobService source(topo, model::paper_calibration(), options);
+  source.start(workload(6, 1, 3));
+  const std::string clean = source.snapshot();
+
+  std::string run;  // three u64-counted int vectors, as the writer lays out
+  const auto put = [&run](auto value) {
+    char bytes[sizeof value];
+    std::memcpy(bytes, &value, sizeof value);
+    run.append(bytes, sizeof value);
+  };
+  for (const int value : {3, 0, 3}) {  // free_nodes, down_depth, placeable
+    put(std::uint64_t{2});
+    put(value);
+    put(value);
+  }
+  const std::size_t at = clean.find(run);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(clean.rfind(run), at) << "ambiguous free-node run";
+  const std::size_t placeable0 = at + run.size() - 2 * sizeof(int);
+
+  for (const int value : {std::numeric_limits<int>::max(), -1, 3 - 1}) {
+    std::string patched = clean;
+    std::memcpy(&patched[placeable0], &value, sizeof value);
+    GridJobService target(topo, model::paper_calibration(), options);
+    bool refused = false;
+    try {
+      target.restore(patched);
+    } catch (const Error& e) {
+      refused = true;
+      EXPECT_NE(std::string(e.what()).find("free-node state"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(refused) << "placeable[0] = " << value << " was restored";
+    if (!refused) continue;
+    target.restore(clean);  // the refusal left no run in flight
+    EXPECT_EQ(target.snapshot(), clean);
   }
 }
 

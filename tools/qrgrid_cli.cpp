@@ -726,18 +726,10 @@ int cmd_serve(const Args& args) {
       if (!critpath_out.empty()) {
         const sched::CriticalPathReport cp =
             sched::analyze_critical_path(tracer.events());
-        // Self-gate before writing anything: the chain must tile
-        // [0, makespan] with exactly-adjacent tiles, and the trace's
-        // makespan must be the report's to the last bit.
-        bool tiles = cp.chain.empty()
-                         ? report.makespan_s == 0.0
-                         : cp.chain.front().t0_s == 0.0 &&
-                               cp.chain.back().t1_s == report.makespan_s;
-        for (std::size_t i = 0; tiles && i + 1 < cp.chain.size(); ++i) {
-          tiles = cp.chain[i].t1_s == cp.chain[i + 1].t0_s;
-        }
+        // Self-gate before writing anything: the chain must tile the
+        // reported makespan with exactly-adjacent tiles.
         QRGRID_CHECK_MSG(
-            tiles && cp.makespan_s == report.makespan_s,
+            cp.tiles(report.makespan_s),
             "critical path does not tile the reported makespan under "
                 << policy_name(policy));
         const std::string path = policy_path(critpath_out, policy);

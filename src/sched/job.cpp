@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -55,15 +56,30 @@ bool PendingOrder::operator()(const PendingEntry& a,
   return policy->before(a, b);
 }
 
+bool JobQueue::QueueOrder::operator()(const PendingEntry& a,
+                                      const PendingEntry& b) const {
+  if (policy->before(a, b)) return true;
+  if (policy->before(b, a)) return false;
+  return a.seq < b.seq;
+}
+
 JobQueue::JobQueue(const SchedulingPolicy* policy)
     : policy_(policy),
       set_(PendingOrder{policy}),
-      track_classes_(policy->dynamic_order()) {}
+      order_{policy},
+      track_classes_(policy->dynamic_order()),
+      track_procs_(policy->backfills()) {
+  QRGRID_CHECK_MSG(!(track_procs_ && track_classes_),
+                   "a backfilling policy must keep static order keys: "
+                   "the backfill index sorts its buckets by keys a "
+                   "dynamic_order() policy moves");
+}
 
-JobQueue::JobQueue(Policy policy)
-    : owned_(make_policy(policy)), set_(PendingOrder{owned_.get()}) {
-  policy_ = owned_.get();
-  track_classes_ = policy_->dynamic_order();
+JobQueue::JobQueue(Policy policy) : JobQueue(make_policy(policy)) {}
+
+JobQueue::JobQueue(std::unique_ptr<SchedulingPolicy> owned)
+    : JobQueue(owned.get()) {
+  owned_ = std::move(owned);
 }
 
 JobQueue::~JobQueue() = default;
@@ -110,9 +126,13 @@ void JobQueue::sync() {
 void JobQueue::push(Job job, double predicted_s) {
   sync();  // insertion compares; never against stale keys (the old
            // upper_bound-over-unsorted-range UB for dynamic policies)
-  auto it = set_.emplace_hint(set_.end(),
-                              PendingEntry{std::move(job), predicted_s});
+  auto it = set_.emplace_hint(
+      set_.end(), PendingEntry{std::move(job), predicted_s, next_seq_++});
   if (track_classes_) index_insert(it);
+  if (track_procs_) {
+    Bucket& bucket = by_procs_.try_emplace(it->job.procs, order_).first->second;
+    bucket.emplace_hint(bucket.end(), it);
+  }
 }
 
 const Job& JobQueue::front() {
@@ -124,9 +144,7 @@ const Job& JobQueue::front() {
 Job JobQueue::pop_front() {
   sync();
   QRGRID_CHECK(!set_.empty());
-  Job job;
-  take(set_.begin(), job);
-  return job;
+  return take(set_.begin());
 }
 
 JobQueue::const_iterator JobQueue::begin() {
@@ -134,10 +152,95 @@ JobQueue::const_iterator JobQueue::begin() {
   return set_.begin();
 }
 
-JobQueue::const_iterator JobQueue::take(const_iterator it, Job& out) {
+Job JobQueue::take(const_iterator it) {
   if (track_classes_) index_erase(it);
-  out = std::move(const_cast<PendingEntry&>(*it).job);
-  return set_.erase(it);
+  if (track_procs_) {
+    const auto b = by_procs_.find(it->job.procs);
+    QRGRID_CHECK(b != by_procs_.end());
+    const auto slot = b->second.find(it);
+    QRGRID_CHECK(slot != b->second.end());
+    b->second.erase(slot);
+    if (b->second.empty()) by_procs_.erase(b);
+  }
+  Job out = std::move(const_cast<PendingEntry&>(*it).job);
+  set_.erase(it);
+  return out;
+}
+
+std::map<int, std::vector<int>> JobQueue::procs_index() const {
+  std::map<int, std::vector<int>> index;
+  for (const auto& [procs, bucket] : by_procs_) {
+    std::vector<int>& ids = index[procs];
+    for (const const_iterator it : bucket) ids.push_back(it->job.id);
+  }
+  return index;
+}
+
+JobQueue::Candidates JobQueue::candidates(int depth) {
+  QRGRID_CHECK_MSG(track_procs_,
+                   "backfill candidates need a backfilling policy's queue");
+  return Candidates(*this, depth);
+}
+
+JobQueue::Candidates::Candidates(JobQueue& queue, int depth)
+    : queue_(&queue), later_{&queue.order_}, bound_(queue.set_.end()) {
+  if (queue.set_.empty()) return;
+  // Candidates sit at positions 1 .. size-1; a depth short of the last
+  // one bounds the pass at position `depth`.
+  if (depth > 0 && static_cast<std::size_t>(depth) < queue.set_.size() - 1) {
+    bound_ = std::next(queue.set_.begin(), depth);
+  }
+  seek(*queue.set_.begin());  // the head holds the reservation
+}
+
+void JobQueue::Candidates::seek(const PendingEntry& behind) {
+  heap_.clear();
+  for (const auto& [procs, bucket] : queue_->by_procs_) {
+    const auto at = bucket.upper_bound(behind);
+    if (at != bucket.end()) heap_.push_back({at, bucket.end()});
+  }
+  std::make_heap(heap_.begin(), heap_.end(), later_);
+}
+
+const PendingEntry* JobQueue::Candidates::next() {
+  if (visiting_) {  // priced and kept: its bucket moves on
+    visiting_ = false;
+    if (++current_.at != current_.end) {
+      heap_.push_back(current_);
+      std::push_heap(heap_.begin(), heap_.end(), later_);
+    }
+  }
+  if (heap_.empty()) return nullptr;
+  std::pop_heap(heap_.begin(), heap_.end(), later_);
+  current_ = heap_.back();
+  heap_.pop_back();
+  const const_iterator entry = *current_.at;
+  if (bound_ != queue_->set_.end() && queue_->order_(*bound_, *entry)) {
+    heap_.clear();  // the merge passed the depth-th candidate
+    return nullptr;
+  }
+  visiting_ = true;
+  return &*entry;
+}
+
+void JobQueue::Candidates::skip_procs() {
+  QRGRID_CHECK(visiting_);
+  visiting_ = false;  // the bucket stays out of the merge until a take()
+}
+
+Job JobQueue::Candidates::take() {
+  QRGRID_CHECK(visiting_);
+  visiting_ = false;
+  const const_iterator entry = *current_.at;
+  const bool last = entry == bound_;
+  const PendingEntry behind = *entry;  // the seek key outlives the entry
+  Job job = queue_->take(entry);
+  if (last) {
+    heap_.clear();  // the pass ends with the depth-th candidate
+  } else {
+    seek(behind);
+  }
+  return job;
 }
 
 }  // namespace qrgrid::sched

@@ -5,11 +5,14 @@
 // it arrives, the matrix shape, how many processes it wants, which
 // reduction tree); the JobQueue holds not-yet-started jobs in the order
 // mandated by the active SchedulingPolicy (sched/policy.hpp), which owns
-// the comparator the queue keeps itself sorted by.
+// the comparator the queue keeps itself sorted by. For backfilling
+// policies the queue also indexes its jobs by requested process count,
+// which is what the EASY backfill pass walks (JobQueue::candidates).
 #pragma once
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
@@ -152,6 +155,11 @@ struct JobOutcome {
 struct PendingEntry {
   Job job;
   double predicted_s = 0.0;
+  /// Queue bookkeeping, not a policy key: JobQueue::push's running
+  /// count, which orders entries whose keys tie (the multiset keeps
+  /// equal keys in push order). Not snapshot state: restore re-pushes
+  /// in queue order, which renumbers in the same order.
+  std::uint64_t seq = 0;
 
   template <class V>
   void visit(V& v) { v(job, predicted_s); }
@@ -176,10 +184,47 @@ struct PendingOrder {
 /// push/begin) syncs first, so a stale order — or a comparison under a
 /// mutated key, the old upper_bound UB — is never observable.
 /// Static-key policies never move and pay nothing.
+///
+/// Backfilling policies (which must have static keys) also keep a
+/// per-`procs` index: for each requested process count, that size's
+/// entries in queue order. A placement depends on nothing of a job but
+/// its procs and the free state, so the backfill pass (candidates())
+/// is a lazy merge of these buckets that skips the rest of a bucket
+/// whose next member cannot be placed, until an admission changes the
+/// free state. The index is derived state: maintained by push and
+/// every removal, rebuilt by the snapshot load's pushes, never
+/// serialized.
 class JobQueue {
  public:
+  using Set = std::multiset<PendingEntry, PendingOrder>;
+  using const_iterator = Set::const_iterator;
+
+ private:
+  /// Queue order: the policy key, then the push count — the multiset's
+  /// own order under static keys, and a strict total order. Transparent,
+  /// so a bucket of queue positions can be searched by entry.
+  struct QueueOrder {
+    using is_transparent = void;
+    const SchedulingPolicy* policy = nullptr;
+    bool operator()(const PendingEntry& a, const PendingEntry& b) const;
+    bool operator()(const_iterator a, const_iterator b) const {
+      return (*this)(*a, *b);
+    }
+    bool operator()(const PendingEntry& a, const_iterator b) const {
+      return (*this)(a, *b);
+    }
+    bool operator()(const_iterator a, const PendingEntry& b) const {
+      return (*this)(*a, b);
+    }
+  };
+  /// One procs value's queue positions, in queue order.
+  using Bucket = std::set<const_iterator, QueueOrder>;
+
+ public:
   /// Borrows the policy; the caller keeps it alive and in sync with any
-  /// state its comparator reads.
+  /// state its comparator reads. Throws qrgrid::Error for a policy that
+  /// both backfills and has dynamic_order(): the backfill index sorts
+  /// its buckets by keys such a policy would move under it.
   explicit JobQueue(const SchedulingPolicy* policy);
   /// Convenience: owns a fresh make_policy(policy) instance.
   explicit JobQueue(Policy policy);
@@ -202,16 +247,63 @@ class JobQueue {
   const Job& front();
   Job pop_front();
 
-  using Set = std::multiset<PendingEntry, PendingOrder>;
-  using const_iterator = Set::const_iterator;
-  /// Ordered scan for the backfilling pass. begin() syncs; a scan must
-  /// not interleave with push() (take() mid-scan is fine — erasure never
-  /// compares, so it cannot trip over keys dirtied by started attempts).
+  /// Ordered read-only walk (the wait-blame pass). begin() syncs.
   const_iterator begin();
   const_iterator end() const { return set_.end(); }
-  /// Erases the entry at `it`, moving its job into `out`; returns the
-  /// following position.
-  const_iterator take(const_iterator it, Job& out);
+
+  /// One backfill pass over the candidates behind the head: the first
+  /// `depth` entries after it in the queue order the pass starts with
+  /// (depth 0 = all of them), visited in that order as a lazy merge of
+  /// the per-procs buckets. After next() returns a candidate the caller
+  /// either
+  ///   - skip_procs(): its procs cannot be placed on the current free
+  ///     state, so no later member of its bucket can either — the
+  ///     bucket leaves the merge until the next take();
+  ///   - take(): admits it; the free state changed, so every bucket
+  ///     seeks again to its first member behind the admitted position;
+  ///   - neither: it stays queued, and its bucket moves on.
+  /// The pass ends when the merge runs out or passes the depth-th
+  /// candidate, or right after that candidate is taken. Only
+  /// backfilling policies' queues have the index; nothing may push
+  /// while a pass is open.
+  class Candidates {
+   public:
+    /// The next candidate in queue order, or null when the pass is over.
+    const PendingEntry* next();
+    void skip_procs();
+    Job take();
+
+   private:
+    friend class JobQueue;
+    struct Cursor {
+      Bucket::const_iterator at;
+      Bucket::const_iterator end;
+    };
+    /// Heap order: the cursor whose entry comes later in the queue sinks.
+    struct Later {
+      const QueueOrder* order;
+      bool operator()(const Cursor& a, const Cursor& b) const {
+        return (*order)(*b.at, *a.at);
+      }
+    };
+    Candidates(JobQueue& queue, int depth);
+    /// Restarts the merge at every bucket's first member after `behind`.
+    void seek(const PendingEntry& behind);
+
+    JobQueue* queue_;
+    Later later_;
+    /// Bucket cursors, min-heap by position; empty once the pass is over.
+    std::vector<Cursor> heap_;
+    Cursor current_{};       ///< the cursor next() last returned
+    bool visiting_ = false;  ///< current_ awaits skip_procs/take
+    /// The depth-th candidate; end() when the depth bounds nothing.
+    const_iterator bound_;
+  };
+  Candidates candidates(int depth);
+
+  /// The per-procs index as job ids in bucket order (empty unless the
+  /// policy backfills): what the index tests compare against the queue.
+  std::map<int, std::vector<int>> procs_index() const;
 
   /// Snapshot field list: the entries in (synced) queue order. Loading
   /// pushes them back through the comparator, so the policy's state must
@@ -234,13 +326,18 @@ class JobQueue {
   }
 
  private:
+  explicit JobQueue(std::unique_ptr<SchedulingPolicy> owned);
   void sync();
   void index_insert(Set::iterator it);
   void index_erase(Set::const_iterator it);
+  /// Erases the entry at `it` (and its index slots) and returns its job.
+  Job take(const_iterator it);
 
   const SchedulingPolicy* policy_;
   std::unique_ptr<SchedulingPolicy> owned_;  ///< enum-ctor convenience only
   Set set_;
+  QueueOrder order_;
+  std::uint64_t next_seq_ = 0;
   /// Class-indexed entry positions (dynamic-order policies only):
   /// order_class -> job id -> multiset position. Lets a sync extract a
   /// dirty class without scanning the queue, deterministically (id
@@ -248,6 +345,11 @@ class JobQueue {
   /// which is what makes extraction safe while keys are already dirty.
   bool track_classes_ = false;
   std::map<int, std::map<int, Set::iterator>> buckets_;
+  /// The backfill index (backfilling policies only): procs -> that
+  /// size's positions in queue order; a size with no pending job has
+  /// no bucket.
+  bool track_procs_ = false;
+  std::map<int, Bucket> by_procs_;
   MetricsRegistry* metrics_ = nullptr;
 };
 

@@ -10,8 +10,10 @@
 // Eight phases, chosen to cover the loop's real hot spots:
 //
 //   dispatch-scan        one dispatch() pass: head placements + the
-//                        bounded backfill scan (includes shadow and
-//                        place below)
+//                        backfill pass, a queue-order merge of the
+//                        pending queue's per-procs buckets that prices
+//                        only candidates whose procs place now
+//                        (includes shadow and place below)
 //   shadow               shadow_time(): the EASY reservation estimate,
 //                        including WAN drain pricing (nested inside
 //                        dispatch-scan — totals overlap by design)
@@ -29,9 +31,11 @@
 //                        zero calls on the replay backend)
 //   place                one try_place on a memo miss (the dispatch
 //                        memo, or the blame pass's fully-up probe): the
-//                        meta-scheduler walk over the free processes
-//                        (nested inside whichever phase asked —
-//                        dispatch-scan or blame-classify)
+//                        meta-scheduler's first fit over the free
+//                        processes, which decides each group's cluster
+//                        and builds no machine file (nested inside
+//                        whichever phase asked — dispatch-scan or
+//                        blame-classify)
 //   blame-classify       classify_waits(): the wait-blame pass after
 //                        each dispatch (wait_blame runs only)
 //

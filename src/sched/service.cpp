@@ -141,6 +141,17 @@ GridJobService::GridJobService(simgrid::GridTopology topology,
       backend_(topology_, roofline_, options_) {
   QRGRID_CHECK(options_.domains_per_cluster >= 0 ||
                options_.domains_per_cluster == core::kOneDomainPerProcess);
+  // Counts with no meaning below zero: a negative depth would read as
+  // "unlimited" and a negative retry or panel count as "none", so each
+  // is refused by name instead.
+  QRGRID_CHECK_MSG(options_.backfill_depth >= 0,
+                   "backfill_depth must be >= 0 (0 = unlimited), got "
+                       << options_.backfill_depth);
+  QRGRID_CHECK_MSG(options_.max_retries >= 0,
+                   "max_retries must be >= 0, got " << options_.max_retries);
+  QRGRID_CHECK_MSG(options_.checkpoint_panels >= 0,
+                   "checkpoint_panels must be >= 0, got "
+                       << options_.checkpoint_panels);
   // The uplink capacity feeds every replay's WAN horizon (and, when
   // contention is on, the shared model's fair shares): zero would turn
   // transfer times infinite and deadlock the event loop.
@@ -586,14 +597,17 @@ std::optional<Placement> GridJobService::Engine::try_place(
     const int group_procs = (job.procs + g - 1) / g;
     req.processes = group_procs;
     profile.groups.assign(static_cast<std::size_t>(g), req);
-    const auto alloc = scheduler.allocate(profile, free_procs, order);
-    if (!alloc.has_value()) continue;
+    // Only each group's cluster matters here; the per-rank machine file
+    // (allocate) is never built for a probe.
+    const auto group_cluster =
+        scheduler.choose_clusters(profile, free_procs, order);
+    if (!group_cluster.has_value()) continue;
 
     // Node-exclusive grant per cluster, in ascending cluster id whatever
     // order the clusters were offered in: the canonical form the replay
     // cache key and the report's parallel arrays rely on.
     std::vector<int> procs_used(static_cast<std::size_t>(nclusters), 0);
-    for (const int c : alloc->group_cluster) {
+    for (const int c : *group_cluster) {
       procs_used[static_cast<std::size_t>(c)] += group_procs;
     }
     Placement placement;
@@ -1103,23 +1117,29 @@ void GridJobService::Engine::dispatch() {
   // value: the promised latest start.
   emit(TraceKind::kReservationClaim, clock, reserved_job, shadow);
   const bool priced = wan != nullptr && policy.wan_priced_shadow();
-  // Ordered scan behind the head. Starts (on_attempt_start) dirty
-  // fair-share keys mid-scan, but iteration and take() never compare
-  // entries, so the frozen scan order is exactly the order the pass
-  // began with — the historical positional-scan semantics.
-  int examined = 0;
-  auto it = pending.begin();
-  ++it;  // the head holds the reservation, not a backfill candidacy
-  while (it != pending.end()) {
-    if (options.backfill_depth > 0 &&
-        ++examined > options.backfill_depth) {
-      break;
-    }
-    if (metrics != nullptr) metrics->add("dispatch.backfill_scans");
-    const Placement* placement = place_now(it->job);
+  // The pass's candidates are the first backfill_depth jobs behind the
+  // head (all of them at depth 0), each counted as one scan whether the
+  // merge below visits it or skips it with its procs bucket.
+  const std::size_t behind = pending.size() - 1;
+  const std::size_t scans =
+      options.backfill_depth > 0
+          ? std::min(behind, static_cast<std::size_t>(options.backfill_depth))
+          : behind;
+  if (metrics != nullptr && scans > 0) {
+    metrics->add("dispatch.backfill_scans", static_cast<long long>(scans));
+  }
+  // Queue-order merge of the per-procs buckets behind the head. A
+  // placement depends only on procs and the free state, so once one
+  // member of a bucket cannot be placed, neither can any later member
+  // until an admission moves the free state — the merge skips them and
+  // prices exactly the candidates a positional scan would.
+  JobQueue::Candidates candidates =
+      pending.candidates(options.backfill_depth);
+  while (const PendingEntry* entry = candidates.next()) {
+    const Job& candidate = entry->job;
+    const Placement* placement = place_now(candidate);
     if (placement != nullptr) {
-      const ExecutionProfile& replay = backend.profile(it->job, *placement);
-      const Job& candidate = it->job;
+      const ExecutionProfile& replay = backend.profile(candidate, *placement);
       const double remaining = attempt_seconds(
           replay, progress[candidate.id].credited_fraction);
       double estimate =
@@ -1168,14 +1188,12 @@ void GridJobService::Engine::dispatch() {
         }
       }
       if (clock + estimate <= shadow) {
-        Job admitted;
-        it = pending.take(it, admitted);
-        start_job(std::move(admitted), *placement, /*backfilled=*/true);
+        start_job(candidates.take(), *placement, /*backfilled=*/true);
         ++report.backfilled_jobs;
-        continue;  // `it` already points at the next candidate
       }
+    } else {
+      candidates.skip_procs();
     }
-    ++it;
   }
 }
 

@@ -18,7 +18,10 @@
 // predicted-job-first (Section-IV Equation (1) as the sort key), EASY
 // backfilling (arrival-ordered head keeps a reservation at the earliest
 // time enough nodes free up; later jobs may jump ahead only if they
-// provably finish before it), priority-aware EASY (a higher-priority
+// provably finish before it — the pass visits them as a queue-order
+// merge of the pending queue's per-procs buckets, skipping every size
+// that cannot be placed until an admission moves the free state),
+// priority-aware EASY (a higher-priority
 // pending job claims the reservation; shadow times price WAN drain
 // estimates under contention), and weighted fair-share (deficit-round-
 // robin over per-user accumulated service / weight).
@@ -117,14 +120,14 @@ struct ServiceOptions {
   /// per service) needs no key for it.
   int domains_per_cluster = 0;
   /// Bound on how many pending candidates one backfill pass examines
-  /// behind the blocked head (SLURM's bf_max_job_test). 0 = unlimited,
-  /// byte-identical to the historical unbounded scan; production-scale
-  /// runs cap it so a deep backlog cannot make one dispatch O(queue).
+  /// behind the blocked head (SLURM's bf_max_job_test): only the first
+  /// backfill_depth of them may backfill. 0 = unlimited; negative is
+  /// refused.
   int backfill_depth = 0;
   /// Whole-cluster failure/recovery boundaries (default: no faults).
   OutageTrace outages;
   /// Outage-killed jobs are requeued at most this many times; the next
-  /// kill is final. Walltime kills are always final.
+  /// kill is final. Walltime kills are always final. Must be >= 0.
   int max_retries = 3;
   /// When true, an outage-killed job restarts from its last completed
   /// row-block panel instead of from scratch: the kept prefix of the
@@ -132,7 +135,8 @@ struct ServiceOptions {
   bool restart_credit = false;
   /// Restart-credit granularity: the replay is checkpointable at
   /// `checkpoint_panels` equally-spaced points (domains are equal-sized,
-  /// so panels are uniform in replay time).
+  /// so panels are uniform in replay time). Must be >= 0; 0 banks
+  /// nothing.
   int checkpoint_panels = 8;
   /// Checkpoints are not free: with restart_credit on, every interior
   /// panel boundary an attempt crosses writes its state over the

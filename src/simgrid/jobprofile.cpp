@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -21,7 +22,7 @@ bool cluster_satisfies(const GridTopology& topo,
 
 }  // namespace
 
-std::optional<Allocation> MetaScheduler::allocate(
+std::optional<std::vector<int>> MetaScheduler::choose_clusters(
     const JobProfile& profile, const std::vector<int>& free_procs,
     const std::vector<int>& order) const {
   const int nclusters = topology_.num_clusters();
@@ -35,12 +36,13 @@ std::optional<Allocation> MetaScheduler::allocate(
   // node ("book 2 of 4 cores") so aggregate powers stay within tolerance.
   // Here processor counts per group are fixed by the profile, so we only
   // verify the resulting imbalance and reject if out of tolerance.
-  Allocation alloc;
-  std::vector<double> group_power;
+  std::vector<int> group_cluster;
+  group_cluster.reserve(profile.groups.size());
+  double lo_power = 0.0;
+  double hi_power = 0.0;
   const int norder = static_cast<int>(order.size());
   int next = 0;  // position in `order` the next first-fit starts at
-  for (std::size_t g = 0; g < profile.groups.size(); ++g) {
-    const GroupRequirement& req = profile.groups[g];
+  for (const GroupRequirement& req : profile.groups) {
     QRGRID_CHECK(req.processes > 0);
     // First-fit: find a cluster with enough free processes meeting the
     // connectivity bounds. Groups are placed on distinct clusters first
@@ -58,28 +60,42 @@ std::optional<Allocation> MetaScheduler::allocate(
     }
     if (chosen < 0) return std::nullopt;
 
-    const auto cc = static_cast<std::size_t>(chosen);
-    const int base =
-        topology_.cluster_rank_base(chosen) + (free_procs[cc] - left[cc]);
-    for (int i = 0; i < req.processes; ++i) {
-      alloc.rank_to_group.push_back(static_cast<int>(g));
-      alloc.placement.push_back(base + i);
-    }
-    left[cc] -= req.processes;
-    alloc.group_cluster.push_back(chosen);
-    group_power.push_back(req.processes *
-                          topology_.cluster(chosen).proc_peak_gflops);
+    left[static_cast<std::size_t>(chosen)] -= req.processes;
+    const double power =
+        req.processes * topology_.cluster(chosen).proc_peak_gflops;
+    lo_power = group_cluster.empty() ? power : std::min(lo_power, power);
+    hi_power = group_cluster.empty() ? power : std::max(hi_power, power);
+    group_cluster.push_back(chosen);
   }
 
-  if (profile.equal_group_power && group_power.size() > 1) {
-    const double lo = *std::min_element(group_power.begin(),
-                                        group_power.end());
-    const double hi = *std::max_element(group_power.begin(),
-                                        group_power.end());
-    if (lo <= 0.0 || (hi - lo) / hi > profile.power_tolerance) {
+  if (profile.equal_group_power && group_cluster.size() > 1) {
+    if (lo_power <= 0.0 ||
+        (hi_power - lo_power) / hi_power > profile.power_tolerance) {
       return std::nullopt;
     }
   }
+  return group_cluster;
+}
+
+std::optional<Allocation> MetaScheduler::allocate(
+    const JobProfile& profile, const std::vector<int>& free_procs,
+    const std::vector<int>& order) const {
+  std::optional<std::vector<int>> group_cluster =
+      choose_clusters(profile, free_procs, order);
+  if (!group_cluster.has_value()) return std::nullopt;
+  Allocation alloc;
+  std::vector<int> used(free_procs.size(), 0);
+  for (std::size_t g = 0; g < profile.groups.size(); ++g) {
+    const int c = (*group_cluster)[g];
+    const auto cc = static_cast<std::size_t>(c);
+    const int base = topology_.cluster_rank_base(c) + used[cc];
+    for (int i = 0; i < profile.groups[g].processes; ++i) {
+      alloc.rank_to_group.push_back(static_cast<int>(g));
+      alloc.placement.push_back(base + i);
+    }
+    used[cc] += profile.groups[g].processes;
+  }
+  alloc.group_cluster = std::move(*group_cluster);
   return alloc;
 }
 

@@ -65,14 +65,21 @@ class MetaScheduler {
   explicit MetaScheduler(GridTopology topology)
       : topology_(std::move(topology)) {}
 
-  /// Attempts to place every group on what is free now: `free_procs[c]`
-  /// processes of cluster c (one entry per cluster). Round-robin
-  /// first-fit offers the clusters in `order` (cluster ids; a cluster
-  /// not listed is never used) and resumes after the last one chosen.
-  /// A cluster's free processes are taken to be its lowest-numbered
-  /// ranks. Returns std::nullopt if the free processes cannot satisfy
+  /// The placement decision alone: the cluster each group is confined
+  /// to (indexed by group id), chosen from what is free now —
+  /// `free_procs[c]` processes of cluster c (one entry per cluster).
+  /// Round-robin first-fit offers the clusters in `order` (cluster ids;
+  /// a cluster not listed is never used) and resumes after the last one
+  /// chosen. Returns std::nullopt if the free processes cannot satisfy
   /// the profile (not enough of them, or power equalization impossible
-  /// within tolerance).
+  /// within tolerance). Builds no machine file: a caller that only needs
+  /// the clusters (the job service's placement probes) stops here.
+  std::optional<std::vector<int>> choose_clusters(
+      const JobProfile& profile, const std::vector<int>& free_procs,
+      const std::vector<int>& order) const;
+  /// choose_clusters() expanded into the per-rank machine file: each
+  /// cluster's free processes are taken to be its lowest-numbered ranks,
+  /// handed out to its groups in group order.
   std::optional<Allocation> allocate(const JobProfile& profile,
                                      const std::vector<int>& free_procs,
                                      const std::vector<int>& order) const;

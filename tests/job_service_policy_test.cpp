@@ -13,12 +13,17 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/des_algos.hpp"
 
 #include "sched/service.hpp"
+#include "sched/snapshot.hpp"
 #include "sched/wan.hpp"
 #include "sched/workload.hpp"
 
@@ -81,6 +86,252 @@ TEST(JobQueue, TieBreakDeterminismAcrossAllPolicies) {
       EXPECT_EQ(queue.pop_front().id, expect) << policy_name(policy);
     }
   }
+}
+
+/// Each bucket of the backfill index must hold: the queue's ids
+/// filtered by procs, in queue order.
+std::map<int, std::vector<int>> filtered_by_procs(JobQueue& queue) {
+  std::map<int, std::vector<int>> want;
+  for (auto it = queue.begin(); it != queue.end(); ++it) {
+    want[it->job.procs].push_back(it->job.id);
+  }
+  return want;
+}
+
+/// A tie-heavy random job for the index tests: few arrival instants,
+/// sizes and priority levels.
+Job index_job(Rng& rng, int id) {
+  const int sizes[] = {1, 2, 3, 4, 8};
+  Job job = make_job(id, static_cast<double>(rng.uniform_index(6)),
+                     1 << 16, 16, sizes[rng.uniform_index(5)]);
+  job.priority = static_cast<int>(rng.uniform_index(4));
+  return job;
+}
+
+/// A backfilling policy whose keys move as service accrues.
+class DynamicBackfillPolicy : public EasyBackfillPolicy {
+ public:
+  bool dynamic_order() const override { return true; }
+};
+
+// The backfill index against the queue it indexes: randomized pushes,
+// pops, mid-scan takes and snapshot round trips under both backfilling
+// policies, checking every bucket after every operation. The other
+// policies keep no index, and a backfilling dynamic-order policy is
+// refused.
+TEST(JobQueue, ProcsIndexMatchesTheQueueItIndexes) {
+  for (const Policy policy : {Policy::kEasyBackfill, Policy::kPriorityEasy}) {
+    Rng rng(policy == Policy::kEasyBackfill ? 11 : 13);
+    auto queue = std::make_unique<JobQueue>(policy);
+    for (int op = 0; op < 4000; ++op) {
+      const std::uint64_t kind = rng.uniform_index(10);
+      if (kind < 5) {
+        // Every seventh id repeats an earlier one, so only the push
+        // order breaks some ties.
+        const int id = op % 7 == 0 ? op / 2 : op;
+        queue->push(index_job(rng, id), rng.uniform(1.0, 3.0));
+      } else if (kind < 7) {
+        if (!queue->empty()) queue->pop_front();
+      } else if (kind < 9) {
+        JobQueue::Candidates pass = queue->candidates(
+            static_cast<int>(rng.uniform_index(6)));
+        while (pass.next() != nullptr) {
+          const std::uint64_t verdict = rng.uniform_index(4);
+          if (verdict == 0) pass.skip_procs();
+          if (verdict == 1) pass.take();
+          if (verdict == 1) {
+            ASSERT_EQ(queue->procs_index(), filtered_by_procs(*queue))
+                << policy_name(policy) << " mid-scan, op " << op;
+          }
+        }
+      } else {
+        SnapshotWriter writer;
+        queue->visit(writer);
+        SnapshotReader reader(writer.bytes());
+        auto restored = std::make_unique<JobQueue>(policy);
+        restored->visit(reader);
+        queue = std::move(restored);
+      }
+      ASSERT_EQ(queue->procs_index(), filtered_by_procs(*queue))
+          << policy_name(policy) << " op " << op;
+    }
+  }
+  for (const Policy policy :
+       {Policy::kFcfs, Policy::kSpjf, Policy::kFairShare}) {
+    JobQueue queue(policy);
+    Rng rng(17);
+    for (int id = 0; id < 20; ++id) queue.push(index_job(rng, id), 1.0);
+    EXPECT_TRUE(queue.procs_index().empty()) << policy_name(policy);
+    EXPECT_THROW(queue.candidates(0), Error) << policy_name(policy);
+  }
+  const DynamicBackfillPolicy dynamic_backfill;
+  EXPECT_THROW(JobQueue{&dynamic_backfill}, Error);
+}
+
+/// splitmix64 finalizer: the index tests' deterministic coin.
+std::uint64_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+  std::uint64_t z = a * 0x9e3779b97f4a7c15ull ^ b * 0xbf58476d1ce4e5b9ull ^
+                    c * 0x94d049bb133111ebull;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+// The lazy merge against the positional walk it replaced. Placeability
+// depends only on (procs, admissions so far) and each admission on
+// (job, admissions so far) — the service's premise — so at every depth
+// both must price the same candidates in the same order and admit the
+// same jobs, while the merge skips each unplaceable size at most once
+// per free state.
+TEST(JobQueue, CandidatesPriceWhatAPositionalScanPrices) {
+  for (const Policy policy : {Policy::kEasyBackfill, Policy::kPriorityEasy}) {
+    Rng rng(policy == Policy::kEasyBackfill ? 19 : 23);
+    for (int trial = 0; trial < 600; ++trial) {
+      const int njobs = 1 + static_cast<int>(rng.uniform_index(80));
+      const int depth = static_cast<int>(rng.uniform_index(10));
+      const std::uint64_t salt = rng.next_u64();
+      auto placeable = [salt](int procs, int admits) {
+        return mix(salt, static_cast<std::uint64_t>(procs),
+                   static_cast<std::uint64_t>(admits)) % 3 != 0;
+      };
+      auto admit = [salt](int id, int admits) {
+        return mix(~salt, static_cast<std::uint64_t>(id),
+                   static_cast<std::uint64_t>(admits)) % 4 == 0;
+      };
+      JobQueue scanned(policy);
+      JobQueue merged(policy);
+      for (int id = 0; id < njobs; ++id) {
+        const Job job = index_job(rng, id);
+        scanned.push(job, 1.0);
+        merged.push(job, 1.0);
+      }
+
+      // The positional walk over the pass-start order.
+      std::vector<const Job*> order;
+      for (auto it = scanned.begin(); it != scanned.end(); ++it) {
+        order.push_back(&it->job);
+      }
+      std::vector<int> want_priced;
+      std::vector<int> want_admitted;
+      for (std::size_t pos = 1; pos < order.size(); ++pos) {
+        if (depth > 0 && pos > static_cast<std::size_t>(depth)) break;
+        const int admits = static_cast<int>(want_admitted.size());
+        if (!placeable(order[pos]->procs, admits)) continue;
+        want_priced.push_back(order[pos]->id);
+        if (admit(order[pos]->id, admits)) {
+          want_admitted.push_back(order[pos]->id);
+        }
+      }
+
+      std::vector<int> priced;
+      std::vector<int> admitted;
+      std::map<std::pair<int, int>, int> skips;  // (procs, admits) -> n
+      JobQueue::Candidates pass = merged.candidates(depth);
+      while (const PendingEntry* entry = pass.next()) {
+        const int admits = static_cast<int>(admitted.size());
+        if (!placeable(entry->job.procs, admits)) {
+          ++skips[{entry->job.procs, admits}];
+          pass.skip_procs();
+          continue;
+        }
+        priced.push_back(entry->job.id);
+        if (admit(entry->job.id, admits)) admitted.push_back(pass.take().id);
+      }
+      ASSERT_EQ(priced, want_priced) << "trial " << trial;
+      ASSERT_EQ(admitted, want_admitted) << "trial " << trial;
+      for (const auto& [key, n] : skips) {
+        ASSERT_EQ(n, 1) << "trial " << trial << ": size " << key.first
+                        << " skipped twice on one free state";
+      }
+      std::vector<int> left;
+      for (auto it = merged.begin(); it != merged.end(); ++it) {
+        left.push_back(it->job.id);
+      }
+      std::vector<int> want_left;
+      for (const Job* job : order) {
+        if (std::find(want_admitted.begin(), want_admitted.end(),
+                      job->id) == want_admitted.end()) {
+          want_left.push_back(job->id);
+        }
+      }
+      ASSERT_EQ(left, want_left) << "trial " << trial;
+    }
+  }
+}
+
+// Restart credit makes equal jobs unequal. Two jobs of one size and
+// shape backfill behind a blocked head; outages kill the older one
+// before its first checkpoint and the younger one halfway through, and
+// both sites come back at one instant, when the reservation is 3/4 of
+// the older job's replay away. In that pass the older job's full replay
+// overruns the reservation while the younger job's credited half fits:
+// each candidate is priced with its own credit, so a scan that wrote
+// off the whole (size, shape) class after one rejection would hold the
+// younger job back.
+TEST(EasyBackfill, EqualShapesCarryingDifferentCreditArePricedApart) {
+  // 3 sites x 2 nodes x 2 procs: one 4-proc job fills one site.
+  const simgrid::GridTopology grid = simgrid::GridTopology::grid5000(3, 2, 2);
+  const std::vector<Job> jobs = {
+      make_job(0, 0.0, 1 << 21, 32, 4),   // long: holds site 0
+      make_job(1, 0.0, 1 << 17, 32, 12),  // head: needs every site
+      make_job(2, 0.0, 1 << 17, 32, 4),   // older: backfills on site 1
+      make_job(3, 0.0, 1 << 17, 32, 4),   // younger: backfills on site 2
+  };
+  ServiceOptions options;
+  options.policy = Policy::kEasyBackfill;
+  options.restart_credit = true;
+  options.checkpoint_panels = 8;
+  const ServiceReport calm =
+      GridJobService(grid, model::paper_calibration(), options).run(jobs);
+  ASSERT_TRUE(calm.outcomes[2].backfilled && calm.outcomes[3].backfilled);
+  ASSERT_EQ(calm.outcomes[2].clusters, std::vector<int>{1});
+  ASSERT_EQ(calm.outcomes[3].clusters, std::vector<int>{2});
+  const double reservation = calm.outcomes[0].finish_s;
+  const double older_s = calm.outcomes[2].service_s;  // replay on site 1
+  const double younger_s = calm.outcomes[3].service_s;
+  const double up = reservation - 0.75 * older_s;
+  ASSERT_GT(up, 0.6 * younger_s);
+
+  options.outages = OutageTrace(
+      {{1, older_s / 16.0, up}, {2, 0.6 * younger_s, up}});
+  const ServiceReport report =
+      GridJobService(grid, model::paper_calibration(), options).run(jobs);
+  const JobOutcome& older = report.outcomes[2];
+  const JobOutcome& younger = report.outcomes[3];
+  EXPECT_EQ(younger.attempts, 2);
+  EXPECT_TRUE(younger.backfilled);
+  EXPECT_EQ(younger.start_s, up);
+  EXPECT_EQ(younger.clusters, std::vector<int>{1});
+  EXPECT_EQ(older.attempts, 2);
+  EXPECT_GT(older.start_s, up);
+  EXPECT_TRUE(older.completed() && younger.completed());
+}
+
+// Counts with no meaning below zero are refused by name, not read as
+// "unlimited" or "none" (the CLI test covers --backfill-depth).
+TEST(ServiceOptionsCheck, NegativeCountsAreRefusedByName) {
+  const auto refusal = [](ServiceOptions options) -> std::string {
+    try {
+      GridJobService service(small_grid(), model::paper_calibration(),
+                             options);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  ServiceOptions depth;
+  depth.backfill_depth = -3;
+  EXPECT_NE(refusal(depth).find("backfill_depth"), std::string::npos);
+  ServiceOptions retries;
+  retries.max_retries = -2;
+  EXPECT_NE(refusal(retries).find("max_retries"), std::string::npos);
+  ServiceOptions panels;
+  panels.checkpoint_panels = -4;
+  EXPECT_NE(refusal(panels).find("checkpoint_panels"), std::string::npos);
+  ServiceOptions zeros;  // zero stays legal for all three
+  zeros.max_retries = 0;
+  zeros.checkpoint_panels = 0;
+  EXPECT_EQ(refusal(zeros), "");
 }
 
 /// Tie-heavy stream: batches of identical jobs arriving at identical

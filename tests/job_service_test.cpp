@@ -464,10 +464,34 @@ std::vector<Job> burst_backlog(int jobs, int users, std::uint64_t seed) {
   return generate_workload(spec);
 }
 
+/// A deeper burst over five job sizes, for the backfill index: long
+/// backlogs in which every size recurs far apart in the queue, so one
+/// pass meets many members of each size on one free state.
+std::vector<Job> deep_backlog(int jobs, int priority_levels,
+                              std::uint64_t seed) {
+  WorkloadSpec spec;
+  spec.jobs = jobs;
+  spec.mean_interarrival_s = 0.0005;
+  spec.priority_levels = priority_levels;
+  spec.m_choices = {1 << 15, 1 << 16, 1 << 17};
+  spec.n_choices = {16, 32};
+  spec.procs_choices = {2, 4, 6, 8, 16};
+  spec.tree_choices = {core::TreeKind::kFlat, core::TreeKind::kBinary,
+                       core::TreeKind::kGridHierarchical};
+  spec.seed = seed;
+  return generate_workload(spec);
+}
+
 /// The pinned matrix: every policy on one burst backlog with an
 /// unbounded scan, a bounded EASY scan, EASY under faults with
 /// over-asked walltimes, restart credit and wait-blame, both WAN rules
-/// under WAN-aware placement, and fair-share over four users.
+/// under WAN-aware placement, and fair-share over four users; then deep
+/// backlogs for the backfill index: an unbounded EASY scan over five
+/// sizes, EASY at depth 7 (a pass admits its depth-th candidate),
+/// prio-easy over four priority levels with walltimes, EASY under
+/// faults where half the jobs have no walltime (so equal shapes can
+/// carry different restart credit into one pass), and prio-easy with
+/// max-min WAN-aware placement.
 std::vector<DecisionCase> decision_cases() {
   const simgrid::GridTopology grid = simgrid::GridTopology::grid5000(4, 4, 2);
   std::vector<DecisionCase> cases;
@@ -520,6 +544,57 @@ std::vector<DecisionCase> decision_cases() {
     c.options.policy = Policy::kFairShare;
     c.jobs = burst_backlog(60, 4, 57);
     for (Job& job : c.jobs) job.weight = 1.0 + job.user % 2;
+    cases.push_back(std::move(c));
+  }
+  {
+    DecisionCase c{"easy/deep-depth0", grid, {}, {}};
+    c.options.policy = Policy::kEasyBackfill;
+    c.jobs = deep_backlog(320, 1, 61);
+    cases.push_back(std::move(c));
+  }
+  {
+    DecisionCase c{"easy/deep-depth7", grid, {}, {}};
+    c.options.policy = Policy::kEasyBackfill;
+    c.options.backfill_depth = 7;
+    c.jobs = deep_backlog(200, 1, 63);
+    cases.push_back(std::move(c));
+  }
+  {
+    DecisionCase c{"prio-easy/deep-walltimes", grid, {}, {}};
+    c.options.policy = Policy::kPriorityEasy;
+    c.jobs = deep_backlog(200, 4, 65);
+    const GridJobService probe(grid, model::paper_calibration(), c.options);
+    assign_walltimes(c.jobs, 1.8, 67, [&probe](const Job& job) {
+      return probe.predicted_seconds(job);
+    });
+    cases.push_back(std::move(c));
+  }
+  {
+    DecisionCase c{"easy/deep-faults-credit", grid, {}, {}};
+    c.options.policy = Policy::kEasyBackfill;
+    c.options.outages =
+        OutageTrace(OutageSpec{0.3, 0.06, 69}, grid.num_clusters());
+    c.options.restart_credit = true;
+    c.options.checkpoint_panels = 4;
+    c.jobs = deep_backlog(200, 1, 71);
+    const GridJobService probe(grid, model::paper_calibration(), c.options);
+    assign_walltimes(c.jobs, 1.6, 73, [&probe](const Job& job) {
+      return probe.predicted_seconds(job);
+    });
+    for (Job& job : c.jobs) {
+      if (job.id % 2 == 1) job.walltime_s = 0.0;
+    }
+    cases.push_back(std::move(c));
+  }
+  {
+    DecisionCase c{"prio-easy/deep-maxmin-aware",
+                   simgrid::GridTopology::grid5000(4, 2, 2), {}, {}};
+    c.options.policy = Policy::kPriorityEasy;
+    c.options.wan_contention = true;
+    c.options.wan_aware = true;
+    c.options.wan_fairness = WanFairness::kMaxMin;
+    c.options.wan_link_Bps = 2e6;
+    c.jobs = deep_backlog(150, 3, 75);
     cases.push_back(std::move(c));
   }
   return cases;
@@ -620,6 +695,21 @@ TEST(GridJobService, PinnedDecisions) {
       {"fair/4-users",
        {58119, 0x3b8ebac981dd4eedull, 15697, 0x99b0a7dd04559013ull,
         78, 0x26840c626bbdff05ull}},
+      {"easy/deep-depth0",
+       {301701, 0x5bd2c356ad922004ull, 156288, 0xadeb937f617336bull,
+        78, 0x5877522d4e7fe4b2ull}},
+      {"easy/deep-depth7",
+       {187609, 0xce6e0657320cd93cull, 82821, 0x714ae83bf26a198ull,
+        77, 0xc4106963c6c58312ull}},
+      {"prio-easy/deep-walltimes",
+       {195527, 0x2f37f22ec8506d3aull, 100560, 0x89be0ac166e3a009ull,
+        85, 0xae092de0d937417bull}},
+      {"easy/deep-faults-credit",
+       {255181, 0x5983a12661f68a7bull, 121763, 0xd81d88b5384101f7ull,
+        83, 0x8d633ef138cb5f14ull}},
+      {"prio-easy/deep-maxmin-aware",
+       {175748, 0xadfededeb7a822fbull, 109575, 0x1e3d28d503ea2bc9ull,
+        83, 0xeff744fdd15aa308ull}},
   };
   const std::vector<DecisionCase> cases = decision_cases();
   ASSERT_EQ(cases.size(), std::size(kPinned));

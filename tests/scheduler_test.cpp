@@ -176,7 +176,8 @@ TEST(MetaScheduler, FreeCapacityMatchesResidualGridOracle) {
   // the residual grid of those free nodes chooses — heterogeneous
   // grids, zero-free clusters, shuffled orders, equal and unequal
   // groups, power equalization on and off, and unsatisfiable latency
-  // bounds.
+  // bounds. The decision alone (choose_clusters) must agree with the
+  // allocation it expands into.
   const double peaks[] = {4.0, 4.4, 5.2, 6.0};
   Rng rng(2026);
   int placed = 0;
@@ -235,8 +236,30 @@ TEST(MetaScheduler, FreeCapacityMatchesResidualGridOracle) {
     profile.equal_group_power = rng.uniform_index(2) == 0;
     profile.power_tolerance = rng.uniform(0.0, 0.4);
 
-    const auto got =
-        MetaScheduler(master).allocate(profile, free_procs, order);
+    const MetaScheduler scheduler(master);
+    const auto got = scheduler.allocate(profile, free_procs, order);
+    // The decision alone picks exactly the clusters allocate expands,
+    // and fails exactly when it does.
+    const auto decided = scheduler.choose_clusters(profile, free_procs, order);
+    ASSERT_EQ(decided.has_value(), got.has_value()) << "trial " << trial;
+    if (decided.has_value()) {
+      ASSERT_EQ(*decided, got->group_cluster) << "trial " << trial;
+    }
+    // An equalized grant keeps its group powers within tolerance,
+    // recomputed here from the chosen clusters.
+    if (got.has_value() && profile.equal_group_power &&
+        profile.groups.size() > 1) {
+      double lo = 0.0;
+      double hi = 0.0;
+      for (std::size_t g = 0; g < profile.groups.size(); ++g) {
+        const double power =
+            profile.groups[g].processes *
+            master.cluster(got->group_cluster[g]).proc_peak_gflops;
+        lo = g == 0 ? power : std::min(lo, power);
+        hi = g == 0 ? power : std::max(hi, power);
+      }
+      EXPECT_LE((hi - lo) / hi, profile.power_tolerance) << "trial " << trial;
+    }
     const std::optional<ResidualGrid> residual =
         residual_grid(master, free_nodes, order);
     if (!residual.has_value()) {

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <utility>
 
 #include "common/check.hpp"
-#include "core/caqr.hpp"
 #include "core/des_algos.hpp"
 #include "core/tsqr.hpp"
 #include "linalg/generators.hpp"
@@ -117,9 +117,6 @@ const ExecutionProfile& ExecutionBackend::profile(const Job& job,
 
   simgrid::DesEngine engine(&granted, roofline_);
   engine.set_wan_aggregate_Bps(options_.wan_link_Bps);
-  // Per-transfer WAN events feed only the shared-WAN model's activation
-  // windows: contention-free services never grow vectors nothing reads.
-  engine.record_wan_transfers(options_.wan_contention);
   const core::DomainLayout layout =
       core::make_domain_layout(granted, domains);
   core::des_tsqr(engine, layout.groups, layout.domain_cluster, job.m, job.n,
@@ -130,29 +127,24 @@ const ExecutionProfile& ExecutionBackend::profile(const Job& job,
   profile.gflops =
       model::useful_flops(job.m, job.n) / profile.seconds / 1e9;
   profile.compute_utilization = engine.compute_utilization();
-  const auto k = static_cast<std::size_t>(granted.num_clusters());
-  profile.egress_first_fraction.assign(k, 1.0);
-  profile.ingress_first_fraction.assign(k, 1.0);
+  // Per-phase WAN demand: the first instant a transfer claims each
+  // cluster's uplink or downlink, as a fraction of the replay — the
+  // compute prefix the shared-WAN model lets pass contention-free (1.0
+  // for a link no transfer claims). Transfers start strictly before the
+  // makespan, so the clamp only guards degenerate zero-length replays.
+  const auto first_fraction = [&profile](double first_s) {
+    if (first_s == std::numeric_limits<double>::infinity()) return 1.0;
+    return profile.seconds > 0.0
+               ? std::min(first_s / profile.seconds, 1.0 - 1e-12)
+               : 0.0;
+  };
   for (int c = 0; c < granted.num_clusters(); ++c) {
     profile.egress_bytes.push_back(engine.wan_egress_bytes(c));
     profile.ingress_bytes.push_back(engine.wan_ingress_bytes(c));
-  }
-  // Per-phase WAN demand: the first instant each cluster's uplink or
-  // downlink carries a byte, as a fraction of the replay — the compute
-  // prefix the shared-WAN model lets pass contention-free. Transfers
-  // start strictly before the makespan, so the clamp only guards
-  // degenerate zero-length replays.
-  for (const simgrid::DesEngine::WanTransfer& t : engine.wan_transfers()) {
-    const double frac =
-        profile.seconds > 0.0
-            ? std::min(t.start_s / profile.seconds, 1.0 - 1e-12)
-            : 0.0;
-    auto& first_out = profile.egress_first_fraction[
-        static_cast<std::size_t>(t.src_cluster)];
-    auto& first_in = profile.ingress_first_fraction[
-        static_cast<std::size_t>(t.dst_cluster)];
-    first_out = std::min(first_out, frac);
-    first_in = std::min(first_in, frac);
+    profile.egress_first_fraction.push_back(
+        first_fraction(engine.first_egress_s(c)));
+    profile.ingress_first_fraction.push_back(
+        first_fraction(engine.first_ingress_s(c)));
   }
   const ExecutionProfile& entry =
       profile_cache_.emplace(std::move(key), std::move(profile)).first->second;
@@ -205,8 +197,6 @@ ExecutionResult ExecutionBackend::execute(const Job& job,
   const std::uint64_t seed =
       kMatrixSeed +
       0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(job.id + 1);
-  const int panel_width = options_.backend_caqr_panel_width;
-  const bool use_caqr = panel_width > 0 && job.n > panel_width;
 
   std::vector<Matrix> q_blocks(static_cast<std::size_t>(procs));
   std::vector<double> factor_vtime(static_cast<std::size_t>(procs), 0.0);
@@ -220,25 +210,13 @@ ExecutionResult ExecutionBackend::execute(const Job& job,
       Matrix local(static_cast<Index>(blocks[me].count), n);
       fill_gaussian_rows(local.view(), static_cast<Index>(blocks[me].offset),
                          seed);
-      if (use_caqr) {
-        core::CaqrOptions opts;
-        opts.panel_width = panel_width;
-        opts.tsqr.tree = job.tree;
-        opts.tsqr.rank_cluster = rank_cluster;
-        core::CaqrFactors f = core::caqr_factor(
-            comm, local.view(), static_cast<Index>(blocks[me].offset), opts);
-        factor_vtime[me] = comm.vtime();
-        q_blocks[me] = core::caqr_form_explicit_q(comm, f);
-        if (comm.rank() == 0) r = std::move(f.r);
-      } else {
-        core::TsqrOptions opts;
-        opts.tree = job.tree;
-        opts.rank_cluster = rank_cluster;
-        core::TsqrFactors f = core::tsqr_factor(comm, local.view(), opts);
-        factor_vtime[me] = comm.vtime();
-        q_blocks[me] = core::tsqr_form_explicit_q(comm, f);
-        if (comm.rank() == 0) r = std::move(f.r);  // the tree root
-      }
+      core::TsqrOptions opts;
+      opts.tree = job.tree;
+      opts.rank_cluster = rank_cluster;
+      core::TsqrFactors f = core::tsqr_factor(comm, local.view(), opts);
+      factor_vtime[me] = comm.vtime();
+      q_blocks[me] = core::tsqr_form_explicit_q(comm, f);
+      if (comm.rank() == 0) r = std::move(f.r);  // the tree root
     });
   } catch (const msg::VtimeLimitError&) {
     // The injected kill landed: a genuine partial execution, aborted

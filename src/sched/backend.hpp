@@ -9,14 +9,15 @@
 //     lets a 1000-job bench finish in seconds and is the production path
 //     for figure-scale matrices.
 //
-//   kMsgRuntime — additionally executes tsqr_factor / caqr_factor on a
-//     threaded msg::Runtime sized to the placement, with the placement's
-//     sub-topology mapped through msg::cost_model (TopologyCostModel), and
-//     reports real numerics (residual, orthogonality) per job. Injected
-//     kills become REAL mid-run failures: a virtual-walltime limit on the
-//     runtime aborts the communicator mid-factorization through the abort
-//     propagation machinery (tests/failure_test.cpp), instead of
-//     synthetically truncating a replay.
+//   kMsgRuntime — additionally executes tsqr_factor, the algorithm the
+//     replay prices, on a threaded msg::Runtime sized to the placement,
+//     with the placement's sub-topology mapped through msg::cost_model
+//     (TopologyCostModel), and reports real numerics (residual,
+//     orthogonality) per job. Injected kills become REAL mid-run
+//     failures: a virtual-walltime limit on the runtime aborts the
+//     communicator mid-factorization through the abort propagation
+//     machinery (tests/failure_test.cpp), instead of synthetically
+//     truncating a replay.
 //
 // The contract that makes the service's decisions backend-INDEPENDENT:
 // both kinds schedule with the same cached replay profile(), so
@@ -63,10 +64,10 @@ struct ExecutionProfile {
   double compute_utilization = 0.0;
   std::vector<long long> egress_bytes;   ///< per placement cluster
   std::vector<long long> ingress_bytes;  ///< per placement cluster
-  /// Fraction of the replay timeline before the first byte leaves
+  /// Fraction of the replay timeline before the first transfer leaves
   /// (reaches) each placement cluster's WAN link — TSQR's compute
   /// prefix, during which the job does not contend. 1.0 when the
-  /// cluster moves no WAN bytes at all.
+  /// cluster never sends (receives) across the WAN.
   std::vector<double> egress_first_fraction;
   std::vector<double> ingress_first_fraction;
 };

@@ -37,7 +37,12 @@ OutageTrace::OutageTrace(std::vector<Outage> outages) {
 
 OutageTrace::OutageTrace(const OutageSpec& spec, int num_clusters) {
   QRGRID_CHECK(num_clusters >= 1);
-  if (spec.mtbf_s <= 0.0) return;  // disabled: empty trace
+  // 0 is the documented "no faults"; below it an MTBF has no meaning,
+  // and NaN fails the comparison and is refused with it.
+  QRGRID_CHECK_MSG(spec.mtbf_s >= 0.0,
+                   "outage mtbf_s must be >= 0 (0 = no faults), got "
+                       << spec.mtbf_s);
+  if (spec.mtbf_s == 0.0) return;  // disabled: empty trace
   QRGRID_CHECK_MSG(spec.mean_outage_s > 0.0,
                    "outage mean_outage_s must be positive");
   mean_up_s_ = spec.mtbf_s;

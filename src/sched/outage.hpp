@@ -27,7 +27,8 @@ struct Outage {
   double end_s = 0.0;  ///< recovery instant; must be > start_s
 };
 
-/// Knobs of the seeded outage generator. mtbf_s == 0 disables faults.
+/// Knobs of the seeded outage generator. mtbf_s == 0 disables faults;
+/// a negative or NaN mtbf_s is refused.
 struct OutageSpec {
   double mtbf_s = 0.0;         ///< mean up-time per cluster between failures
   double mean_outage_s = 30.0; ///< mean repair time once a cluster is down

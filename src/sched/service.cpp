@@ -40,7 +40,7 @@ constexpr int kMaxGroups = 8;
 /// Snapshot framing (see GridJobService::snapshot). The version bumps on
 /// ANY layout change — restore refuses mismatches instead of misreading.
 const char kSnapshotMagic[] = "QRGS";
-constexpr std::uint32_t kSnapshotVersion = 4;
+constexpr std::uint32_t kSnapshotVersion = 5;
 
 /// Throws qrgrid::Error unless `p` is a placement this topology could
 /// have granted: ascending distinct clusters, each holding 1..capacity
@@ -71,6 +71,18 @@ void check_trace_event(const ServiceTraceEvent& ev, int nclusters) {
             ev.cluster < nclusters && ev.clusters.size() == ev.nodes.size();
   for (const int c : ev.clusters) ok = ok && c >= 0 && c < nclusters;
   QRGRID_CHECK_MSG(ok, "corrupt snapshot: trace event at t=" << ev.t_s);
+}
+
+/// Throws qrgrid::Error naming the first id that repeats: per-job
+/// progress, blame, the reservation and the trace lifecycle are all
+/// keyed by Job::id.
+void check_unique_ids(const std::vector<Job>& jobs) {
+  std::unordered_set<int> ids;
+  ids.reserve(jobs.size());
+  for (const Job& job : jobs) {
+    QRGRID_CHECK_MSG(ids.insert(job.id).second,
+                     "job id " << job.id << " appears more than once");
+  }
 }
 
 }  // namespace
@@ -152,6 +164,12 @@ GridJobService::GridJobService(simgrid::GridTopology topology,
   QRGRID_CHECK_MSG(options_.checkpoint_panels >= 0,
                    "checkpoint_panels must be >= 0, got "
                        << options_.checkpoint_panels);
+  // attempt_seconds prices no checkpoint at a cost <= 0, so a negative
+  // one would silently mean free checkpoints; NaN fails the comparison
+  // and is refused with it.
+  QRGRID_CHECK_MSG(options_.checkpoint_cost_s >= 0.0,
+                   "checkpoint_cost_s must be >= 0, got "
+                       << options_.checkpoint_cost_s);
   // The uplink capacity feeds every replay's WAN horizon (and, when
   // contention is on, the shared model's fair shares): zero would turn
   // transfer times infinite and deadlock the event loop.
@@ -260,7 +278,6 @@ struct GridJobService::Engine {
   bool wan_on = false;
   std::optional<GridWanModel> wan_model;
   GridWanModel* wan = nullptr;
-  double wan_clock = 0.0;  ///< how far the WAN horizons have been drained
   /// Replayed copy of the outage trace: the run never consumes the
   /// configured original, so the same service can serve several
   /// workloads identically.
@@ -310,6 +327,11 @@ struct GridJobService::Engine {
   /// when none was computable) — what the blame classifier replays the
   /// backfill admission test against.
   double last_shadow = kInf;
+  /// Backfill admissions of the LAST dispatch pass: each moved every job
+  /// behind it up one queue position, so the blame classifier shifts the
+  /// pass's depth window by this many. Not snapshot state: a snapshot
+  /// sits between steps, and each step classifies after its own pass.
+  int pass_backfills = 0;
   /// Placement preference: only wan_aware dispatch consults the WAN
   /// model; feasibility checks and shadow estimates stay naive.
   const GridWanModel* placement_wan = nullptr;
@@ -466,6 +488,7 @@ GridJobService::Engine::Engine(GridJobService& service,
     grid_nodes += topology.cluster(c).nodes;
   }
   if (!quiet) {
+    check_unique_ids(jobs);
     // Admission preflight. Whether a job fits the EMPTY fully-up grid
     // depends only on its procs count (shape never constrains placement),
     // so a million-job workload pays one real placement per distinct size.
@@ -503,7 +526,7 @@ GridJobService::Engine::Engine(GridJobService& service,
             ? options.wan_backbone_Bps
             : options.wan_link_Bps * std::max(1, nclusters / 2);
     wan_model.emplace(nclusters, options.wan_link_Bps, backbone_Bps,
-                      options.wan_fairness, options.wan_pair_Bps);
+                      options.wan_fairness);
   }
   wan = wan_model ? &*wan_model : nullptr;
 
@@ -986,8 +1009,7 @@ void GridJobService::Engine::start_job(Job job, const Placement& placement,
     double backbone_bytes = 0.0;
     double backbone_activation = kInf;
     auto add_pool = [&](GridWanModel::Pool::Link link, int cluster,
-                        int peer, double full_bytes,
-                        double first_fraction) {
+                        double full_bytes, double first_fraction) {
       if (full_bytes <= 0.0) return;
       const double from = std::max(first_fraction, f0);
       const double window = 1.0 - first_fraction;
@@ -998,7 +1020,6 @@ void GridJobService::Engine::start_job(Job job, const Placement& placement,
       GridWanModel::Pool pool;
       pool.link = link;
       pool.cluster = cluster;
-      pool.peer = peer;
       pool.bytes = bytes;
       pool.activation_s = activation_s;
       pools.push_back(pool);
@@ -1008,38 +1029,10 @@ void GridJobService::Engine::start_job(Job job, const Placement& placement,
       }
     };
     for (std::size_t i = 0; i < placement.clusters.size(); ++i) {
-      const double egress =
-          static_cast<double>(replay.egress_bytes[i]);
-      // With per-pair horizons configured, uplink demand is split per
-      // destination (pro-rated to the peers' ingress shares — the
-      // replay records per-cluster totals, not a src x dst matrix), so
-      // an asymmetric pair link can bind exactly the bytes crossing it.
-      double peer_total = 0.0;
-      if (wan->pair_aware() && egress > 0.0) {
-        for (std::size_t j = 0; j < placement.clusters.size(); ++j) {
-          if (j != i) {
-            peer_total +=
-                static_cast<double>(replay.ingress_bytes[j]);
-          }
-        }
-      }
-      if (peer_total > 0.0) {
-        for (std::size_t j = 0; j < placement.clusters.size(); ++j) {
-          if (j == i || replay.ingress_bytes[j] <= 0) continue;
-          add_pool(GridWanModel::Pool::Link::kUplink,
-                   placement.clusters[i], placement.clusters[j],
-                   egress *
-                       static_cast<double>(replay.ingress_bytes[j]) /
-                       peer_total,
-                   replay.egress_first_fraction[i]);
-        }
-      } else {
-        add_pool(GridWanModel::Pool::Link::kUplink,
-                 placement.clusters[i], /*peer=*/-1, egress,
-                 replay.egress_first_fraction[i]);
-      }
-      add_pool(GridWanModel::Pool::Link::kDownlink,
-               placement.clusters[i], /*peer=*/-1,
+      add_pool(GridWanModel::Pool::Link::kUplink, placement.clusters[i],
+               static_cast<double>(replay.egress_bytes[i]),
+               replay.egress_first_fraction[i]);
+      add_pool(GridWanModel::Pool::Link::kDownlink, placement.clusters[i],
                static_cast<double>(replay.ingress_bytes[i]),
                replay.ingress_first_fraction[i]);
     }
@@ -1067,6 +1060,7 @@ void GridJobService::Engine::start_job(Job job, const Placement& placement,
 
 void GridJobService::Engine::dispatch() {
   last_shadow = kInf;
+  pass_backfills = 0;
   // Completions, outages, arrivals and WAN drains since the last pass
   // moved the free state.
   placement_memo.clear();
@@ -1190,6 +1184,7 @@ void GridJobService::Engine::dispatch() {
       if (clock + estimate <= shadow) {
         start_job(candidates.take(), *placement, /*backfilled=*/true);
         ++report.backfilled_jobs;
+        ++pass_backfills;
       }
     } else {
       candidates.skip_procs();
@@ -1220,9 +1215,11 @@ void GridJobService::Engine::classify_waits() {
     if (idx == 0) head = &job;
     BlameCategory category = BlameCategory::kResourceBusy;
     if (idx > 0 && backfills && options.backfill_depth > 0 &&
-        idx > options.backfill_depth) {
-      // The bounded scan examines positions 1..depth only; beyond it
-      // the scheduler never even looked.
+        idx + pass_backfills > options.backfill_depth) {
+      // The bounded scan examined positions 1..depth as they stood when
+      // the pass began; its admissions moved everything behind them up,
+      // so the unexamined rest now starts at depth + 1 - admissions.
+      // Beyond it the scheduler never even looked.
       category = BlameCategory::kBackfillDepthTruncated;
     } else {
       // dispatch() just settled on this very free state, so its memo
@@ -1436,14 +1433,13 @@ void GridJobService::Engine::step() {
   // fair shares — and may BE a job's completion when the last drain
   // lands past its replay end. Rates are constant up to this bound, so
   // advancing the model to t is exact.
-  if (wan_on) t = std::min(t, wan->next_event_s(wan_clock));
+  if (wan_on) t = std::min(t, wan->next_event_s(clock));
   QRGRID_CHECK_MSG(t < kInf, "service deadlock: pending jobs but no "
                              "running work, WAN drains, outage "
                              "recoveries, or future arrivals");
   if (wan_on) {
     PhaseScope scope(profiler, ProfilePhase::kWanAdvance);
-    wan->advance(wan_clock, t);
-    wan_clock = std::max(wan_clock, t);
+    wan->advance(clock, t);
   }
   clock = std::max(clock, t);
   // Push the tracer's clock forward so emitters without a timestamp of
@@ -1773,7 +1769,7 @@ ServiceReport GridJobService::Engine::finish() {
 // job_service_snapshot_test catches drift).
 template <class V>
 void GridJobService::Engine::visit(V& v) {
-  v(next_arrival, clock, wan_clock, seq, reserved_job, last_shadow,
+  v(next_arrival, clock, seq, reserved_job, last_shadow,
     useful_node_seconds, useful_flops_total);
   // Report fields the event loop mutates; everything else is derived in
   // finish() or fixed by the constructor.
@@ -1961,6 +1957,7 @@ void GridJobService::restore(const std::string& bytes) {
   std::vector<Job> jobs;
   r(jobs);
   for (const Job& job : jobs) check_job(job);
+  check_unique_ids(jobs);
   // Built aside and installed only once fully loaded: a refused snapshot
   // leaves no run in flight.
   auto engine = std::make_unique<Engine>(*this, std::move(jobs),

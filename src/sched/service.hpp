@@ -143,7 +143,7 @@ struct ServiceOptions {
   /// intra-cluster link, charged as this many seconds appended to the
   /// attempt (and to EASY's estimate of it). 0 keeps PR-2's free credit;
   /// large values flip the credit/overhead trade-off against
-  /// checkpointing.
+  /// checkpointing. Negative or NaN is refused.
   double checkpoint_cost_s = 0.0;
 
   /// --- Shared-WAN contention (sched/wan.hpp) ---
@@ -175,12 +175,6 @@ struct ServiceOptions {
   /// progressive filling over multi-link demands, so flows bottlenecked
   /// on one link return their unused share everywhere else.
   WanFairness wan_fairness = WanFairness::kEqualSplit;
-  /// Optional per-(src_site, dst_site) WAN horizons for asymmetric
-  /// backbones: row-major sites x sites matrix in bytes/second (0
-  /// entries unconstrained), empty = off. When set, each attempt's
-  /// uplink demand is split per destination pair (pro-rated to the
-  /// placement's ingress bytes) so the pair links can bind.
-  std::vector<double> wan_pair_Bps;
 
   /// --- Execution backend (sched/backend.hpp) ---
   /// How granted attempts run: kDesReplay (cached replay, the default)
@@ -188,9 +182,6 @@ struct ServiceOptions {
   /// matrix entries, small workloads only). Scheduling decisions are
   /// backend-independent.
   BackendKind backend = BackendKind::kDesReplay;
-  /// When > 0, msg-executed jobs wider than this run full CAQR with
-  /// panels of this width instead of single-panel TSQR.
-  int backend_caqr_panel_width = 0;
 
   /// --- Observability (sched/telemetry.hpp) ---
   /// Caller-owned structured-event stream and metrics store, threaded
@@ -236,9 +227,7 @@ struct ServiceOptions {
     v.expect(wan_link_Bps, "wan_link_Bps");
     v.expect(wan_backbone_Bps, "wan_backbone_Bps");
     v.expect(wan_fairness, "wan_fairness");
-    v.expect(wan_pair_Bps, "wan_pair_Bps");
     v.expect(backend, "backend");
-    v.expect(backend_caqr_panel_width, "backend_caqr_panel_width");
     v.expect(tracer != nullptr, "tracer");
     v.expect(metrics != nullptr, "metrics");
     v.expect(wait_blame, "wait_blame");

@@ -141,31 +141,17 @@ void assign_wan_rates(WanFairness fairness,
 }
 
 GridWanModel::GridWanModel(int num_clusters, double link_Bps,
-                           double backbone_Bps, WanFairness fairness,
-                           std::vector<double> pair_Bps)
+                           double backbone_Bps, WanFairness fairness)
     : num_clusters_(num_clusters),
-      link_Bps_(link_Bps),
       backbone_Bps_(backbone_Bps),
       trunk_constrained_(std::isfinite(backbone_Bps)),
       fairness_(fairness),
-      pair_Bps_(std::move(pair_Bps)),
       up_busy_s_(static_cast<std::size_t>(num_clusters), 0.0),
       down_busy_s_(static_cast<std::size_t>(num_clusters), 0.0) {
   QRGRID_CHECK(num_clusters >= 1 && link_Bps > 0.0 && backbone_Bps > 0.0);
   const auto nc = static_cast<std::size_t>(num_clusters);
-  QRGRID_CHECK_MSG(pair_Bps_.empty() || pair_Bps_.size() == nc * nc,
-                   "pair horizon matrix must be sites x sites ("
-                       << pair_Bps_.size() << " != " << nc * nc << ")");
-  for (double b : pair_Bps_) QRGRID_CHECK(b >= 0.0);
-  capacity_.assign(2 * nc + 1 + (pair_Bps_.empty() ? 0 : nc * nc), 0.0);
-  for (std::size_t c = 0; c < nc; ++c) {
-    capacity_[c] = link_Bps_;
-    capacity_[nc + c] = link_Bps_;
-  }
+  capacity_.assign(2 * nc + 1, link_Bps);
   capacity_[2 * nc] = backbone_Bps_;
-  for (std::size_t p = 0; p < pair_Bps_.size(); ++p) {
-    capacity_[2 * nc + 1 + p] = pair_Bps_[p];
-  }
   link_users_.assign(capacity_.size(), 0);
   dirty_mark_.assign(capacity_.size(), 0);
   comp_mark_.assign(capacity_.size(), 0);
@@ -181,27 +167,18 @@ int GridWanModel::link_id(const Pool& pool) const {
   return 2 * num_clusters_;
 }
 
-int GridWanModel::links_of(const Pool& pool, int out[3]) const {
+int GridWanModel::links_of(const Pool& pool, int out[2]) const {
   int n = 0;
   out[n++] = link_id(pool);
-  if (pool.link == Pool::Link::kUplink) {
-    if (pair_aware() && pool.peer >= 0) {
-      const auto p = static_cast<std::size_t>(pool.cluster) *
-                         static_cast<std::size_t>(num_clusters_) +
-                     static_cast<std::size_t>(pool.peer);
-      if (pair_Bps_[p] > 0.0) {  // 0 = unconstrained pair
-        out[n++] = 2 * num_clusters_ + 1 + static_cast<int>(p);
-      }
-    }
-    // Under max-min the trunk is a link the uplink demand crosses, not a
-    // parallel pool: a flow bottlenecked at its site link stops charging
-    // the backbone for capacity it cannot use. An infinite backbone is
-    // never that bottleneck, so it drops out of the constraint graph
-    // entirely (allocation-equivalent, and it keeps rebalance components
-    // from chaining every flow through one shared link).
-    if (fairness_ == WanFairness::kMaxMin && trunk_constrained_) {
-      out[n++] = 2 * num_clusters_;
-    }
+  // Under max-min the trunk is a link the uplink demand crosses, not a
+  // parallel pool: a flow bottlenecked at its site link stops charging
+  // the backbone for capacity it cannot use. An infinite backbone is
+  // never that bottleneck, so it drops out of the constraint graph
+  // entirely (allocation-equivalent, and it keeps rebalance components
+  // from chaining every flow through one shared link).
+  if (pool.link == Pool::Link::kUplink &&
+      fairness_ == WanFairness::kMaxMin && trunk_constrained_) {
+    out[n++] = 2 * num_clusters_;
   }
   return n;
 }
@@ -217,7 +194,7 @@ void GridWanModel::mark_dirty(int link) {
 void GridWanModel::activate_pool(Flow& flow, int pool) {
   flow.active[static_cast<std::size_t>(pool)] = 1;
   ++active_pools_;
-  int links[3];
+  int links[2];
   const int nlinks = links_of(flow.pools[static_cast<std::size_t>(pool)], links);
   for (int k = 0; k < nlinks; ++k) {
     if (link_users_[static_cast<std::size_t>(links[k])]++ == 0) ++busy_links_;
@@ -228,7 +205,7 @@ void GridWanModel::activate_pool(Flow& flow, int pool) {
 void GridWanModel::deactivate_pool(Flow& flow, int pool) {
   flow.active[static_cast<std::size_t>(pool)] = 0;
   --active_pools_;
-  int links[3];
+  int links[2];
   const int nlinks = links_of(flow.pools[static_cast<std::size_t>(pool)], links);
   for (int k = 0; k < nlinks; ++k) {
     if (--link_users_[static_cast<std::size_t>(links[k])] == 0) --busy_links_;
@@ -237,8 +214,8 @@ void GridWanModel::deactivate_pool(Flow& flow, int pool) {
 }
 
 bool GridWanModel::compute_frac_sensitive(const Flow& flow) const {
-  int links_a[3];
-  int links_b[3];
+  int links_a[2];
+  int links_b[2];
   for (std::size_t a = 0; a < flow.pools.size(); ++a) {
     if (flow.pools[a].bytes <= 0.0) continue;
     const int na = links_of(flow.pools[a], links_a);
@@ -298,8 +275,8 @@ void GridWanModel::collect(Included included, std::vector<PoolRef>& refs,
   demands.clear();
   // Per-flow per-link byte totals of the included pools, so each
   // demand's frac makes the flow count as ONE user per link however its
-  // pools are split. Reset via the touched list — capacity_ can be
-  // sites^2-sized and most flows touch a handful of links.
+  // pools are spread. Reset via the touched list — most flows touch a
+  // handful of the model's links.
   if (flow_link_scratch_.size() != capacity_.size()) {
     flow_link_scratch_.assign(capacity_.size(), 0.0);
   }
@@ -315,7 +292,7 @@ void GridWanModel::collect(Included included, std::vector<PoolRef>& refs,
     touched.clear();
     for (std::size_t j = 0; j < flow.pools.size(); ++j) {
       if (!included(flow, j)) continue;
-      int links[3];
+      int links[2];
       const int nlinks = links_of(flow.pools[j], links);
       for (int k = 0; k < nlinks; ++k) {
         // Exact-zero here is a MEMBERSHIP marker, not drain arithmetic:
@@ -338,9 +315,9 @@ void GridWanModel::collect(Included included, std::vector<PoolRef>& refs,
       d.flow = flow.id;
       d.nlinks = links_of(pool, d.links);
       for (int k = 0; k < d.nlinks; ++k) {
-        // x / x == 1.0 exactly for an unsplit pool, which is what keeps
-        // the default equal-split path bit-identical to the original
-        // per-link C/k kernel.
+        // x / x == 1.0 exactly for a flow's only pool on a link, which
+        // is what keeps the default equal-split path bit-identical to
+        // the original per-link C/k kernel.
         d.frac[k] =
             pool.bytes /
             flow_link_bytes[static_cast<std::size_t>(d.links[k])];
@@ -398,8 +375,8 @@ void GridWanModel::rebalance(double now_s) {
   // the component drags all its links in (under max-min every uplink
   // pool crosses the trunk, so uplink-side events close over the
   // backbone component quickly; downlink pools stay their own islands,
-  // and under equal-split, where a pool crosses one link or an uplink
-  // plus its pair horizon, so does nearly every component).
+  // and under equal-split, where every pool crosses one link, so does
+  // every component).
   bool grew = true;
   while (grew) {
     grew = false;
@@ -408,7 +385,7 @@ void GridWanModel::rebalance(double now_s) {
       if (flow.undrained == 0) continue;
       for (std::size_t j = 0; j < flow.pools.size(); ++j) {
         if (flow.active[j] == 0) continue;
-        int links[3];
+        int links[2];
         const int nlinks = links_of(flow.pools[j], links);
         bool any = false;
         bool all = true;
@@ -492,7 +469,6 @@ int GridWanModel::admit(double now_s, std::vector<Pool> pools) {
     QRGRID_CHECK(pool.bytes >= 0.0);
     QRGRID_CHECK(pool.link == Pool::Link::kBackbone ||
                  (pool.cluster >= 0 && pool.cluster < num_clusters_));
-    QRGRID_CHECK(pool.peer < num_clusters_);
     // Max-min carries the trunk constraint on the uplink demands that
     // cross it; a parallel backbone pool would double-count them. An
     // infinite trunk never binds under either rule, and a pool on it
@@ -544,10 +520,7 @@ int GridWanModel::admit(double now_s, std::vector<Pool> pools) {
       activate_pool(admitted, static_cast<int>(j));
     }
   }
-  if (admitted.undrained > 0) {
-    ++rebalance_events_;
-    bump_generation();
-  }
+  if (admitted.undrained > 0) ++rebalance_events_;
   if (tracer_ != nullptr) {
     double bytes = 0.0;
     for (const Pool& pool : admitted.pools) bytes += pool.bytes;
@@ -562,7 +535,6 @@ void GridWanModel::advance(double from_s, double to_s) {
   if (dt <= 0.0) return;
 
   int pools_drained = 0;
-  bool fracs_moved = false;
   // Pull due activations in, repair rates if any link is dirty, then
   // drain against the CACHED per-pool rates — bit-identical to the
   // historical recompute-at-every-step values.
@@ -610,10 +582,9 @@ void GridWanModel::advance(double from_s, double to_s) {
         // Link-sharing pools: this flow's byte movement shifted its
         // per-link fracs, so its remaining active links must re-fill
         // even though no pool drained or activated.
-        fracs_moved = true;
         for (std::size_t j = 0; j < flow.pools.size(); ++j) {
           if (flow.active[j] == 0) continue;
-          int links[3];
+          int links[2];
           const int nlinks = links_of(flow.pools[j], links);
           for (int k = 0; k < nlinks; ++k) mark_dirty(links[k]);
         }
@@ -623,10 +594,6 @@ void GridWanModel::advance(double from_s, double to_s) {
       }
     }
   }
-  // Structural changes (and sensitive byte movement) invalidate the
-  // drain-estimate basis; plain byte drains of frac-insensitive flows
-  // leave it exact.
-  if (pools_drained > 0 || fracs_moved) bump_generation();
   if (tracer_ != nullptr) {
     // The share structure changes when a pool runs dry or a pending pool
     // activates inside the step — the rate rule re-splits either way.
@@ -700,8 +667,9 @@ double GridWanModel::drained_at_s(int flow) const {
 void GridWanModel::drain_estimates_s(double now_s,
                                      const std::vector<int>& flows,
                                      std::vector<double>& out) const {
-  // One shared pessimistic view, estimates gathered per live SLOT, then
-  // projected onto the requested ids.
+  // One shared pessimistic view (membership: bytes > 0, activation
+  // ignored), estimates gathered per live SLOT, then projected onto the
+  // requested ids.
   if (estimates_scratch_.size() < flows_.size()) {
     estimates_scratch_.resize(flows_.size(), 0.0);
   }
@@ -710,20 +678,10 @@ void GridWanModel::drain_estimates_s(double now_s,
     estimates_scratch_[static_cast<std::size_t>(slot)] =
         f.undrained == 0 ? f.drained_at_s : now_s;
   }
-  // The pessimistic view's membership (bytes > 0, activation ignored)
-  // and rates (fracs x capacities, never bytes) depend only on the
-  // structural generation: between structural changes the basis is
-  // reused verbatim — shadow pricing stops re-deriving shares per call.
-  // Only each pool's CURRENT bytes and max(now, activation) enter per
-  // call below, which is exactly what a fresh view would use.
-  if (!est_basis_valid_ || est_basis_generation_ != generation_) {
-    collect([](const Flow& flow,
-               std::size_t j) { return flow.pools[j].bytes > 0.0; },
-            est_refs_, est_demands_);
-    assign_wan_rates(fairness_, est_demands_, capacity_, est_rates_);
-    est_basis_valid_ = true;
-    est_basis_generation_ = generation_;
-  }
+  collect([](const Flow& flow,
+             std::size_t j) { return flow.pools[j].bytes > 0.0; },
+          est_refs_, est_demands_);
+  assign_wan_rates(fairness_, est_demands_, capacity_, est_rates_);
   for (std::size_t k = 0; k < est_refs_.size(); ++k) {
     const auto slot = static_cast<std::size_t>(est_refs_[k].flow);
     const Pool& pool =
@@ -774,10 +732,7 @@ void GridWanModel::retire(int flow, std::vector<long long>& egress_bytes,
   for (std::size_t j = 0; j < f.active.size(); ++j) {
     if (f.active[j] != 0) deactivate_pool(f, static_cast<int>(j));
   }
-  if (f.undrained > 0) {
-    ++rebalance_events_;
-    bump_generation();
-  }
+  if (f.undrained > 0) ++rebalance_events_;
   f.alive = false;
   f.pools.clear();
   f.moved_bytes.clear();
@@ -821,9 +776,8 @@ void GridWanModel::rebuild_after_load() {
           "flow vector sizes");
     for (const Pool& p : f.pools) {
       check(p.link <= Pool::Link::kBackbone &&
-                (p.link == Pool::Link::kBackbone || in(p.cluster, nc)) &&
-                (p.peer == -1 || in(p.peer, nc)),
-            "pool link, cluster, or peer");
+                (p.link == Pool::Link::kBackbone || in(p.cluster, nc)),
+            "pool link or cluster");
     }
     for (const int c : f.counted_clusters) check(in(c, nc), "counted cluster");
   }
@@ -844,8 +798,7 @@ void GridWanModel::rebuild_after_load() {
     check(in(a.pool, f.pools.size()), "activation pool");
   }
   // Derive the per-link user counts and load counters from the restored
-  // flows; the estimate basis is rebuilt (bit-identically) on the next
-  // drain_estimates_s call.
+  // flows.
   link_users_.assign(capacity_.size(), 0);
   busy_links_ = 0;
   active_pools_ = 0;
@@ -860,7 +813,7 @@ void GridWanModel::rebuild_after_load() {
     for (std::size_t j = 0; j < f.active.size(); ++j) {
       if (f.active[j] == 0) continue;
       ++active_pools_;
-      int links[3];
+      int links[2];
       const int nlinks = links_of(f.pools[j], links);
       for (int k = 0; k < nlinks; ++k) {
         if (link_users_[static_cast<std::size_t>(links[k])]++ == 0) {
@@ -871,7 +824,6 @@ void GridWanModel::rebuild_after_load() {
   }
   dirty_mark_.assign(capacity_.size(), 0);
   for (const int l : dirty_links_) dirty_mark_[static_cast<std::size_t>(l)] = 1;
-  est_basis_valid_ = false;
 }
 
 }  // namespace qrgrid::sched

@@ -10,12 +10,10 @@
 //   uplink(c)    what cluster c can push onto the wide area per second
 //   downlink(c)  what cluster c can pull off the wide area per second
 //   backbone     the shared trunk every inter-site byte crosses once
-//   pair(s,d)    optional per-(src,dst) horizons for asymmetric
-//                backbones (set_pair capacities; 0 = unconstrained)
 //
 // and every in-flight attempt registers a *flow*: per-link byte pools
 // pro-rated from its cached replay (per-cluster WAN counters plus the
-// per-phase first-transfer instants the DesEngine records), each pool
+// per-cluster first-transfer instants the DesEngine keeps), each pool
 // activating at the point of the replay timeline where the schedule
 // first touches that link. TSQR's WAN phase sits at the END of the run
 // (local factorizations first, R-factor reduction last), and the pools
@@ -31,13 +29,12 @@
 //     the PR-3 kernel, byte-identical.
 //
 //   max-min (WanFairness::kMaxMin) — progressive filling over multi-link
-//     demands: an uplink pool crosses {uplink(c), backbone} (plus its
-//     pair(s,d) horizon when configured), so the trunk is a real shared
-//     constraint instead of a parallel pool, and a flow bottlenecked on
-//     one link returns its unused share on every other link it crosses —
-//     the classic water-filling allocation. Separate backbone pools are
-//     not admitted in this mode (the trunk constraint lives on the
-//     uplink demands that actually cross it).
+//     demands: an uplink pool crosses {uplink(c), backbone}, so the
+//     trunk is a real shared constraint instead of a parallel pool, and
+//     a flow bottlenecked on one link returns its unused share on every
+//     other link it crosses — the classic water-filling allocation.
+//     Separate backbone pools are not admitted in this mode (the trunk
+//     constraint lives on the uplink demands that actually cross it).
 //
 // An infinite backbone is an unconstrained core under both rules: it
 // never binds, so it admits no backbone pools and no demand crosses it.
@@ -99,19 +96,20 @@ WanFairness wan_fairness_of(const std::string& name);
 std::string wan_fairness_name(WanFairness fairness);
 
 /// One activated, undrained pool as the rate rule sees it: the links it
-/// crosses (indices into the model's capacity table), the bytes left,
-/// and its per-link share of the owning flow's bytes there. Fairness is
-/// per FLOW, not per pool: a flow split across several pools on one
-/// link (per-destination pair splits; multi-cluster uplinks crossing
-/// the trunk) contributes its fracs — which sum to 1 — instead of one
-/// full user per pool, so splitting never multiplies a flow's share.
-/// Unsplit pools carry frac exactly 1.0, which keeps the equal-split
-/// arithmetic bit-identical to the PR-3 kernel.
+/// crosses (indices into the model's capacity table — a site link, plus
+/// the trunk for a max-min uplink pool), the bytes left, and its
+/// per-link share of the owning flow's bytes there. Fairness is per
+/// FLOW, not per pool: a flow with several pools on one link (the
+/// uplinks of a multi-cluster placement all crossing the trunk)
+/// contributes its fracs — which sum to 1 — instead of one full user
+/// per pool, so spreading never multiplies a flow's share. A flow's
+/// only pool on a link carries frac exactly 1.0, which keeps the
+/// equal-split arithmetic bit-identical to the PR-3 kernel.
 struct WanDemand {
   double bytes = 0.0;
   int flow = -1;  ///< owning flow id (what the fracs group by)
-  int links[3] = {-1, -1, -1};
-  double frac[3] = {1.0, 1.0, 1.0};  ///< flow-share per crossed link
+  int links[2] = {-1, -1};
+  double frac[2] = {1.0, 1.0};  ///< flow-share per crossed link
   int nlinks = 0;
 };
 
@@ -139,28 +137,17 @@ class GridWanModel {
     enum class Link : std::uint8_t { kUplink, kDownlink, kBackbone };
     Link link = Link::kBackbone;
     int cluster = -1;           ///< master cluster id; -1 for the backbone
-    /// Destination (uplink) / source (downlink) cluster of a per-pair
-    /// split pool; -1 for aggregate pools and the backbone.
-    int peer = -1;
     double bytes = 0.0;         ///< remaining demand on this link
     double activation_s = 0.0;  ///< absolute instant the demand appears
 
     template <class V>
-    void visit(V& v) { v(link, cluster, peer, bytes, activation_s); }
+    void visit(V& v) { v(link, cluster, bytes, activation_s); }
   };
 
-  /// `pair_Bps` is an optional row-major num_clusters x num_clusters
-  /// matrix of per-(src,dst) horizons in bytes/second (0 entries are
-  /// unconstrained); empty disables pair horizons. When set, callers
-  /// should admit per-peer split uplink pools (pair_aware()).
   GridWanModel(int num_clusters, double link_Bps, double backbone_Bps,
-               WanFairness fairness = WanFairness::kEqualSplit,
-               std::vector<double> pair_Bps = {});
+               WanFairness fairness = WanFairness::kEqualSplit);
 
   WanFairness fairness() const { return fairness_; }
-  /// True when per-(src,dst) horizons are configured — the signal for
-  /// callers to split uplink demand per destination pair.
-  bool pair_aware() const { return !pair_Bps_.empty(); }
 
   /// Admits one attempt's demand and returns its flow id. A flow with no
   /// pools (a single-cluster job) is born drained at `now_s`. kBackbone
@@ -192,12 +179,12 @@ class GridWanModel {
   /// (activated or not) is counted a user on its links, and each of the
   /// flow's pools then drains from max(now, activation) at that rate.
   /// Not a proof — admissions after `now_s` can still stretch it — but
-  /// what a WAN-priced EASY shadow plans with. One shared demand view
-  /// serves every flow, since shadow_time prices all running flows at
-  /// the same instant. `out` is filled parallel to `flows`: drained
-  /// flows report drained_at_s, retired flows 0. Callers pass the flows
-  /// they hold, so the cost scales with in-flight attempts, never with
-  /// flows ever admitted.
+  /// what a WAN-priced EASY shadow plans with. One shared demand view,
+  /// recomputed per call, serves every flow, since shadow_time prices
+  /// all running flows at the same instant. `out` is filled parallel to
+  /// `flows`: drained flows report drained_at_s, retired flows 0.
+  /// Callers pass the flows they hold, so the cost scales with
+  /// in-flight attempts, never with flows ever admitted.
   void drain_estimates_s(double now_s, const std::vector<int>& flows,
                          std::vector<double>& out) const;
 
@@ -272,18 +259,18 @@ class GridWanModel {
   /// later heap mutations), the busy-second accumulators, and the
   /// incremental engine's per-pool rates/active flags, the dirty-link
   /// list (a pending rebalance fires on resume exactly as it would
-  /// have), generation, and counters (so resumed runs reproduce the
-  /// wan.rebalance.* gauges byte-identically). Per-link user counts, load
-  /// counters, and the estimate basis are derived on load. Loading must
-  /// target a model freshly constructed with the same topology/capacity
-  /// configuration (the cluster count and fairness travel as tags only);
-  /// scratch buffers are rebuilt lazily.
+  /// have), and counters (so resumed runs reproduce the wan.rebalance.*
+  /// gauges byte-identically). Per-link user counts and load counters
+  /// are derived on load. Loading must target a model freshly
+  /// constructed with the same topology/capacity configuration (the
+  /// cluster count and fairness travel as tags only); scratch buffers
+  /// are rebuilt lazily.
   template <class V>
   void visit(V& v) {
     v.expect(num_clusters_, "WAN cluster count");
     v.expect(fairness_, "WAN fairness");
     v(flows_, free_slots_, live_, next_flow_id_, peak_live_, activations_,
-      up_busy_s_, down_busy_s_, backbone_busy_s_, dirty_links_, generation_,
+      up_busy_s_, down_busy_s_, backbone_busy_s_, dirty_links_,
       rebalance_events_, rebalance_recomputes_, rebalance_links_touched_,
       rebalance_full_refills_);
     if constexpr (V::kLoading) rebuild_after_load();
@@ -308,10 +295,10 @@ class GridWanModel {
     std::vector<double> rate_Bps;
     std::vector<char> active;
     /// True when two undrained pools of this flow can share a link, so
-    /// byte drains move the flow's per-link fracs: cached rates and the
-    /// estimate basis must be refreshed as its bytes move, not only on
-    /// structural changes. (A plain 2-site TSQR flow — one uplink, one
-    /// downlink pool — is NOT sensitive; its fracs are exactly 1.0.)
+    /// byte drains move the flow's per-link fracs: cached rates must be
+    /// refreshed as its bytes move, not only on structural changes. (A
+    /// plain 2-site TSQR flow — one uplink, one downlink pool — is NOT
+    /// sensitive; its fracs are exactly 1.0.)
     bool frac_sensitive = false;
     /// Load-counter membership: the clusters this flow currently counts
     /// toward in cluster_load_, and whether it counts in trunk_load_.
@@ -342,12 +329,11 @@ class GridWanModel {
     void visit(V& v) { v(t_s, flow, pool); }
   };
 
-  /// Link ids in the capacity table: [0, C) uplinks,
-  /// [C, 2C) downlinks, 2C the backbone, then (when pair horizons are
-  /// configured) 2C + 1 + src * C + dst per pair.
+  /// Link ids in the capacity table: [0, C) uplinks, [C, 2C) downlinks,
+  /// 2C the backbone.
   int link_id(const Pool& pool) const;
   /// Links the pool crosses under the active fairness mode.
-  int links_of(const Pool& pool, int out[3]) const;
+  int links_of(const Pool& pool, int out[2]) const;
   /// The one demand-view collector: every live flow's pools that
   /// `included(flow, pool_index)` admits, in live (admission) order,
   /// each with its per-flow per-link fracs over the included pools.
@@ -374,23 +360,20 @@ class GridWanModel {
   /// Incremental load_score/backbone_load maintenance (both modes).
   void count_load(Flow& flow);
   void uncount_load(Flow& flow);
-  void bump_generation() { ++generation_; }
   /// Snapshot load: range-checks every restored index (pool links,
-  /// clusters, peers, slots, activation pools, dirty links) and derives
+  /// clusters, slots, activation pools, dirty links) and derives
   /// slot_of_, the per-link user counts, the load counters, and
   /// dirty_mark_ from the restored flows.
   void rebuild_after_load();
 
   int num_clusters_;
-  double link_Bps_;
   double backbone_Bps_;
   /// False when backbone_Bps_ is infinite: an unconstrained core can
   /// never bind, so the trunk drops out of the constraint graph and
   /// max-min components stay per-site islands instead of chaining
-  /// through the shared link (same idiom as a 0-capacity pair entry).
+  /// through the shared link.
   bool trunk_constrained_ = true;
   WanFairness fairness_;
-  std::vector<double> pair_Bps_;   ///< row-major src x dst; empty = off
   std::vector<double> capacity_;   ///< per link id
   ServiceTracer* tracer_ = nullptr;
   /// Slot-indexed flow storage. retire() recycles slots through
@@ -422,7 +405,7 @@ class GridWanModel {
   std::vector<double> rates_scratch_;
   mutable std::vector<double> estimates_scratch_;  ///< per slot
   /// Per-flow per-link byte totals (frac computation); zeroed via the
-  /// touched list, so its sites^2-with-pairs size is paid once.
+  /// touched list, so a flow pays only for the links it crosses.
   mutable std::vector<double> flow_link_scratch_;
   mutable std::vector<int> touched_scratch_;
 
@@ -438,9 +421,6 @@ class GridWanModel {
   /// changed since the last recompute; dirty_mark_ dedupes the list.
   std::vector<int> dirty_links_;
   std::vector<char> dirty_mark_;
-  /// Bumped on every structural change (admission/retirement with
-  /// undrained demand, pool drain, frac-sensitive byte movement).
-  std::uint64_t generation_ = 0;
   std::uint64_t rebalance_events_ = 0;
   std::uint64_t rebalance_recomputes_ = 0;
   std::uint64_t rebalance_links_touched_ = 0;
@@ -454,12 +434,7 @@ class GridWanModel {
   mutable std::vector<WanDemand> comp_demands_;
   mutable std::vector<double> comp_rates_;
 
-  /// Drain-estimate basis cache: the pessimistic demand view's refs and
-  /// rates depend only on the structural generation (never on now_s or
-  /// the bytes of frac-insensitive flows), so shadow pricing between
-  /// structural changes reuses them instead of re-filling.
-  mutable bool est_basis_valid_ = false;
-  mutable std::uint64_t est_basis_generation_ = 0;
+  /// Pessimistic-view scratch of drain_estimates_s, reused across calls.
   mutable std::vector<PoolRef> est_refs_;
   mutable std::vector<WanDemand> est_demands_;
   mutable std::vector<double> est_rates_;

@@ -1,6 +1,7 @@
 #include "simgrid/des.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/check.hpp"
 
@@ -31,6 +32,10 @@ DesEngine::DesEngine(const GridTopology* topology, model::Roofline roofline)
                            0);
   wan_ingress_bytes_.assign(
       static_cast<std::size_t>(topology->num_clusters()), 0);
+  first_egress_s_.assign(static_cast<std::size_t>(topology->num_clusters()),
+                         std::numeric_limits<double>::infinity());
+  first_ingress_s_.assign(static_cast<std::size_t>(topology->num_clusters()),
+                          std::numeric_limits<double>::infinity());
 }
 
 double DesEngine::rate_gflops(int ncols) {
@@ -86,11 +91,8 @@ double DesEngine::transfer(int src, const Route& route, std::size_t bytes) {
     ingress_free_[dc] = channel_done;
     wan_egress_bytes_[sc] += static_cast<long long>(bytes);
     wan_ingress_bytes_[dc] += static_cast<long long>(bytes);
-    if (record_wan_) {
-      wan_transfers_.push_back({start, static_cast<int>(sc),
-                                static_cast<int>(dc),
-                                static_cast<long long>(bytes)});
-    }
+    first_egress_s_[sc] = std::min(first_egress_s_[sc], start);
+    first_ingress_s_[dc] = std::min(first_ingress_s_[dc], start);
   }
   messages_ += 1;
   messages_by_class_[static_cast<std::size_t>(route.cls)] += 1;

@@ -123,21 +123,16 @@ class DesEngine {
   /// disable contention modeling.
   void set_wan_aggregate_Bps(double bps) { wan_aggregate_Bps_ = bps; }
 
-  /// One inter-cluster transfer the engine booked: when it claimed the
-  /// channel, between which clusters, how many bytes. This is the
-  /// replay's WAN demand decomposed in time (per phase, per cluster
-  /// pair) — what the job service's shared-WAN contention engine feeds
-  /// on. Recording is opt-in so figure-scale ScaLAPACK sweeps do not
-  /// accumulate event vectors they never read.
-  struct WanTransfer {
-    double start_s = 0.0;
-    int src_cluster = 0;
-    int dst_cluster = 0;
-    long long bytes = 0;
-  };
-  void record_wan_transfers(bool on) { record_wan_ = on; }
-  const std::vector<WanTransfer>& wan_transfers() const {
-    return wan_transfers_;
+  /// Earliest instant an inter-cluster transfer from (to) this cluster
+  /// claimed the WAN channel, zero-byte transfers included; +infinity
+  /// while the cluster has sent (received) nothing across the WAN. The
+  /// job service's shared-WAN model activates each link's demand there:
+  /// TSQR's compute prefix runs contention-free.
+  double first_egress_s(int cluster) const {
+    return first_egress_s_[static_cast<std::size_t>(cluster)];
+  }
+  double first_ingress_s(int cluster) const {
+    return first_ingress_s_[static_cast<std::size_t>(cluster)];
   }
 
  private:
@@ -161,9 +156,9 @@ class DesEngine {
   std::vector<double> ingress_free_;  ///< per-cluster WAN downlink horizon
   std::vector<long long> wan_egress_bytes_;   ///< per-cluster WAN bytes out
   std::vector<long long> wan_ingress_bytes_;  ///< per-cluster WAN bytes in
+  std::vector<double> first_egress_s_;   ///< per-cluster first WAN send
+  std::vector<double> first_ingress_s_;  ///< per-cluster first WAN receive
   double wan_aggregate_Bps_ = 10e9 / 8.0;  ///< Grid'5000 dark fiber
-  bool record_wan_ = false;
-  std::vector<WanTransfer> wan_transfers_;
   long long messages_ = 0;
   long long messages_by_class_[msg::kNumLinkClasses] = {0, 0, 0, 0};
   long long bytes_by_class_[msg::kNumLinkClasses] = {0, 0, 0, 0};

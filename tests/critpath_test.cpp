@@ -121,6 +121,52 @@ TEST(WaitBlame, PartitionSumsToWaitPerJobUnderChurnAndContention) {
   }
 }
 
+TEST(WaitBlame, DepthWindowFollowsThePassAdmissions) {
+  // One 16-proc cluster, EASY examining one candidate per pass. Job 1
+  // (the whole grid) blocks as head behind job 0; jobs 2 and 3 arrive
+  // together. The pass examines job 2, the only position in its window,
+  // and backfills it, which moves job 3 up into that position. Job 3 was
+  // never examined: until job 2's completion runs the next pass, the
+  // depth bound holds it, not the reservation.
+  const simgrid::GridTopology topo = simgrid::GridTopology::grid5000(1, 8, 2);
+  const auto job = [](int id, double arrival_s, double m, int n, int procs) {
+    Job j;
+    j.id = id;
+    j.arrival_s = arrival_s;
+    j.m = m;
+    j.n = n;
+    j.procs = procs;
+    return j;
+  };
+  const std::vector<Job> jobs = {job(0, 0.0, 1 << 22, 64, 8),
+                                 job(1, 0.0, 1 << 16, 64, 16),
+                                 job(2, 0.002, 1 << 12, 16, 4),
+                                 job(3, 0.002, 1 << 24, 64, 2)};
+  ServiceOptions options;
+  options.policy = Policy::kEasyBackfill;
+  options.backfill_depth = 1;
+  const BlameRun run = run_with_blame(topo, jobs, options);
+  EXPECT_TRUE(validate_trace(run.events).empty());
+  const JobOutcome& backfilled = run.report.outcomes[2];
+  ASSERT_EQ(backfilled.job.id, 2);
+  ASSERT_TRUE(backfilled.backfilled);
+  ASSERT_EQ(backfilled.start_s, 0.002);
+  const ServiceTraceEvent* first_blame = nullptr;
+  for (const ServiceTraceEvent& event : run.events) {
+    if (event.kind == TraceKind::kWaitBlame && event.job == 3) {
+      first_blame = &event;
+      break;
+    }
+  }
+  ASSERT_NE(first_blame, nullptr);
+  EXPECT_EQ(static_cast<BlameCategory>(first_blame->value2),
+            BlameCategory::kBackfillDepthTruncated);
+  EXPECT_EQ(first_blame->t_s, backfilled.finish_s);
+  EXPECT_DOUBLE_EQ(run.report.outcomes[3].blame_s[static_cast<std::size_t>(
+                       BlameCategory::kBackfillDepthTruncated)],
+                   backfilled.finish_s - 0.002);
+}
+
 TEST(WaitBlame, OffPathIsByteIdenticalAndOutcomesMatch) {
   const simgrid::GridTopology topo = small_grid();
   const std::vector<Job> jobs = churn_workload(25, 77);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -165,33 +166,38 @@ TEST(DesEngine, UtilizationRisesWithM) {
   }
 }
 
-TEST(DesEngine, RecordsWanTransfersOnlyWhenAsked) {
+TEST(DesEngine, TracksFirstWanActivityPerCluster) {
   GridTopology topo = toy_topology();
   const int remote = topo.cluster_rank_base(1);
-  {
-    // Off by default: figure-scale sweeps must not grow event vectors.
-    DesEngine engine(&topo, flat_roofline());
-    engine.p2p(0, remote, 512);
-    EXPECT_TRUE(engine.wan_transfers().empty());
-  }
+  constexpr double kNever = std::numeric_limits<double>::infinity();
   DesEngine engine(&topo, flat_roofline());
-  engine.record_wan_transfers(true);
-  engine.p2p(0, 1, 4096);       // intra-node: never a WAN transfer
-  engine.p2p(0, remote, 512);   // cluster 0 -> 1
-  engine.p2p(remote, 0, 128);   // cluster 1 -> 0
-  ASSERT_EQ(engine.wan_transfers().size(), 2u);
-  const DesEngine::WanTransfer& first = engine.wan_transfers()[0];
-  EXPECT_EQ(first.src_cluster, 0);
-  EXPECT_EQ(first.dst_cluster, 1);
-  EXPECT_EQ(first.bytes, 512);
-  EXPECT_GE(first.start_s, 0.0);
-  const DesEngine::WanTransfer& second = engine.wan_transfers()[1];
-  EXPECT_EQ(second.src_cluster, 1);
-  EXPECT_EQ(second.dst_cluster, 0);
-  EXPECT_EQ(second.bytes, 128);
-  // The recorded events decompose the WAN byte counters exactly.
-  EXPECT_EQ(first.bytes, engine.wan_egress_bytes(0));
-  EXPECT_EQ(second.bytes, engine.wan_egress_bytes(1));
+  const auto expect_quiet = [&](int cluster) {
+    EXPECT_EQ(engine.first_egress_s(cluster), kNever) << cluster;
+    EXPECT_EQ(engine.first_ingress_s(cluster), kNever) << cluster;
+  };
+  expect_quiet(0);
+  expect_quiet(1);
+  engine.compute(0, 5.0, 0);
+  engine.p2p(0, 1, 4096);  // intra-node: never a WAN transfer
+  expect_quiet(0);
+  expect_quiet(1);
+  // The first send claims the idle channel at the sender's clock.
+  const double sent_at = engine.clock(0);
+  ASSERT_GT(sent_at, 0.0);
+  engine.p2p(0, remote, 512);  // cluster 0 -> 1
+  EXPECT_EQ(engine.first_egress_s(0), sent_at);
+  EXPECT_EQ(engine.first_ingress_s(1), engine.first_egress_s(0));
+  EXPECT_EQ(engine.first_egress_s(1), kNever);
+  EXPECT_EQ(engine.first_ingress_s(0), kNever);
+  // Later transfers never move a first instant; a zero-byte one still
+  // marks the reverse direction's links.
+  engine.p2p(0, remote, 128);
+  engine.p2p(remote, 0, 0);  // cluster 1 -> 0
+  EXPECT_EQ(engine.first_egress_s(0), sent_at);
+  EXPECT_EQ(engine.first_ingress_s(1), sent_at);
+  EXPECT_EQ(engine.first_egress_s(1), engine.first_ingress_s(0));
+  EXPECT_LT(engine.first_egress_s(1), kNever);
+  EXPECT_EQ(engine.wan_egress_bytes(1), 0);
 }
 
 TEST(DesEngine, FasterClusterComputesFaster) {
@@ -521,14 +527,13 @@ TEST(DesReplay, PinnedBits) {
     EXPECT_EQ(got.compute_utilization, want.compute_utilization) << row;
   }
 
-  // One engine with WAN recording and a trace attached: a TSQR with
-  // ScaLAPACK leaves and an explicit Q, then a PDGEQR2 whose butterfly
-  // folds (96 ranks) and crosses the cluster 0/1 boundary.
+  // One engine with a trace attached: a TSQR with ScaLAPACK leaves and
+  // an explicit Q, then a PDGEQR2 whose butterfly folds (96 ranks) and
+  // crosses the cluster 0/1 boundary.
   const GridTopology topo = GridTopology::grid5000(4, 32, 2);
   DesEngine engine(&topo, model::paper_calibration());
   TraceLog log;
   engine.set_trace(&log);
-  engine.record_wan_transfers(true);
   const core::DomainLayout layout = core::make_domain_layout(topo, 2);
   core::des_tsqr(engine, layout.groups, layout.domain_cluster, 1048576.0,
                  48.0, core::TreeKind::kGridHierarchical, true);
@@ -539,7 +544,10 @@ TEST(DesReplay, PinnedBits) {
   got << std::hexfloat << engine.makespan() << " " << engine.messages()
       << " " << engine.messages_of(msg::LinkClass::kInterCluster) << " "
       << engine.compute_utilization() << " " << engine.total_flops() << " "
-      << engine.wan_transfers().size() << " " << log.events().size();
+      << log.events().size();
+  for (int c = 0; c < topo.num_clusters(); ++c) {
+    got << " " << engine.first_egress_s(c) << " " << engine.first_ingress_s(c);
+  }
   EXPECT_EQ(engine.makespan(), 0x1.cde2c47c310fcp-2) << got.str();
   EXPECT_EQ(engine.messages(), 64189) << got.str();
   EXPECT_EQ(engine.messages_of(msg::LinkClass::kInterCluster), 2278)
@@ -547,8 +555,17 @@ TEST(DesReplay, PinnedBits) {
   EXPECT_EQ(engine.compute_utilization(), 0x1.53fc7d9a600a4p-3)
       << got.str();
   EXPECT_EQ(engine.total_flops(), 0x1.2131cb25fffp+33) << got.str();
-  EXPECT_EQ(engine.wan_transfers().size(), 2278u) << got.str();
   EXPECT_EQ(log.events().size(), 143252u) << got.str();
+  // Per-cluster first WAN instants: the earliest start over each
+  // cluster's sent (received) inter-cluster transfers.
+  EXPECT_EQ(engine.first_egress_s(0), 0x1.b3223a4dbab24p-4) << got.str();
+  EXPECT_EQ(engine.first_ingress_s(0), 0x1.87bbe859dc764p-4) << got.str();
+  EXPECT_EQ(engine.first_egress_s(1), 0x1.87bbe859dc764p-4) << got.str();
+  EXPECT_EQ(engine.first_ingress_s(1), 0x1.b47cc6dfabfp-4) << got.str();
+  EXPECT_EQ(engine.first_egress_s(2), 0x1.9116745774113p-4) << got.str();
+  EXPECT_EQ(engine.first_ingress_s(2), 0x1.6f66708d5a84fp-4) << got.str();
+  EXPECT_EQ(engine.first_egress_s(3), 0x1.6f66708d5a84fp-4) << got.str();
+  EXPECT_EQ(engine.first_ingress_s(3), 0x1.d79010e9a6424p-4) << got.str();
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 //
 // This is the test that turns the simulator into a validated predictor:
 // the paper's DES replay claims are checked against actual multi-site
-// TSQR/CAQR executions at the service layer.
+// TSQR executions at the service layer.
 #include "sched/service.hpp"
 
 #include <gtest/gtest.h>
@@ -259,28 +259,6 @@ TEST(BackendEquivalence, WalltimeKillAbortsTheRealRunMidFactorization) {
                    msg.injected_abort_vtime_s);
   // Killed before the factorization finished: no numerics to report.
   EXPECT_TRUE(std::isnan(msg.outcomes[0].residual));
-}
-
-TEST(BackendEquivalence, CaqrJobsExecuteForRealAndPassNumerics) {
-  // Wide jobs run the full CAQR panel algorithm on the msg runtime
-  // (panels of 8 columns, TSQR per panel, trailing updates applied
-  // through the implicit Q). The DES profile is unchanged, so scheduling
-  // stays identical; the numerics gate now covers caqr_factor too.
-  std::vector<Job> jobs = small_workload(6, 61);
-  ServiceOptions options =
-      backend_options(BackendKind::kMsgRuntime, Policy::kFcfs);
-  options.backend_caqr_panel_width = 8;  // every n in {16, 32} uses CAQR
-  const ServiceReport des = run_backend(BackendKind::kDesReplay,
-                                        Policy::kFcfs, jobs, options);
-  const ServiceReport msg = run_backend(BackendKind::kMsgRuntime,
-                                        Policy::kFcfs, jobs, options);
-  expect_identical_decisions(des, msg);
-  for (const JobOutcome& o : msg.outcomes) {
-    ASSERT_TRUE(o.completed());
-    ASSERT_TRUE(o.executed);
-    EXPECT_LT(o.residual, kNumericsTolerance) << "job " << o.job.id;
-    EXPECT_LT(o.orthogonality, kNumericsTolerance) << "job " << o.job.id;
-  }
 }
 
 TEST(BackendEquivalence, MsgBackendIsDeterministicAcrossRuns) {

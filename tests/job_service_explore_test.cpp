@@ -268,12 +268,8 @@ TEST(SnapshotRestore, RefusesMismatchedConfigurationAndGarbage) {
            [](ServiceOptions& o) { o.wan_backbone_Bps = 1e9; }},
           {"wan_fairness",
            [](ServiceOptions& o) { o.wan_fairness = WanFairness::kMaxMin; }},
-          {"wan_pair_Bps",
-           [](ServiceOptions& o) { o.wan_pair_Bps = {0.0, 1e6, 1e6, 0.0}; }},
           {"backend",
            [](ServiceOptions& o) { o.backend = BackendKind::kMsgRuntime; }},
-          {"backend_caqr_panel_width",
-           [](ServiceOptions& o) { o.backend_caqr_panel_width = 8; }},
           {"tracer", [&](ServiceOptions& o) { o.tracer = &tracer; }},
           {"metrics", [&](ServiceOptions& o) { o.metrics = &metrics; }},
           {"wait_blame", [](ServiceOptions& o) { o.wait_blame = true; }},

@@ -328,9 +328,15 @@ TEST(ServiceOptionsCheck, NegativeCountsAreRefusedByName) {
   ServiceOptions panels;
   panels.checkpoint_panels = -4;
   EXPECT_NE(refusal(panels).find("checkpoint_panels"), std::string::npos);
-  ServiceOptions zeros;  // zero stays legal for all three
+  ServiceOptions cost;
+  cost.checkpoint_cost_s = -1.0;
+  EXPECT_NE(refusal(cost).find("checkpoint_cost_s"), std::string::npos);
+  cost.checkpoint_cost_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(refusal(cost).find("checkpoint_cost_s"), std::string::npos);
+  ServiceOptions zeros;  // zero stays legal for all four
   zeros.max_retries = 0;
   zeros.checkpoint_panels = 0;
+  zeros.checkpoint_cost_s = 0.0;
   EXPECT_EQ(refusal(zeros), "");
 }
 
@@ -585,11 +591,10 @@ TEST(FairShare, WeightedUserGetsProportionallyEarlierService) {
 // --- The WAN rate rules -------------------------------------------------
 
 GridWanModel::Pool pool_of(GridWanModel::Pool::Link link, int cluster,
-                           int peer, double bytes, double activation_s) {
+                           double bytes, double activation_s) {
   GridWanModel::Pool pool;
   pool.link = link;
   pool.cluster = cluster;
-  pool.peer = peer;
   pool.bytes = bytes;
   pool.activation_s = activation_s;
   return pool;
@@ -598,26 +603,25 @@ GridWanModel::Pool pool_of(GridWanModel::Pool::Link link, int cluster,
 using Link = GridWanModel::Pool::Link;
 
 TEST(WanRates, ProgressiveFillingReassignsBottleneckedShare) {
-  // Demand A crosses a 25 B/s pair horizon; demand B shares only the
-  // 100 B/s backbone with it. Equal split would hand both 50 on the
-  // trunk; max-min freezes A at 25 and fills B to 75.
+  // Demand A crosses a 25 B/s uplink; demand B shares only the 100 B/s
+  // backbone with it. Equal split would hand both 50 on the trunk;
+  // max-min freezes A at 25 and fills B to 75.
   std::vector<WanDemand> demands(2);
   demands[0].bytes = 400.0;
-  demands[0].links[0] = 0;  // uplink
-  demands[0].links[1] = 1;  // pair, 25 B/s
-  demands[0].links[2] = 2;  // backbone
-  demands[0].nlinks = 3;
+  demands[0].links[0] = 0;  // thin uplink, 25 B/s
+  demands[0].links[1] = 1;  // backbone
+  demands[0].nlinks = 2;
   demands[1].bytes = 400.0;
-  demands[1].links[0] = 3;  // its own uplink
-  demands[1].links[1] = 2;  // shared backbone
+  demands[1].links[0] = 2;  // its own uplink
+  demands[1].links[1] = 1;  // shared backbone
   demands[1].nlinks = 2;
-  const std::vector<double> capacity = {100.0, 25.0, 100.0, 100.0};
+  const std::vector<double> capacity = {25.0, 100.0, 100.0};
   std::vector<double> rates;
   assign_wan_rates(WanFairness::kMaxMin, demands, capacity, rates);
   EXPECT_DOUBLE_EQ(rates[0], 25.0);
   EXPECT_DOUBLE_EQ(rates[1], 75.0);
   // Equal split on the same geometry: both trunk users get 50, A is
-  // additionally capped at its pair link.
+  // additionally capped at its uplink.
   assign_wan_rates(WanFairness::kEqualSplit, demands, capacity, rates);
   EXPECT_DOUBLE_EQ(rates[0], 25.0);
   EXPECT_DOUBLE_EQ(rates[1], 50.0);
@@ -652,46 +656,10 @@ TEST(WanRates, SplitFlowCountsAsOneUserPerLink) {
   EXPECT_DOUBLE_EQ(rates[2], 50.0);
 }
 
-TEST(MaxMinModel, PairHorizonBindsAndBottleneckFreesTheTrunk) {
-  // 2 clusters, 100 B/s links, 100 B/s trunk; pair (0 -> 1) capped at
-  // 25 B/s. Flow A ships 400 B over that pair; flow B ships 400 B from
-  // cluster 1 (unconstrained pair). Max-min: A pinned at 25 the whole
-  // way (drains at t=16); B fills the trunk remainder, 75 B/s (drains at
-  // t=16/3). Backbone pools are dropped in this mode — the trunk
-  // constraint lives on the uplink demands.
-  std::vector<double> pair(4, 0.0);
-  pair[0 * 2 + 1] = 25.0;
-  GridWanModel wan(2, 100.0, 100.0, WanFairness::kMaxMin, pair);
-  EXPECT_TRUE(wan.pair_aware());
-  const int a =
-      wan.admit(0.0, {pool_of(Link::kUplink, 0, 1, 400.0, 0.0),
-                      pool_of(Link::kBackbone, -1, -1, 400.0, 0.0)});
-  const int b =
-      wan.admit(0.0, {pool_of(Link::kUplink, 1, 0, 400.0, 0.0),
-                      pool_of(Link::kBackbone, -1, -1, 400.0, 0.0)});
-  const double b_done = 400.0 / 75.0;
-  EXPECT_DOUBLE_EQ(wan.next_event_s(0.0), b_done);
-  wan.advance(0.0, b_done);
-  ASSERT_TRUE(wan.drained(b));
-  EXPECT_FALSE(wan.drained(a));
-  // A alone stays pair-limited: 400 B at 25 B/s from t=0 -> t=16.
-  EXPECT_NEAR(wan.next_event_s(b_done), 16.0, 1e-9);
-  wan.advance(b_done, wan.next_event_s(b_done));
-  ASSERT_TRUE(wan.drained(a));
-  EXPECT_NEAR(wan.drained_at_s(a), 16.0, 1e-9);
-  // Byte conservation through retire, backbone pools charging nothing.
-  std::vector<long long> egress(2, 0), ingress(2, 0);
-  wan.retire(a, egress, ingress);
-  wan.retire(b, egress, ingress);
-  EXPECT_EQ(egress[0], 400);
-  EXPECT_EQ(egress[1], 400);
-  EXPECT_EQ(std::accumulate(ingress.begin(), ingress.end(), 0LL), 0);
-}
-
 TEST(MaxMinModel, DrainEstimatePricesPendingActivations) {
   GridWanModel wan(2, 100.0, 100.0, WanFairness::kMaxMin);
   const int flow =
-      wan.admit(0.0, {pool_of(Link::kUplink, 0, -1, 500.0, 4.0)});
+      wan.admit(0.0, {pool_of(Link::kUplink, 0, 500.0, 4.0)});
   std::vector<double> estimate;
   // Pessimistic planning: the pool is counted a user now even though it
   // activates at t=4; alone that is full capacity from activation.
@@ -699,7 +667,7 @@ TEST(MaxMinModel, DrainEstimatePricesPendingActivations) {
   ASSERT_EQ(estimate.size(), 1u);
   EXPECT_DOUBLE_EQ(estimate[0], 4.0 + 5.0);
   // A second flow halves the planned share (trunk: 100/2 = 50 B/s).
-  wan.admit(0.0, {pool_of(Link::kUplink, 1, -1, 500.0, 0.0)});
+  wan.admit(0.0, {pool_of(Link::kUplink, 1, 500.0, 0.0)});
   wan.drain_estimates_s(0.0, {flow}, estimate);
   ASSERT_EQ(estimate.size(), 1u);
   EXPECT_DOUBLE_EQ(estimate[0], 4.0 + 10.0);

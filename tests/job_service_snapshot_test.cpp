@@ -100,17 +100,14 @@ PinCase fair_case() {
   return c;
 }
 
-/// Priority EASY over a 3-site max-min WAN with asymmetric pair horizons
-/// (flows, per-peer pools, the activation heap, the rebalance counters).
+/// Priority EASY over a 3-site max-min WAN (flows, the activation heap,
+/// the rebalance counters).
 PinCase prio_case() {
   PinCase c{"prio-easy", simgrid::GridTopology::grid5000(3, 2, 2), {}, {}, 12};
   c.options.policy = Policy::kPriorityEasy;
   c.options.wan_contention = true;
   c.options.wan_fairness = WanFairness::kMaxMin;
   c.options.wan_link_Bps = 2e6;
-  c.options.wan_pair_Bps = {0.0, 5e5, 0.0,  //
-                            1e6, 0.0, 0.0,  //
-                            0.0, 2e5, 0.0};
   c.jobs = workload(12, 2, 13);
   return c;
 }
@@ -147,10 +144,10 @@ TEST(SnapshotFormat, PinnedLengthAndHash) {
     std::uint64_t hash;
   };
   const std::vector<Pin> pins = {
-      {easy_case(&tracer, &metrics), 16975, 0x0d2afe1bb29cde4dull},
-      {fair_case(), 4030, 0xf3d0cf72e1beef8full},
-      {prio_case(), 3518, 0x78f0f8a6c1238c8eull},
-      {equal_case(), 3825, 0x5b6338a48cb9a4ccull},
+      {easy_case(&tracer, &metrics), 16955, 0x1098348e0baf4d22ull},
+      {fair_case(), 4010, 0xe27713035fdd02aeull},
+      {prio_case(), 3450, 0x5a805201aabd7096ull},
+      {equal_case(), 3773, 0xa62278446a856533ull},
   };
   for (const Pin& pin : pins) {
     tracer.clear();
@@ -230,7 +227,7 @@ class MutationHarness {
 TEST(SnapshotHostileBytes, MutatedCheckpointsEndInSuccessOrError) {
   // Real checkpoints with every section populated: EASY with tracer,
   // metrics, blame, and outages; fair-share deficits with restart
-  // credit; a max-min WAN with live per-peer flows, bound to telemetry
+  // credit; a max-min WAN with live flows, bound to telemetry
   // too so its sections sit mid-stream rather than at the tail; and an
   // equal-split WAN with live multi-cluster flows.
   ServiceTracer tracer;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -258,6 +259,63 @@ TEST(GridJobService, RejectsJobLargerThanTheGrid) {
   GridJobService service(small_grid(), model::paper_calibration());
   std::vector<Job> jobs = {make_job(0, 0.0, 1 << 20, 64, 512)};
   EXPECT_THROW(service.run(jobs), Error);
+}
+
+TEST(GridJobService, RefusesRepeatedJobIds) {
+  // Progress, blame, the reservation and the trace lifecycle are keyed
+  // by Job::id: a repeated id once ran with merged bookkeeping (both
+  // its outcomes claimed two attempts). Admission refuses it by name,
+  // and so does restore() for the job list a checkpoint carries.
+  const simgrid::GridTopology topo = simgrid::GridTopology::grid5000(2, 8, 2);
+  const model::Roofline roof = model::paper_calibration();
+  ServiceOptions options;
+  options.policy = Policy::kEasyBackfill;
+  std::vector<Job> jobs = {make_job(7, 0.0, 1 << 18, 32, 8),
+                           make_job(7, 0.01, 1 << 17, 32, 4),
+                           make_job(2, 0.02, 1 << 16, 32, 4),
+                           make_job(3, 0.03, 1 << 16, 32, 2)};
+  const auto refusal = [&](std::vector<Job> workload) -> std::string {
+    GridJobService service(topo, roof, options);
+    try {
+      service.start(std::move(workload));
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_NE(refusal(jobs).find("job id 7 appears more than once"),
+            std::string::npos)
+      << refusal(jobs);
+  jobs[1].id = 8;
+  EXPECT_EQ(refusal(jobs), "");
+
+  // A checkpoint whose job list repeats an id: ids with distinctive
+  // bytes, the second one's first occurrence (its job-list entry)
+  // overwritten with the first's.
+  constexpr int kFirst = 0x11223344;
+  constexpr int kSecond = 0x55667788;
+  jobs[0].id = kFirst;
+  jobs[1].id = kSecond;
+  GridJobService source(topo, roof, options);
+  source.start(jobs);
+  std::string bytes = source.snapshot();
+  std::string first(sizeof(int), '\0');
+  std::string second(sizeof(int), '\0');
+  std::memcpy(first.data(), &kFirst, sizeof(int));
+  std::memcpy(second.data(), &kSecond, sizeof(int));
+  const std::size_t at = bytes.find(second);
+  ASSERT_NE(at, std::string::npos);
+  bytes.replace(at, second.size(), first);
+  GridJobService target(topo, roof, options);
+  try {
+    target.restore(bytes);
+    ADD_FAILURE() << "a checkpoint repeating a job id was restored";
+  } catch (const Error& e) {
+    const std::string named =
+        "job id " + std::to_string(kFirst) + " appears more than once";
+    EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(GridJobService, ReplayCacheDistinguishesNearbyShapes) {

@@ -205,7 +205,7 @@ TEST(WanModel, HugeOrInfiniteTrunkDrainsInBoundedSteps) {
 /// consulted once. Returns the surviving flow ids.
 std::vector<int> churn_models(std::vector<GridWanModel*> models,
                               std::mt19937& rng, int ops, int num_clusters,
-                              bool pair_peers, bool query_first_each_op) {
+                              bool query_first_each_op) {
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   std::vector<int> live;
   std::vector<long long> egress(num_clusters, 0), ingress(num_clusters, 0);
@@ -222,9 +222,6 @@ std::vector<int> churn_models(std::vector<GridWanModel*> models,
         if (kind < 0.5) {
           pool.link = Link::kUplink;
           pool.cluster = static_cast<int>(unit(rng) * num_clusters);
-          if (pair_peers) {
-            pool.peer = static_cast<int>(unit(rng) * num_clusters);
-          }
         } else if (kind < 0.85) {
           pool.link = Link::kDownlink;
           pool.cluster = static_cast<int>(unit(rng) * num_clusters);
@@ -291,36 +288,11 @@ TEST(WanModelIncremental, RandomChurnMatchesGlobalOracle) {
       GridWanModel wan(4, 100.0, 250.0, fairness);
       wan.set_rate_oracle_check(true);
       std::mt19937 rng(seed);
-      churn_models({&wan}, rng, 400, 4, /*pair_peers=*/false,
-                   /*query_first_each_op=*/false);
+      churn_models({&wan}, rng, 400, 4, /*query_first_each_op=*/false);
       const std::string where =
           wan_fairness_name(fairness) + " seed " + std::to_string(seed);
       EXPECT_GT(wan.rebalance_recomputes(), 0u) << where;
       EXPECT_LE(wan.max_oracle_rate_error(), 1e-12) << where;
-      EXPECT_EQ(wan.max_oracle_rate_error(), 0.0) << where;
-    }
-  }
-}
-
-TEST(WanModelIncremental, RandomChurnMatchesOracleWithPairHorizons) {
-  // Same gate on the pair-horizon configuration: per-(src,dst) links
-  // multiply the graph (uplinks split per peer), so components are
-  // richer and the closure has more ways to go wrong.
-  std::vector<double> pair_Bps(3 * 3, 0.0);
-  pair_Bps[0 * 3 + 1] = 40.0;  // tight horizon
-  pair_Bps[1 * 3 + 2] = 60.0;
-  pair_Bps[2 * 3 + 0] = 25.0;  // tighter than any uplink share
-  for (const WanFairness fairness : kBothRules) {
-    for (const unsigned seed : {5u, 71u}) {
-      GridWanModel wan(3, 100.0, 250.0, fairness, pair_Bps);
-      ASSERT_TRUE(wan.pair_aware());
-      wan.set_rate_oracle_check(true);
-      std::mt19937 rng(seed);
-      churn_models({&wan}, rng, 400, 3, /*pair_peers=*/true,
-                   /*query_first_each_op=*/false);
-      const std::string where =
-          wan_fairness_name(fairness) + " seed " + std::to_string(seed);
-      EXPECT_GT(wan.rebalance_recomputes(), 0u) << where;
       EXPECT_EQ(wan.max_oracle_rate_error(), 0.0) << where;
     }
   }
@@ -342,7 +314,7 @@ TEST(WanModelIncremental, UnconstrainedBackboneMatchesHugeFiniteTrunk) {
   infinite.set_rate_oracle_check(true);
   std::mt19937 rng(37);
   const std::vector<int> live =
-      churn_models({&finite, &infinite}, rng, 400, 4, /*pair_peers=*/false,
+      churn_models({&finite, &infinite}, rng, 400, 4,
                    /*query_first_each_op=*/true);
   EXPECT_EQ(infinite.max_oracle_rate_error(), 0.0);
   std::vector<double> from_finite, from_infinite;
@@ -391,17 +363,16 @@ TEST(WanModelIncremental, UnconstrainedBackboneKeepsComponentsLocal) {
 
 TEST(WanModelIncremental, EstimateBasisCacheIsTransparent) {
   // Twin models run the identical op script; one is asked for planning
-  // estimates after EVERY op (hot cache, reused basis), the twin only at
-  // the very end (cold, basis computed fresh). The answers must match
-  // bitwise in both fairness modes — the cache is an optimization, never
-  // a semantic.
+  // estimates after EVERY op, the twin only at the very end. The
+  // answers must match bitwise in both fairness modes — an estimate is
+  // a function of the model's state, never of its query history.
   for (const WanFairness fairness :
        {WanFairness::kEqualSplit, WanFairness::kMaxMin}) {
     GridWanModel hot(4, 100.0, 250.0, fairness);
     GridWanModel cold(4, 100.0, 250.0, fairness);
     std::mt19937 rng(2026);
     const std::vector<int> live =
-        churn_models({&hot, &cold}, rng, 300, 4, /*pair_peers=*/false,
+        churn_models({&hot, &cold}, rng, 300, 4,
                      /*query_first_each_op=*/true);
     std::vector<double> from_hot, from_cold;
     const double now = 1e7;  // past every activation in the script

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -144,6 +145,22 @@ TEST(OutageTrace, ServiceHandlesBackToBackKillsOnOneCluster) {
   EXPECT_EQ(report.outage_kills, 2);
   EXPECT_EQ(report.requeued_jobs, 2);
   EXPECT_GT(report.wasted_node_seconds, 0.0);
+}
+
+TEST(OutageTrace, GeneratorRefusesNegativeOrNanMtbf) {
+  // A negative MTBF once generated an empty trace, so the run went
+  // fault-free without a word; zero stays the documented "no faults".
+  for (const double mtbf : {-5.0, std::numeric_limits<double>::quiet_NaN()}) {
+    try {
+      OutageTrace(OutageSpec{mtbf, 1.0, 1}, 2);
+      ADD_FAILURE() << "mtbf " << mtbf << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("mtbf_s must be >= 0"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_FALSE(OutageTrace(OutageSpec{0.0, 1.0, 1}, 2).enabled());
 }
 
 TEST(OutageTrace, GeneratorEventsAlternateAndAdvancePerCluster) {

@@ -435,6 +435,12 @@ std::vector<sched::Policy> policies_of(const Args& args) {
 sched::OutageSpec outage_spec_of(const Args& args) {
   sched::OutageSpec spec;
   spec.mtbf_s = args.num("mtbf", 0.0);
+  // Callers build the generator only for mtbf > 0, so a negative value
+  // would silently run fault-free.
+  if (spec.mtbf_s < 0.0) {
+    throw Error("--mtbf must be >= 0 (0 = no faults), got " +
+                args.get("mtbf", ""));
+  }
   spec.mean_outage_s = args.num("repair", spec.mtbf_s / 10.0);
   spec.seed = args.seed("outage-seed", 1 + args.seed("seed", 2026));
   return spec;

@@ -1,13 +1,17 @@
-// Kernel microbenchmarks (google-benchmark): the building blocks whose
-// rates calibrate the roofline model — DGEMM-analog, blocked Householder
-// QR at the paper's panel widths, the TSQR combine, and the threaded
-// runtime's allreduce.
+// Kernel microbenchmarks (google-benchmark): the measured rates of the
+// real-execution kernels — DGEMM-analog, blocked Householder QR at the
+// paper's panel widths, the kernels of one TSQR leaf (8192 x 64, the
+// shape of the benchsuite's tsqr-factor ranks), the TSQR combine, and
+// the threaded runtime's allreduce. No rate measured here feeds the
+// simulator: the DES and the scheduler price compute with the fixed
+// roofline of model::paper_calibration().
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "core/tsqr.hpp"
 #include "linalg/blas.hpp"
+#include "linalg/flops.hpp"
 #include "linalg/generators.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/tpqrt.hpp"
@@ -50,6 +54,92 @@ void BM_Geqrf(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Geqrf)->Arg(16)->Arg(64)->Arg(128);
+
+// The TSQR leaf of the benchsuite's tsqr-factor workload: one rank's
+// 8192 x 64 block, factored with the default panel width, and its
+// explicit Q formed as tsqr_form_explicit_q does (Q_leaf * [C; 0]).
+constexpr Index kLeafRows = 8192;
+constexpr Index kLeafCols = 64;
+// Panel width of the Q formation's block reflectors (larfb_left's k).
+constexpr Index kLeafPanel = 32;
+
+// The two gemm calls inside larfb_left as the Q formation runs them on
+// the leaf: W(64 x 32) = C(8192 x 64)^T V(8192 x 32) ...
+void BM_LeafGemmCtV(benchmark::State& state) {
+  Matrix c = random_gaussian(kLeafRows, kLeafCols, 11);
+  Matrix v = random_gaussian(kLeafRows, kLeafPanel, 12);
+  Matrix w(kLeafCols, kLeafPanel);
+  for (auto _ : state) {
+    gemm(Trans::Yes, Trans::No, 1.0, c.view(), v.view(), 0.0, w.view());
+    benchmark::DoNotOptimize(w.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["Gflop/s"] = benchmark::Counter(
+      flops::gemm(kLeafCols, kLeafPanel, kLeafRows) *
+          static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_LeafGemmCtV);
+
+// ... and C(8192 x 64) -= V(8192 x 32) W(64 x 32)^T.
+void BM_LeafGemmVWt(benchmark::State& state) {
+  Matrix c = random_gaussian(kLeafRows, kLeafCols, 13);
+  Matrix v = random_gaussian(kLeafRows, kLeafPanel, 14);
+  Matrix w = random_gaussian(kLeafCols, kLeafPanel, 15);
+  for (auto _ : state) {
+    gemm(Trans::No, Trans::Yes, -1.0, v.view(), w.view(), 1.0, c.view());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["Gflop/s"] = benchmark::Counter(
+      flops::gemm(kLeafRows, kLeafCols, kLeafPanel) *
+          static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_LeafGemmVWt);
+
+void BM_LeafGeqrf(benchmark::State& state) {
+  Matrix a = random_gaussian(kLeafRows, kLeafCols, 16);
+  Matrix work(kLeafRows, kLeafCols);
+  std::vector<double> tau;
+  for (auto _ : state) {
+    state.PauseTiming();
+    copy(a.view(), work.view());
+    state.ResumeTiming();
+    geqrf(work.view(), tau);
+    benchmark::DoNotOptimize(work.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["Gflop/s"] = benchmark::Counter(
+      flops::geqrf(kLeafRows, kLeafCols) *
+          static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_LeafGeqrf);
+
+void BM_LeafFormQ(benchmark::State& state) {
+  Matrix f = random_gaussian(kLeafRows, kLeafCols, 17);
+  std::vector<double> tau;
+  geqrf(f.view(), tau);
+  // The coefficient block a TSQR rank receives from the tree.
+  const Matrix seed = random_gaussian(kLeafCols, kLeafCols, 18);
+  Matrix q(kLeafRows, kLeafCols);
+  for (auto _ : state) {
+    state.PauseTiming();
+    set_zero(q.view());
+    copy(seed.view(), q.block(0, 0, kLeafCols, kLeafCols));
+    state.ResumeTiming();
+    ormqr_left(Trans::No, f.view(), tau, q.view());
+    benchmark::DoNotOptimize(q.data());
+    benchmark::ClobberMemory();
+  }
+  // Rated at the dorgqr count, as tsqr_form_explicit_q charges it.
+  state.counters["Gflop/s"] = benchmark::Counter(
+      flops::orgqr(kLeafRows, kLeafCols) *
+          static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_LeafFormQ);
 
 void BM_TpqrtCombine(benchmark::State& state) {
   const Index n = state.range(0);

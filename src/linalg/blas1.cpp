@@ -5,6 +5,13 @@
 namespace qrgrid {
 
 double nrm2(Index n, const double* x) {
+  // The plain sum of squares is accurate unless it overflowed (inf) or
+  // sits so close to the underflow range that squares lost there could
+  // matter; only those inputs pay for the scaled pass.
+  const double ssq_plain = dot(n, x, x);
+  if (ssq_plain >= 0x1p-800 && ssq_plain <= 0x1p+1000) {
+    return std::sqrt(ssq_plain);
+  }
   // Scaled sum of squares as in LAPACK dlassq: avoids overflow/underflow
   // for entries near the extremes of the double range.
   double scale = 0.0;
@@ -25,9 +32,17 @@ double nrm2(Index n, const double* x) {
 }
 
 double dot(Index n, const double* x, const double* y) {
-  double acc = 0.0;
-  for (Index i = 0; i < n; ++i) acc += x[i] * y[i];
-  return acc;
+  // Eight independent partial sums, one per residue of i mod 8, so the
+  // loop vectorizes without reassociation; they are always combined in
+  // the same pairwise order, so the result is the same on every run.
+  constexpr Index kLanes = 8;
+  double s[kLanes] = {};
+  Index i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (Index l = 0; l < kLanes; ++l) s[l] += x[i + l] * y[i + l];
+  }
+  for (Index l = 0; i < n; ++i, ++l) s[l] += x[i] * y[i];
+  return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
 }
 
 void axpy(Index n, double alpha, const double* x, double* y) {

@@ -5,6 +5,7 @@
 // reflector tails V (unit diagonal implicit), exactly as LAPACK stores them.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "linalg/blas.hpp"
@@ -19,7 +20,7 @@ void geqr2(MatrixView a, std::vector<double>& tau);
 /// WY representation Q = I - V T V^T, from the k reflectors stored in the
 /// columns of V (m x k, unit lower trapezoidal) with scalars tau (dlarft,
 /// forward/columnwise).
-void larft(ConstMatrixView v, const std::vector<double>& tau, MatrixView t);
+void larft(ConstMatrixView v, std::span<const double> tau, MatrixView t);
 
 /// Applies the block reflector to C from the left (dlarfb):
 /// C := (I - V T V^T) C   if trans == Trans::No  (apply Q)
@@ -28,7 +29,9 @@ void larft(ConstMatrixView v, const std::vector<double>& tau, MatrixView t);
 void larfb_left(Trans trans, ConstMatrixView v, ConstMatrixView t,
                 MatrixView c);
 
-/// Blocked Householder QR (dgeqrf) with panel width `nb`.
+/// Blocked Householder QR (dgeqrf) with panel width `nb`. Each panel is
+/// factored recursively, halving it down to narrow column slivers, so
+/// most of its flops also run through larfb_left's gemm.
 void geqrf(MatrixView a, std::vector<double>& tau, Index nb = 32);
 
 /// Overwrites the leading n columns of Q (m x n, n <= m) with the
@@ -37,7 +40,8 @@ void geqrf(MatrixView a, std::vector<double>& tau, Index nb = 32);
 Matrix orgqr(ConstMatrixView a, const std::vector<double>& tau, Index n_cols);
 
 /// Applies Q or Q^T (from reflectors in `a`, scalars tau) to C from the
-/// left, unblocked (dorm2r).
+/// left, one panel of reflectors at a time through larft + larfb_left
+/// (dormqr).
 void ormqr_left(Trans trans, ConstMatrixView a, const std::vector<double>& tau,
                 MatrixView c);
 

@@ -159,6 +159,13 @@ const ExecutionProfile& ExecutionBackend::profile(const Job& job,
   return entry;
 }
 
+const ExecutionProfile* ExecutionBackend::find_profile(
+    const Job& job, const Placement& placement) const {
+  const auto cached = profile_cache_.find(
+      ProfileKey{job.m, job.n, job.tree, placement.clusters, placement.nodes});
+  return cached == profile_cache_.end() ? nullptr : &cached->second;
+}
+
 ExecutionResult ExecutionBackend::execute(const Job& job,
                                           const Placement& placement,
                                           double abort_vtime_s) {

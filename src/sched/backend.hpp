@@ -130,6 +130,13 @@ class ExecutionBackend {
   /// The reference stays valid for the backend's lifetime.
   const ExecutionProfile& profile(const Job& job, const Placement& placement);
 
+  /// The cached profile of the job on these nodes, or nullptr if none
+  /// was computed yet. An observer's lookup: it computes nothing and
+  /// counts no cache traffic, so calling it changes no counter, event
+  /// or later decision.
+  const ExecutionProfile* find_profile(const Job& job,
+                                       const Placement& placement) const;
+
   /// Runs the attempt for real; requires executes(). `abort_vtime_s` is
   /// where an injected kill (outage or walltime) lands on the
   /// factorization's virtual timeline: any rank whose clock crosses it

@@ -1195,9 +1195,10 @@ void GridJobService::Engine::dispatch() {
 // Blame classification pass: AFTER a dispatch pass settles, answer
 // "why is each still-pending job not running RIGHT NOW" with one
 // category, mirroring the decision the scheduler just made. Probed
-// placements are never granted and replays come from the same cache
-// dispatch fills, so a blame-on run makes identical scheduling
-// decisions to a blame-off run.
+// placements are never granted and replays are only looked up in the
+// cache dispatch fills (never computed, never counted), so a blame-on
+// run makes identical scheduling decisions, and identical profile
+// traffic, to a blame-off run.
 void GridJobService::Engine::classify_waits() {
   if (pending.empty()) return;
   bool any_down = false;
@@ -1254,10 +1255,18 @@ void GridJobService::Engine::classify_waits() {
       } else {
         // The scan examined this placeable candidate and rejected it
         // on the admission test `clock + estimate <= shadow`;
-        // re-derive which bound inside the estimate bit.
-        const ExecutionProfile& replay = backend.profile(job, *placement);
+        // re-derive which bound inside the estimate bit. Only from a
+        // replay already cached: a candidate whose end-of-pass
+        // placement no pass has priced (this one saw it on another free
+        // state) falls to the head relation below, since computing its
+        // replay here would be work, and a cache entry, that a
+        // blame-off run never makes.
+        const ExecutionProfile* replay = backend.find_profile(job, *placement);
         const double remaining =
-            attempt_seconds(replay, progress[job.id].credited_fraction);
+            replay == nullptr
+                ? kInf
+                : attempt_seconds(*replay,
+                                  progress[job.id].credited_fraction);
         if (priced && job.walltime_s <= 0.0 &&
             clock + remaining <= last_shadow) {
           // The raw replay remainder fits the promise; only the

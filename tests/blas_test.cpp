@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "linalg/generators.hpp"
 #include "linalg/norms.hpp"
@@ -45,6 +48,26 @@ TEST(Blas1, Nrm2AvoidsUnderflow) {
   const double tiny = 1e-300;
   const double x[] = {tiny, tiny, tiny, tiny};
   EXPECT_NEAR(nrm2(4, x) / (tiny * 2.0), 1.0, 1e-14);
+}
+
+TEST(Blas1, DotMatchesLongDoubleSumAtEveryLength) {
+  // Every tail length past the kernel's eight partial sums, and n = 0.
+  const Matrix x = random_gaussian(40, 1, 3);
+  const Matrix y = random_gaussian(40, 1, 4);
+  for (Index n = 0; n <= 40; ++n) {
+    long double want = 0.0L;
+    long double magnitude = 0.0L;
+    for (Index i = 0; i < n; ++i) {
+      const long double p = static_cast<long double>(x(i, 0)) * y(i, 0);
+      want += p;
+      magnitude += std::fabs(p);
+    }
+    const double tol = 4.0 * static_cast<double>(n) *
+                       std::numeric_limits<double>::epsilon() *
+                       static_cast<double>(magnitude);
+    EXPECT_NEAR(dot(n, x.data(), y.data()), static_cast<double>(want), tol)
+        << "n = " << n;
+  }
 }
 
 TEST(Blas1, DotAxpyScal) {
@@ -154,6 +177,87 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Trans::No, Trans::Yes),
                        ::testing::Values(3, 17), ::testing::Values(2, 19),
                        ::testing::Values(1, 23)));
+
+// The packed kernel's register tile (MR x NR = 8 x 4) and cache blocks
+// (MC = 128 rows, KC = 256 deep, NC = 2048 columns) in blas3.cpp; the
+// sizes below sit on and around each of their edges.
+constexpr Index kTileRows = 8;
+constexpr Index kTileCols = 4;
+constexpr Index kRowBlock = 128;
+constexpr Index kDepthBlock = 256;
+constexpr Index kColBlock = 2048;
+
+class GemmEdgeTest
+    : public ::testing::TestWithParam<std::tuple<Trans, Trans>> {};
+
+TEST_P(GemmEdgeTest, MatchesTripleLoopOnSubViewsAtEveryEdge) {
+  const auto [ta, tb] = GetParam();
+  struct Shape {
+    Index m, n, k;
+  };
+  std::vector<Shape> shapes;
+  for (const Index m : {Index{1}, kTileRows - 1, kTileRows, kTileRows + 1,
+                        2 * kRowBlock + 3}) {
+    for (const Index n :
+         {Index{1}, kTileCols - 1, kTileCols, kTileCols + 1}) {
+      for (const Index k : {Index{1}, 2 * kDepthBlock + 3}) {
+        shapes.push_back({m, n, k});
+      }
+    }
+  }
+  shapes.push_back({kTileRows + 1, 2 * kColBlock + 3, 3});
+  std::uint64_t seed = 500;
+  for (const Shape& s : shapes) {
+    // Every operand and C is an interior block of a larger matrix, so
+    // each leading dimension exceeds the block's row count.
+    const Index ar = ta == Trans::No ? s.m : s.k;
+    const Index ac = ta == Trans::No ? s.k : s.m;
+    const Index br = tb == Trans::No ? s.k : s.n;
+    const Index bc = tb == Trans::No ? s.n : s.k;
+    const Matrix a_store = random_gaussian(ar + 3, ac + 2, seed++);
+    const Matrix b_store = random_gaussian(br + 5, bc + 1, seed++);
+    const Matrix c_store = random_gaussian(s.m + 3, s.n + 2, seed++);
+    const ConstMatrixView a = a_store.block(2, 1, ar, ac);
+    const ConstMatrixView b = b_store.block(4, 1, br, bc);
+    const Matrix ab = naive_gemm(ta, tb, a, b);
+    for (const double alpha : {1.0, -1.0, 0.5, 0.0}) {
+      for (const double beta : {0.0, 1.0, -2.0}) {
+        Matrix out = c_store;
+        const MatrixView c = out.block(2, 1, s.m, s.n);
+        // beta == 0 must overwrite C, whatever it held.
+        if (beta == 0.0) {
+          for (Index j = 0; j < s.n; ++j) {
+            for (Index i = 0; i < s.m; ++i) {
+              c(i, j) = std::numeric_limits<double>::quiet_NaN();
+            }
+          }
+        }
+        gemm(ta, tb, alpha, a, b, beta, c);
+        double worst = 0.0;
+        for (Index j = 0; j < out.cols(); ++j) {
+          for (Index i = 0; i < out.rows(); ++i) {
+            const bool inside =
+                i >= 2 && i < 2 + s.m && j >= 1 && j < 1 + s.n;
+            const double want =
+                inside ? alpha * ab(i - 2, j - 1) +
+                             (beta == 0.0 ? 0.0 : beta * c_store(i, j))
+                       : c_store(i, j);
+            const double diff = std::fabs(out(i, j) - want);
+            worst = std::isnan(diff) ? diff : std::max(worst, diff);
+          }
+        }
+        EXPECT_LE(worst, 1e-13 * static_cast<double>(s.k) + 1e-14)
+            << "m=" << s.m << " n=" << s.n << " k=" << s.k
+            << " alpha=" << alpha << " beta=" << beta;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTransCombos, GemmEdgeTest,
+    ::testing::Combine(::testing::Values(Trans::No, Trans::Yes),
+                       ::testing::Values(Trans::No, Trans::Yes)));
 
 TEST(Gemm, LargeBlockedPathMatchesNaive) {
   // Exercise the kMC/kKC tiling with dimensions larger than one tile.

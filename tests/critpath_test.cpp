@@ -15,6 +15,7 @@
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "model/roofline.hpp"
@@ -200,6 +201,54 @@ TEST(WaitBlame, OffPathIsByteIdenticalAndOutcomesMatch) {
   write_chrome_trace(off_tracer.events(), off_json);
   write_chrome_trace(filtered, filtered_json);
   EXPECT_EQ(off_json.str(), filtered_json.str());
+}
+
+// The blame pass only looks replays up: a blame-on run computes exactly
+// the profiles, and counts exactly the cache traffic, of a blame-off
+// run. The workload is `qrgrid_cli serve --jobs 300 --sites 4 --policy
+// easy --backfill-depth 0`, where a blame pass that computed the replay
+// of a candidate the scheduler never priced made one extra miss.
+TEST(WaitBlame, ComputesAndCountsNoProfileTheSchedulerDidNot) {
+  const simgrid::GridTopology topo = simgrid::GridTopology::grid5000(4, 32, 2);
+  WorkloadSpec spec;
+  spec.jobs = 300;
+  spec.mean_interarrival_s = 0.25;
+  spec.procs_choices = {16, 32, 64, 128, 256};
+  const std::vector<Job> jobs = generate_workload(spec);
+
+  struct ProfileTraffic {
+    long long misses = 0;
+    long long hits = 0;
+    std::vector<std::pair<double, int>> computes;  ///< (time, job)
+    std::vector<double> compute_seconds;
+  };
+  const auto traffic = [&](bool blame) {
+    ServiceTracer tracer;
+    MetricsRegistry metrics;
+    ServiceOptions options;
+    options.policy = Policy::kEasyBackfill;
+    options.wait_blame = blame;
+    options.tracer = &tracer;
+    options.metrics = &metrics;
+    GridJobService service(topo, model::paper_calibration(), options);
+    service.run(jobs);
+    ProfileTraffic t;
+    t.misses = metrics.counter("backend.profile_misses");
+    t.hits = metrics.counter("backend.profile_hits");
+    for (const ServiceTraceEvent& ev : tracer.events()) {
+      if (ev.kind != TraceKind::kProfileCompute) continue;
+      t.computes.emplace_back(ev.t_s, ev.job);
+      t.compute_seconds.push_back(ev.value);
+    }
+    return t;
+  };
+  const ProfileTraffic off = traffic(false);
+  const ProfileTraffic on = traffic(true);
+  ASSERT_GT(off.misses, 0);
+  EXPECT_EQ(on.misses, off.misses);
+  EXPECT_EQ(on.hits, off.hits);
+  EXPECT_EQ(on.computes, off.computes);
+  EXPECT_EQ(on.compute_seconds, off.compute_seconds);
 }
 
 // ------------------------------------------------------- critical path

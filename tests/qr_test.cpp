@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "linalg/generators.hpp"
+#include "linalg/householder.hpp"
 #include "linalg/norms.hpp"
 
 namespace qrgrid {
@@ -42,17 +45,28 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Qr, BlockedAndUnblockedAgree) {
-  Matrix a = random_gaussian(60, 24, 7);
-  Matrix a1 = Matrix::copy_of(a.view());
-  Matrix a2 = Matrix::copy_of(a.view());
-  std::vector<double> tau1, tau2;
-  geqr2(a1.view(), tau1);
-  geqrf(a2.view(), tau2, 8);
-  // Same algorithm (Householder with identical sign conventions), so the
-  // factored forms must agree to rounding.
-  EXPECT_LT(max_abs_diff(a1.view(), a2.view()), 1e-11);
-  for (std::size_t i = 0; i < tau1.size(); ++i) {
-    EXPECT_NEAR(tau1[i], tau2[i], 1e-12);
+  struct Shape {
+    Index m, n, nb;
+  };
+  // A small case with narrow panels, then the tall shapes the TSQR leaves
+  // factor (recursive panels, default width): the benchsuite's 8192 x 64
+  // rank block, and a width that is no power of two.
+  for (const Shape s : {Shape{60, 24, 8}, Shape{8192, 64, 32},
+                        Shape{1000, 37, 32}}) {
+    Matrix a = random_gaussian(s.m, s.n, 7);
+    Matrix a1 = Matrix::copy_of(a.view());
+    Matrix a2 = Matrix::copy_of(a.view());
+    std::vector<double> tau1, tau2;
+    geqr2(a1.view(), tau1);
+    geqrf(a2.view(), tau2, s.nb);
+    // Same algorithm (Householder with identical sign conventions), so the
+    // factored forms must agree to rounding.
+    EXPECT_LT(max_abs_diff(a1.view(), a2.view()), 1e-11)
+        << s.m << " x " << s.n;
+    ASSERT_EQ(tau1.size(), tau2.size());
+    for (std::size_t i = 0; i < tau1.size(); ++i) {
+      EXPECT_NEAR(tau1[i], tau2[i], 1e-12) << s.m << " x " << s.n;
+    }
   }
 }
 
@@ -113,23 +127,64 @@ TEST(Qr, OrmqrQThenQTransposeIsIdentity) {
   EXPECT_LT(max_abs_diff(c.view(), orig.view()), 1e-11);
 }
 
+/// Q C (Trans::No) or Q^T C one reflector at a time, as LAPACK's dorm2r
+/// does: the oracle for the panel-blocked ormqr_left.
+void apply_reflectors_one_at_a_time(Trans trans, ConstMatrixView a,
+                                    const std::vector<double>& tau,
+                                    MatrixView c) {
+  const Index m = a.rows();
+  const auto k = static_cast<Index>(tau.size());
+  std::vector<double> work(static_cast<std::size_t>(c.cols()));
+  for (Index s = 0; s < k; ++s) {
+    // Q = H_0 ... H_{k-1}: Q^T C applies H_0 first, Q C applies it last.
+    const Index i = trans == Trans::Yes ? s : k - 1 - s;
+    larf_left(tau[static_cast<std::size_t>(i)], &a(i + 1, i),
+              c.block(i, 0, m - i, c.cols()), work.data());
+  }
+}
+
+TEST(Qr, BlockedOrmqrMatchesOneReflectorAtATime) {
+  const Index m = 150;
+  // One partial panel, then reflector counts that are no multiple of the
+  // panel width.
+  for (const Index k : {5, 45, 70}) {
+    Matrix f = random_gaussian(m, k, 40 + static_cast<std::uint64_t>(k));
+    std::vector<double> tau;
+    geqrf(f.view(), tau);
+    for (const Trans trans : {Trans::No, Trans::Yes}) {
+      for (Index p = 1; p <= 70; ++p) {
+        Matrix c = random_gaussian(m, p, 1000 + static_cast<std::uint64_t>(p));
+        Matrix want = Matrix::copy_of(c.view());
+        apply_reflectors_one_at_a_time(trans, f.view(), tau, want.view());
+        ormqr_left(trans, f.view(), tau, c.view());
+        EXPECT_LT(max_abs_diff(c.view(), want.view()), 1e-12)
+            << "k=" << k << " p=" << p
+            << (trans == Trans::Yes ? " Q^T" : " Q");
+      }
+    }
+  }
+}
+
 TEST(Qr, LarftLarfbMatchUnblockedApplication) {
-  const Index m = 25, k = 6, p = 7;
-  Matrix a = random_gaussian(m, k, 23);
-  std::vector<double> tau;
-  geqr2(a.view(), tau);
-  Matrix t(k, k);
-  larft(a.view(), tau, t.view());
+  // k = 6 forms T column by column; k = 37 through larft's recursion.
+  for (const Index k : {6, 37}) {
+    const Index m = 25 + 2 * k, p = 7;
+    Matrix a = random_gaussian(m, k, 23);
+    std::vector<double> tau;
+    geqr2(a.view(), tau);
+    Matrix t(k, k);
+    larft(a.view(), tau, t.view());
 
-  Matrix c1 = random_gaussian(m, p, 24);
-  Matrix c2 = Matrix::copy_of(c1.view());
-  larfb_left(Trans::Yes, a.view(), t.view(), c1.view());
-  ormqr_left(Trans::Yes, a.view(), tau, c2.view());
-  EXPECT_LT(max_abs_diff(c1.view(), c2.view()), 1e-11);
+    Matrix c1 = random_gaussian(m, p, 24);
+    Matrix c2 = Matrix::copy_of(c1.view());
+    larfb_left(Trans::Yes, a.view(), t.view(), c1.view());
+    apply_reflectors_one_at_a_time(Trans::Yes, a.view(), tau, c2.view());
+    EXPECT_LT(max_abs_diff(c1.view(), c2.view()), 1e-11) << "k=" << k;
 
-  larfb_left(Trans::No, a.view(), t.view(), c1.view());
-  ormqr_left(Trans::No, a.view(), tau, c2.view());
-  EXPECT_LT(max_abs_diff(c1.view(), c2.view()), 1e-11);
+    larfb_left(Trans::No, a.view(), t.view(), c1.view());
+    apply_reflectors_one_at_a_time(Trans::No, a.view(), tau, c2.view());
+    EXPECT_LT(max_abs_diff(c1.view(), c2.view()), 1e-11) << "k=" << k;
+  }
 }
 
 TEST(Qr, HandlesAlreadyTriangularInput) {

@@ -53,8 +53,10 @@ TsqrFactors tsqr_factor(msg::Comm& comm, MatrixView a_local,
   f.m_local = m;
   f.leaf = a_local;
 
-  // Leaf factorization: blocked Householder QR of the local block.
-  geqrf(a_local, f.leaf_tau);
+  // Leaf factorization: blocked Householder QR of the local block,
+  // keeping each panel's T for the Q applications (tau is T's diagonal).
+  std::vector<double> tau;
+  geqrf(a_local, tau, f.leaf_t);
   comm.compute(flops::geqrf(static_cast<double>(m), static_cast<double>(n)),
                static_cast<int>(n));
 
@@ -159,13 +161,16 @@ Matrix tsqr_form_explicit_q(msg::Comm& comm, const TsqrFactors& factors) {
     }
   }
 
-  // Leaf: Q_local = Q_leaf * [C; 0].
-  Matrix q_local(m, n);
-  copy(c.view(), q_local.block(0, 0, n, n));
-  ormqr_left(Trans::No, factors.leaf, factors.leaf_tau, q_local.view());
-  // Charged at the dorgqr cost (2 m n^2 - 2/3 n^3): the bottom m-n rows of
-  // the seed are zero, which a structured compact-WY application exploits;
-  // this is what makes Q+R cost twice R alone (paper Property 1).
+  // Leaf: Q_local = Q_leaf * [C; 0], never reading the zero rows: the
+  // panel T's are joined into the leaf's one n x n T, and then
+  // Q_local = [C - V_top W; -V_bot W] with W = T (V_top^T C), one
+  // (m - n) x n x n gemm plus n x n triangular products. Charged at the dorgqr cost
+  // (2 m n^2 - 2/3 n^3), that product's leading term; the join adds the
+  // off-diagonal blocks of V^T V (m n^2 / 2 at two panels), which the
+  // charge leaves out. Forming Q at the cost of R is what makes Q+R cost
+  // twice R alone (paper Property 1).
+  Matrix q_local =
+      thin_q_times(factors.leaf, factors.leaf_t.view(), c.view());
   comm.compute(flops::orgqr(static_cast<double>(m), static_cast<double>(n)),
                static_cast<int>(n));
   return q_local;
@@ -184,7 +189,7 @@ void tsqr_apply(msg::Comm& comm, const TsqrFactors& factors, MatrixView c,
   const bool forward = trans == Trans::Yes;  // Q^T: leaf first, then up-tree
 
   auto leaf_stage = [&] {
-    ormqr_left(trans, factors.leaf, factors.leaf_tau, c);
+    ormqr_left(trans, factors.leaf, factors.leaf_t.view(), c);
     comm.compute(flops::ormqr(static_cast<double>(factors.m_local),
                               static_cast<double>(n),
                               static_cast<double>(p)),

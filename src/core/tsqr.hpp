@@ -8,10 +8,12 @@
 // (tpqrt_tt). One reduction — log2(P) messages on the critical path —
 // replaces ScaLAPACK's per-column allreduces.
 //
-// The orthogonal factor is kept implicit (leaf reflectors + per-merge
-// combine reflectors); tsqr_form_explicit_q materializes the local M x N
-// block of Q, and tsqr_apply_q / tsqr_apply_qt apply Q or Q^T to a
-// distributed block (the building block CAQR uses for trailing updates).
+// The orthogonal factor is kept implicit (leaf reflectors with the block
+// reflector T of each leaf panel, as the leaf's geqrf formed them, +
+// per-merge combine reflectors); tsqr_form_explicit_q materializes the
+// local M x N block of Q, and tsqr_apply_q / tsqr_apply_qt apply Q or Q^T
+// to a distributed block (the building block CAQR uses for trailing
+// updates). No leaf Q application forms a T again.
 #pragma once
 
 #include <optional>
@@ -33,13 +35,14 @@ struct TsqrOptions {
 };
 
 /// Implicit factored form produced by tsqr_factor. The leaf reflectors
-/// live in the caller's matrix (overwritten in place); combine reflectors
-/// are owned here. Valid only while the factored matrix is alive.
+/// live in the caller's matrix (overwritten in place); their block
+/// reflectors and the combine reflectors are owned here. Valid only while
+/// the factored matrix is alive.
 struct TsqrFactors {
   Index n = 0;             ///< column count
   Index m_local = 0;       ///< local row count
   MatrixView leaf;         ///< local block, overwritten with V (and R pre-merge)
-  std::vector<double> leaf_tau;
+  Matrix leaf_t;           ///< the leaf's panel T's, as geqrf keeps them
 
   /// One entry per merge where this rank was the parent, in level order.
   struct CombineNode {

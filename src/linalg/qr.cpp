@@ -10,11 +10,6 @@ namespace qrgrid {
 
 namespace {
 
-// Reflectors per block reflector in ormqr_left: deep enough for
-// larfb_left's gemms, narrow enough that forming T (~m k^2 flops) stays
-// small next to applying it (4 m n k).
-constexpr Index kOrmqrPanel = 32;
-
 // Panels up to this wide are factored one column at a time; wider ones
 // are split in half (Elmroth & Gustavson's recursive QR), so all but
 // narrow slivers of a panel's flops run through larfb_left's gemm.
@@ -66,6 +61,23 @@ void join_block_reflectors(ConstMatrixView v, Index n1, MatrixView t) {
   set_zero(t.block(n1, 0, n2, n1));
 }
 
+/// The one k x k block reflector T of the k = t.cols() reflectors in v
+/// (Q = I - V T V^T), joined panel by panel from geqrf's stored T's.
+Matrix join_panel_reflectors(ConstMatrixView v, ConstMatrixView t) {
+  const Index k = t.cols();
+  const Index nb = t.rows();
+  Matrix full(k, k);
+  for (Index j = 0; j < k; j += nb) {
+    const Index jb = std::min(nb, k - j);
+    copy(t.block(0, j, jb, jb), full.block(j, j, jb, jb));
+    if (j > 0) {
+      join_block_reflectors(v.block(0, 0, v.rows(), j + jb), j,
+                            full.block(0, 0, j + jb, j + jb));
+    }
+  }
+  return full;
+}
+
 /// Householder QR of an m x n panel (m >= n), recursively: the left
 /// half, its block reflector applied to the right half, then the right
 /// half below it. A non-empty t (n x n) receives the panel's block
@@ -93,6 +105,35 @@ void factor_panel(MatrixView a, std::span<double> tau, MatrixView t) {
   }
   factor_panel(v2, tau.subspan(split), t.block(n1, n1, n2, n2));
   join_block_reflectors(a, n1, t);
+}
+
+/// geqrf's panel loop. A non-null `kept` receives every panel's T in
+/// dgeqrt's layout; without it a panel's T is formed only to update the
+/// columns right of the panel.
+void factor_blocked(MatrixView a, std::vector<double>& tau, Index nb,
+                    Matrix* kept) {
+  const Index m = a.rows();
+  const Index n = a.cols();
+  const Index k = std::min(m, n);
+  tau.assign(static_cast<std::size_t>(k), 0.0);
+  QRGRID_CHECK(nb >= 1);
+  if (kept != nullptr) *kept = Matrix(std::min(nb, k), k);
+  for (Index j = 0; j < k; j += nb) {
+    const Index jb = std::min(nb, k - j);
+    const MatrixView panel = a.block(j, j, m - j, jb);
+    const bool update = j + jb < n;
+    const Index own = kept == nullptr && update ? jb : 0;
+    Matrix t_own(own, own);
+    const MatrixView t =
+        kept != nullptr ? kept->block(0, j, jb, jb) : t_own.view();
+    factor_panel(panel,
+                 std::span<double>(tau).subspan(static_cast<std::size_t>(j),
+                                                static_cast<std::size_t>(jb)),
+                 t);
+    if (update) {
+      larfb_left(Trans::Yes, panel, t, a.block(j, j + jb, m - j, n - j - jb));
+    }
+  }
 }
 
 }  // namespace
@@ -173,26 +214,11 @@ void larfb_left(Trans trans, ConstMatrixView v, ConstMatrixView t,
 }
 
 void geqrf(MatrixView a, std::vector<double>& tau, Index nb) {
-  const Index m = a.rows();
-  const Index n = a.cols();
-  const Index k = std::min(m, n);
-  tau.assign(static_cast<std::size_t>(k), 0.0);
-  QRGRID_CHECK(nb >= 1);
-  for (Index j = 0; j < k; j += nb) {
-    const Index jb = std::min(nb, k - j);
-    const MatrixView panel = a.block(j, j, m - j, jb);
-    // The panel's T is needed only to update columns right of it.
-    const Index tb = j + jb < n ? jb : 0;
-    Matrix t(tb, tb);
-    factor_panel(panel,
-                 std::span<double>(tau).subspan(static_cast<std::size_t>(j),
-                                                static_cast<std::size_t>(jb)),
-                 t.view());
-    if (tb > 0) {
-      larfb_left(Trans::Yes, panel, t.view(),
-                 a.block(j, j + jb, m - j, n - j - jb));
-    }
-  }
+  factor_blocked(a, tau, nb, nullptr);
+}
+
+void geqrf(MatrixView a, std::vector<double>& tau, Matrix& t, Index nb) {
+  factor_blocked(a, tau, nb, &t);
 }
 
 Matrix orgqr(ConstMatrixView a, const std::vector<double>& tau, Index n_cols) {
@@ -214,26 +240,51 @@ Matrix orgqr(ConstMatrixView a, const std::vector<double>& tau, Index n_cols) {
   return q;
 }
 
-void ormqr_left(Trans trans, ConstMatrixView a, const std::vector<double>& tau,
+void ormqr_left(Trans trans, ConstMatrixView a, ConstMatrixView t,
                 MatrixView c) {
   const Index m = a.rows();
-  const Index k = static_cast<Index>(tau.size());
-  QRGRID_CHECK(c.rows() == m && a.cols() >= k);
+  const Index k = t.cols();
+  const Index nb = t.rows();
+  QRGRID_CHECK(c.rows() == m && a.cols() >= k && k <= m);
+  if (k == 0) return;
+  QRGRID_CHECK(nb >= 1);
   // Q = H_0 H_1 ... H_{k-1} = B_0 B_1 ..., one block reflector
-  // B = I - V T V^T per panel of kOrmqrPanel reflectors. Q^T C applies
-  // B_0^T first; Q C applies the last panel's B first.
-  const Index panels = (k + kOrmqrPanel - 1) / kOrmqrPanel;
+  // B = I - V T V^T per panel of nb reflectors. Q^T C applies B_0^T
+  // first; Q C applies the last panel's B first.
+  const Index panels = (k + nb - 1) / nb;
   for (Index p = 0; p < panels; ++p) {
-    const Index j = (trans == Trans::Yes ? p : panels - 1 - p) * kOrmqrPanel;
-    const Index jb = std::min(kOrmqrPanel, k - j);
-    const ConstMatrixView v = a.block(j, j, m - j, jb);
-    Matrix t(jb, jb);
-    larft(v,
-          std::span<const double>(tau).subspan(static_cast<std::size_t>(j),
-                                               static_cast<std::size_t>(jb)),
-          t.view());
-    larfb_left(trans, v, t.view(), c.block(j, 0, m - j, c.cols()));
+    const Index j = (trans == Trans::Yes ? p : panels - 1 - p) * nb;
+    const Index jb = std::min(nb, k - j);
+    larfb_left(trans, a.block(j, j, m - j, jb), t.block(0, j, jb, jb),
+               c.block(j, 0, m - j, c.cols()));
   }
+}
+
+Matrix thin_q_times(ConstMatrixView a, ConstMatrixView t, ConstMatrixView c) {
+  const Index m = a.rows();
+  const Index k = t.cols();
+  const Index p = c.cols();
+  QRGRID_CHECK(c.rows() == k && a.cols() >= k && k <= m);
+  Matrix q(m, p);
+  if (k == 0 || p == 0) return q;
+  QRGRID_CHECK(t.rows() >= 1);
+  // Q [C; 0] = [C; 0] - V T (V^T [C; 0]) = [C - V_top W; -V_bot W] with
+  // W = T (V_top^T C): V^T [C; 0] reads only V's unit lower k x k top.
+  const ConstMatrixView v = a.block(0, 0, m, k);
+  const ConstMatrixView v_top = v.block(0, 0, k, k);
+  const Matrix t_full = join_panel_reflectors(v, t);
+  Matrix w = Matrix::copy_of(c);
+  trmm(Side::Left, UpLo::Lower, Trans::Yes, Diag::Unit, 1.0, v_top, w.view());
+  trmm(Side::Left, UpLo::Upper, Trans::No, Diag::NonUnit, 1.0, t_full.view(),
+       w.view());
+  if (m > k) {
+    gemm(Trans::No, Trans::No, -1.0, v.block(k, 0, m - k, k), w.view(), 0.0,
+         q.block(k, 0, m - k, p));
+  }
+  trmm(Side::Left, UpLo::Lower, Trans::No, Diag::Unit, 1.0, v_top, w.view());
+  for (Index j = 0; j < p; ++j)
+    for (Index i = 0; i < k; ++i) q(i, j) = c(i, j) - w(i, j);
+  return q;
 }
 
 Matrix extract_r(ConstMatrixView a) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "linalg/generators.hpp"
@@ -102,10 +103,11 @@ TEST(Qr, OrmqrAppliesQTranspose) {
   Matrix a = random_gaussian(m, n, 17);
   Matrix f = Matrix::copy_of(a.view());
   std::vector<double> tau;
-  geqrf(f.view(), tau);
+  Matrix t;
+  geqrf(f.view(), tau, t);
   // Q^T A should equal [R; 0].
   Matrix c = Matrix::copy_of(a.view());
-  ormqr_left(Trans::Yes, f.view(), tau, c.view());
+  ormqr_left(Trans::Yes, f.view(), t.view(), c.view());
   Matrix r = extract_r(f.view());
   for (Index j = 0; j < n; ++j) {
     for (Index i = 0; i < m; ++i) {
@@ -119,16 +121,17 @@ TEST(Qr, OrmqrQThenQTransposeIsIdentity) {
   const Index m = 30, n = 10, p = 4;
   Matrix a = random_gaussian(m, n, 19);
   std::vector<double> tau;
-  geqrf(a.view(), tau);
+  Matrix t;
+  geqrf(a.view(), tau, t);
   Matrix c = random_gaussian(m, p, 20);
   Matrix orig = Matrix::copy_of(c.view());
-  ormqr_left(Trans::Yes, a.view(), tau, c.view());
-  ormqr_left(Trans::No, a.view(), tau, c.view());
+  ormqr_left(Trans::Yes, a.view(), t.view(), c.view());
+  ormqr_left(Trans::No, a.view(), t.view(), c.view());
   EXPECT_LT(max_abs_diff(c.view(), orig.view()), 1e-11);
 }
 
 /// Q C (Trans::No) or Q^T C one reflector at a time, as LAPACK's dorm2r
-/// does: the oracle for the panel-blocked ormqr_left.
+/// does: the oracle for the panel-blocked ormqr_left and thin_q_times.
 void apply_reflectors_one_at_a_time(Trans trans, ConstMatrixView a,
                                     const std::vector<double>& tau,
                                     MatrixView c) {
@@ -143,24 +146,88 @@ void apply_reflectors_one_at_a_time(Trans trans, ConstMatrixView a,
   }
 }
 
+// Reflector counts at and around geqrf's recursion leaf (16 columns) and
+// its panel width (32), one and two panels deep, and one past that.
+constexpr Index kReflectorCounts[] = {1, 5, 31, 32, 33, 64, 70};
+
 TEST(Qr, BlockedOrmqrMatchesOneReflectorAtATime) {
-  const Index m = 150;
-  // One partial panel, then reflector counts that are no multiple of the
-  // panel width.
-  for (const Index k : {5, 45, 70}) {
-    Matrix f = random_gaussian(m, k, 40 + static_cast<std::uint64_t>(k));
-    std::vector<double> tau;
-    geqrf(f.view(), tau);
-    for (const Trans trans : {Trans::No, Trans::Yes}) {
-      for (Index p = 1; p <= 70; ++p) {
-        Matrix c = random_gaussian(m, p, 1000 + static_cast<std::uint64_t>(p));
-        Matrix want = Matrix::copy_of(c.view());
-        apply_reflectors_one_at_a_time(trans, f.view(), tau, want.view());
-        ormqr_left(trans, f.view(), tau, c.view());
-        EXPECT_LT(max_abs_diff(c.view(), want.view()), 1e-12)
-            << "k=" << k << " p=" << p
-            << (trans == Trans::Yes ? " Q^T" : " Q");
+  for (const Index k : kReflectorCounts) {
+    // Square (the last reflector is trivial), one row more, and tall.
+    for (const Index m : {k, k + 1, Index{150}}) {
+      Matrix f = random_gaussian(m, k, 40 + static_cast<std::uint64_t>(k));
+      std::vector<double> tau;
+      Matrix t;
+      geqrf(f.view(), tau, t);
+      for (const Trans trans : {Trans::No, Trans::Yes}) {
+        for (Index p = 1; p <= 70; ++p) {
+          Matrix c =
+              random_gaussian(m, p, 1000 + static_cast<std::uint64_t>(p));
+          Matrix want = Matrix::copy_of(c.view());
+          apply_reflectors_one_at_a_time(trans, f.view(), tau, want.view());
+          ormqr_left(trans, f.view(), t.view(), c.view());
+          EXPECT_LT(max_abs_diff(c.view(), want.view()), 1e-12)
+              << "k=" << k << " m=" << m << " p=" << p
+              << (trans == Trans::Yes ? " Q^T" : " Q");
+        }
       }
+    }
+  }
+}
+
+TEST(Qr, ThinQTimesMatchesOneReflectorAtATime) {
+  // thin_q_times(C) is Q [C; 0] without reading the zero rows.
+  for (const Index k : kReflectorCounts) {
+    for (const Index m : {k, k + 1, Index{150}}) {
+      Matrix f = random_gaussian(m, k, 60 + static_cast<std::uint64_t>(k));
+      std::vector<double> tau;
+      Matrix t;
+      geqrf(f.view(), tau, t);
+      for (Index p = 1; p <= 70; ++p) {
+        const Matrix c =
+            random_gaussian(k, p, 2000 + static_cast<std::uint64_t>(p));
+        Matrix want(m, p);
+        copy(c.view(), want.block(0, 0, k, p));
+        apply_reflectors_one_at_a_time(Trans::No, f.view(), tau, want.view());
+        const Matrix got = thin_q_times(f.view(), t.view(), c.view());
+        ASSERT_EQ(got.rows(), m);
+        ASSERT_EQ(got.cols(), p);
+        EXPECT_LT(max_abs_diff(got.view(), want.view()), 1e-12)
+            << "k=" << k << " m=" << m << " p=" << p;
+      }
+    }
+  }
+}
+
+TEST(Qr, KeptPanelTsChangeNoBitAndEqualLarft) {
+  struct Shape {
+    Index m, n;
+  };
+  // The TSQR leaf (two full panels), a width that ends in a partial
+  // panel, and one panel narrower than the recursion leaf.
+  for (const Shape s : {Shape{8192, 64}, Shape{1000, 37}, Shape{40, 12}}) {
+    const Matrix a = random_gaussian(s.m, s.n, 31);
+    Matrix plain = Matrix::copy_of(a.view());
+    Matrix kept = Matrix::copy_of(a.view());
+    std::vector<double> tau_plain, tau_kept;
+    Matrix t;
+    geqrf(plain.view(), tau_plain);
+    geqrf(kept.view(), tau_kept, t);
+    EXPECT_EQ(max_abs_diff(plain.view(), kept.view()), 0.0)
+        << s.m << " x " << s.n;
+    EXPECT_EQ(tau_plain, tau_kept) << s.m << " x " << s.n;
+
+    constexpr Index kPanel = 32;  // geqrf's default panel width
+    ASSERT_EQ(t.rows(), std::min(kPanel, s.n));
+    ASSERT_EQ(t.cols(), s.n);
+    for (Index j = 0; j < s.n; j += kPanel) {
+      const Index jb = std::min(kPanel, s.n - j);
+      Matrix want(jb, jb);
+      larft(kept.block(j, j, s.m - j, jb),
+            std::span<const double>(tau_kept).subspan(
+                static_cast<std::size_t>(j), static_cast<std::size_t>(jb)),
+            want.view());
+      EXPECT_EQ(max_abs_diff(t.block(0, j, jb, jb), want.view()), 0.0)
+          << s.m << " x " << s.n << " panel at column " << j;
     }
   }
 }

@@ -113,6 +113,105 @@ TEST(Tsqr, ExplicitQIsOrthogonalAndReconstructs) {
             1e-12);
 }
 
+// The leaf at widths that cross geqrf's recursion leaf (16) and panel
+// width (32): one panel, a full one, one column into a second, two, and
+// a partial third; on square, one-row-taller and tall local blocks. Each
+// case checks the explicit Q, Q^T A = [R; 0], and the apply_qt -> apply_q
+// round trip.
+struct LeafWidthCase {
+  Index n;
+  Index rows_per_proc;
+  TreeKind tree;
+  int procs;
+};
+
+std::vector<LeafWidthCase> leaf_width_cases() {
+  std::vector<LeafWidthCase> cases;
+  for (const Index n : {1, 17, 31, 32, 33, 64, 70}) {
+    for (const Index m_loc : {n, n + 1, 4 * n + 3}) {
+      for (const TreeKind tree : {TreeKind::kFlat, TreeKind::kBinary,
+                                  TreeKind::kGridHierarchical}) {
+        for (int procs = 1; procs <= 5; ++procs) {
+          cases.push_back(LeafWidthCase{n, m_loc, tree, procs});
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+class TsqrLeafWidthTest : public ::testing::TestWithParam<LeafWidthCase> {};
+
+TEST_P(TsqrLeafWidthTest, ExplicitQAndApplies) {
+  const LeafWidthCase c = GetParam();
+  const Index n = c.n;
+  const Index m_loc = c.rows_per_proc;
+  const Index p = 5;  // columns of the block the apply round trip carries
+  const Index m_global = m_loc * c.procs;
+  Matrix global(m_global, n);
+  fill_gaussian_rows(global.view(), 0, 4242);
+
+  msg::Runtime rt(c.procs);
+  std::vector<Matrix> q_blocks(static_cast<std::size_t>(c.procs));
+  std::vector<double> projection(static_cast<std::size_t>(c.procs), 0.0);
+  std::vector<double> round_trip(static_cast<std::size_t>(c.procs), 0.0);
+  Matrix r_final;
+  rt.run([&](msg::Comm& comm) {
+    const auto me = static_cast<std::size_t>(comm.rank());
+    Matrix local = Matrix::copy_of(
+        global.block(comm.rank() * m_loc, 0, m_loc, n));
+    Matrix projected = Matrix::copy_of(local.view());
+    TsqrOptions opts;
+    opts.tree = c.tree;
+    if (c.tree == TreeKind::kGridHierarchical) {
+      for (int r = 0; r < comm.size(); ++r) {
+        opts.rank_cluster.push_back(r < (comm.size() + 1) / 2 ? 0 : 1);
+      }
+    }
+    TsqrFactors f = tsqr_factor(comm, local.view(), opts);
+    q_blocks[me] = tsqr_form_explicit_q(comm, f);
+    if (comm.rank() == 0) r_final = f.r;
+
+    // Q^T A is [R; 0]: R in the root's top n rows, zero everywhere else.
+    tsqr_apply_qt(comm, f, projected.view());
+    if (comm.rank() == 0) {
+      projection[me] = max_abs_diff(projected.block(0, 0, n, n), f.r.view());
+      set_zero(projected.block(0, 0, n, n));
+    }
+    projection[me] = std::max(projection[me], max_abs(projected.view()));
+
+    Matrix b(m_loc, p);
+    fill_gaussian_rows(b.view(), comm.rank() * m_loc, 4343);
+    const Matrix orig = Matrix::copy_of(b.view());
+    tsqr_apply_qt(comm, f, b.view());
+    tsqr_apply_q(comm, f, b.view());
+    round_trip[me] = max_abs_diff(b.view(), orig.view());
+  });
+
+  Matrix q_global(m_global, n);
+  for (int r = 0; r < c.procs; ++r) {
+    copy(q_blocks[static_cast<std::size_t>(r)].view(),
+         q_global.block(r * m_loc, 0, m_loc, n));
+  }
+  EXPECT_LE(orthogonality_error(q_global.view()), 1e-12);
+  EXPECT_LE(factorization_residual(global.view(), q_global.view(),
+                                   r_final.view()),
+            1e-12);
+  EXPECT_LE(*std::max_element(projection.begin(), projection.end()), 1e-11);
+  EXPECT_LE(*std::max_element(round_trip.begin(), round_trip.end()), 1e-11);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, TsqrLeafWidthTest, ::testing::ValuesIn(leaf_width_cases()),
+    [](const auto& info) {
+      const LeafWidthCase& c = info.param;
+      const char* tree = c.tree == TreeKind::kFlat     ? "flat"
+                         : c.tree == TreeKind::kBinary ? "binary"
+                                                       : "grid";
+      return std::string(tree) + "_p" + std::to_string(c.procs) + "_n" +
+             std::to_string(c.n) + "_m" + std::to_string(c.rows_per_proc);
+    });
+
 TEST(Tsqr, ReplicateRDeliversEverywhere) {
   const int procs = 3;
   msg::Runtime rt(procs);

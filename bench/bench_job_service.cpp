@@ -195,10 +195,11 @@ void write_bench_json(const std::string& path, int jobs,
 /// unbounded EASY over a million-deep backlog is O(n) per dispatch BY
 /// DESIGN and would drown any data-structure win). Gates: job
 /// conservation per config, total wall time, and peak RSS. Budgets hold
-/// on a cold CI runner at full scale; measured locally the full run is
-/// ~110 s / ~560 MB, so the 600 s / 8 GB gates carry ~5x wall and ~14x
-/// memory headroom — they catch a complexity-class regression (the
-/// quadratic they guard against costs hours), not runner jitter.
+/// on a cold CI runner at full scale; on one 4-core Xeon host three runs
+/// took 49-67 s at ~600 MB peak RSS, so the 600 s / 8 GB gates carry
+/// ~9x wall and ~13x memory headroom — they catch a complexity-class
+/// regression (the quadratic they guard against costs hours), not
+/// runner jitter.
 ///
 /// --wan-contention turns the same steady-state arrival process into
 /// the CONTENDED acceptance gate: 256 processes spread over 8 sites,
@@ -319,8 +320,10 @@ int run_scale(int jobs, int users, bool wan_contention) {
   // for zero added WAN coverage. FCFS covers the ordered-queue path;
   // EASY — at depth 4, because at 96% utilization on the fragmented
   // 16-site node pool the depth-64 scan almost never finds a hole (42
-  // backfills in 30k jobs) yet costs 8x the FCFS wall — uniquely
-  // drives shadow pricing through the generation-keyed estimate basis.
+  // backfills in 30k jobs) yet costs 8x the FCFS wall — is the one
+  // backfilling config: it drives the shadow computation and the
+  // backfill admission test over the contended grid. Plain EASY never
+  // prices WAN drains into its shadow (wan_priced_shadow() is false).
   std::vector<ScaleConfig> configs;
   configs.push_back({"fcfs", sched::Policy::kFcfs, 0});
   if (!wan_contention) {

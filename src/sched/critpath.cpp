@@ -1,24 +1,13 @@
 #include "sched/critpath.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
-#include <sstream>
 #include <string>
 #include <utility>
 
 namespace qrgrid::sched {
 
 namespace {
-
-/// Round-trip double formatting, same contract as the metrics writer.
-std::string json_num(double v) {
-  if (!std::isfinite(v)) return "null";
-  std::ostringstream oss;
-  oss.precision(17);
-  oss << v;
-  return oss.str();
-}
 
 /// One attempt reconstructed from its open/close event pair.
 struct Attempt {

@@ -75,15 +75,6 @@ JobQueue::JobQueue(const SchedulingPolicy* policy)
                    "dynamic_order() policy moves");
 }
 
-JobQueue::JobQueue(Policy policy) : JobQueue(make_policy(policy)) {}
-
-JobQueue::JobQueue(std::unique_ptr<SchedulingPolicy> owned)
-    : JobQueue(owned.get()) {
-  owned_ = std::move(owned);
-}
-
-JobQueue::~JobQueue() = default;
-
 void JobQueue::index_insert(Set::iterator it) {
   buckets_[policy_->order_class(it->job)].emplace(it->job.id, it);
 }

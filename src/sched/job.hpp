@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -226,9 +225,6 @@ class JobQueue {
   /// both backfills and has dynamic_order(): the backfill index sorts
   /// its buckets by keys such a policy would move under it.
   explicit JobQueue(const SchedulingPolicy* policy);
-  /// Convenience: owns a fresh make_policy(policy) instance.
-  explicit JobQueue(Policy policy);
-  ~JobQueue();  // out of line: owned_ deletes an incomplete type here
 
   /// Optional counter sink: each sync with work records one
   /// `policy.resorts` plus the entries reinserted
@@ -326,7 +322,6 @@ class JobQueue {
   }
 
  private:
-  explicit JobQueue(std::unique_ptr<SchedulingPolicy> owned);
   void sync();
   void index_insert(Set::iterator it);
   void index_erase(Set::const_iterator it);
@@ -334,7 +329,6 @@ class JobQueue {
   Job take(const_iterator it);
 
   const SchedulingPolicy* policy_;
-  std::unique_ptr<SchedulingPolicy> owned_;  ///< enum-ctor convenience only
   Set set_;
   QueueOrder order_;
   std::uint64_t next_seq_ = 0;

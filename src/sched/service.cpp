@@ -275,9 +275,8 @@ struct GridJobService::Engine {
   std::vector<int> cluster_ppn;
   int grid_nodes = 0;
   ServiceReport report;
-  bool wan_on = false;
-  std::optional<GridWanModel> wan_model;
-  GridWanModel* wan = nullptr;
+  /// The shared-WAN model, engaged only when contention is on.
+  std::optional<GridWanModel> wan;
   /// Replayed copy of the outage trace: the run never consumes the
   /// configured original, so the same service can serve several
   /// workloads identically.
@@ -389,10 +388,9 @@ struct GridJobService::Engine {
   /// next cleared — the end of the next start_job at the latest.
   const Placement* place_now(const Job& job);
   void blame_flush(int job_id, double upto_s);
-  double wan_finish(const Running& r) const;
-  double event_of(const Running& r) const;
-  bool completes(const Running& r) const;
-  void charge_wan(const Running& r, double fraction);
+  /// When and how a running attempt ends unless an outage kills it
+  /// first: (time, kCompletion) or (time, kWalltimeKill).
+  std::pair<double, TraceKind> end_of(const Running& r) const;
   ExecutionResult execute_attempt(const Running& r, bool killed,
                                   double through_fraction);
   void record_outcome(Running& r, double end_s, JobFate fate,
@@ -403,12 +401,13 @@ struct GridJobService::Engine {
   void dispatch();
   void classify_waits();
   void apply_outage(const OutageEvent& ev);
-  /// Kills one running attempt hit by the failure `ev`: charges waste,
-  /// banks restart credit, and requeues the job or records its failure.
-  void outage_kill(Running& victim, const OutageEvent& ev);
-  /// Removes running[index] (swap-and-pop) and resolves it as the loop's
-  /// next completion-class event — a completion or a walltime kill.
-  void complete_one(std::size_t index);
+  /// Ends one attempt, already out of `running`, at end_s: `how` is
+  /// kCompletion, kWalltimeKill, or kOutageKill by the failure of
+  /// `cluster`. Releases its nodes, banks restart credit (outage kills
+  /// only), charges its node-seconds and WAN bytes, runs it on an
+  /// executing backend, and requeues the job or records its outcome.
+  void end_attempt(Running& r, TraceKind how, double end_s,
+                   int cluster = -1);
   void resolve_completions();
   void drain_outages();
   void admit_arrivals();
@@ -519,16 +518,14 @@ GridJobService::Engine::Engine(GridJobService& service,
   // trace, so serving several workloads from one service stays pure —
   // and only built when contention is on, so its capacity invariants
   // cannot reject runs that never consult it.
-  wan_on = options.wan_contention;
-  if (wan_on) {
+  if (options.wan_contention) {
     const double backbone_Bps =
         options.wan_backbone_Bps > 0.0
             ? options.wan_backbone_Bps
             : options.wan_link_Bps * std::max(1, nclusters / 2);
-    wan_model.emplace(nclusters, options.wan_link_Bps, backbone_Bps,
-                      options.wan_fairness);
+    wan.emplace(nclusters, options.wan_link_Bps, backbone_Bps,
+                options.wan_fairness);
   }
-  wan = wan_model ? &*wan_model : nullptr;
 
   // Observability (sched/telemetry.hpp): both sinks are caller-owned and
   // usually null; every emit site guards on the pointer so a disabled
@@ -539,13 +536,13 @@ GridJobService::Engine::Engine(GridJobService& service,
   profiler = options.profiler;
   blame_on = options.wait_blame;
   has_outages = trace.enabled();
-  if (wan != nullptr) {
+  if (wan) {
     wan->set_tracer(tracer);
     wan->set_profiler(profiler);
   }
   if (!quiet) {
     emit(TraceKind::kRunConfig, 0.0, -1,
-         (wan_on ? kTraceConfigWanContention : 0) |
+         (wan ? kTraceConfigWanContention : 0) |
              (has_outages ? kTraceConfigHasOutages : 0) |
              (policy.backfills() ? kTraceConfigBackfills : 0) |
              (blame_on ? kTraceConfigWaitBlame : 0));
@@ -557,7 +554,7 @@ GridJobService::Engine::Engine(GridJobService& service,
     // first sample at the same instant overwrites these in place.
     metrics->sample("queue_depth", 0.0, 0.0);
     metrics->sample("running_jobs", 0.0, 0.0);
-    if (wan_on) {
+    if (wan) {
       for (int c = 0; c < nclusters; ++c) {
         metrics->sample("wan.uplink_load.c" + std::to_string(c), 0.0, 0.0);
       }
@@ -570,7 +567,7 @@ GridJobService::Engine::Engine(GridJobService& service,
   pending.bind_metrics(metrics);
   placeable = free_nodes;
   index_placeable();
-  placement_wan = options.wan_aware ? wan : nullptr;
+  placement_wan = options.wan_aware && wan ? &*wan : nullptr;
 }
 
 std::optional<Placement> GridJobService::Engine::try_place(
@@ -677,7 +674,7 @@ double GridJobService::Engine::shadow_time(const Job& head) const {
   // the exact replays it could not know on a real machine. A WAN-priced
   // policy knows drains can outlast both bounds, so each running
   // attempt's finish is lifted to its pessimistic drain estimate.
-  const bool priced = wan != nullptr && policy.wan_priced_shadow();
+  const bool priced = wan && policy.wan_priced_shadow();
   std::vector<double> drain_estimates;
   std::vector<int> flow_ids;
   if (priced) {
@@ -697,7 +694,7 @@ double GridJobService::Engine::shadow_time(const Job& head) const {
       drain = drain_estimates[next_estimate++];  // parallel to flow_ids
     }
     // Walltime-bounded attempts release their nodes at kill_s no matter
-    // how far the drains stretch (the kill caps wan_finish), so only
+    // how far the drains stretch (the kill caps end_of), so only
     // unlimited attempts need their drain estimate priced in.
     if (priced && r.flow >= 0 && r.job.walltime_s <= 0.0) {
       est = std::max(est, drain);
@@ -810,42 +807,23 @@ void GridJobService::Engine::blame_flush(int job_id, double upto_s) {
   it->second.since_s = upto_s;
 }
 
-// Completion-class event geometry. finish_s is the ISOLATED replay
-// end; with contention on, the attempt additionally cannot complete
-// before its shared-WAN demand has drained — +inf while it has not,
-// which correctly keeps undrained jobs out of the completion scan
-// (their next state change is a WAN event, already a candidate).
-double GridJobService::Engine::wan_finish(const Running& r) const {
-  if (!wan_on) return r.finish_s;
-  if (!wan->drained(r.flow)) return kInf;
-  return std::max(r.finish_s, wan->drained_at_s(r.flow));
-}
-
-// The earlier of completing and being walltime-killed; ties resolve to
-// "finished" (<=), so a job whose last byte drains exactly on its
-// walltime completes.
-double GridJobService::Engine::event_of(const Running& r) const {
-  const double finish = wan_finish(r);
-  return finish < r.kill_s ? finish : r.kill_s;
-}
-
-bool GridJobService::Engine::completes(const Running& r) const {
-  return wan_finish(r) <= r.kill_s;
-}
-
-// Charge one attempt's WAN bytes pro-rata to the fraction of the FULL
-// replay it actually covered, so a restart-credited job never pays for
-// its banked prefix twice (an uncredited full attempt charges exactly
-// the replay counters). With contention on, the WAN model knows the
-// bytes each flow really moved, so attempts retire their flow instead.
-void GridJobService::Engine::charge_wan(const Running& r, double fraction) {
-  for (std::size_t i = 0; i < r.placement.clusters.size(); ++i) {
-    const auto c = static_cast<std::size_t>(r.placement.clusters[i]);
-    report.wan_egress_bytes[c] += static_cast<long long>(
-        static_cast<double>(r.replay->egress_bytes[i]) * fraction);
-    report.wan_ingress_bytes[c] += static_cast<long long>(
-        static_cast<double>(r.replay->ingress_bytes[i]) * fraction);
+// A running attempt's own end. finish_s is the ISOLATED replay end;
+// with contention on, the attempt additionally cannot complete before
+// its shared-WAN demand has drained — +inf while it has not, which
+// correctly keeps undrained jobs out of the completion scan (their next
+// state change is a WAN event, already a candidate). The walltime kill
+// ends it only when strictly earlier, so a job whose last byte drains
+// exactly on its walltime completes.
+std::pair<double, TraceKind> GridJobService::Engine::end_of(
+    const Running& r) const {
+  double finish = r.finish_s;
+  if (wan) {
+    finish = wan->drained(r.flow)
+                 ? std::max(r.finish_s, wan->drained_at_s(r.flow))
+                 : kInf;
   }
+  if (finish <= r.kill_s) return {finish, TraceKind::kCompletion};
+  return {r.kill_s, TraceKind::kWalltimeKill};
 }
 
 // Real execution of one resolved attempt (msg-runtime backend only; a
@@ -898,7 +876,7 @@ void GridJobService::Engine::record_outcome(Running& r, double end_s,
   outcome.finish_s = end_s;
   outcome.service_s = end_s - r.start_s;
   const double isolated_s = r.finish_s - r.start_s;
-  outcome.wan_slowdown = wan_on && isolated_s > 0.0
+  outcome.wan_slowdown = wan && isolated_s > 0.0
                              ? outcome.service_s / isolated_s
                              : 1.0;
   outcome.gflops = fate == JobFate::kCompleted ? r.replay->gflops : 0.0;
@@ -996,7 +974,7 @@ void GridJobService::Engine::start_job(Job job, const Placement& placement,
   r.start_fraction = p.credited_fraction;
   r.replay = &replay;
   r.backfilled = backfilled;
-  if (wan_on) {
+  if (wan) {
     // Register the attempt's WAN demand: per granted cluster one
     // uplink and one downlink pool (bytes pro-rated to the uncovered
     // [start_fraction, 1] tail, assuming the link's demand spreads
@@ -1110,7 +1088,7 @@ void GridJobService::Engine::dispatch() {
       std::min(head_progress.reserved_start_s, shadow);
   // value: the promised latest start.
   emit(TraceKind::kReservationClaim, clock, reserved_job, shadow);
-  const bool priced = wan != nullptr && policy.wan_priced_shadow();
+  const bool priced = wan && policy.wan_priced_shadow();
   // The pass's candidates are the first backfill_depth jobs behind the
   // head (all of them at depth 0), each counted as one scan whether the
   // merge below visits it or skips it with its procs bucket.
@@ -1206,7 +1184,7 @@ void GridJobService::Engine::classify_waits() {
     if (down_depth[static_cast<std::size_t>(c)] > 0) any_down = true;
   }
   const bool backfills = policy.backfills();
-  const bool priced = wan != nullptr && policy.wan_priced_shadow();
+  const bool priced = wan && policy.wan_priced_shadow();
   // The fully-up probe's answers by procs, for this pass only.
   std::unordered_map<int, bool> fully_up_fits;
   const Job* head = nullptr;
@@ -1296,7 +1274,7 @@ void GridJobService::Engine::classify_waits() {
 
 // One outage boundary. A recovery returns the cluster's free nodes to
 // the placeable pool; a failure masks them out and kills every job
-// holding nodes on the cluster (outage_kill).
+// holding nodes on the cluster.
 void GridJobService::Engine::apply_outage(const OutageEvent& ev) {
   emit(ev.down ? TraceKind::kOutageDown : TraceKind::kOutageUp, ev.time_s,
        -1, 0.0, 0.0, -1, ev.cluster);
@@ -1340,82 +1318,114 @@ void GridJobService::Engine::apply_outage(const OutageEvent& ev) {
   // positions all accrue victim by victim.
   resolve_tied(TieOracle::Kind::kOutageVictim, ev.time_s, victims.begin(),
                victims.end(),
-               [&](Running& victim) { outage_kill(victim, ev); });
+               [&](Running& victim) {
+                 end_attempt(victim, TraceKind::kOutageKill, ev.time_s,
+                             ev.cluster);
+               });
 }
 
-void GridJobService::Engine::outage_kill(Running& victim,
-                                         const OutageEvent& ev) {
-  release_nodes(victim.placement);
-  const double elapsed = ev.time_s - victim.start_s;
-  Progress& p = progress[victim.job.id];
-  // Fraction of the FULL factorization this attempt covered before
-  // dying. Checkpoint overhead smears uniformly over the attempt, and a
-  // WAN-stretched attempt can outlive its isolated span while waiting on
-  // drains with all panels done — hence the cap at the attempt's own
-  // share. covered_span_fraction guards the kill-at-start edge: a span
+// The one path every attempt end takes, whatever ended it.
+void GridJobService::Engine::end_attempt(Running& r, TraceKind how,
+                                         double end_s, int cluster) {
+  release_nodes(r.placement);
+  const bool completed = how == TraceKind::kCompletion;
+  const bool outage = how == TraceKind::kOutageKill;
+  Progress& p = progress[r.job.id];
+  const double held = end_s - r.start_s;
+  // Fraction of the FULL factorization this attempt covered: its whole
+  // uncredited tail when it completes. A kill covers the elapsed share
+  // of the attempt's span, capped at the tail: checkpoint overhead
+  // smears uniformly over the attempt, and a WAN-stretched attempt can
+  // outlive its isolated span while waiting on drains with all panels
+  // done. covered_span_fraction guards the kill-at-start edge: a span
   // collapsed to zero by floating-point absorption must not turn the
   // credit arithmetic into NaN.
-  const double attempt_span = victim.finish_s - victim.start_s;
-  const double covered = covered_span_fraction(elapsed, attempt_span) *
-                         (1.0 - p.credited_fraction);
+  const double tail = 1.0 - r.start_fraction;
+  const double covered =
+      completed ? tail
+                : covered_span_fraction(held, r.finish_s - r.start_s) * tail;
+  const double through = r.start_fraction + covered;
+  // Replay seconds restart credit keeps. Only an outage kill banks: a
+  // walltime kill ends the job for good.
   double banked = 0.0;
-  if (options.restart_credit && options.checkpoint_panels > 0) {
+  if (outage && options.restart_credit && options.checkpoint_panels > 0) {
     // Bank whole panels: round the reached point down to a panel
     // boundary. The last panel is never banked — completing it IS
     // completing the job.
     const double panels = static_cast<double>(options.checkpoint_panels);
-    const double through = p.credited_fraction + covered;
     const double reached = std::min(std::floor(through * panels) / panels,
                                     (panels - 1.0) / panels);
     const double gained =
-        std::clamp(reached - p.credited_fraction, 0.0, covered);
-    banked = gained * victim.replay->seconds;
+        std::clamp(reached - r.start_fraction, 0.0, covered);
+    banked = gained * r.replay->seconds;
     p.credited_fraction += gained;
   }
-  const double nodes = static_cast<double>(victim.placement.total_nodes);
-  p.wasted_node_s += nodes * (elapsed - banked);
-  report.wasted_node_seconds += nodes * (elapsed - banked);
-  useful_node_seconds += nodes * banked;
-  if (wan_on) {
-    wan->retire(victim.flow, report.wan_egress_bytes,
-                report.wan_ingress_bytes);
+  const double nodes = static_cast<double>(r.placement.total_nodes);
+  if (completed) {
+    useful_node_seconds += nodes * held;
+    useful_flops_total += model::useful_flops(r.job.m, r.job.n);
   } else {
-    // The attempt covered this share of the full replay timeline.
-    charge_wan(victim, covered);
+    p.wasted_node_s += nodes * (held - banked);
+    report.wasted_node_seconds += nodes * (held - banked);
+    useful_node_seconds += nodes * banked;
   }
-  // The outage hits the in-flight attempt for REAL on the msg
-  // backend: the factorization aborts mid-run at the reached point of
-  // the timeline, requeued attempts included.
-  // value: node-holding seconds the kill threw away; value2: of which
-  // restart credit banked this much.
-  emit(TraceKind::kOutageKill, ev.time_s, victim.job.id, elapsed, banked,
-       victim.flow, ev.cluster);
-  const ExecutionResult exec = execute_attempt(
-      victim, /*killed=*/true, victim.start_fraction + covered);
-  ++report.killed_jobs;
-  ++report.outage_kills;
-  if (p.attempts <= options.max_retries) {
+  if (wan) {
+    // The shared model knows the bytes the flow really moved.
+    wan->retire(r.flow, report.wan_egress_bytes, report.wan_ingress_bytes);
+  } else {
+    // Pro rata to the covered share of the FULL replay, so a
+    // restart-credited job never pays for its banked prefix twice (an
+    // uncredited completion charges exactly the replay counters).
+    for (std::size_t i = 0; i < r.placement.clusters.size(); ++i) {
+      const auto c = static_cast<std::size_t>(r.placement.clusters[i]);
+      report.wan_egress_bytes[c] += static_cast<long long>(
+          static_cast<double>(r.replay->egress_bytes[i]) * covered);
+      report.wan_ingress_bytes[c] += static_cast<long long>(
+          static_cast<double>(r.replay->ingress_bytes[i]) * covered);
+    }
+  }
+  // value: node-holding seconds of the attempt; value2: the WAN drain
+  // stretch past the replay end for a completion, the seconds restart
+  // credit banked for a kill. An outage hits the in-flight attempt for
+  // REAL on the msg backend — the factorization aborts mid-run at the
+  // reached point — so its kill is traced before that run, and a
+  // completion or walltime kill after the run it ends.
+  const double value2 = completed ? end_s - r.finish_s : banked;
+  if (outage) emit(how, end_s, r.job.id, held, value2, r.flow, cluster);
+  const ExecutionResult exec = execute_attempt(r, !completed, through);
+  if (!outage) emit(how, end_s, r.job.id, held, value2, r.flow, cluster);
+  if (completed) {
+    ++report.completed_jobs;
+  } else {
+    ++report.killed_jobs;
+    ++(outage ? report.outage_kills : report.walltime_kills);
+  }
+  if (outage && p.attempts <= options.max_retries) {
     ++report.requeued_jobs;
-    Job job = std::move(victim.job);
+    Job job = std::move(r.job);
     if (blame_on) {
       // The killed attempt's runtime is wait the job must sit out
       // again — blamed as rerun time, which keeps the categories
       // summing to (final start - arrival) across retries.
       blame_totals[job.id][static_cast<std::size_t>(
-          BlameCategory::kRequeuedRerun)] += elapsed;
-      emit(TraceKind::kWaitBlame, ev.time_s, job.id, elapsed,
+          BlameCategory::kRequeuedRerun)] += held;
+      emit(TraceKind::kWaitBlame, end_s, job.id, held,
            static_cast<double>(BlameCategory::kRequeuedRerun));
     }
-    emit(TraceKind::kRequeue, ev.time_s, job.id,
+    emit(TraceKind::kRequeue, end_s, job.id,
          static_cast<double>(p.attempts));
     // SPJF sort key: only the uncredited remainder still costs time.
     const double predicted =
         svc.predicted_seconds(job) * (1.0 - p.credited_fraction);
     pending.push(std::move(job), predicted);
-  } else {
-    ++report.failed_jobs;
-    record_outcome(victim, ev.time_s, JobFate::kOutageFailed, exec);
+    return;
   }
+  if (!completed) ++report.failed_jobs;
+  record_outcome(r, end_s,
+                 completed ? JobFate::kCompleted
+                 : outage  ? JobFate::kOutageFailed
+                           : JobFate::kWalltimeKilled,
+                 exec);
 }
 
 std::size_t GridJobService::Engine::tie_pick(TieOracle::Kind kind,
@@ -1436,17 +1446,17 @@ std::size_t GridJobService::Engine::tie_pick(TieOracle::Kind kind,
 void GridJobService::Engine::step() {
   double t = kInf;
   if (next_arrival < jobs.size()) t = jobs[next_arrival].arrival_s;
-  for (const Running& r : running) t = std::min(t, event_of(r));
+  for (const Running& r : running) t = std::min(t, end_of(r).first);
   t = std::min(t, trace.peek_s());
   // WAN horizon events (a pool activating or running dry) change the
   // fair shares — and may BE a job's completion when the last drain
   // lands past its replay end. Rates are constant up to this bound, so
   // advancing the model to t is exact.
-  if (wan_on) t = std::min(t, wan->next_event_s(clock));
+  if (wan) t = std::min(t, wan->next_event_s(clock));
   QRGRID_CHECK_MSG(t < kInf, "service deadlock: pending jobs but no "
                              "running work, WAN drains, outage "
                              "recoveries, or future arrivals");
-  if (wan_on) {
+  if (wan) {
     PhaseScope scope(profiler, ProfilePhase::kWanAdvance);
     wan->advance(clock, t);
   }
@@ -1484,7 +1494,7 @@ void GridJobService::Engine::step() {
                     static_cast<double>(pending.size()));
     metrics->sample("running_jobs", clock,
                     static_cast<double>(running.size()));
-    if (wan_on) {
+    if (wan) {
       for (int c = 0; c < nclusters; ++c) {
         metrics->sample("wan.uplink_load.c" + std::to_string(c), clock,
                         static_cast<double>(wan->load_score(c)));
@@ -1508,7 +1518,7 @@ void GridJobService::Engine::resolve_completions() {
     double due = kInf;
     tied.clear();
     for (std::size_t i = 0; i < running.size(); ++i) {
-      const double e = event_of(running[i]);
+      const double e = end_of(running[i]).first;
       if (e > clock || e > due) continue;
       if (e < due) {
         due = e;
@@ -1520,69 +1530,18 @@ void GridJobService::Engine::resolve_completions() {
     std::sort(tied.begin(), tied.end(), [&](std::size_t a, std::size_t b) {
       return running[a].seq < running[b].seq;
     });
-    complete_one(tied[tie_pick(TieOracle::Kind::kCompletion, due,
-                               tied.size())]);
-  }
-}
-
-void GridJobService::Engine::complete_one(std::size_t index) {
-  // The caller's scan selects by (event time, seq), which no vector
-  // order can change — so the erase is a swap-and-pop, O(1) instead of
-  // shifting the running tail per completion.
-  Running done = std::move(running[index]);
-  if (index != running.size() - 1) {
-    running[index] = std::move(running.back());
-  }
-  running.pop_back();
-  release_nodes(done.placement);
-  const double nodes = static_cast<double>(done.placement.total_nodes);
-  if (completes(done)) {
-    const double finish = wan_finish(done);
-    const double held = finish - done.start_s;
-    useful_node_seconds += nodes * held;
-    useful_flops_total += model::useful_flops(done.job.m, done.job.n);
-    if (wan_on) {
-      wan->retire(done.flow, report.wan_egress_bytes,
-                  report.wan_ingress_bytes);
-    } else {
-      charge_wan(done, 1.0 - done.start_fraction);
+    const std::size_t index =
+        tied[tie_pick(TieOracle::Kind::kCompletion, due, tied.size())];
+    // The scan selects by (event time, seq), which no vector order can
+    // change — so the erase is a swap-and-pop, O(1) instead of shifting
+    // the running tail per completion.
+    Running done = std::move(running[index]);
+    if (index != running.size() - 1) {
+      running[index] = std::move(running.back());
     }
-    const ExecutionResult exec = execute_attempt(done, /*killed=*/false, 1.0);
-    ++report.completed_jobs;
-    // value: service seconds of the attempt; value2: the WAN drain
-    // stretch past the replay end.
-    emit(TraceKind::kCompletion, finish, done.job.id, held,
-         finish - done.finish_s, done.flow);
-    record_outcome(done, finish, JobFate::kCompleted, exec);
-  } else {
-    // Ran past its user walltime: killed for good, everything wasted.
-    const double held = done.kill_s - done.start_s;
-    Progress& p = progress[done.job.id];
-    p.wasted_node_s += nodes * held;
-    report.wasted_node_seconds += nodes * held;
-    // Capped coverage as in the outage path: the checkpoint tail
-    // stretches the attempt beyond its replay share, and the share is
-    // all the work (and WAN bytes) it can ever have done.
-    // covered_span_fraction guards the zero-length-span edge exactly as
-    // the outage kill site does.
-    const double covered =
-        covered_span_fraction(held, done.finish_s - done.start_s) *
-        (1.0 - done.start_fraction);
-    if (wan_on) {
-      wan->retire(done.flow, report.wan_egress_bytes,
-                  report.wan_ingress_bytes);
-    } else {
-      charge_wan(done, covered);
-    }
-    const ExecutionResult exec = execute_attempt(
-        done, /*killed=*/true, done.start_fraction + covered);
-    ++report.killed_jobs;
-    ++report.walltime_kills;
-    ++report.failed_jobs;
-    // value: node-holding seconds the kill threw away.
-    emit(TraceKind::kWalltimeKill, done.kill_s, done.job.id, held, 0.0,
-         done.flow);
-    record_outcome(done, done.kill_s, JobFate::kWalltimeKilled, exec);
+    running.pop_back();
+    const auto [end_s, how] = end_of(done);
+    end_attempt(done, how, end_s);
   }
 }
 
@@ -1641,7 +1600,7 @@ ServiceReport GridJobService::Engine::finish() {
                        << " completed + " << report.failed_jobs
                        << " failed != " << jobs.size() << " submitted");
   report.useful_node_seconds = useful_node_seconds;
-  if (wan_on && report.makespan_s > 0.0) {
+  if (wan && report.makespan_s > 0.0) {
     for (int c = 0; c < nclusters; ++c) {
       report.wan_uplink_busy[static_cast<std::size_t>(c)] =
           wan->uplink_busy_s(c) / report.makespan_s;
@@ -1694,7 +1653,7 @@ ServiceReport GridJobService::Engine::finish() {
       metrics->set("dispatch.backfill_hit_rate",
                    static_cast<double>(report.backfilled_jobs) / scans);
     }
-    if (wan_on) {
+    if (wan) {
       for (int c = 0; c < nclusters; ++c) {
         const std::string suffix = ".c" + std::to_string(c);
         metrics->set("wan.uplink_busy_frac" + suffix,
@@ -1793,8 +1752,8 @@ void GridJobService::Engine::visit(V& v) {
   // the comparator, which must already see the restored keys.
   v(free_nodes, down_depth, placeable, trace, policy, pending, running,
     progress, blame_open, blame_totals);
-  v.expect(wan_on, "WAN-contention flag");
-  if (wan_on) v(*wan);
+  v.expect(wan.has_value(), "WAN-contention flag");
+  if (wan) v(*wan);
   // The backend's memo-cache warm set, as (job, placement) exemplars in
   // computation order: loading replays them so every future hit/miss
   // counter and compute event matches the uninterrupted run's.

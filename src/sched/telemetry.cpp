@@ -8,11 +8,7 @@
 #include "simgrid/trace.hpp"
 
 namespace qrgrid::sched {
-namespace {
 
-/// Round-trip double formatting shared by every JSON writer; non-finite
-/// values (never produced by a healthy run) degrade to null rather than
-/// emitting invalid JSON.
 std::string json_num(double v) {
   if (!std::isfinite(v)) return "null";
   std::ostringstream oss;
@@ -20,6 +16,8 @@ std::string json_num(double v) {
   oss << v;
   return oss.str();
 }
+
+namespace {
 
 std::string json_escape(const std::string& s) {
   std::string out;

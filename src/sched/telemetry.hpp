@@ -287,6 +287,12 @@ struct AttemptSpan {
 std::vector<AttemptSpan> attempt_spans(
     const std::vector<ServiceTraceEvent>& events);
 
+/// A double as a JSON number with 17 significant digits (round-trip);
+/// non-finite values, never produced by a healthy run, degrade to null
+/// rather than emitting invalid JSON. The metrics, Chrome-trace and
+/// critical-path JSON writers all format their numbers with it.
+std::string json_num(double v);
+
 /// Chrome-trace JSON (Perfetto loads it directly): per-job lifecycle
 /// spans (wait + one span per attempt) on the "jobs" process, per-site
 /// occupancy spans on the "clusters" process, WAN flow spans on the

@@ -19,9 +19,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <vector>
 
 #include "core/des_algos.hpp"
+#include "sched/outage.hpp"
+#include "sched/telemetry.hpp"
 #include "sched/workload.hpp"
 
 namespace qrgrid::sched {
@@ -259,6 +262,58 @@ TEST(BackendEquivalence, WalltimeKillAbortsTheRealRunMidFactorization) {
                    msg.injected_abort_vtime_s);
   // Killed before the factorization finished: no numerics to report.
   EXPECT_TRUE(std::isnan(msg.outcomes[0].residual));
+}
+
+TEST(BackendEquivalence, MsgExecuteIsTracedInsideEachAttemptEnd) {
+  // Where the real run sits among an attempt's end events: an outage
+  // kill is traced before the aborted run it causes, a completion or a
+  // walltime kill after the run it ends. Per job the end events thus
+  // pair up as (kOutageKill, kExecute), (kExecute, kCompletion) or
+  // (kExecute, kWalltimeKill), one pair per executed attempt.
+  std::vector<Job> jobs = small_workload(12, 73);
+  const GridJobService predictor(small_grid(), model::paper_calibration());
+  assign_walltimes(jobs, 1.3, 73, [&](const Job& job) {
+    return predictor.predicted_seconds(job);
+  });
+  ServiceOptions options =
+      backend_options(BackendKind::kMsgRuntime, Policy::kEasyBackfill);
+  OutageSpec outages;
+  outages.mtbf_s = 0.005;
+  outages.mean_outage_s = 0.0005;
+  outages.seed = 5;
+  options.outages = OutageTrace(outages, small_grid().num_clusters());
+  options.max_retries = 1;
+  ServiceTracer tracer;
+  options.tracer = &tracer;
+  const ServiceReport report = run_backend(
+      BackendKind::kMsgRuntime, Policy::kEasyBackfill, jobs, options);
+  ASSERT_GT(report.completed_jobs, 0);
+  ASSERT_GT(report.walltime_kills, 0);
+  ASSERT_GT(report.outage_kills, 0);
+
+  std::map<int, std::vector<TraceKind>> ends;
+  for (const ServiceTraceEvent& ev : tracer.events()) {
+    if (ev.kind == TraceKind::kOutageKill || ev.kind == TraceKind::kExecute ||
+        ev.kind == TraceKind::kCompletion ||
+        ev.kind == TraceKind::kWalltimeKill) {
+      ends[ev.job].push_back(ev.kind);
+    }
+  }
+  long long pairs = 0;
+  for (const auto& [job, kinds] : ends) {
+    ASSERT_EQ(kinds.size() % 2, 0u) << "job " << job;
+    for (std::size_t i = 0; i < kinds.size(); i += 2, ++pairs) {
+      if (kinds[i] == TraceKind::kOutageKill) {
+        EXPECT_EQ(kinds[i + 1], TraceKind::kExecute) << "job " << job;
+      } else {
+        EXPECT_EQ(kinds[i], TraceKind::kExecute) << "job " << job;
+        EXPECT_TRUE(kinds[i + 1] == TraceKind::kCompletion ||
+                    kinds[i + 1] == TraceKind::kWalltimeKill)
+            << "job " << job;
+      }
+    }
+  }
+  EXPECT_EQ(pairs, report.executed_attempts);
 }
 
 TEST(BackendEquivalence, MsgBackendIsDeterministicAcrossRuns) {

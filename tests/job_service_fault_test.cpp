@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "sched/outage.hpp"
@@ -463,6 +464,70 @@ TEST(FaultService, ZeroCostCheckpointStillBanksCredit) {
   ASSERT_EQ(resumed.outcomes[0].attempts, 2);
   EXPECT_NEAR(resumed.outcomes[0].credited_s, 0.7 * full_s, 1e-9 * full_s);
   EXPECT_NEAR(resumed.outcomes[0].service_s, 0.3 * full_s, 1e-9 * full_s);
+}
+
+TEST(FaultService, KillKindsChargeAlike) {
+  // One job spanning both sites, ended at the same elapsed instant once
+  // by its walltime and once by an outage it may not retry. Both kills
+  // charge the same waste and the same WAN bytes, to the bit, whether
+  // the bytes come from the replay pro rata or from the shared WAN
+  // model's flow. Restart credit is the one difference: only the outage
+  // kill banks panels.
+  const std::vector<Job> jobs = {make_job(0, 0.0, 1 << 21, 64, 8)};
+  const model::Roofline roof = model::paper_calibration();
+  for (const bool contention : {false, true}) {
+    ServiceOptions base;
+    base.wan_contention = contention;
+    base.max_retries = 0;
+    const ServiceReport clean =
+        GridJobService(small_grid(), roof, base).run(jobs);
+    ASSERT_EQ(clean.outcomes[0].clusters.size(), 2u);  // spans the WAN
+    ASSERT_EQ(clean.outcomes[0].start_s, 0.0);
+    // Late enough that the shared model's flow has moved bytes: the
+    // reduction crosses the WAN at the end of the timeline.
+    const double kill_s = 0.95 * clean.outcomes[0].service_s;
+    std::vector<Job> timed = jobs;
+    timed[0].walltime_s = kill_s;
+
+    for (const bool credit : {false, true}) {
+      SCOPED_TRACE(std::string(contention ? "shared WAN" : "replay bytes") +
+                   (credit ? ", restart credit" : ""));
+      ServiceOptions options = base;
+      options.restart_credit = credit;
+      options.checkpoint_panels = 4;
+      const ServiceReport walltime =
+          GridJobService(small_grid(), roof, options).run(timed);
+      options.outages =
+          OutageTrace(std::vector<Outage>{{0, kill_s, kill_s + 1.0}});
+      const ServiceReport outage =
+          GridJobService(small_grid(), roof, options).run(jobs);
+      expect_conserved(walltime, 1, small_grid());
+      expect_conserved(outage, 1, small_grid());
+      const JobOutcome& w = walltime.outcomes[0];
+      const JobOutcome& o = outage.outcomes[0];
+      ASSERT_EQ(w.fate, JobFate::kWalltimeKilled);
+      ASSERT_EQ(o.fate, JobFate::kOutageFailed);
+      EXPECT_EQ(w.finish_s, kill_s);
+      EXPECT_EQ(o.finish_s, kill_s);
+
+      EXPECT_GT(total_wan_bytes(walltime), 0);
+      EXPECT_EQ(walltime.wan_egress_bytes, outage.wan_egress_bytes);
+      EXPECT_EQ(walltime.wan_ingress_bytes, outage.wan_ingress_bytes);
+      EXPECT_EQ(w.credited_s, 0.0);
+      if (!credit) {
+        EXPECT_GT(w.wasted_node_s, 0.0);
+        EXPECT_EQ(o.wasted_node_s, w.wasted_node_s);
+        EXPECT_EQ(outage.wasted_node_seconds, walltime.wasted_node_seconds);
+        EXPECT_EQ(o.credited_s, 0.0);
+      } else {
+        // The outage kill banks the whole panels it reached and wastes
+        // that much less; the walltime kill banks none.
+        EXPECT_GT(o.credited_s, 0.0);
+        EXPECT_LT(o.wasted_node_s, w.wasted_node_s);
+        EXPECT_GT(outage.useful_node_seconds, walltime.useful_node_seconds);
+      }
+    }
+  }
 }
 
 }  // namespace

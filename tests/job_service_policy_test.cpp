@@ -78,7 +78,8 @@ TEST(PolicyTraits, BackfillAndShadowFlags) {
 // the id tail of each comparator is what makes scheduling byte-stable.
 TEST(JobQueue, TieBreakDeterminismAcrossAllPolicies) {
   for (const Policy policy : kAllPolicies) {
-    JobQueue queue(policy);
+    const auto instance = make_policy(policy);
+    JobQueue queue(instance.get());
     for (const int id : {3, 0, 4, 1, 2}) {  // scrambled push order
       queue.push(make_job(id, 1.0, 1 << 17, 64, 4), 10.0);
     }
@@ -122,7 +123,8 @@ class DynamicBackfillPolicy : public EasyBackfillPolicy {
 TEST(JobQueue, ProcsIndexMatchesTheQueueItIndexes) {
   for (const Policy policy : {Policy::kEasyBackfill, Policy::kPriorityEasy}) {
     Rng rng(policy == Policy::kEasyBackfill ? 11 : 13);
-    auto queue = std::make_unique<JobQueue>(policy);
+    const auto instance = make_policy(policy);
+    auto queue = std::make_unique<JobQueue>(instance.get());
     for (int op = 0; op < 4000; ++op) {
       const std::uint64_t kind = rng.uniform_index(10);
       if (kind < 5) {
@@ -148,7 +150,7 @@ TEST(JobQueue, ProcsIndexMatchesTheQueueItIndexes) {
         SnapshotWriter writer;
         queue->visit(writer);
         SnapshotReader reader(writer.bytes());
-        auto restored = std::make_unique<JobQueue>(policy);
+        auto restored = std::make_unique<JobQueue>(instance.get());
         restored->visit(reader);
         queue = std::move(restored);
       }
@@ -158,7 +160,8 @@ TEST(JobQueue, ProcsIndexMatchesTheQueueItIndexes) {
   }
   for (const Policy policy :
        {Policy::kFcfs, Policy::kSpjf, Policy::kFairShare}) {
-    JobQueue queue(policy);
+    const auto instance = make_policy(policy);
+    JobQueue queue(instance.get());
     Rng rng(17);
     for (int id = 0; id < 20; ++id) queue.push(index_job(rng, id), 1.0);
     EXPECT_TRUE(queue.procs_index().empty()) << policy_name(policy);
@@ -198,8 +201,9 @@ TEST(JobQueue, CandidatesPriceWhatAPositionalScanPrices) {
         return mix(~salt, static_cast<std::uint64_t>(id),
                    static_cast<std::uint64_t>(admits)) % 4 == 0;
       };
-      JobQueue scanned(policy);
-      JobQueue merged(policy);
+      const auto instance = make_policy(policy);
+      JobQueue scanned(instance.get());
+      JobQueue merged(instance.get());
       for (int id = 0; id < njobs; ++id) {
         const Job job = index_job(rng, id);
         scanned.push(job, 1.0);

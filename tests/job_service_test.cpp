@@ -73,7 +73,8 @@ TEST(Workload, DifferentSeedsDiffer) {
 }
 
 TEST(JobQueue, FcfsOrdersByPriorityThenArrival) {
-  JobQueue queue(Policy::kFcfs);
+  const auto policy = make_policy(Policy::kFcfs);
+  JobQueue queue(policy.get());
   Job late = make_job(2, 5.0, 1 << 17, 64, 4);
   Job early = make_job(1, 1.0, 1 << 17, 64, 4);
   Job urgent = make_job(3, 9.0, 1 << 17, 64, 4);
@@ -88,7 +89,8 @@ TEST(JobQueue, FcfsOrdersByPriorityThenArrival) {
 }
 
 TEST(JobQueue, SpjfOrdersByPredictedRuntime) {
-  JobQueue queue(Policy::kSpjf);
+  const auto policy = make_policy(Policy::kSpjf);
+  JobQueue queue(policy.get());
   queue.push(make_job(1, 0.0, 1 << 20, 64, 4), 30.0);
   queue.push(make_job(2, 1.0, 1 << 17, 64, 4), 3.0);
   queue.push(make_job(3, 2.0, 1 << 18, 64, 4), 7.0);

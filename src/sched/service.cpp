@@ -40,7 +40,7 @@ constexpr int kMaxGroups = 8;
 /// Snapshot framing (see GridJobService::snapshot). The version bumps on
 /// ANY layout change — restore refuses mismatches instead of misreading.
 const char kSnapshotMagic[] = "QRGS";
-constexpr std::uint32_t kSnapshotVersion = 5;
+constexpr std::uint32_t kSnapshotVersion = 6;
 
 /// Throws qrgrid::Error unless `p` is a placement this topology could
 /// have granted: ascending distinct clusters, each holding 1..capacity
@@ -211,18 +211,11 @@ double GridJobService::predicted_seconds(const Job& job) const {
 // run and an always-0 oracle execute the same statements.
 struct GridJobService::Engine {
   struct Running {
-    double finish_s = 0.0;     ///< natural completion (exact replay)
-    double kill_s = 0.0;       ///< walltime bound; +inf when unlimited
-    double est_finish_s = 0.0; ///< what EASY believes: start + walltime
-                               ///  (or the exact finish when unlimited)
+    double finish_s = 0.0;  ///< natural completion (exact replay)
     int seq = 0;  ///< start order, tie-break for simultaneous events
     Job job;
     Placement placement;
     double start_s = 0.0;
-    /// Credited fraction banked BEFORE this attempt: the attempt covers
-    /// [start_fraction, 1] of the factorization, which is what WAN bytes
-    /// are pro-rated against.
-    double start_fraction = 0.0;
     const ExecutionProfile* replay = nullptr;
     bool backfilled = false;
     /// Flow id in the shared-WAN model; -1 when contention is off.
@@ -230,12 +223,23 @@ struct GridJobService::Engine {
     /// max(finish_s, drain end), resolved by the event loop.
     int flow = -1;
 
+    /// Walltime bound; +inf when unlimited.
+    double kill_s() const {
+      return job.walltime_s > 0.0 ? start_s + job.walltime_s : kInf;
+    }
+    /// What EASY believes: walltimes are per-attempt and enforced, so
+    /// the attempt is over by its walltime bound no matter what (the
+    /// exact finish when unlimited).
+    double est_finish_s() const {
+      return job.walltime_s > 0.0 ? kill_s() : finish_s;
+    }
+
     /// Snapshot field list; `replay` is re-resolved from the backend on
-    /// load.
+    /// load. The credit banked before the attempt is its job's
+    /// Progress::credited_fraction: only the attempt's own end moves it.
     template <class V>
     void visit(V& v) {
-      v(job, finish_s, kill_s, est_finish_s, seq, placement, start_s,
-        start_fraction, backfilled, flow);
+      v(job, finish_s, seq, placement, start_s, backfilled, flow);
     }
   };
 
@@ -285,7 +289,6 @@ struct GridJobService::Engine {
   MetricsRegistry* metrics = nullptr;
   PhaseProfiler* profiler = nullptr;
   bool blame_on = false;
-  bool has_outages = false;
   std::vector<int> free_nodes;
   std::vector<int> down_depth;
   JobQueue pending;
@@ -298,14 +301,13 @@ struct GridJobService::Engine {
   /// promise withdrawn along with the reservation.
   int reserved_job = -1;
   double clock = 0.0;
-  double useful_node_seconds = 0.0;
   double useful_flops_total = 0.0;
   std::size_t next_arrival = 0;
   int seq = 0;
-  /// Free nodes the scheduler may hand out NOW (down clusters masked
-  /// out), maintained incrementally at every grant/release/outage
-  /// boundary, with an ordered index over per-cluster free procs so the
-  /// dispatch loop's feasibility prechecks are O(1) lookups.
+  /// Free nodes the scheduler may hand out NOW (free_nodes with down
+  /// clusters masked out), maintained incrementally at every grant,
+  /// release and outage boundary, with an ordered index over per-cluster
+  /// free procs so the dispatch loop's feasibility prechecks are O(1).
   std::vector<int> placeable;
   std::multiset<long long> placeable_procs_index;
   long long placeable_procs_total = 0;
@@ -322,15 +324,14 @@ struct GridJobService::Engine {
   std::unordered_map<int, BlameOpen> blame_open;
   std::unordered_map<int, std::array<double, kBlameCategoryCount>>
       blame_totals;
-  /// The shadow the LAST dispatch pass promised its blocked head (+inf
-  /// when none was computable) — what the blame classifier replays the
-  /// backfill admission test against.
-  double last_shadow = kInf;
-  /// Backfill admissions of the LAST dispatch pass: each moved every job
-  /// behind it up one queue position, so the blame classifier shifts the
-  /// pass's depth window by this many. Not snapshot state: a snapshot
-  /// sits between steps, and each step classifies after its own pass.
-  int pass_backfills = 0;
+  /// What one dispatch pass hands its step's blame classifier: the
+  /// shadow promised to the blocked head (+inf when none was computable)
+  /// and the backfill admissions, each of which moved every job behind
+  /// it up one queue position.
+  struct Pass {
+    double shadow = kInf;
+    int backfills = 0;
+  };
   /// Placement preference: only wan_aware dispatch consults the WAN
   /// model; feasibility checks and shadow estimates stay naive.
   const GridWanModel* placement_wan = nullptr;
@@ -376,8 +377,9 @@ struct GridJobService::Engine {
            !running.empty();
   }
 
-  /// Rebuilds the placeable-procs index and total from `placeable`.
-  void index_placeable();
+  /// Derives placeable (free_nodes masked by down_depth) and its procs
+  /// index and total.
+  void derive_placeable();
   void set_placeable(int cluster, int nodes);
   void grant_nodes(const Placement& pl);
   void release_nodes(const Placement& pl);
@@ -387,6 +389,10 @@ struct GridJobService::Engine {
   /// filled on a miss by try_place. The pointee lives until the memo is
   /// next cleared — the end of the next start_job at the latest.
   const Placement* place_now(const Job& job);
+  /// Withdraws the reservation holder's outstanding promise.
+  void withdraw_reservation();
+  /// Books dt seconds of `category` blame to the job at t_s.
+  void blame_charge(int job_id, int category, double t_s, double dt);
   void blame_flush(int job_id, double upto_s);
   /// When and how a running attempt ends unless an outage kills it
   /// first: (time, kCompletion) or (time, kWalltimeKill).
@@ -398,8 +404,8 @@ struct GridJobService::Engine {
   /// Grants `placement` and starts the attempt; `placement` may be a
   /// place_now() answer, which start_job invalidates as its last step.
   void start_job(Job job, const Placement& placement, bool backfilled);
-  void dispatch();
-  void classify_waits();
+  Pass dispatch();
+  void classify_waits(const Pass& pass);
   void apply_outage(const OutageEvent& ev);
   /// Ends one attempt, already out of `running`, at end_s: `how` is
   /// kCompletion, kWalltimeKill, or kOutageKill by the failure of
@@ -433,6 +439,8 @@ struct GridJobService::Engine {
   }
 
   void step();
+  /// Samples the step curves over virtual time at the current clock.
+  void sample_series();
   ServiceReport finish();
 
   /// The service's trace-emit path: records an event when a tracer is
@@ -455,9 +463,9 @@ struct GridJobService::Engine {
   /// ahead of it: restore() needs it to construct the Engine).
   template <class V>
   void visit(V& v);
-  /// Snapshot load: range-checks the restored indices and free-node
-  /// state, rebuilds the placeable-procs index, and silently re-warms
-  /// the backend's profile cache from `exemplars`.
+  /// Snapshot load: range-checks the restored indices, times, credit
+  /// and free-node state, derives placeable and its procs index, and
+  /// silently re-warms the backend's profile cache from `exemplars`.
   void rebuild_after_load(const std::vector<ProfileExemplar>& exemplars);
 };
 
@@ -535,7 +543,6 @@ GridJobService::Engine::Engine(GridJobService& service,
   metrics = options.metrics;
   profiler = options.profiler;
   blame_on = options.wait_blame;
-  has_outages = trace.enabled();
   if (wan) {
     wan->set_tracer(tracer);
     wan->set_profiler(profiler);
@@ -543,30 +550,21 @@ GridJobService::Engine::Engine(GridJobService& service,
   if (!quiet) {
     emit(TraceKind::kRunConfig, 0.0, -1,
          (wan ? kTraceConfigWanContention : 0) |
-             (has_outages ? kTraceConfigHasOutages : 0) |
+             (trace.enabled() ? kTraceConfigHasOutages : 0) |
              (policy.backfills() ? kTraceConfigBackfills : 0) |
              (blame_on ? kTraceConfigWaitBlame : 0));
   }
   if (!quiet && metrics != nullptr) {
-    // Series skeleton at t=0: every step curve the loop samples exists
-    // deterministically even when the loop never iterates (an empty
-    // workload), so consumers can rely on the key set. The loop's own
-    // first sample at the same instant overwrites these in place.
-    metrics->sample("queue_depth", 0.0, 0.0);
-    metrics->sample("running_jobs", 0.0, 0.0);
-    if (wan) {
-      for (int c = 0; c < nclusters; ++c) {
-        metrics->sample("wan.uplink_load.c" + std::to_string(c), 0.0, 0.0);
-      }
-      metrics->sample("wan.backbone_load", 0.0, 0.0);
-      metrics->sample("wan.live_flows", 0.0, 0.0);
-    }
+    // Series skeleton at t=0, all zeros: every curve exists even when
+    // the loop never iterates (an empty workload), so consumers can rely
+    // on the key set. The loop's own first sample at the same instant
+    // overwrites these in place.
+    sample_series();
   }
   free_nodes = total_nodes;
   down_depth.assign(static_cast<std::size_t>(nclusters), 0);
   pending.bind_metrics(metrics);
-  placeable = free_nodes;
-  index_placeable();
+  derive_placeable();
   placement_wan = options.wan_aware && wan ? &*wan : nullptr;
 }
 
@@ -688,13 +686,13 @@ double GridJobService::Engine::shadow_time(const Job& head) const {
   by_finish.reserve(running.size());
   std::size_t next_estimate = 0;
   for (const Running& r : running) {
-    double est = r.est_finish_s;
+    double est = r.est_finish_s();
     double drain = 0.0;
     if (priced && r.flow >= 0) {
       drain = drain_estimates[next_estimate++];  // parallel to flow_ids
     }
-    // Walltime-bounded attempts release their nodes at kill_s no matter
-    // how far the drains stretch (the kill caps end_of), so only
+    // Walltime-bounded attempts release their nodes at kill_s() no
+    // matter how far the drains stretch (the kill caps end_of), so only
     // unlimited attempts need their drain estimate priced in.
     if (priced && r.flow >= 0 && r.job.walltime_s <= 0.0) {
       est = std::max(est, drain);
@@ -719,10 +717,12 @@ double GridJobService::Engine::shadow_time(const Job& head) const {
   return kInf;
 }
 
-void GridJobService::Engine::index_placeable() {
+void GridJobService::Engine::derive_placeable() {
+  placeable.resize(free_nodes.size());
   placeable_procs_index.clear();
   placeable_procs_total = 0;
   for (std::size_t c = 0; c < placeable.size(); ++c) {
+    placeable[c] = down_depth[c] == 0 ? free_nodes[c] : 0;
     const long long procs =
         static_cast<long long>(placeable[c]) * cluster_ppn[c];
     placeable_procs_index.insert(procs);
@@ -730,7 +730,7 @@ void GridJobService::Engine::index_placeable() {
   }
 }
 
-// Every placeable[c] mutation goes through here to keep the index true.
+// Every later placeable[c] mutation keeps the index true through here.
 void GridJobService::Engine::set_placeable(int cluster, int nodes) {
   const auto c = static_cast<std::size_t>(cluster);
   const long long before =
@@ -794,17 +794,25 @@ const Placement* GridJobService::Engine::place_now(const Job& job) {
 // exactly; requeued runtime flushes as kRequeuedRerun from the outage
 // path, which closes the partition across retries. Pure observation:
 // nothing here feeds back into a scheduling decision.
+void GridJobService::Engine::blame_charge(int job_id, int category,
+                                          double t_s, double dt) {
+  blame_totals[job_id][static_cast<std::size_t>(category)] += dt;
+  emit(TraceKind::kWaitBlame, t_s, job_id, dt,
+       static_cast<double>(category));
+}
+
 void GridJobService::Engine::blame_flush(int job_id, double upto_s) {
   const auto it = blame_open.find(job_id);
   if (it == blame_open.end()) return;
   const double dt = upto_s - it->second.since_s;
-  if (dt > 0.0) {
-    blame_totals[job_id][static_cast<std::size_t>(it->second.category)] +=
-        dt;
-    emit(TraceKind::kWaitBlame, upto_s, job_id, dt,
-         static_cast<double>(it->second.category));
-  }
+  if (dt > 0.0) blame_charge(job_id, it->second.category, upto_s, dt);
   it->second.since_s = upto_s;
+}
+
+void GridJobService::Engine::withdraw_reservation() {
+  progress[reserved_job].reserved_start_s = kInf;
+  emit(TraceKind::kReservationWithdraw, clock, reserved_job);
+  reserved_job = -1;
 }
 
 // A running attempt's own end. finish_s is the ISOLATED replay end;
@@ -822,8 +830,9 @@ std::pair<double, TraceKind> GridJobService::Engine::end_of(
                  ? std::max(r.finish_s, wan->drained_at_s(r.flow))
                  : kInf;
   }
-  if (finish <= r.kill_s) return {finish, TraceKind::kCompletion};
-  return {r.kill_s, TraceKind::kWalltimeKill};
+  const double kill = r.kill_s();
+  if (finish <= kill) return {finish, TraceKind::kCompletion};
+  return {kill, TraceKind::kWalltimeKill};
 }
 
 // Real execution of one resolved attempt (msg-runtime backend only; a
@@ -942,9 +951,7 @@ void GridJobService::Engine::start_job(Job job, const Placement& placement,
     // be taking the very nodes the promise counted on, so the stale
     // promise is withdrawn. Backfills are exempt: they are sanctioned
     // BY the reservation. The next blocked-head pass re-promises.
-    progress[reserved_job].reserved_start_s = kInf;
-    emit(TraceKind::kReservationWithdraw, clock, reserved_job);
-    reserved_job = -1;
+    withdraw_reservation();
   }
   const ExecutionProfile& replay = backend.profile(job, placement);
   Progress& p = progress[job.id];
@@ -962,26 +969,20 @@ void GridJobService::Engine::start_job(Job job, const Placement& placement,
   grant_nodes(placement);
   Running r;
   r.finish_s = clock + attempt_s;
-  r.kill_s = job.walltime_s > 0.0 ? clock + job.walltime_s : kInf;
-  // The scheduler's belief: walltimes are per-attempt and enforced, so
-  // the attempt is over by start + walltime no matter what.
-  r.est_finish_s =
-      clock + (job.walltime_s > 0.0 ? job.walltime_s : attempt_s);
   r.seq = seq++;
   r.job = std::move(job);
   r.placement = placement;
   r.start_s = clock;
-  r.start_fraction = p.credited_fraction;
   r.replay = &replay;
   r.backfilled = backfilled;
   if (wan) {
     // Register the attempt's WAN demand: per granted cluster one
-    // uplink and one downlink pool (bytes pro-rated to the uncovered
-    // [start_fraction, 1] tail, assuming the link's demand spreads
-    // over its [first_fraction, 1] activity window), plus one backbone
-    // pool carrying every byte once. Each pool activates where the
-    // replay timeline first touches its link, mapped onto the
-    // attempt's wall-clock span.
+    // uplink and one downlink pool (bytes pro-rated to the uncredited
+    // [f0, 1] tail, assuming the link's demand spreads over its
+    // [first_fraction, 1] activity window), plus one backbone pool
+    // carrying every byte once. Each pool activates where the replay
+    // timeline first touches its link, mapped onto the attempt's
+    // wall-clock span.
     const double f0 = p.credited_fraction;
     std::vector<GridWanModel::Pool> pools;
     double backbone_bytes = 0.0;
@@ -1025,7 +1026,7 @@ void GridJobService::Engine::start_job(Job job, const Placement& placement,
   }
   // value: the isolated replay end; value2: what EASY plans with.
   emit(backfilled ? TraceKind::kBackfillStart : TraceKind::kDispatch, clock,
-       r.job.id, r.finish_s, r.est_finish_s, r.flow, -1, &r.placement);
+       r.job.id, r.finish_s, r.est_finish_s(), r.flow, -1, &r.placement);
   if (metrics != nullptr) {
     metrics->add(backfilled ? "dispatch.backfill_admits"
                             : "dispatch.head_starts");
@@ -1036,9 +1037,8 @@ void GridJobService::Engine::start_job(Job job, const Placement& placement,
   placement_memo.clear();
 }
 
-void GridJobService::Engine::dispatch() {
-  last_shadow = kInf;
-  pass_backfills = 0;
+GridJobService::Engine::Pass GridJobService::Engine::dispatch() {
+  Pass pass;
   // Completions, outages, arrivals and WAN drains since the last pass
   // moved the free state.
   placement_memo.clear();
@@ -1054,7 +1054,7 @@ void GridJobService::Engine::dispatch() {
     start_job(pending.pop_front(), *placement, /*backfilled=*/false);
   }
   if (!policy.backfills() || pending.empty() || running.empty()) {
-    return;
+    return pass;
   }
   // EASY family: the blocked head holds a reservation at its shadow
   // time; any later job may start now iff its ESTIMATED completion
@@ -1068,26 +1068,23 @@ void GridJobService::Engine::dispatch() {
   // reservation claimed — the stale promise is withdrawn with it, so
   // the no-delay invariant binds exactly the job holding the shadow.
   if (reserved_job != -1 && reserved_job != pending.front().id) {
-    progress[reserved_job].reserved_start_s = kInf;
-    emit(TraceKind::kReservationWithdraw, clock, reserved_job);
+    withdraw_reservation();
   }
   reserved_job = pending.front().id;
   if (metrics != nullptr) metrics->add("dispatch.shadow_computations");
-  double shadow;
   {
     PhaseScope scope(profiler, ProfilePhase::kShadow);
-    shadow = shadow_time(pending.front());
+    pass.shadow = shadow_time(pending.front());
   }
-  last_shadow = shadow;
   // No computable reservation (the head waits on an outage recovery,
   // not on nodes): backfilling would have no bound and could starve
   // the head indefinitely, so don't.
-  if (shadow == kInf) return;
+  if (pass.shadow == kInf) return pass;
   Progress& head_progress = progress[pending.front().id];
   head_progress.reserved_start_s =
-      std::min(head_progress.reserved_start_s, shadow);
+      std::min(head_progress.reserved_start_s, pass.shadow);
   // value: the promised latest start.
-  emit(TraceKind::kReservationClaim, clock, reserved_job, shadow);
+  emit(TraceKind::kReservationClaim, clock, reserved_job, pass.shadow);
   const bool priced = wan && policy.wan_priced_shadow();
   // The pass's candidates are the first backfill_depth jobs behind the
   // head (all of them at depth 0), each counted as one scan whether the
@@ -1159,15 +1156,16 @@ void GridJobService::Engine::dispatch() {
                                   total_egress / trunk_share);
         }
       }
-      if (clock + estimate <= shadow) {
+      if (clock + estimate <= pass.shadow) {
         start_job(candidates.take(), *placement, /*backfilled=*/true);
         ++report.backfilled_jobs;
-        ++pass_backfills;
+        ++pass.backfills;
       }
     } else {
       candidates.skip_procs();
     }
   }
+  return pass;
 }
 
 // Blame classification pass: AFTER a dispatch pass settles, answer
@@ -1177,7 +1175,7 @@ void GridJobService::Engine::dispatch() {
 // cache dispatch fills (never computed, never counted), so a blame-on
 // run makes identical scheduling decisions, and identical profile
 // traffic, to a blame-off run.
-void GridJobService::Engine::classify_waits() {
+void GridJobService::Engine::classify_waits(const Pass& pass) {
   if (pending.empty()) return;
   bool any_down = false;
   for (int c = 0; c < nclusters; ++c) {
@@ -1194,7 +1192,7 @@ void GridJobService::Engine::classify_waits() {
     if (idx == 0) head = &job;
     BlameCategory category = BlameCategory::kResourceBusy;
     if (idx > 0 && backfills && options.backfill_depth > 0 &&
-        idx + pass_backfills > options.backfill_depth) {
+        idx + pass.backfills > options.backfill_depth) {
       // The bounded scan examined positions 1..depth as they stood when
       // the pass began; its admissions moved everything behind them up,
       // so the unexamined rest now starts at depth + 1 - admissions.
@@ -1223,7 +1221,7 @@ void GridJobService::Engine::classify_waits() {
         // Unreachable — dispatch starts every placeable head — but a
         // defensive fallback beats asserting inside an observer.
         category = BlameCategory::kResourceBusy;
-      } else if (!backfills || last_shadow == kInf) {
+      } else if (!backfills || pass.shadow == kInf) {
         // No reservation bound exists (strict policy, or the head
         // waits on an outage recovery): queue order alone holds the
         // job back — split by WHY the head outranks it.
@@ -1246,12 +1244,12 @@ void GridJobService::Engine::classify_waits() {
                 : attempt_seconds(*replay,
                                   progress[job.id].credited_fraction);
         if (priced && job.walltime_s <= 0.0 &&
-            clock + remaining <= last_shadow) {
+            clock + remaining <= pass.shadow) {
           // The raw replay remainder fits the promise; only the
           // WAN-drain pricing pushed the estimate past it.
           category = BlameCategory::kWanContendedPlacement;
         } else if (job.walltime_s > 0.0 &&
-                   clock + remaining <= last_shadow) {
+                   clock + remaining <= pass.shadow) {
           // The work fits the promise but the user's walltime ask
           // (what EASY must plan with) does not.
           category = BlameCategory::kWalltimeEstimateBlocked;
@@ -1332,6 +1330,8 @@ void GridJobService::Engine::end_attempt(Running& r, TraceKind how,
   const bool outage = how == TraceKind::kOutageKill;
   Progress& p = progress[r.job.id];
   const double held = end_s - r.start_s;
+  // The credit banked before this attempt: only this end moves it, below.
+  const double start_fraction = p.credited_fraction;
   // Fraction of the FULL factorization this attempt covered: its whole
   // uncredited tail when it completes. A kill covers the elapsed share
   // of the attempt's span, capped at the tail: checkpoint overhead
@@ -1340,11 +1340,11 @@ void GridJobService::Engine::end_attempt(Running& r, TraceKind how,
   // done. covered_span_fraction guards the kill-at-start edge: a span
   // collapsed to zero by floating-point absorption must not turn the
   // credit arithmetic into NaN.
-  const double tail = 1.0 - r.start_fraction;
+  const double tail = 1.0 - start_fraction;
   const double covered =
       completed ? tail
                 : covered_span_fraction(held, r.finish_s - r.start_s) * tail;
-  const double through = r.start_fraction + covered;
+  const double through = start_fraction + covered;
   // Replay seconds restart credit keeps. Only an outage kill banks: a
   // walltime kill ends the job for good.
   double banked = 0.0;
@@ -1356,18 +1356,18 @@ void GridJobService::Engine::end_attempt(Running& r, TraceKind how,
     const double reached = std::min(std::floor(through * panels) / panels,
                                     (panels - 1.0) / panels);
     const double gained =
-        std::clamp(reached - r.start_fraction, 0.0, covered);
+        std::clamp(reached - start_fraction, 0.0, covered);
     banked = gained * r.replay->seconds;
     p.credited_fraction += gained;
   }
   const double nodes = static_cast<double>(r.placement.total_nodes);
   if (completed) {
-    useful_node_seconds += nodes * held;
+    report.useful_node_seconds += nodes * held;
     useful_flops_total += model::useful_flops(r.job.m, r.job.n);
   } else {
     p.wasted_node_s += nodes * (held - banked);
     report.wasted_node_seconds += nodes * (held - banked);
-    useful_node_seconds += nodes * banked;
+    report.useful_node_seconds += nodes * banked;
   }
   if (wan) {
     // The shared model knows the bytes the flow really moved.
@@ -1407,10 +1407,8 @@ void GridJobService::Engine::end_attempt(Running& r, TraceKind how,
       // The killed attempt's runtime is wait the job must sit out
       // again — blamed as rerun time, which keeps the categories
       // summing to (final start - arrival) across retries.
-      blame_totals[job.id][static_cast<std::size_t>(
-          BlameCategory::kRequeuedRerun)] += held;
-      emit(TraceKind::kWaitBlame, end_s, job.id, held,
-           static_cast<double>(BlameCategory::kRequeuedRerun));
+      blame_charge(job.id, static_cast<int>(BlameCategory::kRequeuedRerun),
+                   end_s, held);
     }
     emit(TraceKind::kRequeue, end_s, job.id,
          static_cast<double>(p.attempts));
@@ -1478,32 +1476,34 @@ void GridJobService::Engine::step() {
 
   admit_arrivals();
 
+  Pass pass;
   {
     PhaseScope phase(profiler, ProfilePhase::kDispatchScan);
-    dispatch();
+    pass = dispatch();
   }
   if (blame_on) {
     PhaseScope phase(profiler, ProfilePhase::kBlameClassify);
-    classify_waits();
+    classify_waits(pass);
   }
 
-  if (metrics != nullptr) {
-    // Step curves over virtual time, sampled once per event-loop
-    // iteration (the registry drops unchanged consecutive values).
-    metrics->sample("queue_depth", clock,
-                    static_cast<double>(pending.size()));
-    metrics->sample("running_jobs", clock,
-                    static_cast<double>(running.size()));
-    if (wan) {
-      for (int c = 0; c < nclusters; ++c) {
-        metrics->sample("wan.uplink_load.c" + std::to_string(c), clock,
-                        static_cast<double>(wan->load_score(c)));
-      }
-      metrics->sample("wan.backbone_load", clock,
-                      static_cast<double>(wan->backbone_load()));
-      metrics->sample("wan.live_flows", clock,
-                      static_cast<double>(wan->live_flows()));
+  if (metrics != nullptr) sample_series();
+}
+
+// Step curves over virtual time, sampled once per event-loop iteration
+// (the registry drops unchanged consecutive values).
+void GridJobService::Engine::sample_series() {
+  metrics->sample("queue_depth", clock, static_cast<double>(pending.size()));
+  metrics->sample("running_jobs", clock,
+                  static_cast<double>(running.size()));
+  if (wan) {
+    for (int c = 0; c < nclusters; ++c) {
+      metrics->sample("wan.uplink_load.c" + std::to_string(c), clock,
+                      static_cast<double>(wan->load_score(c)));
     }
+    metrics->sample("wan.backbone_load", clock,
+                    static_cast<double>(wan->backbone_load()));
+    metrics->sample("wan.live_flows", clock,
+                    static_cast<double>(wan->live_flows()));
   }
 }
 
@@ -1599,7 +1599,6 @@ ServiceReport GridJobService::Engine::finish() {
                    "job conservation violated: " << report.completed_jobs
                        << " completed + " << report.failed_jobs
                        << " failed != " << jobs.size() << " submitted");
-  report.useful_node_seconds = useful_node_seconds;
   if (wan && report.makespan_s > 0.0) {
     for (int c = 0; c < nclusters; ++c) {
       report.wan_uplink_busy[static_cast<std::size_t>(c)] =
@@ -1637,7 +1636,7 @@ ServiceReport GridJobService::Engine::finish() {
         3600.0;
     report.aggregate_gflops = useful_flops_total / report.makespan_s / 1e9;
     report.utilization =
-        useful_node_seconds /
+        report.useful_node_seconds /
         (static_cast<double>(grid_nodes) * report.makespan_s);
   }
   std::sort(report.outcomes.begin(), report.outcomes.end(),
@@ -1676,42 +1675,29 @@ ServiceReport GridJobService::Engine::finish() {
                    static_cast<double>(wan->rebalance_full_refills()));
     }
     if (blame_on) {
-      // Wait-blame rollups over the sorted outcomes: grid-wide totals
-      // (all categories, zeros included — a stable key set), plus the
-      // nonzero per-user and per-priority-class splits.
-      std::array<double, kBlameCategoryCount> total{};
-      std::map<int, std::array<double, kBlameCategoryCount>> by_user;
-      std::map<int, std::array<double, kBlameCategoryCount>> by_prio;
+      // Wait-blame rollups over the sorted outcomes, by scope: grid-wide
+      // totals (all categories, zeros included — a stable key set), plus
+      // the nonzero per-user and per-priority-class splits.
+      std::map<std::string, std::array<double, kBlameCategoryCount>>
+          rollups{{"total", {}}};
       for (const JobOutcome& o : report.outcomes) {
-        for (int k = 0; k < kBlameCategoryCount; ++k) {
-          const double s = o.blame_s[static_cast<std::size_t>(k)];
-          total[static_cast<std::size_t>(k)] += s;
-          by_user[o.job.user][static_cast<std::size_t>(k)] += s;
-          by_prio[o.job.priority][static_cast<std::size_t>(k)] += s;
+        for (const std::string& scope :
+             {std::string("total"), "user." + std::to_string(o.job.user),
+              "prio." + std::to_string(o.job.priority)}) {
+          auto& per_cat = rollups[scope];
+          for (std::size_t k = 0; k < per_cat.size(); ++k) {
+            per_cat[k] += o.blame_s[k];
+          }
         }
       }
-      for (int k = 0; k < kBlameCategoryCount; ++k) {
-        metrics->set(
-            "blame.total." +
-                blame_category_name(static_cast<BlameCategory>(k)) + "_s",
-            total[static_cast<std::size_t>(k)]);
-      }
-      for (const auto& [user, per_cat] : by_user) {
+      for (const auto& [scope, per_cat] : rollups) {
         for (int k = 0; k < kBlameCategoryCount; ++k) {
-          if (per_cat[static_cast<std::size_t>(k)] <= 0.0) continue;
-          metrics->set(
-              "blame.user." + std::to_string(user) + "." +
-                  blame_category_name(static_cast<BlameCategory>(k)) + "_s",
-              per_cat[static_cast<std::size_t>(k)]);
-        }
-      }
-      for (const auto& [prio, per_cat] : by_prio) {
-        for (int k = 0; k < kBlameCategoryCount; ++k) {
-          if (per_cat[static_cast<std::size_t>(k)] <= 0.0) continue;
-          metrics->set(
-              "blame.prio." + std::to_string(prio) + "." +
-                  blame_category_name(static_cast<BlameCategory>(k)) + "_s",
-              per_cat[static_cast<std::size_t>(k)]);
+          const double s = per_cat[static_cast<std::size_t>(k)];
+          if (s <= 0.0 && scope != "total") continue;
+          metrics->set("blame." + scope + "." +
+                           blame_category_name(static_cast<BlameCategory>(k)) +
+                           "_s",
+                       s);
         }
       }
     }
@@ -1737,21 +1723,23 @@ ServiceReport GridJobService::Engine::finish() {
 // job_service_snapshot_test catches drift).
 template <class V>
 void GridJobService::Engine::visit(V& v) {
-  v(next_arrival, clock, seq, reserved_job, last_shadow,
-    useful_node_seconds, useful_flops_total);
+  v(next_arrival, clock, seq, reserved_job, useful_flops_total);
   // Report fields the event loop mutates; everything else is derived in
   // finish() or fixed by the constructor.
   v(report.outcomes, report.makespan_s, report.backfilled_jobs,
     report.completed_jobs, report.failed_jobs, report.killed_jobs,
     report.walltime_kills, report.outage_kills, report.requeued_jobs,
-    report.wasted_node_seconds, report.wan_egress_bytes,
-    report.wan_ingress_bytes, report.executed_attempts,
-    report.aborted_attempts, report.max_residual, report.max_orthogonality,
-    report.injected_abort_vtime_s, report.measured_abort_vtime_s);
+    report.useful_node_seconds, report.wasted_node_seconds,
+    report.wan_egress_bytes, report.wan_ingress_bytes,
+    report.executed_attempts, report.aborted_attempts, report.max_residual,
+    report.max_orthogonality, report.injected_abort_vtime_s,
+    report.measured_abort_vtime_s);
   // Policy state precedes the queue entries: loading pushes them through
-  // the comparator, which must already see the restored keys.
-  v(free_nodes, down_depth, placeable, trace, policy, pending, running,
-    progress, blame_open, blame_totals);
+  // the comparator, which must already see the restored keys. Nothing
+  // restore can derive is written: placeable is free_nodes masked by
+  // down_depth.
+  v(free_nodes, down_depth, trace, policy, pending, running, progress,
+    blame_open, blame_totals);
   v.expect(wan.has_value(), "WAN-contention flag");
   if (wan) v(*wan);
   // The backend's memo-cache warm set, as (job, placement) exemplars in
@@ -1771,7 +1759,6 @@ void GridJobService::Engine::rebuild_after_load(
     const std::vector<ProfileExemplar>& exemplars) {
   const auto n = static_cast<std::size_t>(nclusters);
   QRGRID_CHECK_MSG(free_nodes.size() == n && down_depth.size() == n &&
-                       placeable.size() == n &&
                        report.wan_egress_bytes.size() == n &&
                        report.wan_ingress_bytes.size() == n,
                    "snapshot cluster count mismatch");
@@ -1781,24 +1768,27 @@ void GridJobService::Engine::rebuild_after_load(
   for (const Running& run : running) {
     check_job(run.job);
     check_placement(run.placement, topology);
-    QRGRID_CHECK_MSG(!std::isnan(run.finish_s) && !std::isnan(run.kill_s) &&
-                         !std::isnan(run.est_finish_s),
+    // The walltime bound and what EASY plans with derive from start_s.
+    QRGRID_CHECK_MSG(std::isfinite(run.start_s) && !std::isnan(run.finish_s),
                      "corrupt snapshot: running job " << run.job.id);
     for (std::size_t i = 0; i < run.placement.clusters.size(); ++i) {
       held_nodes[static_cast<std::size_t>(run.placement.clusters[i])] +=
           run.placement.nodes[i];
     }
   }
+  // Restart credit is whole panels short of the last one, and every
+  // attempt's covered share is measured against it.
+  for (const auto& [id, p] : progress) {
+    QRGRID_CHECK_MSG(p.credited_fraction >= 0.0 && p.credited_fraction < 1.0,
+                     "corrupt snapshot: credit of job " << id);
+  }
   // The free-node state grant, release and outage maintain: each node is
-  // free or held by one running attempt, and placeable masks out down
-  // clusters. try_place scales these counts by procs per node, so
-  // hostile values stop here.
+  // free or held by one running attempt. try_place scales these counts
+  // by procs per node, so hostile values stop here.
   for (std::size_t c = 0; c < n; ++c) {
-    QRGRID_CHECK_MSG(
-        down_depth[c] >= 0 && free_nodes[c] >= 0 &&
-            free_nodes[c] + held_nodes[c] == total_nodes[c] &&
-            placeable[c] == (down_depth[c] == 0 ? free_nodes[c] : 0),
-        "corrupt snapshot: free-node state of cluster " << c);
+    QRGRID_CHECK_MSG(down_depth[c] >= 0 && free_nodes[c] >= 0 &&
+                         free_nodes[c] + held_nodes[c] == total_nodes[c],
+                     "corrupt snapshot: free-node state of cluster " << c);
   }
   for (const ProfileExemplar& e : exemplars) {
     check_job(e.job);
@@ -1819,7 +1809,7 @@ void GridJobService::Engine::rebuild_after_load(
     QRGRID_CHECK_MSG(o.blame_s.size() == blame_len,
                      "corrupt snapshot: outcome blame of job " << o.job.id);
   }
-  index_placeable();
+  derive_placeable();
   // Re-warm the backend's memo cache with telemetry unbound: the
   // restored tracer/metrics already contain the original compute events
   // and counters, so the replays must stay silent — and every future

@@ -769,17 +769,26 @@ void GridWanModel::rebuild_after_load() {
   const auto check = [](bool ok, const char* what) {
     QRGRID_CHECK_MSG(ok, "corrupt WAN snapshot: " << what);
   };
-  for (const Flow& f : flows_) {
+  for (Flow& f : flows_) {
     const std::size_t np = f.pools.size();
     check(f.moved_bytes.size() == np && f.initial_bytes.size() == np &&
               f.rate_Bps.size() == np && f.active.size() == np,
           "flow vector sizes");
-    for (const Pool& p : f.pools) {
+    f.undrained = 0;
+    for (std::size_t j = 0; j < np; ++j) {
+      const Pool& p = f.pools[j];
+      // A rate may be +inf (an infinite link); byte counts drain and sum
+      // into the retired totals, and a NaN never drains.
       check(p.link <= Pool::Link::kBackbone &&
-                (p.link == Pool::Link::kBackbone || in(p.cluster, nc)),
-            "pool link or cluster");
+                (p.link == Pool::Link::kBackbone || in(p.cluster, nc)) &&
+                f.rate_Bps[j] >= 0.0 && !std::isnan(p.activation_s),
+            "pool link, cluster, rate or activation");
+      for (const double b : {p.bytes, f.moved_bytes[j], f.initial_bytes[j]}) {
+        check(std::isfinite(b) && b >= 0.0, "pool bytes");
+      }
+      f.undrained += p.bytes > 0.0 ? 1 : 0;
     }
-    for (const int c : f.counted_clusters) check(in(c, nc), "counted cluster");
+    f.frac_sensitive = compute_frac_sensitive(f);
   }
   for (const int slot : free_slots_) check(in(slot, flows_.size()), "slot");
   check(up_busy_s_.size() == nc && down_busy_s_.size() == nc, "busy sizes");
@@ -788,10 +797,11 @@ void GridWanModel::rebuild_after_load() {
   for (const int slot : live_) {
     check(in(slot, flows_.size()), "live slot");
     const Flow& f = flows_[static_cast<std::size_t>(slot)];
-    check(f.alive, "live slot");
-    slot_of_.emplace(f.id, slot);
+    // Listed once: a repeated flow would drain twice per step.
+    check(f.alive && slot_of_.emplace(f.id, slot).second, "live slot");
   }
   for (const Activation& a : activations_) {
+    check(!std::isnan(a.t_s), "activation time");
     const auto it = slot_of_.find(a.flow);
     if (it == slot_of_.end()) continue;  // retired: discarded lazily
     const Flow& f = flows_[static_cast<std::size_t>(it->second)];
@@ -806,10 +816,7 @@ void GridWanModel::rebuild_after_load() {
   trunk_load_ = 0;
   for (const int slot : live_) {
     Flow& f = flows_[static_cast<std::size_t>(slot)];
-    for (const int c : f.counted_clusters) {
-      ++cluster_load_[static_cast<std::size_t>(c)];
-    }
-    if (f.counted_trunk) ++trunk_load_;
+    count_load(f);
     for (std::size_t j = 0; j < f.active.size(); ++j) {
       if (f.active[j] == 0) continue;
       ++active_pools_;

@@ -260,11 +260,12 @@ class GridWanModel {
   /// incremental engine's per-pool rates/active flags, the dirty-link
   /// list (a pending rebalance fires on resume exactly as it would
   /// have), and counters (so resumed runs reproduce the wan.rebalance.*
-  /// gauges byte-identically). Per-link user counts and load counters
-  /// are derived on load. Loading must target a model freshly
-  /// constructed with the same topology/capacity configuration (the
-  /// cluster count and fairness travel as tags only); scratch buffers
-  /// are rebuilt lazily.
+  /// gauges byte-identically). What the pools imply is derived on load:
+  /// per-flow undrained counts, frac sensitivity and load membership,
+  /// per-link user counts and load counters. Loading must target a model
+  /// freshly constructed with the same topology/capacity configuration
+  /// (the cluster count and fairness travel as tags only); scratch
+  /// buffers are rebuilt lazily.
   template <class V>
   void visit(V& v) {
     v.expect(num_clusters_, "WAN cluster count");
@@ -287,7 +288,7 @@ class GridWanModel {
     /// progressive filling below 1e-12 of the original pool retires
     /// instead of keeping the flow live through degenerate steps.
     std::vector<double> initial_bytes;
-    int undrained = 0;
+    int undrained = 0;  ///< pools with bytes left
     double drained_at_s = 0.0;
     /// Incremental rate engine state, parallel to pools: the cached drain
     /// rate from the last component recompute, and whether the pool is in
@@ -307,8 +308,8 @@ class GridWanModel {
 
     template <class V>
     void visit(V& v) {
-      v(alive, id, pools, moved_bytes, initial_bytes, undrained, drained_at_s,
-        rate_Bps, active, frac_sensitive, counted_clusters, counted_trunk);
+      v(alive, id, pools, moved_bytes, initial_bytes, drained_at_s, rate_Bps,
+        active);
     }
   };
   /// One entry of a demand view: which SLOT's which pool each rate
@@ -360,10 +361,9 @@ class GridWanModel {
   /// Incremental load_score/backbone_load maintenance (both modes).
   void count_load(Flow& flow);
   void uncount_load(Flow& flow);
-  /// Snapshot load: range-checks every restored index (pool links,
-  /// clusters, slots, activation pools, dirty links) and derives
-  /// slot_of_, the per-link user counts, the load counters, and
-  /// dirty_mark_ from the restored flows.
+  /// Snapshot load: range-checks every restored index and number (pool
+  /// links, clusters, bytes, rates and activations, slots, dirty links),
+  /// then derives what visit() leaves out, slot_of_ and dirty_mark_.
   void rebuild_after_load();
 
   int num_clusters_;

@@ -90,7 +90,7 @@ TEST(Check, PassesSilently) {
 TEST(Stopwatch, MeasuresElapsedTime) {
   Stopwatch w;
   volatile double sink = 0.0;
-  for (int i = 0; i < 1000000; ++i) sink += std::sqrt(i);
+  for (int i = 0; i < 1000000; ++i) sink = sink + std::sqrt(i);
   EXPECT_GT(w.seconds(), 0.0);
   const double before_reset = w.seconds();
   w.reset();

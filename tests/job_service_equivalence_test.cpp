@@ -71,8 +71,7 @@ ServiceOptions backend_options(BackendKind kind, Policy policy) {
   return options;
 }
 
-ServiceReport run_backend(BackendKind kind, Policy policy,
-                          const std::vector<Job>& jobs,
+ServiceReport run_backend(BackendKind kind, const std::vector<Job>& jobs,
                           ServiceOptions options) {
   options.backend = kind;
   GridJobService service(small_grid(), model::paper_calibration(), options);
@@ -119,9 +118,9 @@ TEST(BackendEquivalence, IdenticalSchedulingDecisionsOn24Jobs) {
     const ServiceOptions options = backend_options(BackendKind::kDesReplay,
                                                    policy);
     const ServiceReport des =
-        run_backend(BackendKind::kDesReplay, policy, jobs, options);
+        run_backend(BackendKind::kDesReplay, jobs, options);
     const ServiceReport msg =
-        run_backend(BackendKind::kMsgRuntime, policy, jobs, options);
+        run_backend(BackendKind::kMsgRuntime, jobs, options);
     expect_identical_decisions(des, msg);
     // The workload genuinely exercises the scheduler, not just the
     // backends: queues form, and EASY finds backfill holes.
@@ -144,7 +143,7 @@ TEST(BackendEquivalence, MeasuredFinishTimesMatchReplayWithinTolerance) {
   const ServiceOptions options =
       backend_options(BackendKind::kMsgRuntime, Policy::kEasyBackfill);
   const ServiceReport report = run_backend(
-      BackendKind::kMsgRuntime, Policy::kEasyBackfill, jobs, options);
+      BackendKind::kMsgRuntime, jobs, options);
   ASSERT_EQ(report.completed_jobs,
             static_cast<long long>(report.outcomes.size()));
   for (const JobOutcome& o : report.outcomes) {
@@ -164,7 +163,7 @@ TEST(BackendEquivalence, MsgExecutedJobsMeetNumericsGates) {
   const ServiceOptions options =
       backend_options(BackendKind::kMsgRuntime, Policy::kFcfs);
   const ServiceReport report =
-      run_backend(BackendKind::kMsgRuntime, Policy::kFcfs, jobs, options);
+      run_backend(BackendKind::kMsgRuntime, jobs, options);
   for (const JobOutcome& o : report.outcomes) {
     ASSERT_TRUE(o.completed());
     EXPECT_TRUE(std::isfinite(o.residual)) << "job " << o.job.id;
@@ -191,7 +190,7 @@ TEST(BackendEquivalence, InjectedOutageMatchesAcrossBackends) {
   // Probe run (replay backend, no faults): find a mid-run window of a
   // job holding nodes on cluster 0 and drop the cluster inside it.
   const ServiceReport probe =
-      run_backend(BackendKind::kDesReplay, Policy::kFcfs, jobs, options);
+      run_backend(BackendKind::kDesReplay, jobs, options);
   double down_s = -1.0, up_s = -1.0;
   for (const JobOutcome& o : probe.outcomes) {
     const bool on_cluster0 =
@@ -208,9 +207,9 @@ TEST(BackendEquivalence, InjectedOutageMatchesAcrossBackends) {
   options.outages = OutageTrace({Outage{0, down_s, up_s}});
   options.max_retries = 3;
   const ServiceReport des =
-      run_backend(BackendKind::kDesReplay, Policy::kFcfs, jobs, options);
+      run_backend(BackendKind::kDesReplay, jobs, options);
   const ServiceReport msg =
-      run_backend(BackendKind::kMsgRuntime, Policy::kFcfs, jobs, options);
+      run_backend(BackendKind::kMsgRuntime, jobs, options);
 
   // The outage really killed (and requeued) at least one job, and the
   // fate/attempt/waste accounting agrees column for column.
@@ -243,14 +242,14 @@ TEST(BackendEquivalence, WalltimeKillAbortsTheRealRunMidFactorization) {
   ServiceOptions options =
       backend_options(BackendKind::kDesReplay, Policy::kFcfs);
   const ServiceReport probe =
-      run_backend(BackendKind::kDesReplay, Policy::kFcfs, jobs, options);
+      run_backend(BackendKind::kDesReplay, jobs, options);
   ASSERT_EQ(probe.completed_jobs, 1);
   jobs[0].walltime_s = 0.6 * probe.outcomes[0].service_s;
 
   const ServiceReport des =
-      run_backend(BackendKind::kDesReplay, Policy::kFcfs, jobs, options);
+      run_backend(BackendKind::kDesReplay, jobs, options);
   const ServiceReport msg =
-      run_backend(BackendKind::kMsgRuntime, Policy::kFcfs, jobs, options);
+      run_backend(BackendKind::kMsgRuntime, jobs, options);
   expect_identical_decisions(des, msg);
   ASSERT_EQ(msg.walltime_kills, 1);
   EXPECT_EQ(msg.aborted_attempts, 1);
@@ -286,7 +285,7 @@ TEST(BackendEquivalence, MsgExecuteIsTracedInsideEachAttemptEnd) {
   ServiceTracer tracer;
   options.tracer = &tracer;
   const ServiceReport report = run_backend(
-      BackendKind::kMsgRuntime, Policy::kEasyBackfill, jobs, options);
+      BackendKind::kMsgRuntime, jobs, options);
   ASSERT_GT(report.completed_jobs, 0);
   ASSERT_GT(report.walltime_kills, 0);
   ASSERT_GT(report.outage_kills, 0);
@@ -323,10 +322,8 @@ TEST(BackendEquivalence, MsgBackendIsDeterministicAcrossRuns) {
   const std::vector<Job> jobs = small_workload(10, 67);
   const ServiceOptions options =
       backend_options(BackendKind::kMsgRuntime, Policy::kEasyBackfill);
-  const ServiceReport a = run_backend(BackendKind::kMsgRuntime,
-                                      Policy::kEasyBackfill, jobs, options);
-  const ServiceReport b = run_backend(BackendKind::kMsgRuntime,
-                                      Policy::kEasyBackfill, jobs, options);
+  const ServiceReport a = run_backend(BackendKind::kMsgRuntime, jobs, options);
+  const ServiceReport b = run_backend(BackendKind::kMsgRuntime, jobs, options);
   ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
   for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
     EXPECT_EQ(a.outcomes[i].measured_s, b.outcomes[i].measured_s);

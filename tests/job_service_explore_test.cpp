@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -123,6 +124,9 @@ TEST(SnapshotRestore, RoundTripByteIdentityAcrossMatrix) {
     Policy policy;
     WanFairness fairness;
     BackendKind backend;
+    /// Outages, walltimes and restart credit, checkpointed mid-attempt.
+    bool faults = false;
+    int checkpoint_step = 6;
   };
   const std::vector<Config> matrix = {
       {Policy::kFcfs, WanFairness::kEqualSplit, BackendKind::kDesReplay},
@@ -134,11 +138,13 @@ TEST(SnapshotRestore, RoundTripByteIdentityAcrossMatrix) {
       {Policy::kEasyBackfill, WanFairness::kEqualSplit,
        BackendKind::kMsgRuntime},
       {Policy::kFairShare, WanFairness::kMaxMin, BackendKind::kMsgRuntime},
+      {Policy::kFairShare, WanFairness::kMaxMin, BackendKind::kDesReplay,
+       true, 35},
   };
   const simgrid::GridTopology topo = small_grid();
-  const std::vector<Job> jobs = small_workload(12, 23);
   const model::Roofline roof = model::paper_calibration();
   for (const Config& config : matrix) {
+    std::vector<Job> jobs = small_workload(12, 23);
     ServiceOptions base;
     base.policy = config.policy;
     base.wan_contention = true;
@@ -147,9 +153,21 @@ TEST(SnapshotRestore, RoundTripByteIdentityAcrossMatrix) {
     if (config.backend == BackendKind::kMsgRuntime) {
       base.domains_per_cluster = core::kOneDomainPerProcess;
     }
+    if (config.faults) {
+      base.outages = OutageTrace(OutageSpec{0.05, 0.01, 7},
+                                 topo.num_clusters());
+      base.max_retries = 5;
+      base.restart_credit = true;
+      base.checkpoint_panels = 4;
+      const GridJobService probe(topo, roof, base);
+      assign_walltimes(jobs, 1.5, 9, [&probe](const Job& job) {
+        return 4.0 * probe.predicted_seconds(job);
+      });
+    }
     const std::string label = std::string(policy_name(config.policy)) + "/" +
                               wan_fairness_name(config.fairness) + "/" +
-                              backend_name(config.backend);
+                              backend_name(config.backend) +
+                              (config.faults ? "/faults" : "");
 
     ServiceTracer t0;
     MetricsRegistry m0;
@@ -166,7 +184,9 @@ TEST(SnapshotRestore, RoundTripByteIdentityAcrossMatrix) {
     o1.metrics = &m1;
     GridJobService first(topo, roof, o1);
     first.start(jobs);
-    for (int i = 0; i < 6 && first.active(); ++i) first.step();
+    for (int i = 0; i < config.checkpoint_step && first.active(); ++i) {
+      first.step();
+    }
     const std::string checkpoint = first.snapshot();
 
     ServiceTracer t2;
@@ -183,7 +203,71 @@ TEST(SnapshotRestore, RoundTripByteIdentityAcrossMatrix) {
     EXPECT_EQ(summary_row(r0), summary_row(r2)) << label;
     EXPECT_EQ(trace_json(t0), trace_json(t2)) << label;
     EXPECT_EQ(metrics_json(m0), metrics_json(m2)) << label;
+    if (!config.faults) continue;
+    // The row's premise: the checkpoint holds an attempt that started on
+    // banked restart credit (under a walltime, as every job here has
+    // one), and walltime kills come after it.
+    std::map<int, double> banked_s;
+    std::set<int> credited_in_flight;
+    for (const ServiceTraceEvent& ev : t1.events()) {
+      if (ev.kind == TraceKind::kDispatch ||
+          ev.kind == TraceKind::kBackfillStart) {
+        if (banked_s[ev.job] > 0.0) credited_in_flight.insert(ev.job);
+      } else if (ev.kind == TraceKind::kCompletion ||
+                 ev.kind == TraceKind::kWalltimeKill ||
+                 ev.kind == TraceKind::kOutageKill) {
+        if (ev.kind == TraceKind::kOutageKill) banked_s[ev.job] += ev.value2;
+        credited_in_flight.erase(ev.job);
+      }
+    }
+    EXPECT_FALSE(credited_in_flight.empty()) << label;
+    int later_walltime_kills = 0;
+    for (const ServiceTraceEvent& ev : t0.events()) {
+      if (ev.kind == TraceKind::kWalltimeKill && ev.t_s > first.now_s()) {
+        ++later_walltime_kills;
+      }
+    }
+    EXPECT_GT(later_walltime_kills, 0) << label;
   }
+}
+
+TEST(SnapshotRestore, DownClusterStaysMaskedOnResume) {
+  // The checkpoint carries free nodes and outage depths, not what the
+  // scheduler may hand out: restore masks a down cluster's free nodes
+  // itself. Here cluster 1 is down and cluster 0 busy when job 1 queues;
+  // job 2's arrival is the resumed run's first dispatch, which must
+  // still see no room for job 1.
+  const simgrid::GridTopology topo = small_grid();
+  const model::Roofline roof = model::paper_calibration();
+  const std::vector<Job> jobs = {make_job(0, 0.0, 1 << 22, 64, 4),
+                                 make_job(1, 0.2, 4096, 8, 2),
+                                 make_job(2, 0.3, 4096, 8, 2)};
+  ServiceOptions base;
+  base.policy = Policy::kFcfs;
+  base.outages = OutageTrace({Outage{1, 0.1, 1000.0}});
+  ServiceTracer t0;
+  ServiceOptions o0 = base;
+  o0.tracer = &t0;
+  GridJobService uninterrupted(topo, roof, o0);
+  const ServiceReport r0 = uninterrupted.run(jobs);
+  ASSERT_EQ(r0.outcomes.size(), 3u);
+  EXPECT_GT(r0.outcomes[1].start_s, 0.3);  // job 1 waited out the outage
+
+  ServiceTracer t1;
+  ServiceOptions o1 = base;
+  o1.tracer = &t1;
+  GridJobService first(topo, roof, o1);
+  first.start(jobs);
+  while (first.now_s() < 0.2) first.step();  // job 1 has just queued
+  const std::string checkpoint = first.snapshot();
+  ServiceTracer t2;
+  ServiceOptions o2 = base;
+  o2.tracer = &t2;
+  GridJobService second(topo, roof, o2);
+  second.restore(checkpoint);
+  while (second.active()) second.step();
+  EXPECT_EQ(summary_row(second.finish()), summary_row(r0));
+  EXPECT_EQ(trace_json(t2), trace_json(t0));
 }
 
 /// The parts a GridTopology is built from, so a test can change one.

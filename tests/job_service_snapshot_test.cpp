@@ -18,9 +18,12 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/check.hpp"
@@ -144,13 +147,14 @@ TEST(SnapshotFormat, PinnedLengthAndHash) {
     std::uint64_t hash;
   };
   const std::vector<Pin> pins = {
-      // Content, not layout, moved this pin (16955 -> 16863 bytes): the
-      // blame pass no longer computes replays the scheduler never
-      // priced, so the checkpoint no longer carries their exemplars.
-      {easy_case(&tracer, &metrics), 16863, 0x971c665c4526e47eull},
-      {fair_case(), 4010, 0xe27713035fdd02aeull},
-      {prio_case(), 3450, 0x5a805201aabd7096ull},
-      {equal_case(), 3773, 0xa62278446a856533ull},
+      // Version 6 writes no field restore can derive: each running
+      // attempt's walltime bound, EASY estimate and start credit, the
+      // placeable vector, the last pass's shadow, and each WAN flow's
+      // undrained count, frac sensitivity and load membership.
+      {easy_case(&tracer, &metrics), 16815, 0x613b602244132f3full},
+      {fair_case(), 3962, 0xb404ec13c8df4129ull},
+      {prio_case(), 3308, 0x478b8a6031014052ull},
+      {equal_case(), 3649, 0x1b0a762e4a959a53ull},
   };
   for (const Pin& pin : pins) {
     tracer.clear();
@@ -309,11 +313,11 @@ TEST(SnapshotHostileBytes, TraceEventsOffTheGridAreRefused) {
 }
 
 TEST(SnapshotHostileBytes, InconsistentFreeNodeStateIsRefused) {
-  // placeable[c] is free_nodes[c] on an up cluster and 0 on a down one,
-  // and placement scales it by procs per node: a checkpoint breaking
-  // that invariant must be refused, never scheduled from. Right after
-  // start() the three per-cluster vectors are easy to find: free_nodes
-  // and placeable hold every cluster's node count, down_depth zeros.
+  // Each node is free or held by one running attempt, and placement
+  // scales the free counts by procs per node: a checkpoint breaking that
+  // invariant must be refused, never scheduled from. Right after start()
+  // the two per-cluster vectors are easy to find: free_nodes holds every
+  // cluster's node count, down_depth zeros.
   const simgrid::GridTopology topo = simgrid::GridTopology::grid5000(2, 3, 2);
   ServiceOptions options;
   options.policy = Policy::kEasyBackfill;
@@ -321,13 +325,13 @@ TEST(SnapshotHostileBytes, InconsistentFreeNodeStateIsRefused) {
   source.start(workload(6, 1, 3));
   const std::string clean = source.snapshot();
 
-  std::string run;  // three u64-counted int vectors, as the writer lays out
+  std::string run;  // two u64-counted int vectors, as the writer lays out
   const auto put = [&run](auto value) {
     char bytes[sizeof value];
     std::memcpy(bytes, &value, sizeof value);
     run.append(bytes, sizeof value);
   };
-  for (const int value : {3, 0, 3}) {  // free_nodes, down_depth, placeable
+  for (const int value : {3, 0}) {  // free_nodes, down_depth
     put(std::uint64_t{2});
     put(value);
     put(value);
@@ -335,11 +339,11 @@ TEST(SnapshotHostileBytes, InconsistentFreeNodeStateIsRefused) {
   const std::size_t at = clean.find(run);
   ASSERT_NE(at, std::string::npos);
   ASSERT_EQ(clean.rfind(run), at) << "ambiguous free-node run";
-  const std::size_t placeable0 = at + run.size() - 2 * sizeof(int);
+  const std::size_t free0 = at + sizeof(std::uint64_t);
 
   for (const int value : {std::numeric_limits<int>::max(), -1, 3 - 1}) {
     std::string patched = clean;
-    std::memcpy(&patched[placeable0], &value, sizeof value);
+    std::memcpy(&patched[free0], &value, sizeof value);
     GridJobService target(topo, model::paper_calibration(), options);
     bool refused = false;
     try {
@@ -350,7 +354,84 @@ TEST(SnapshotHostileBytes, InconsistentFreeNodeStateIsRefused) {
                 std::string::npos)
           << e.what();
     }
-    EXPECT_TRUE(refused) << "placeable[0] = " << value << " was restored";
+    EXPECT_TRUE(refused) << "free_nodes[0] = " << value << " was restored";
+    if (!refused) continue;
+    target.restore(clean);  // the refusal left no run in flight
+    EXPECT_EQ(target.snapshot(), clean);
+  }
+}
+
+TEST(SnapshotHostileBytes, NonFiniteRunningStartOrBadCreditIsRefused) {
+  // A running attempt's walltime bound and EASY estimate derive from its
+  // start_s, and the share of the factorization an attempt covers from
+  // its job's banked credit: a NaN start, or credit outside [0, 1), must
+  // be refused, never resumed. A traced twin of the run names the
+  // attempts in flight at the pin step with their start and isolated
+  // finish (the start event's value). The last occurrence of the
+  // finish's bit pattern in the checkpoint sits in that attempt's record,
+  // and its start_s is the next occurrence of the start's; the job's
+  // progress entry follows the running list.
+  const PinCase c = fair_case();
+  const std::string clean = pinned_snapshot(c);
+  ServiceTracer tracer;
+  PinCase traced = c;
+  traced.options.tracer = &tracer;
+  pinned_snapshot(traced);
+  std::map<int, std::pair<double, double>> in_flight;  // job -> start, finish
+  std::map<int, int> attempts;
+  std::set<int> killed;
+  for (const ServiceTraceEvent& ev : tracer.events()) {
+    if (ev.kind == TraceKind::kDispatch ||
+        ev.kind == TraceKind::kBackfillStart) {
+      in_flight[ev.job] = {ev.t_s, ev.value};
+      ++attempts[ev.job];
+    } else if (ev.kind == TraceKind::kCompletion ||
+               ev.kind == TraceKind::kWalltimeKill ||
+               ev.kind == TraceKind::kOutageKill) {
+      in_flight.erase(ev.job);
+      if (ev.kind != TraceKind::kCompletion) killed.insert(ev.job);
+    }
+  }
+  const auto bits_of = [](auto value) {
+    std::string bits(sizeof value, '\0');
+    std::memcpy(bits.data(), &value, sizeof value);
+    return bits;
+  };
+  ASSERT_FALSE(in_flight.empty());
+  const auto& [job, span] = *in_flight.begin();
+  const std::size_t finish_at = clean.rfind(bits_of(span.second));
+  ASSERT_NE(finish_at, std::string::npos);
+  const std::size_t start_at =
+      clean.find(bits_of(span.first), finish_at + sizeof(double));
+  ASSERT_NE(start_at, std::string::npos);
+  // Never killed, the job has banked nothing and wasted nothing: its
+  // entry reads (id, attempts, credit 0.0, waste 0.0).
+  ASSERT_EQ(killed.count(job), 0u);
+  const std::size_t entry_at =
+      clean.find(bits_of(job) + bits_of(attempts[job]) + std::string(16, '\0'),
+                 start_at);
+  ASSERT_NE(entry_at, std::string::npos);
+  const std::size_t credit_at = entry_at + 2 * sizeof(int);
+
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::tuple<std::size_t, double, std::string>> patches = {
+      {start_at, kNaN, "running job"},
+      {credit_at, kNaN, "credit"},
+      {credit_at, 1.0, "credit"},
+      {credit_at, -0.25, "credit"}};
+  for (const auto& [at, value, refusal] : patches) {
+    std::string patched = clean;
+    patched.replace(at, sizeof(double), bits_of(value));
+    GridJobService target(c.topo, model::paper_calibration(), c.options);
+    bool refused = false;
+    try {
+      target.restore(patched);
+    } catch (const Error& e) {
+      refused = true;
+      EXPECT_NE(std::string(e.what()).find(refusal), std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(refused) << refusal << " = " << value << " was restored";
     if (!refused) continue;
     target.restore(clean);  // the refusal left no run in flight
     EXPECT_EQ(target.snapshot(), clean);

@@ -10,13 +10,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "sched/service.hpp"
+#include "sched/snapshot.hpp"
 #include "sched/workload.hpp"
 
 namespace qrgrid::sched {
@@ -408,6 +411,146 @@ TEST(WanModelIncremental, SameInstantEventsCoalesceIntoOneRebalance) {
   EXPECT_LE(wan.rebalance_full_refills(), wan.rebalance_recomputes());
   wan.advance(0.0, 18.0);
   EXPECT_TRUE(wan.drained(b));
+}
+
+TEST(WanModelSnapshot, NonFiniteOrNegativeNumbersAreRefused) {
+  // A pool whose bytes are NaN never drains (next_event_s answers the
+  // next representable instant forever), and restored byte counts and
+  // rates feed the drain arithmetic and the retired byte totals: restore
+  // refuses them. Mid-run, each number below has a bit pattern found
+  // where the writer lays it out (flows first, the calendar after).
+  GridWanModel wan(2, 100.0, 200.0);
+  wan.admit(0.0, {make_pool(Link::kUplink, 0, 1000.0, 0.0),
+                  make_pool(Link::kDownlink, 1, 850.0, 1.0),
+                  make_pool(Link::kUplink, 1, 500.0, 10.0)});
+  ASSERT_DOUBLE_EQ(wan.next_event_s(0.0), 1.0);
+  wan.advance(0.0, 1.0);
+  wan.advance(1.0, 3.0);
+  SnapshotWriter w;
+  w(wan);
+  const std::string clean = w.bytes();
+  const auto bits_of = [](double value) {
+    std::string bits(sizeof value, '\0');
+    std::memcpy(bits.data(), &value, sizeof value);
+    return bits;
+  };
+  const auto restore = [](const std::string& bytes) {
+    GridWanModel fresh(2, 100.0, 200.0);
+    SnapshotReader r(bytes);
+    r(fresh);
+    return fresh;
+  };
+  EXPECT_EQ(restore(clean).next_event_s(3.0), 9.5);  // the clean state loads
+
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Patch {
+    const char* what;
+    double from;
+    int occurrence;  ///< which occurrence of `from`'s bit pattern
+    double to;
+    bool refused;
+  };
+  const std::vector<Patch> patches = {
+      {"pool bytes", 700.0, 0, kNaN, true},
+      {"pool bytes", 700.0, 0, kInf, true},
+      {"pool bytes", 700.0, 0, -1.0, true},
+      {"moved bytes", 300.0, 0, kNaN, true},
+      {"initial bytes", 1000.0, 0, -kInf, true},
+      {"rate", 100.0, 0, kNaN, true},
+      {"rate", 100.0, 0, -1.0, true},
+      {"rate", 100.0, 0, kInf, false},  // an infinite link's rate
+      {"pool activation", 10.0, 0, kNaN, true},
+      {"calendar activation", 10.0, 1, kNaN, true},
+  };
+  for (const Patch& p : patches) {
+    std::size_t at = clean.find(bits_of(p.from));
+    for (int k = 0; k < p.occurrence && at != std::string::npos; ++k) {
+      at = clean.find(bits_of(p.from), at + 1);
+    }
+    ASSERT_NE(at, std::string::npos) << p.what;
+    std::string patched = clean;
+    patched.replace(at, sizeof(double), bits_of(p.to));
+    if (p.refused) {
+      EXPECT_THROW(restore(patched), Error) << p.what << " = " << p.to;
+    } else {
+      EXPECT_NO_THROW(restore(patched)) << p.what << " = " << p.to;
+    }
+  }
+}
+
+TEST(WanModelSnapshot, LiveListNamingAFlowTwiceIsRefused) {
+  // The live list drives every drain: a flow named twice drains twice per
+  // step and retires with more bytes than its link carried.
+  GridWanModel wan(2, 100.0, 200.0);
+  wan.admit(0.0, {make_pool(Link::kUplink, 0, 1000.0, 0.0)});
+  wan.admit(0.0, {make_pool(Link::kUplink, 1, 800.0, 0.0)});
+  wan.advance(0.0, 1.0);
+  SnapshotWriter w;
+  w(wan);
+  const std::string clean = w.bytes();
+  const auto bits_of = [](auto value) {
+    std::string bits(sizeof value, '\0');
+    std::memcpy(bits.data(), &value, sizeof value);
+    return bits;
+  };
+  const std::size_t at =
+      clean.find(bits_of(std::uint64_t{2}) + bits_of(0) + bits_of(1));
+  ASSERT_NE(at, std::string::npos);
+  for (const int first : {0, 1}) {  // live list [0, 0], then [1, 1]
+    std::string patched = clean;
+    patched.replace(at + sizeof(std::uint64_t) + (1 - first) * sizeof(int),
+                    sizeof(int), bits_of(first));
+    GridWanModel fresh(2, 100.0, 200.0);
+    SnapshotReader r(patched);
+    EXPECT_THROW(r(fresh), Error) << "slot " << first << " twice";
+  }
+}
+
+TEST(WanModelSnapshot, RestoredModelContinuesIdentically) {
+  // Restore derives what the checkpoint no longer carries: each flow's
+  // undrained count, frac sensitivity and load membership. A restored
+  // copy must then follow the original step for step. Flow a's two
+  // uplink pools share the max-min trunk (frac-sensitive); flow b's
+  // uplink pool is still pending, yet counts toward the load. Every
+  // other step stops halfway to the next event, where no pool drains or
+  // activates and only frac sensitivity re-dirties the trunk.
+  for (const WanFairness fairness :
+       {WanFairness::kEqualSplit, WanFairness::kMaxMin}) {
+    GridWanModel wan(3, 100.0, 150.0, fairness);
+    wan.admit(0.0, {make_pool(Link::kUplink, 0, 900.0, 0.0),
+                    make_pool(Link::kUplink, 1, 300.0, 0.0),
+                    make_pool(Link::kDownlink, 2, 400.0, 0.0),
+                    make_pool(Link::kBackbone, -1, 1200.0, 0.0)});
+    wan.admit(0.0, {make_pool(Link::kDownlink, 0, 500.0, 0.0),
+                    make_pool(Link::kUplink, 2, 600.0, 20.0)});
+    wan.advance(0.0, 1.0);
+    SnapshotWriter w;
+    w(wan);
+    GridWanModel restored(3, 100.0, 150.0, fairness);
+    SnapshotReader r(w.bytes());
+    r(restored);
+    const std::string label = wan_fairness_name(fairness);
+    double now = 1.0;
+    for (int i = 0;; ++i) {
+      for (int c = 0; c < 3; ++c) {
+        EXPECT_EQ(restored.load_score(c), wan.load_score(c)) << label;
+      }
+      EXPECT_EQ(restored.backbone_load(), wan.backbone_load()) << label;
+      const double next = wan.next_event_s(now);
+      ASSERT_EQ(restored.next_event_s(now), next) << label << " step " << i;
+      if (next == std::numeric_limits<double>::infinity()) break;
+      const double to = i % 2 == 0 ? now + (next - now) / 2.0 : next;
+      wan.advance(now, to);
+      restored.advance(now, to);
+      now = to;
+    }
+    SnapshotWriter original_end;
+    SnapshotWriter restored_end;
+    original_end(wan);
+    restored_end(restored);
+    EXPECT_EQ(restored_end.bytes(), original_end.bytes()) << label;
+  }
 }
 
 // --- Service level ------------------------------------------------------

@@ -48,6 +48,21 @@ std::string backend_name(BackendKind kind) {
   throw Error("unreachable backend kind");
 }
 
+void check_placement(const Placement& p, const simgrid::GridTopology& topo) {
+  QRGRID_CHECK_MSG(!p.clusters.empty() && p.clusters.size() == p.nodes.size(),
+                   "corrupt snapshot: placement shape");
+  int total = 0;
+  for (std::size_t i = 0; i < p.clusters.size(); ++i) {
+    const int c = p.clusters[i];
+    QRGRID_CHECK_MSG((i == 0 ? c >= 0 : c > p.clusters[i - 1]) &&
+                         c < topo.num_clusters() && p.nodes[i] >= 1 &&
+                         p.nodes[i] <= topo.cluster(c).nodes,
+                     "corrupt snapshot: placement on cluster " << c);
+    total += p.nodes[i];
+  }
+  QRGRID_CHECK_MSG(total == p.total_nodes, "corrupt snapshot: placement total");
+}
+
 namespace {
 
 /// Topology of the granted nodes (clusters in ascending master id) —
@@ -80,11 +95,7 @@ simgrid::GridTopology placement_topology(const simgrid::GridTopology& master,
 ExecutionBackend::ExecutionBackend(const simgrid::GridTopology& topology,
                                    const model::Roofline& roofline,
                                    const ServiceOptions& options)
-    : topology_(topology),
-      roofline_(roofline),
-      options_(options),
-      tracer_(options.tracer),
-      metrics_(options.metrics) {}
+    : topology_(topology), roofline_(roofline), options_(options) {}
 
 bool ExecutionBackend::executes() const {
   return options_.backend == BackendKind::kMsgRuntime;
@@ -92,16 +103,28 @@ bool ExecutionBackend::executes() const {
 
 const ExecutionProfile& ExecutionBackend::profile(const Job& job,
                                                   const Placement& placement) {
-  ProfileKey key{job.m, job.n, job.tree, placement.clusters, placement.nodes};
+  ProfileKey key{job.m, job.n, job.tree, placement};
   const auto cached = profile_cache_.find(key);
+  MetricsRegistry* metrics = options_.metrics;
   if (cached != profile_cache_.end()) {
-    if (metrics_ != nullptr) metrics_->add("backend.profile_hits");
+    if (metrics != nullptr) metrics->add("backend.profile_hits");
     return cached->second;
   }
-  if (metrics_ != nullptr) metrics_->add("backend.profile_misses");
+  if (metrics != nullptr) metrics->add("backend.profile_misses");
+  ExecutionProfile computed = compute(key);
+  const ExecutionProfile& entry =
+      profile_cache_.emplace(std::move(key), std::move(computed))
+          .first->second;
+  if (options_.tracer != nullptr) {
+    options_.tracer->emit(TraceKind::kProfileCompute,
+                          options_.tracer->now_s(), job.id, entry.seconds);
+  }
+  return entry;
+}
 
+ExecutionProfile ExecutionBackend::compute(const ProfileKey& key) const {
   const simgrid::GridTopology granted =
-      placement_topology(topology_, placement);
+      placement_topology(topology_, key.placement);
 
   int domains = options_.domains_per_cluster;
   if (domains == 0) {
@@ -112,21 +135,20 @@ const ExecutionProfile& ExecutionBackend::profile(const Job& job,
     for (int c = 1; c < granted.num_clusters(); ++c) {
       min_procs = std::min(min_procs, granted.cluster(c).procs());
     }
-    domains = std::min(min_procs, job.n <= 128 ? 64 : 16);
+    domains = std::min(min_procs, key.n <= 128 ? 64 : 16);
   }
 
   simgrid::DesEngine engine(&granted, roofline_);
   engine.set_wan_aggregate_Bps(options_.wan_link_Bps);
   const core::DomainLayout layout =
       core::make_domain_layout(granted, domains);
-  core::des_tsqr(engine, layout.groups, layout.domain_cluster, job.m, job.n,
-                 job.tree, /*form_q=*/false);
+  core::des_tsqr(engine, layout.groups, layout.domain_cluster, key.m, key.n,
+                 key.tree, /*form_q=*/false);
 
   ExecutionProfile profile;
   profile.seconds = engine.makespan();
   profile.gflops =
-      model::useful_flops(job.m, job.n) / profile.seconds / 1e9;
-  profile.compute_utilization = engine.compute_utilization();
+      model::useful_flops(key.m, key.n) / profile.seconds / 1e9;
   // Per-phase WAN demand: the first instant a transfer claims each
   // cluster's uplink or downlink, as a fraction of the replay — the
   // compute prefix the shared-WAN model lets pass contention-free (1.0
@@ -146,24 +168,39 @@ const ExecutionProfile& ExecutionBackend::profile(const Job& job,
     profile.ingress_first_fraction.push_back(
         first_fraction(engine.first_ingress_s(c)));
   }
-  const ExecutionProfile& entry =
-      profile_cache_.emplace(std::move(key), std::move(profile)).first->second;
-  // Exemplar for snapshot pre-warm: the entry above is a pure function of
-  // (job shape, placement, service options), so replaying this pair
-  // recomputes exactly this cache entry.
-  exemplars_.push_back(ProfileExemplar{job, placement});
-  if (tracer_ != nullptr) {
-    tracer_->emit(TraceKind::kProfileCompute, tracer_->now_s(), job.id,
-                  entry.seconds);
-  }
-  return entry;
+  return profile;
 }
 
 const ExecutionProfile* ExecutionBackend::find_profile(
     const Job& job, const Placement& placement) const {
-  const auto cached = profile_cache_.find(
-      ProfileKey{job.m, job.n, job.tree, placement.clusters, placement.nodes});
+  const auto cached =
+      profile_cache_.find(ProfileKey{job.m, job.n, job.tree, placement});
   return cached == profile_cache_.end() ? nullptr : &cached->second;
+}
+
+std::vector<ExecutionBackend::ProfileKey> ExecutionBackend::profile_keys()
+    const {
+  std::vector<ProfileKey> keys;
+  keys.reserve(profile_cache_.size());
+  for (const auto& [key, profile] : profile_cache_) keys.push_back(key);
+  return keys;
+}
+
+void ExecutionBackend::warm(const std::vector<ProfileKey>& keys) {
+  for (const ProfileKey& key : keys) {
+    // The shape check_job admits: des_tsqr replays it.
+    QRGRID_CHECK_MSG(key.m >= key.n && key.n >= 1 &&
+                         key.tree >= core::TreeKind::kFlat &&
+                         key.tree <= core::TreeKind::kGridHierarchical,
+                     "corrupt snapshot: profile key of shape "
+                         << key.m << " x " << key.n);
+    check_placement(key.placement, topology_);
+  }
+  for (const ProfileKey& key : keys) {
+    if (!profile_cache_.contains(key)) {
+      profile_cache_.emplace(key, compute(key));
+    }
+  }
 }
 
 ExecutionResult ExecutionBackend::execute(const Job& job,
@@ -232,13 +269,13 @@ ExecutionResult ExecutionBackend::execute(const Job& job,
     result.aborted = true;
   }
   auto note_execution = [&](const ExecutionResult& r) {
-    if (metrics_ != nullptr) {
-      metrics_->add("backend.executions");
-      if (r.aborted) metrics_->add("backend.aborted_executions");
+    if (options_.metrics != nullptr) {
+      options_.metrics->add("backend.executions");
+      if (r.aborted) options_.metrics->add("backend.aborted_executions");
     }
-    if (tracer_ != nullptr) {
-      tracer_->emit(TraceKind::kExecute, tracer_->now_s(), job.id,
-                    r.measured_s, r.aborted ? 1.0 : 0.0);
+    if (options_.tracer != nullptr) {
+      options_.tracer->emit(TraceKind::kExecute, options_.tracer->now_s(),
+                            job.id, r.measured_s, r.aborted ? 1.0 : 0.0);
     }
   };
   if (result.aborted) {

@@ -39,8 +39,6 @@
 
 namespace qrgrid::sched {
 
-class MetricsRegistry;
-class ServiceTracer;
 struct ServiceOptions;
 
 /// Nodes granted to one job, parallel arrays over the clusters used
@@ -51,9 +49,17 @@ struct Placement {
   std::vector<int> nodes;
   int total_nodes = 0;
 
+  auto operator<=>(const Placement&) const = default;
+
   template <class V>
   void visit(V& v) { v(clusters, nodes, total_nodes); }
 };
+
+/// Throws qrgrid::Error unless `p` is a placement this topology could
+/// have granted: ascending distinct clusters, each holding 1..capacity
+/// nodes, summing to total_nodes. Restored placements index per-cluster
+/// arrays and build replay topologies, so hostile bytes stop here.
+void check_placement(const Placement& p, const simgrid::GridTopology& topo);
 
 /// Cached performance profile of one (shape x placement) combination —
 /// everything the service needs to advance virtual time, account WAN
@@ -61,7 +67,6 @@ struct Placement {
 struct ExecutionProfile {
   double seconds = 0.0;
   double gflops = 0.0;
-  double compute_utilization = 0.0;
   std::vector<long long> egress_bytes;   ///< per placement cluster
   std::vector<long long> ingress_bytes;  ///< per placement cluster
   /// Fraction of the replay timeline before the first transfer leaves
@@ -96,20 +101,6 @@ enum class BackendKind {
 BackendKind backend_of(const std::string& name);
 std::string backend_name(BackendKind kind);
 
-/// One profile-cache MISS, recorded in computation order: the (job
-/// shape, placement) pair whose profile the backend had to compute. A
-/// restored service replays these through profile() with telemetry
-/// unbound, silently pre-warming the cache so every FUTURE hit/miss
-/// counter and kProfileCompute event matches the uninterrupted run's
-/// byte-for-byte.
-struct ProfileExemplar {
-  Job job;
-  Placement placement;
-
-  template <class V>
-  void visit(V& v) { v(job, placement); }
-};
-
 /// How granted attempts run. profile() is what the service schedules and
 /// accounts with — the same for both kinds (see the header comment);
 /// execute() is the kMsgRuntime kind's real run. Borrows the owning
@@ -117,6 +108,22 @@ struct ProfileExemplar {
 /// run's configuration, read where it is used.
 class ExecutionBackend {
  public:
+  /// Profile-cache key: the job's shape and its canonical placement,
+  /// compared exactly (m too — no rounding). The options that also
+  /// shape a replay (domains_per_cluster, wan_link_Bps, ...) are the
+  /// borrowed service's, fixed for this backend's lifetime.
+  struct ProfileKey {
+    double m = 0.0;
+    int n = 0;
+    core::TreeKind tree = core::TreeKind::kFlat;
+    Placement placement;
+
+    auto operator<=>(const ProfileKey&) const = default;
+
+    template <class V>
+    void visit(V& v) { v(m, n, tree, placement); }
+  };
+
   ExecutionBackend(const simgrid::GridTopology& topology,
                    const model::Roofline& roofline,
                    const ServiceOptions& options);
@@ -126,7 +133,8 @@ class ExecutionBackend {
   /// result plumbing on the hot path).
   bool executes() const;
 
-  /// Memoized performance profile of the job on its granted nodes.
+  /// Memoized performance profile of the job on its granted nodes,
+  /// reporting the cache traffic to the service's tracer and metrics.
   /// The reference stays valid for the backend's lifetime.
   const ExecutionProfile& profile(const Job& job, const Placement& placement);
 
@@ -145,44 +153,26 @@ class ExecutionBackend {
   ExecutionResult execute(const Job& job, const Placement& placement,
                           double abort_vtime_s);
 
-  /// Observability seam: the service's (optional) tracer and metrics,
-  /// bound at construction, through which the backend reports
-  /// profile-cache traffic and real executions. The restore path unbinds
-  /// them (nulls) while it re-warms the cache; nothing here may influence
-  /// a profile or an execution.
-  void bind_telemetry(ServiceTracer* tracer, MetricsRegistry* metrics) {
-    tracer_ = tracer;
-    metrics_ = metrics;
-  }
-
-  /// Snapshot seam: every cache miss this backend ever computed, in
-  /// order.
-  const std::vector<ProfileExemplar>& profile_exemplars() const {
-    return exemplars_;
-  }
+  /// Snapshot seam: the cached profiles' keys, in key order.
+  std::vector<ProfileKey> profile_keys() const;
+  /// Snapshot load: validates every key (a well-formed shape, a
+  /// placement this grid could grant), then computes each profile not
+  /// cached yet. Silently: the restored telemetry already holds the
+  /// original compute events and counters, and every later profile()
+  /// call hits or misses as the uninterrupted run's would.
+  void warm(const std::vector<ProfileKey>& keys);
 
  private:
-  /// Profile-cache key: the job's shape and its canonical placement,
-  /// compared exactly (m too — no rounding). The options that also
-  /// shape a replay (domains_per_cluster, wan_link_Bps, ...) are the
-  /// borrowed service's, fixed for this backend's lifetime.
-  struct ProfileKey {
-    double m = 0.0;
-    int n = 0;
-    core::TreeKind tree = core::TreeKind::kFlat;
-    std::vector<int> clusters;
-    std::vector<int> nodes;
-
-    auto operator<=>(const ProfileKey&) const = default;
-  };
+  /// The replay behind one cache entry: a pure function of the key and
+  /// the borrowed configuration, reporting nothing.
+  ExecutionProfile compute(const ProfileKey& key) const;
 
   const simgrid::GridTopology& topology_;
   const model::Roofline& roofline_;
+  /// Also the telemetry sinks (tracer, metrics) the backend reports
+  /// through; nothing reported may influence a profile or an execution.
   const ServiceOptions& options_;
-  ServiceTracer* tracer_ = nullptr;
-  MetricsRegistry* metrics_ = nullptr;
   std::map<ProfileKey, ExecutionProfile> profile_cache_;
-  std::vector<ProfileExemplar> exemplars_;  ///< cache misses, in order
 };
 
 }  // namespace qrgrid::sched

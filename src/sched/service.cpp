@@ -40,26 +40,7 @@ constexpr int kMaxGroups = 8;
 /// Snapshot framing (see GridJobService::snapshot). The version bumps on
 /// ANY layout change — restore refuses mismatches instead of misreading.
 const char kSnapshotMagic[] = "QRGS";
-constexpr std::uint32_t kSnapshotVersion = 6;
-
-/// Throws qrgrid::Error unless `p` is a placement this topology could
-/// have granted: ascending distinct clusters, each holding 1..capacity
-/// nodes, summing to total_nodes. Restored placements index per-cluster
-/// arrays and build replay topologies, so hostile bytes stop here.
-void check_placement(const Placement& p, const simgrid::GridTopology& topo) {
-  QRGRID_CHECK_MSG(!p.clusters.empty() && p.clusters.size() == p.nodes.size(),
-                   "corrupt snapshot: placement shape");
-  int total = 0;
-  for (std::size_t i = 0; i < p.clusters.size(); ++i) {
-    const int c = p.clusters[i];
-    QRGRID_CHECK_MSG((i == 0 ? c >= 0 : c > p.clusters[i - 1]) &&
-                         c < topo.num_clusters() && p.nodes[i] >= 1 &&
-                         p.nodes[i] <= topo.cluster(c).nodes,
-                     "corrupt snapshot: placement on cluster " << c);
-    total += p.nodes[i];
-  }
-  QRGRID_CHECK_MSG(total == p.total_nodes, "corrupt snapshot: placement total");
-}
+constexpr std::uint32_t kSnapshotVersion = 7;
 
 /// Throws qrgrid::Error unless a restored trace event is one the service
 /// could have recorded on a grid of `nclusters`: a known kind, and
@@ -464,9 +445,11 @@ struct GridJobService::Engine {
   template <class V>
   void visit(V& v);
   /// Snapshot load: range-checks the restored indices, times, credit
-  /// and free-node state, derives placeable and its procs index, and
-  /// silently re-warms the backend's profile cache from `exemplars`.
-  void rebuild_after_load(const std::vector<ProfileExemplar>& exemplars);
+  /// and free-node state, derives placeable and its procs index, warms
+  /// the backend's profile cache with `keys`, and re-resolves each
+  /// running attempt's replay there.
+  void rebuild_after_load(
+      const std::vector<ExecutionBackend::ProfileKey>& keys);
 };
 
 GridJobService::Engine::Engine(GridJobService& service,
@@ -824,12 +807,8 @@ void GridJobService::Engine::withdraw_reservation() {
 // exactly on its walltime completes.
 std::pair<double, TraceKind> GridJobService::Engine::end_of(
     const Running& r) const {
-  double finish = r.finish_s;
-  if (wan) {
-    finish = wan->drained(r.flow)
-                 ? std::max(r.finish_s, wan->drained_at_s(r.flow))
-                 : kInf;
-  }
+  const double finish =
+      wan ? std::max(r.finish_s, wan->drained_at_s(r.flow)) : r.finish_s;
   const double kill = r.kill_s();
   if (finish <= kill) return {finish, TraceKind::kCompletion};
   return {kill, TraceKind::kWalltimeKill};
@@ -912,6 +891,9 @@ void GridJobService::Engine::record_outcome(Running& r, double end_s,
           static_cast<std::size_t>(kBlameCategoryCount), 0.0);
     }
   }
+  // The outcome is the job's last record: nothing reads these again.
+  progress.erase(r.job.id);
+  blame_totals.erase(r.job.id);
   outcome.job = std::move(r.job);
   if (metrics != nullptr) {
     // Wait and slowdown distributions per user and priority class —
@@ -1742,21 +1724,21 @@ void GridJobService::Engine::visit(V& v) {
     blame_open, blame_totals);
   v.expect(wan.has_value(), "WAN-contention flag");
   if (wan) v(*wan);
-  // The backend's memo-cache warm set, as (job, placement) exemplars in
-  // computation order: loading replays them so every future hit/miss
-  // counter and compute event matches the uninterrupted run's.
-  std::vector<ProfileExemplar> exemplars;
-  if constexpr (!V::kLoading) exemplars = backend.profile_exemplars();
-  v(exemplars);
+  // The backend's profile cache as its key set: loading computes the
+  // profiles again, so every future hit/miss counter and compute event
+  // matches the uninterrupted run's.
+  std::vector<ExecutionBackend::ProfileKey> profile_keys;
+  if constexpr (!V::kLoading) profile_keys = backend.profile_keys();
+  v(profile_keys);
   v.expect(tracer != nullptr, "tracer presence");
   if (tracer != nullptr) v(*tracer);
   v.expect(metrics != nullptr, "metrics presence");
   if (metrics != nullptr) v(*metrics);
-  if constexpr (V::kLoading) rebuild_after_load(exemplars);
+  if constexpr (V::kLoading) rebuild_after_load(profile_keys);
 }
 
 void GridJobService::Engine::rebuild_after_load(
-    const std::vector<ProfileExemplar>& exemplars) {
+    const std::vector<ExecutionBackend::ProfileKey>& keys) {
   const auto n = static_cast<std::size_t>(nclusters);
   QRGRID_CHECK_MSG(free_nodes.size() == n && down_depth.size() == n &&
                        report.wan_egress_bytes.size() == n &&
@@ -1771,6 +1753,14 @@ void GridJobService::Engine::rebuild_after_load(
     // The walltime bound and what EASY plans with derive from start_s.
     QRGRID_CHECK_MSG(std::isfinite(run.start_s) && !std::isnan(run.finish_s),
                      "corrupt snapshot: running job " << run.job.id);
+    // Its replay is found among the keys warmed below, before any is
+    // computed (written in key order; out of order they only refuse).
+    QRGRID_CHECK_MSG(std::binary_search(keys.begin(), keys.end(),
+                                        ExecutionBackend::ProfileKey{
+                                            run.job.m, run.job.n,
+                                            run.job.tree, run.placement}),
+                     "corrupt snapshot: no profile for running job "
+                         << run.job.id);
     for (std::size_t i = 0; i < run.placement.clusters.size(); ++i) {
       held_nodes[static_cast<std::size_t>(run.placement.clusters[i])] +=
           run.placement.nodes[i];
@@ -1790,10 +1780,6 @@ void GridJobService::Engine::rebuild_after_load(
                          free_nodes[c] + held_nodes[c] == total_nodes[c],
                      "corrupt snapshot: free-node state of cluster " << c);
   }
-  for (const ProfileExemplar& e : exemplars) {
-    check_job(e.job);
-    check_placement(e.placement, topology);
-  }
   for (const auto& [id, open] : blame_open) {
     QRGRID_CHECK_MSG(open.category >= 0 &&
                          open.category < kBlameCategoryCount,
@@ -1810,24 +1796,10 @@ void GridJobService::Engine::rebuild_after_load(
                      "corrupt snapshot: outcome blame of job " << o.job.id);
   }
   derive_placeable();
-  // Re-warm the backend's memo cache with telemetry unbound: the
-  // restored tracer/metrics already contain the original compute events
-  // and counters, so the replays must stay silent — and every future
-  // profile() call then hits or misses exactly as the uninterrupted run
-  // would.
-  backend.bind_telemetry(nullptr, nullptr);
-  try {
-    for (const ProfileExemplar& e : exemplars) {
-      backend.profile(e.job, e.placement);
-    }
-    for (Running& run : running) {
-      run.replay = &backend.profile(run.job, run.placement);  // silent hit
-    }
-  } catch (...) {
-    backend.bind_telemetry(options.tracer, options.metrics);
-    throw;
+  backend.warm(keys);
+  for (Running& run : running) {
+    run.replay = backend.find_profile(run.job, run.placement);
   }
-  backend.bind_telemetry(options.tracer, options.metrics);
 }
 
 // ---------------------------------------------------------------------------

@@ -185,7 +185,9 @@ class SnapshotReader {
         typename T::mapped_type value{};
         get(key);
         get(value);
-        v.emplace(std::move(key), std::move(value));
+        // The writer lists each key once: a repeat would drop an entry.
+        QRGRID_CHECK_MSG(v.emplace(std::move(key), std::move(value)).second,
+                         "corrupt snapshot: repeated map key");
       }
     } else if constexpr (is_a_v<T, std::vector>) {
       v.clear();

@@ -282,12 +282,11 @@ void GridWanModel::collect(Included included, std::vector<PoolRef>& refs,
   }
   std::vector<double>& flow_link_bytes = flow_link_scratch_;
   std::vector<int>& touched = touched_scratch_;
-  // live_ holds alive slots in admission (id) order — the same flow
-  // order the historical all-flows walk produced, so the rate rule's
-  // floating-point accumulation order (and thus every rate) is
-  // byte-identical while the cost drops to O(live).
-  for (const int slot : live_) {
-    const Flow& flow = flows_[static_cast<std::size_t>(slot)];
+  // flows_ is in admission (id) order, so the rate rule's floating-point
+  // accumulation order (and thus every rate) is the same whatever has
+  // retired.
+  for (std::size_t at = 0; at < flows_.size(); ++at) {
+    const Flow& flow = flows_[at];
     if (flow.undrained == 0) continue;
     touched.clear();
     for (std::size_t j = 0; j < flow.pools.size(); ++j) {
@@ -311,8 +310,6 @@ void GridWanModel::collect(Included included, std::vector<PoolRef>& refs,
       if (!included(flow, j)) continue;
       const Pool& pool = flow.pools[j];
       WanDemand d;
-      d.bytes = pool.bytes;
-      d.flow = flow.id;
       d.nlinks = links_of(pool, d.links);
       for (int k = 0; k < d.nlinks; ++k) {
         // x / x == 1.0 exactly for a flow's only pool on a link, which
@@ -322,7 +319,7 @@ void GridWanModel::collect(Included included, std::vector<PoolRef>& refs,
             pool.bytes /
             flow_link_bytes[static_cast<std::size_t>(d.links[k])];
       }
-      refs.push_back({slot, static_cast<int>(j)});
+      refs.push_back({static_cast<int>(at), static_cast<int>(j)});
       demands.push_back(d);
     }
     for (const int l : touched) {
@@ -340,9 +337,9 @@ void GridWanModel::refresh(double now_s) {
     std::pop_heap(activations_.begin(), activations_.end(),
                   ActivationAfter{});
     activations_.pop_back();
-    const auto it = slot_of_.find(top.flow);
-    if (it == slot_of_.end()) continue;  // retired before activating
-    Flow& flow = flows_[static_cast<std::size_t>(it->second)];
+    const std::size_t at = find(top.flow);
+    if (at == flows_.size()) continue;  // retired before activating
+    Flow& flow = flows_[at];
     const auto j = static_cast<std::size_t>(top.pool);
     if (flow.pools[j].bytes <= 0.0 || flow.active[j] != 0) continue;
     activate_pool(flow, top.pool);
@@ -380,8 +377,7 @@ void GridWanModel::rebalance(double now_s) {
   bool grew = true;
   while (grew) {
     grew = false;
-    for (const int slot : live_) {
-      const Flow& flow = flows_[static_cast<std::size_t>(slot)];
+    for (const Flow& flow : flows_) {
       if (flow.undrained == 0) continue;
       for (std::size_t j = 0; j < flow.pools.size(); ++j) {
         if (flow.active[j] == 0) continue;
@@ -409,7 +405,7 @@ void GridWanModel::rebalance(double now_s) {
       }
     }
   }
-  // Collect the component's demands in live (admission) order — the
+  // Collect the component's demands in admission order — the
   // identical subsequence, frac arithmetic, and accumulation order the
   // global demand view would hand the rate rule, so the restricted fill
   // below reproduces the global fill's rates bit-for-bit on them. By the
@@ -464,7 +460,6 @@ void GridWanModel::rebalance(double now_s) {
 
 int GridWanModel::admit(double now_s, std::vector<Pool> pools) {
   Flow flow;
-  flow.alive = true;
   for (Pool& pool : pools) {
     QRGRID_CHECK(pool.bytes >= 0.0);
     QRGRID_CHECK(pool.link == Pool::Link::kBackbone ||
@@ -486,21 +481,11 @@ int GridWanModel::admit(double now_s, std::vector<Pool> pools) {
   flow.drained_at_s = now_s;  // stands until a pool actually drains later
   const int id = next_flow_id_++;
   flow.id = id;
-  int slot;
-  if (free_slots_.empty()) {
-    slot = static_cast<int>(flows_.size());
-    flows_.push_back(std::move(flow));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    flows_[static_cast<std::size_t>(slot)] = std::move(flow);
-  }
-  slot_of_.emplace(id, slot);
-  // Monotone ids keep live_ sorted by id: admission order, which
+  // Monotone ids keep flows_ sorted by id: admission order, which
   // collect() depends on for byte-identical rate arithmetic.
-  live_.push_back(slot);
-  peak_live_ = std::max(peak_live_, static_cast<int>(live_.size()));
-  Flow& admitted = flows_[static_cast<std::size_t>(slot)];
+  flows_.push_back(std::move(flow));
+  peak_live_ = std::max(peak_live_, static_cast<int>(flows_.size()));
+  Flow& admitted = flows_.back();
   for (std::size_t j = 0; j < admitted.pools.size(); ++j) {
     if (admitted.pools[j].bytes > 0.0 &&
         admitted.pools[j].activation_s > now_s) {
@@ -550,8 +535,7 @@ void GridWanModel::advance(double from_s, double to_s) {
     backbone_busy_s_ += dt;
   }
 
-  for (const int slot : live_) {
-    Flow& flow = flows_[static_cast<std::size_t>(slot)];
+  for (Flow& flow : flows_) {
     if (flow.undrained == 0) continue;
     bool flow_active = false;
     int flow_drained = 0;
@@ -598,8 +582,7 @@ void GridWanModel::advance(double from_s, double to_s) {
     // The share structure changes when a pool runs dry or a pending pool
     // activates inside the step — the rate rule re-splits either way.
     int pools_activated = 0;
-    for (const int slot : live_) {
-      const Flow& flow = flows_[static_cast<std::size_t>(slot)];
+    for (const Flow& flow : flows_) {
       for (const Pool& pool : flow.pools) {
         if (pool.bytes > 0.0 && pool.activation_s > from_s &&
             pool.activation_s <= to_s) {
@@ -625,8 +608,7 @@ double GridWanModel::next_event_s(double now_s) const {
   // the next representable instant is the earliest step that moves them.
   const double soonest = std::nextafter(now_s, kInf);
   double next = kInf;
-  for (const int slot : live_) {
-    const Flow& flow = flows_[static_cast<std::size_t>(slot)];
+  for (const Flow& flow : flows_) {
     if (flow.undrained == 0) continue;
     for (std::size_t j = 0; j < flow.pools.size(); ++j) {
       if (flow.active[j] == 0) continue;
@@ -641,7 +623,7 @@ double GridWanModel::next_event_s(double now_s) const {
   // top, after lazily shedding entries of retired flows (refresh above
   // already consumed every instant up to now_s).
   while (!activations_.empty() &&
-         slot_of_.count(activations_.front().flow) == 0) {
+         find(activations_.front().flow) == flows_.size()) {
     std::pop_heap(activations_.begin(), activations_.end(),
                   ActivationAfter{});
     activations_.pop_back();
@@ -650,43 +632,52 @@ double GridWanModel::next_event_s(double now_s) const {
   return next;
 }
 
+std::size_t GridWanModel::find(int id) const {
+  // A branch-free lower bound: every step looks up each running attempt's
+  // flow, and std::lower_bound mispredicts about half of its probes (4x
+  // the cost of this loop at 40 live flows, and slower than a hash map).
+  if (flows_.empty()) return 0;
+  std::size_t lo = 0;
+  for (std::size_t len = flows_.size(); len > 1; len -= len / 2) {
+    const std::size_t half = len / 2;
+    lo = flows_[lo + half].id < id ? lo + half : lo;
+  }
+  lo += flows_[lo].id < id ? 1 : 0;
+  return lo < flows_.size() && flows_[lo].id == id ? lo : flows_.size();
+}
+
 bool GridWanModel::drained(int flow) const {
-  const auto it = slot_of_.find(flow);
-  QRGRID_CHECK(it != slot_of_.end());
-  return flows_[static_cast<std::size_t>(it->second)].undrained == 0;
+  const std::size_t at = find(flow);
+  QRGRID_CHECK(at < flows_.size());
+  return flows_[at].undrained == 0;
 }
 
 double GridWanModel::drained_at_s(int flow) const {
-  const auto it = slot_of_.find(flow);
-  QRGRID_CHECK(it != slot_of_.end());
-  const Flow& f = flows_[static_cast<std::size_t>(it->second)];
-  QRGRID_CHECK(f.undrained == 0);
-  return f.drained_at_s;
+  const std::size_t at = find(flow);
+  QRGRID_CHECK(at < flows_.size());
+  return flows_[at].undrained == 0 ? flows_[at].drained_at_s : kInf;
 }
 
 void GridWanModel::drain_estimates_s(double now_s,
                                      const std::vector<int>& flows,
                                      std::vector<double>& out) const {
   // One shared pessimistic view (membership: bytes > 0, activation
-  // ignored), estimates gathered per live SLOT, then projected onto the
+  // ignored), estimates gathered per live flow, then projected onto the
   // requested ids.
-  if (estimates_scratch_.size() < flows_.size()) {
-    estimates_scratch_.resize(flows_.size(), 0.0);
-  }
-  for (const int slot : live_) {
-    const Flow& f = flows_[static_cast<std::size_t>(slot)];
-    estimates_scratch_[static_cast<std::size_t>(slot)] =
-        f.undrained == 0 ? f.drained_at_s : now_s;
+  estimates_scratch_.resize(flows_.size());
+  for (std::size_t at = 0; at < flows_.size(); ++at) {
+    const Flow& f = flows_[at];
+    estimates_scratch_[at] = f.undrained == 0 ? f.drained_at_s : now_s;
   }
   collect([](const Flow& flow,
              std::size_t j) { return flow.pools[j].bytes > 0.0; },
           est_refs_, est_demands_);
   assign_wan_rates(fairness_, est_demands_, capacity_, est_rates_);
   for (std::size_t k = 0; k < est_refs_.size(); ++k) {
-    const auto slot = static_cast<std::size_t>(est_refs_[k].flow);
+    const auto at = static_cast<std::size_t>(est_refs_[k].flow);
     const Pool& pool =
-        flows_[slot].pools[static_cast<std::size_t>(est_refs_[k].pool)];
-    double& est = estimates_scratch_[slot];
+        flows_[at].pools[static_cast<std::size_t>(est_refs_[k].pool)];
+    double& est = estimates_scratch_[at];
     if (est_rates_[k] <= 0.0) {
       est = kInf;
       continue;
@@ -696,18 +687,16 @@ void GridWanModel::drain_estimates_s(double now_s,
   }
   out.assign(flows.size(), 0.0);
   for (std::size_t i = 0; i < flows.size(); ++i) {
-    const auto it = slot_of_.find(flows[i]);
-    if (it == slot_of_.end()) continue;  // retired: report 0
-    out[i] = estimates_scratch_[static_cast<std::size_t>(it->second)];
+    const std::size_t at = find(flows[i]);
+    if (at < flows_.size()) out[i] = estimates_scratch_[at];  // retired: 0
   }
 }
 
 void GridWanModel::retire(int flow, std::vector<long long>& egress_bytes,
                           std::vector<long long>& ingress_bytes) {
-  const auto slot_it = slot_of_.find(flow);
-  QRGRID_CHECK(slot_it != slot_of_.end());  // alive exactly once
-  const int slot = slot_it->second;
-  Flow& f = flows_[static_cast<std::size_t>(slot)];
+  const std::size_t at = find(flow);
+  QRGRID_CHECK(at < flows_.size());  // live exactly once
+  Flow& f = flows_[at];
   if (tracer_ != nullptr) {
     double moved = 0.0;
     for (const double bytes : f.moved_bytes) moved += bytes;
@@ -733,23 +722,8 @@ void GridWanModel::retire(int flow, std::vector<long long>& egress_bytes,
     if (f.active[j] != 0) deactivate_pool(f, static_cast<int>(j));
   }
   if (f.undrained > 0) ++rebalance_events_;
-  f.alive = false;
-  f.pools.clear();
-  f.moved_bytes.clear();
-  f.initial_bytes.clear();
-  f.rate_Bps.clear();
-  f.active.clear();
-  f.frac_sensitive = false;
-  // Reclaim: drop the slot from the live order (binary search — live_ is
-  // id-sorted) and recycle it. Calendar entries die lazily via slot_of_.
-  const auto live_it = std::lower_bound(
-      live_.begin(), live_.end(), flow, [this](int s, int id) {
-        return flows_[static_cast<std::size_t>(s)].id < id;
-      });
-  QRGRID_CHECK(live_it != live_.end() && *live_it == slot);
-  live_.erase(live_it);
-  slot_of_.erase(slot_it);
-  free_slots_.push_back(slot);
+  // Calendar entries of the flow die lazily: find() no longer sees it.
+  flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(at));
 }
 
 // Both load signals are now O(1) reads of counters maintained at
@@ -769,7 +743,22 @@ void GridWanModel::rebuild_after_load() {
   const auto check = [](bool ok, const char* what) {
     QRGRID_CHECK_MSG(ok, "corrupt WAN snapshot: " << what);
   };
+  check(up_busy_s_.size() == nc && down_busy_s_.size() == nc, "busy sizes");
+  for (const int l : dirty_links_) check(in(l, capacity_.size()), "link");
+  // Derive the per-link user counts, load counters and the calendar from
+  // the restored flows.
+  link_users_.assign(capacity_.size(), 0);
+  busy_links_ = 0;
+  active_pools_ = 0;
+  cluster_load_.assign(nc, 0);
+  trunk_load_ = 0;
+  activations_.clear();
+  int prev_id = -1;
   for (Flow& f : flows_) {
+    // find() binary-searches, and a repeated flow would drain twice per
+    // step.
+    check(prev_id < f.id && f.id < next_flow_id_, "flow id order");
+    prev_id = f.id;
     const std::size_t np = f.pools.size();
     check(f.moved_bytes.size() == np && f.initial_bytes.size() == np &&
               f.rate_Bps.size() == np && f.active.size() == np,
@@ -786,49 +775,29 @@ void GridWanModel::rebuild_after_load() {
       for (const double b : {p.bytes, f.moved_bytes[j], f.initial_bytes[j]}) {
         check(std::isfinite(b) && b >= 0.0, "pool bytes");
       }
-      f.undrained += p.bytes > 0.0 ? 1 : 0;
-    }
-    f.frac_sensitive = compute_frac_sensitive(f);
-  }
-  for (const int slot : free_slots_) check(in(slot, flows_.size()), "slot");
-  check(up_busy_s_.size() == nc && down_busy_s_.size() == nc, "busy sizes");
-  for (const int l : dirty_links_) check(in(l, capacity_.size()), "link");
-  slot_of_.clear();
-  for (const int slot : live_) {
-    check(in(slot, flows_.size()), "live slot");
-    const Flow& f = flows_[static_cast<std::size_t>(slot)];
-    // Listed once: a repeated flow would drain twice per step.
-    check(f.alive && slot_of_.emplace(f.id, slot).second, "live slot");
-  }
-  for (const Activation& a : activations_) {
-    check(!std::isnan(a.t_s), "activation time");
-    const auto it = slot_of_.find(a.flow);
-    if (it == slot_of_.end()) continue;  // retired: discarded lazily
-    const Flow& f = flows_[static_cast<std::size_t>(it->second)];
-    check(in(a.pool, f.pools.size()), "activation pool");
-  }
-  // Derive the per-link user counts and load counters from the restored
-  // flows.
-  link_users_.assign(capacity_.size(), 0);
-  busy_links_ = 0;
-  active_pools_ = 0;
-  cluster_load_.assign(nc, 0);
-  trunk_load_ = 0;
-  for (const int slot : live_) {
-    Flow& f = flows_[static_cast<std::size_t>(slot)];
-    count_load(f);
-    for (std::size_t j = 0; j < f.active.size(); ++j) {
-      if (f.active[j] == 0) continue;
+      // A pool stays active until it runs dry: an active empty pool
+      // would drain a second time and miscount the flow's undrained
+      // pools.
+      check(f.active[j] == 0 || p.bytes > 0.0, "active pool with no bytes");
+      if (p.bytes <= 0.0) continue;
+      ++f.undrained;
+      if (f.active[j] == 0) {
+        activations_.push_back({p.activation_s, f.id, static_cast<int>(j)});
+        continue;
+      }
       ++active_pools_;
       int links[2];
-      const int nlinks = links_of(f.pools[j], links);
+      const int nlinks = links_of(p, links);
       for (int k = 0; k < nlinks; ++k) {
         if (link_users_[static_cast<std::size_t>(links[k])]++ == 0) {
           ++busy_links_;
         }
       }
     }
+    f.frac_sensitive = compute_frac_sensitive(f);
+    count_load(f);
   }
+  std::make_heap(activations_.begin(), activations_.end(), ActivationAfter{});
   dirty_mark_.assign(capacity_.size(), 0);
   for (const int l : dirty_links_) dirty_mark_[static_cast<std::size_t>(l)] = 1;
 }

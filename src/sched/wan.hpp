@@ -61,8 +61,8 @@
 // component's demands. Because a component link's users and residuals
 // receive exactly the terms they receive in the global fill (all
 // demands crossing a component link are component demands, in the same
-// live-order), the component-local fill is bit-identical to the global
-// one under either rule, so fixed-seed runs reproduce the historical
+// admission order), the component-local fill is bit-identical to the
+// global one under either rule, so fixed-seed runs reproduce the historical
 // full-recompute traces byte-for-byte. Rates read only fracs and
 // capacities — never pool bytes — so cached rates stay exact across
 // byte drains; flows whose pools can share a link (frac_sensitive) are
@@ -75,9 +75,9 @@
 // oracle the cached rates are checked against after every recompute.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace qrgrid::sched {
@@ -97,17 +97,15 @@ std::string wan_fairness_name(WanFairness fairness);
 
 /// One activated, undrained pool as the rate rule sees it: the links it
 /// crosses (indices into the model's capacity table — a site link, plus
-/// the trunk for a max-min uplink pool), the bytes left, and its
-/// per-link share of the owning flow's bytes there. Fairness is per
-/// FLOW, not per pool: a flow with several pools on one link (the
-/// uplinks of a multi-cluster placement all crossing the trunk)
-/// contributes its fracs — which sum to 1 — instead of one full user
-/// per pool, so spreading never multiplies a flow's share. A flow's
-/// only pool on a link carries frac exactly 1.0, which keeps the
-/// equal-split arithmetic bit-identical to the PR-3 kernel.
+/// the trunk for a max-min uplink pool) and its per-link share of the
+/// owning flow's bytes there. Fairness is per FLOW, not per pool: a flow
+/// with several pools on one link (the uplinks of a multi-cluster
+/// placement all crossing the trunk) contributes its fracs — which sum
+/// to 1 — instead of one full user per pool, so spreading never
+/// multiplies a flow's share. A flow's only pool on a link carries frac
+/// exactly 1.0, which keeps the equal-split arithmetic bit-identical to
+/// the PR-3 kernel.
 struct WanDemand {
-  double bytes = 0.0;
-  int flow = -1;  ///< owning flow id (what the fracs group by)
   int links[2] = {-1, -1};
   double frac[2] = {1.0, 1.0};  ///< flow-share per crossed link
   int nlinks = 0;
@@ -171,7 +169,7 @@ class GridWanModel {
 
   bool drained(int flow) const;
   /// Instant the flow's last pool ran dry (its admit time when it was
-  /// born drained). Requires drained(flow).
+  /// born drained); +infinity while a pool still has bytes.
   double drained_at_s(int flow) const;
 
   /// Planning estimates of when each requested flow's last pool will run
@@ -249,20 +247,19 @@ class GridWanModel {
   /// Flows admitted and not yet retired — what every per-step walk
   /// scales with (the `wan.live_flows` gauge). Bounded by in-flight
   /// attempts however many flows the run ever admits.
-  int live_flows() const { return static_cast<int>(live_.size()); }
+  int live_flows() const { return static_cast<int>(flows_.size()); }
   int peak_live_flows() const { return peak_live_; }
 
-  /// Snapshot field list (sched/snapshot.hpp): the full mutable drain
-  /// state — flows with their pools/moved/initial bytes, slot free-list,
-  /// live order, id counter, the pending-activation heap array VERBATIM
-  /// (its pruning is call-timing-dependent, so rebuilding it would change
-  /// later heap mutations), the busy-second accumulators, and the
-  /// incremental engine's per-pool rates/active flags, the dirty-link
-  /// list (a pending rebalance fires on resume exactly as it would
-  /// have), and counters (so resumed runs reproduce the wan.rebalance.*
-  /// gauges byte-identically). What the pools imply is derived on load:
-  /// per-flow undrained counts, frac sensitivity and load membership,
-  /// per-link user counts and load counters. Loading must target a model
+  /// Snapshot field list (sched/snapshot.hpp): the live drain state —
+  /// the live flows in id order with their pools/moved/initial bytes,
+  /// the id counter, the busy-second accumulators, the incremental
+  /// engine's per-pool rates/active flags, the dirty-link list (a pending
+  /// rebalance fires on resume exactly as it would have), and counters
+  /// (so resumed runs reproduce the wan.rebalance.* gauges
+  /// byte-identically). What the pools imply is derived on load: per-flow
+  /// undrained counts, frac sensitivity and load membership, per-link
+  /// user counts and load counters, and the activation calendar (every
+  /// pending pool: bytes left, not active). Loading must target a model
   /// freshly constructed with the same topology/capacity configuration
   /// (the cluster count and fairness travel as tags only); scratch
   /// buffers are rebuilt lazily.
@@ -270,17 +267,16 @@ class GridWanModel {
   void visit(V& v) {
     v.expect(num_clusters_, "WAN cluster count");
     v.expect(fairness_, "WAN fairness");
-    v(flows_, free_slots_, live_, next_flow_id_, peak_live_, activations_,
-      up_busy_s_, down_busy_s_, backbone_busy_s_, dirty_links_,
-      rebalance_events_, rebalance_recomputes_, rebalance_links_touched_,
+    v(flows_, next_flow_id_, peak_live_, up_busy_s_, down_busy_s_,
+      backbone_busy_s_, dirty_links_, rebalance_events_,
+      rebalance_recomputes_, rebalance_links_touched_,
       rebalance_full_refills_);
     if constexpr (V::kLoading) rebuild_after_load();
   }
 
  private:
   struct Flow {
-    bool alive = false;
-    int id = -1;  ///< public flow id; slots are reused, ids never are
+    int id = -1;  ///< public flow id, never reused
     std::vector<Pool> pools;
     std::vector<double> moved_bytes;  ///< parallel to pools
     /// Admission-time pool sizes (parallel to pools): the denominator of
@@ -308,26 +304,21 @@ class GridWanModel {
 
     template <class V>
     void visit(V& v) {
-      v(alive, id, pools, moved_bytes, initial_bytes, drained_at_s, rate_Bps,
-        active);
+      v(id, pools, moved_bytes, initial_bytes, drained_at_s, rate_Bps, active);
     }
   };
-  /// One entry of a demand view: which SLOT's which pool each rate
-  /// belongs to.
+  /// One entry of a demand view: which flow's (position in flows_)
+  /// which pool each rate belongs to.
   struct PoolRef {
     int flow = 0;
     int pool = 0;
   };
   /// Calendar entry: the instant a pending pool's demand appears. Keyed
-  /// by public flow id so retirement invalidates entries lazily (slot
-  /// reuse cannot resurrect them).
+  /// by public flow id so retirement invalidates entries lazily.
   struct Activation {
     double t_s = 0.0;
     int flow = -1;
     int pool = -1;
-
-    template <class V>
-    void visit(V& v) { v(t_s, flow, pool); }
   };
 
   /// Link ids in the capacity table: [0, C) uplinks, [C, 2C) downlinks,
@@ -335,8 +326,11 @@ class GridWanModel {
   int link_id(const Pool& pool) const;
   /// Links the pool crosses under the active fairness mode.
   int links_of(const Pool& pool, int out[2]) const;
+  /// Position of live flow `id` in flows_ (binary search: ids are
+  /// sorted); flows_.size() once it retired.
+  std::size_t find(int id) const;
   /// The one demand-view collector: every live flow's pools that
-  /// `included(flow, pool_index)` admits, in live (admission) order,
+  /// `included(flow, pool_index)` admits, in admission order,
   /// each with its per-flow per-link fracs over the included pools.
   /// Serves the rebalance component, the oracle's time-based view, and
   /// the pessimistic estimate basis.
@@ -361,9 +355,10 @@ class GridWanModel {
   /// Incremental load_score/backbone_load maintenance (both modes).
   void count_load(Flow& flow);
   void uncount_load(Flow& flow);
-  /// Snapshot load: range-checks every restored index and number (pool
-  /// links, clusters, bytes, rates and activations, slots, dirty links),
-  /// then derives what visit() leaves out, slot_of_ and dirty_mark_.
+  /// Snapshot load: range-checks every restored index and number (flow
+  /// id order, pool links, clusters, bytes, rates and activations,
+  /// active flags, dirty links), then derives what visit() leaves out,
+  /// the calendar and dirty_mark_.
   void rebuild_after_load();
 
   int num_clusters_;
@@ -376,25 +371,18 @@ class GridWanModel {
   WanFairness fairness_;
   std::vector<double> capacity_;   ///< per link id
   ServiceTracer* tracer_ = nullptr;
-  /// Slot-indexed flow storage. retire() recycles slots through
-  /// free_slots_, so memory scales with PEAK in-flight flows, not flows
-  /// ever admitted; public ids stay monotone for the tracer.
+  /// The live flows in admission (id) order: admit() appends (ids are
+  /// monotone), retire() erases. Every walk (collect, drains, rebalance
+  /// closure) iterates this, so per-step cost and memory scale with live
+  /// flows, and the rate rule accumulates in admission order.
   std::vector<Flow> flows_;
-  std::vector<int> free_slots_;
-  /// Slots of alive flows in admission (id) order — every walk
-  /// (collect, drains, rebalance closure) iterates THIS, so per-step
-  /// cost scales with live flows and the floating-point accumulation
-  /// order the rate rule sees matches the historical
-  /// all-flows-skipping-dead order exactly (dead flows contributed no
-  /// terms).
-  std::vector<int> live_;
-  std::unordered_map<int, int> slot_of_;  ///< public flow id -> slot
   int next_flow_id_ = 0;
   int peak_live_ = 0;
-  /// Pending pool activations as a lazy min-heap over t_s: next_event_s
-  /// consults the top instead of rescanning every pool; refresh()
-  /// consumes due entries, and entries of retired flows are discarded
-  /// on sight.
+  /// Pending pool activations as a lazy min-heap over (t_s, flow, pool):
+  /// next_event_s consults the top instead of rescanning every pool;
+  /// refresh() consumes due entries, and entries of retired flows are
+  /// discarded on sight. The order is total, so a heap rebuilt from the
+  /// pending pools pops exactly what this one would.
   mutable std::vector<Activation> activations_;
   std::vector<double> up_busy_s_;
   std::vector<double> down_busy_s_;
@@ -403,7 +391,7 @@ class GridWanModel {
   std::vector<PoolRef> refs_scratch_;
   std::vector<WanDemand> demands_scratch_;
   std::vector<double> rates_scratch_;
-  mutable std::vector<double> estimates_scratch_;  ///< per slot
+  mutable std::vector<double> estimates_scratch_;  ///< parallel to flows_
   /// Per-flow per-link byte totals (frac computation); zeroed via the
   /// touched list, so a flow pays only for the links it crosses.
   mutable std::vector<double> flow_link_scratch_;

@@ -611,11 +611,9 @@ TEST(WanRates, ProgressiveFillingReassignsBottleneckedShare) {
   // backbone with it. Equal split would hand both 50 on the trunk;
   // max-min freezes A at 25 and fills B to 75.
   std::vector<WanDemand> demands(2);
-  demands[0].bytes = 400.0;
   demands[0].links[0] = 0;  // thin uplink, 25 B/s
   demands[0].links[1] = 1;  // backbone
   demands[0].nlinks = 2;
-  demands[1].bytes = 400.0;
   demands[1].links[0] = 2;  // its own uplink
   demands[1].links[1] = 1;  // shared backbone
   demands[1].nlinks = 2;
@@ -636,18 +634,12 @@ TEST(WanRates, SplitFlowCountsAsOneUserPerLink) {
   // one pool. Per-FLOW fairness: each flow gets C/2 = 50 in aggregate —
   // splitting must never multiply a flow's share.
   std::vector<WanDemand> demands(3);
-  demands[0].bytes = 600.0;
-  demands[0].flow = 0;
   demands[0].links[0] = 0;
   demands[0].frac[0] = 0.6;
   demands[0].nlinks = 1;
-  demands[1].bytes = 400.0;
-  demands[1].flow = 0;
   demands[1].links[0] = 0;
   demands[1].frac[0] = 0.4;
   demands[1].nlinks = 1;
-  demands[2].bytes = 500.0;
-  demands[2].flow = 1;
   demands[2].links[0] = 0;
   demands[2].nlinks = 1;  // frac defaults to 1.0
   const std::vector<double> capacity = {100.0};

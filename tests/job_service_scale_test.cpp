@@ -157,7 +157,7 @@ TEST(ScaleWan, LiveFlowTableReclaimsRetiredFlows) {
   const auto* series = metrics.series("wan.live_flows");
   ASSERT_NE(series, nullptr);
   ASSERT_FALSE(series->empty());
-  // Drained at the end: the free-list reclaimed every retired slot.
+  // Drained at the end: retire() erased every flow from the table.
   EXPECT_DOUBLE_EQ(series->back().second, 0.0);
 }
 

@@ -15,6 +15,7 @@
 // allocation, or (under the sanitizer CI job) a UB report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -24,6 +25,8 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -32,6 +35,7 @@
 #include "sched/critpath.hpp"
 #include "sched/outage.hpp"
 #include "sched/service.hpp"
+#include "sched/snapshot.hpp"
 #include "sched/telemetry.hpp"
 #include "sched/workload.hpp"
 #include "simgrid/topology.hpp"
@@ -103,7 +107,7 @@ PinCase fair_case() {
   return c;
 }
 
-/// Priority EASY over a 3-site max-min WAN (flows, the activation heap,
+/// Priority EASY over a 3-site max-min WAN (flows with pending pools,
 /// the rebalance counters).
 PinCase prio_case() {
   PinCase c{"prio-easy", simgrid::GridTopology::grid5000(3, 2, 2), {}, {}, 12};
@@ -147,14 +151,17 @@ TEST(SnapshotFormat, PinnedLengthAndHash) {
     std::uint64_t hash;
   };
   const std::vector<Pin> pins = {
-      // Version 6 writes no field restore can derive: each running
-      // attempt's walltime bound, EASY estimate and start credit, the
-      // placeable vector, the last pass's shadow, and each WAN flow's
+      // Version 7 writes live state only: the WAN flows in id order
+      // (no slots, free-slot or live lists, no activation calendar), the
+      // profile cache as its key set, and no progress or blame row of a
+      // job that has an outcome. Restore derives the rest, as version 6
+      // derived each running attempt's walltime bound, EASY estimate and
+      // start credit, the placeable vector, and each WAN flow's
       // undrained count, frac sensitivity and load membership.
-      {easy_case(&tracer, &metrics), 16815, 0x613b602244132f3full},
-      {fair_case(), 3962, 0xb404ec13c8df4129ull},
-      {prio_case(), 3308, 0x478b8a6031014052ull},
-      {equal_case(), 3649, 0x1b0a762e4a959a53ull},
+      {easy_case(&tracer, &metrics), 15391, 0xb0f5bb3e1c373b3full},
+      {fair_case(), 3570, 0xa8908a251ef7269bull},
+      {prio_case(), 3005, 0x1a0aa8d4080e6215ull},
+      {equal_case(), 3287, 0x0d2cbe29d969c5caull},
   };
   for (const Pin& pin : pins) {
     tracer.clear();
@@ -164,6 +171,33 @@ TEST(SnapshotFormat, PinnedLengthAndHash) {
     EXPECT_EQ(fnv1a64(bytes), pin.hash)
         << pin.c.name << ": 0x" << std::hex << fnv1a64(bytes);
   }
+}
+
+TEST(SnapshotFormat, ProfileKeysDoNotDependOnComputationOrder) {
+  // The checkpoint carries the profile cache as its key set: two
+  // backends holding the same profiles list the same keys, in key order,
+  // whichever order they computed them in.
+  const simgrid::GridTopology topo = simgrid::GridTopology::grid5000(2, 2, 2);
+  const model::Roofline roofline = model::paper_calibration();
+  const ServiceOptions options;
+  std::vector<std::pair<Job, Placement>> calls;
+  for (const Job& job : workload(4, 1, 5)) {
+    for (const Placement& placement :
+         {Placement{{0}, {1}, 1}, Placement{{1}, {2}, 2},
+          Placement{{0, 1}, {1, 1}, 2}}) {
+      calls.emplace_back(job, placement);
+    }
+  }
+  ExecutionBackend forward(topo, roofline, options);
+  ExecutionBackend backward(topo, roofline, options);
+  for (const auto& [job, placement] : calls) forward.profile(job, placement);
+  for (auto it = calls.rbegin(); it != calls.rend(); ++it) {
+    backward.profile(it->first, it->second);
+  }
+  const auto keys = forward.profile_keys();
+  EXPECT_GE(keys.size(), 3u);
+  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+  EXPECT_TRUE(keys == backward.profile_keys());
 }
 
 TEST(SnapshotFormat, EqualSplitPinHoldsLiveWanFlows) {
@@ -436,6 +470,77 @@ TEST(SnapshotHostileBytes, NonFiniteRunningStartOrBadCreditIsRefused) {
     target.restore(clean);  // the refusal left no run in flight
     EXPECT_EQ(target.snapshot(), clean);
   }
+}
+
+TEST(SnapshotHostileBytes, RunningAttemptWithoutProfileIsRefused) {
+  // Restore re-resolves each running attempt's replay from the profile
+  // keys the checkpoint carries: a checkpoint lacking one is refused
+  // before anything is computed. A traced twin names an attempt in
+  // flight at the pin step; its key's bytes sit in the key list, and
+  // moving that key's m off the running job's leaves no key for it.
+  const PinCase c = fair_case();
+  const std::string clean = pinned_snapshot(c);
+  ServiceTracer tracer;
+  PinCase traced = c;
+  traced.options.tracer = &tracer;
+  pinned_snapshot(traced);
+  std::map<int, Placement> in_flight;
+  for (const ServiceTraceEvent& ev : tracer.events()) {
+    if (ev.kind == TraceKind::kDispatch ||
+        ev.kind == TraceKind::kBackfillStart) {
+      int total = 0;
+      for (const int nodes : ev.nodes) total += nodes;
+      in_flight[ev.job] = Placement{ev.clusters, ev.nodes, total};
+    } else if (ev.kind == TraceKind::kCompletion ||
+               ev.kind == TraceKind::kWalltimeKill ||
+               ev.kind == TraceKind::kOutageKill) {
+      in_flight.erase(ev.job);
+    }
+  }
+  ASSERT_FALSE(in_flight.empty());
+  const auto& [job_id, placement] = *in_flight.begin();
+  const auto job =
+      std::find_if(c.jobs.begin(), c.jobs.end(),
+                   [id = job_id](const Job& j) { return j.id == id; });
+  ASSERT_NE(job, c.jobs.end());
+  SnapshotWriter key;
+  key(ExecutionBackend::ProfileKey{job->m, job->n, job->tree, placement});
+  const std::size_t at = clean.rfind(key.bytes());
+  ASSERT_NE(at, std::string::npos);
+  std::string patched = clean;
+  const double other_m = job->m + 1.0;
+  std::memcpy(&patched[at], &other_m, sizeof other_m);
+  GridJobService target(c.topo, model::paper_calibration(), c.options);
+  try {
+    target.restore(patched);
+    ADD_FAILURE() << "job " << job_id << " restored without its profile";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("no profile for running job"),
+              std::string::npos)
+        << e.what();
+  }
+  target.restore(clean);  // the refusal left no run in flight
+  EXPECT_EQ(target.snapshot(), clean);
+}
+
+TEST(SnapshotHostileBytes, RepeatedMapKeyIsRefused) {
+  // Maps travel as (key, value) lists with each key once; a repeated key
+  // would silently drop an entry (a job's progress or blame, a user's
+  // fair-share deficit, a metric).
+  const std::unordered_map<int, double> map = {{1, 10.0}, {2, 20.0}};
+  SnapshotWriter w;
+  w(map);
+  std::unordered_map<int, double> loaded;
+  SnapshotReader clean(w.bytes());
+  clean(loaded);
+  EXPECT_EQ(loaded, map);
+  // Sorted by key: the count, (1, 10.0), then (2, 20.0).
+  std::string patched = w.bytes();
+  const int one = 1;
+  std::memcpy(&patched[sizeof(std::uint64_t) + sizeof(int) + sizeof(double)],
+              &one, sizeof one);
+  SnapshotReader r(patched);
+  EXPECT_THROW(r(loaded), Error);
 }
 
 TEST(SnapshotHostileBytes, RefusedRestoreLeavesNoRunInFlight) {

@@ -239,7 +239,7 @@ std::vector<int> churn_models(std::vector<GridWanModel*> models,
       }
       int id = -1;
       for (GridWanModel* wan : models) id = wan->admit(now, pools);
-      live.push_back(id);  // lockstep models assign identical slot ids
+      live.push_back(id);  // lockstep models assign identical flow ids
     } else if (roll < 0.55) {
       const auto pick = static_cast<std::size_t>(unit(rng) * live.size());
       for (GridWanModel* wan : models) {
@@ -263,7 +263,8 @@ std::vector<int> churn_models(std::vector<GridWanModel*> models,
     if (query_first_each_op) {
       models.front()->drain_estimates_s(now, live, estimates);
     }
-    // Shed drained flows occasionally so slot recycling gets exercised.
+    // Shed drained flows occasionally, so the flow table also shrinks at
+    // its tail.
     if (!live.empty() && unit(rng) < 0.2) {
       const int flow = live.back();
       if (models.front()->drained(flow)) {
@@ -418,7 +419,8 @@ TEST(WanModelSnapshot, NonFiniteOrNegativeNumbersAreRefused) {
   // next representable instant forever), and restored byte counts and
   // rates feed the drain arithmetic and the retired byte totals: restore
   // refuses them. Mid-run, each number below has a bit pattern found
-  // where the writer lays it out (flows first, the calendar after).
+  // where the writer lays it out. The calendar is not written: restore
+  // rebuilds it from the pools, whose activation time is patched below.
   GridWanModel wan(2, 100.0, 200.0);
   wan.admit(0.0, {make_pool(Link::kUplink, 0, 1000.0, 0.0),
                   make_pool(Link::kDownlink, 1, 850.0, 1.0),
@@ -461,7 +463,6 @@ TEST(WanModelSnapshot, NonFiniteOrNegativeNumbersAreRefused) {
       {"rate", 100.0, 0, -1.0, true},
       {"rate", 100.0, 0, kInf, false},  // an infinite link's rate
       {"pool activation", 10.0, 0, kNaN, true},
-      {"calendar activation", 10.0, 1, kNaN, true},
   };
   for (const Patch& p : patches) {
     std::size_t at = clean.find(bits_of(p.from));
@@ -479,9 +480,11 @@ TEST(WanModelSnapshot, NonFiniteOrNegativeNumbersAreRefused) {
   }
 }
 
-TEST(WanModelSnapshot, LiveListNamingAFlowTwiceIsRefused) {
-  // The live list drives every drain: a flow named twice drains twice per
-  // step and retires with more bytes than its link carried.
+TEST(WanModelSnapshot, FlowsOutOfIdOrderAreRefused) {
+  // The flow table is id-sorted: find() binary-searches it, and a flow
+  // listed twice would drain twice per step and retire with more bytes
+  // than its link carried. Restore refuses ids that do not strictly
+  // increase or that the id counter never issued.
   GridWanModel wan(2, 100.0, 200.0);
   wan.admit(0.0, {make_pool(Link::kUplink, 0, 1000.0, 0.0)});
   wan.admit(0.0, {make_pool(Link::kUplink, 1, 800.0, 0.0)});
@@ -494,27 +497,85 @@ TEST(WanModelSnapshot, LiveListNamingAFlowTwiceIsRefused) {
     std::memcpy(bits.data(), &value, sizeof value);
     return bits;
   };
-  const std::size_t at =
-      clean.find(bits_of(std::uint64_t{2}) + bits_of(0) + bits_of(1));
+  // The second flow's record opens with id 1 and one pool on uplink 1.
+  const std::string second = bits_of(1) + bits_of(std::uint64_t{1}) +
+                             bits_of(Link::kUplink) + bits_of(1);
+  const std::size_t at = clean.find(second);
   ASSERT_NE(at, std::string::npos);
-  for (const int first : {0, 1}) {  // live list [0, 0], then [1, 1]
-    std::string patched = clean;
-    patched.replace(at + sizeof(std::uint64_t) + (1 - first) * sizeof(int),
-                    sizeof(int), bits_of(first));
+  ASSERT_EQ(clean.rfind(second), at);
+  const auto restore = [](const std::string& bytes) {
     GridWanModel fresh(2, 100.0, 200.0);
-    SnapshotReader r(patched);
-    EXPECT_THROW(r(fresh), Error) << "slot " << first << " twice";
+    SnapshotReader r(bytes);
+    r(fresh);
+  };
+  EXPECT_NO_THROW(restore(clean));
+  for (const int id : {0, 2}) {  // the first flow's id, an unissued id
+    std::string patched = clean;
+    patched.replace(at, sizeof(int), bits_of(id));
+    try {
+      restore(patched);
+      ADD_FAILURE() << "second flow with id " << id << " was restored";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("flow id order"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(WanModelSnapshot, ActiveZeroBytePoolIsRefused) {
+  // A pool is active from its activation until it runs dry. An active
+  // flag on a drained pool would let the next advance "drain" it again
+  // and count the flow drained while its downlink still holds bytes, so
+  // its job would complete early.
+  GridWanModel wan(2, 100.0, 200.0);
+  const int flow = wan.admit(0.0, {make_pool(Link::kUplink, 0, 100.0, 0.0),
+                                   make_pool(Link::kDownlink, 1, 1000.0, 0.0)});
+  ASSERT_EQ(wan.next_event_s(0.0), 1.0);
+  wan.advance(0.0, 1.0);
+  ASSERT_FALSE(wan.drained(flow));  // 900 B left on the downlink
+  SnapshotWriter w;
+  w(wan);
+  const std::string clean = w.bytes();
+  // The flow's record closes with its active flags, [0, 1].
+  std::string flags(sizeof(std::uint64_t), '\0');
+  const std::uint64_t two = 2;
+  std::memcpy(flags.data(), &two, sizeof two);
+  flags += std::string("\0\1", 2);
+  const std::size_t at = clean.find(flags);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(clean.rfind(flags), at);
+  const auto restore = [](const std::string& bytes) {
+    GridWanModel fresh(2, 100.0, 200.0);
+    SnapshotReader r(bytes);
+    r(fresh);
+  };
+  EXPECT_NO_THROW(restore(clean));
+  std::string patched = clean;
+  patched[at + sizeof(std::uint64_t)] = '\1';
+  try {
+    restore(patched);
+    ADD_FAILURE() << "an active drained pool was restored";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("active pool with no bytes"),
+              std::string::npos)
+        << e.what();
   }
 }
 
 TEST(WanModelSnapshot, RestoredModelContinuesIdentically) {
   // Restore derives what the checkpoint no longer carries: each flow's
-  // undrained count, frac sensitivity and load membership. A restored
-  // copy must then follow the original step for step. Flow a's two
-  // uplink pools share the max-min trunk (frac-sensitive); flow b's
-  // uplink pool is still pending, yet counts toward the load. Every
-  // other step stops halfway to the next event, where no pool drains or
-  // activates and only frac sensitivity re-dirties the trunk.
+  // undrained count, frac sensitivity and load membership, and the
+  // activation calendar. A restored copy must then follow the original
+  // step for step. Flow a's two uplink pools share the max-min trunk
+  // (frac-sensitive); flow b's uplink pool is still pending, yet counts
+  // toward the load; flow c retired before its pool activated, so the
+  // original's calendar still holds its dead entry, which the rebuilt
+  // calendar drops; flow d's pool activates before b's, though admitted
+  // after it, so the rebuilt calendar must be a heap, not the pools in
+  // flow order. Every other step stops halfway to the next event, where
+  // no pool drains or activates and only frac sensitivity re-dirties the
+  // trunk.
   for (const WanFairness fairness :
        {WanFairness::kEqualSplit, WanFairness::kMaxMin}) {
     GridWanModel wan(3, 100.0, 150.0, fairness);
@@ -524,7 +585,11 @@ TEST(WanModelSnapshot, RestoredModelContinuesIdentically) {
                     make_pool(Link::kBackbone, -1, 1200.0, 0.0)});
     wan.admit(0.0, {make_pool(Link::kDownlink, 0, 500.0, 0.0),
                     make_pool(Link::kUplink, 2, 600.0, 20.0)});
+    const int c = wan.admit(0.0, {make_pool(Link::kDownlink, 1, 700.0, 2.0)});
+    wan.admit(0.0, {make_pool(Link::kDownlink, 1, 400.0, 3.0)});
     wan.advance(0.0, 1.0);
+    std::vector<long long> egress(3, 0), ingress(3, 0);
+    wan.retire(c, egress, ingress);
     SnapshotWriter w;
     w(wan);
     GridWanModel restored(3, 100.0, 150.0, fairness);

@@ -100,13 +100,15 @@
 //       first time the virtual clock reaches T (default 0) and keeps
 //       running to completion; --resume FILE restores such a snapshot
 //       into an identically-configured service and runs it to
-//       completion — the resumed run's trace, metrics, and summary are
-//       byte-identical to the uninterrupted one's. The snapshot embeds
-//       its configuration (the grid's clusters and links, the roofline,
-//       and every option that shapes decisions), and a resume under any
-//       other configuration is refused with an error naming the first
-//       differing tag (e.g. "snapshot wan_link_Bps mismatches" after a
-//       changed --wan-gbps). Both require a single --policy.
+//       completion — the resumed run's trace, metrics, summary, and any
+//       --checkpoint-out it writes are byte-identical to the
+//       uninterrupted one's. The snapshot embeds its configuration (the
+//       grid's clusters and links, the roofline, every option that
+//       shapes decisions, and which telemetry sinks are armed), and a
+//       resume under any other configuration is refused with an error
+//       naming the first differing tag (e.g. "snapshot wan_link_Bps
+//       mismatches" after a changed --wan-gbps; a telemetry tag also
+//       names the flags that set it). Both require a single --policy.
 //
 //   qrgrid_cli explore   [--jobs J] [--policy ...|all] [--sites S]
 //                        [--nodes N] [--procs-per-node P] [--seed X]
@@ -550,6 +552,29 @@ std::vector<sched::Job> workload_of(const Args& args,
   return jobs;
 }
 
+/// Restores a `serve --checkpoint-out` file. Telemetry presence is part
+/// of the checkpointed configuration, so a refused telemetry tag also
+/// names the serve flags that set it.
+void restore_checkpoint(sched::GridJobService& service,
+                        const std::string& bytes) {
+  try {
+    service.restore(bytes);
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    for (const auto& [tag, flags] :
+         {std::pair{"snapshot tracer ",
+                    "--trace-out, --gantt, --critpath-out or --blame"},
+          std::pair{"snapshot metrics ", "--metrics-out"},
+          std::pair{"snapshot wait_blame ", "--blame"}}) {
+      if (what.find(tag) != std::string::npos) {
+        throw Error(what + " (set by " + flags +
+                    ": resume with the checkpointing run's flags)");
+      }
+    }
+    throw;
+  }
+}
+
 int cmd_serve(const Args& args) {
   simgrid::GridTopology topo = topo_of(args);
   const model::Roofline roof = model::paper_calibration();
@@ -659,46 +684,40 @@ int cmd_serve(const Args& args) {
     options.metrics = want_metrics ? &metrics : nullptr;
     options.profiler = want_profile ? &profiler : nullptr;
     sched::GridJobService service(topo, roof, options);
-    sched::ServiceReport report;
     if (!resume_path.empty()) {
       std::ifstream in(resume_path, std::ios::binary);
       QRGRID_CHECK_MSG(in.is_open(), "cannot open --resume " << resume_path);
       std::ostringstream buf;
       buf << in.rdbuf();
-      service.restore(buf.str());
+      restore_checkpoint(service, buf.str());
       std::cout << "resumed from " << resume_path << " at t="
                 << format_number(service.now_s(), 5) << " s\n";
-      while (service.active()) service.step();
-      report = service.finish();
-    } else if (!checkpoint_out.empty()) {
-      service.start(jobs);
-      bool written = false;
-      const auto write_checkpoint = [&] {
-        const std::string bytes = service.snapshot();
-        std::ofstream out(checkpoint_out, std::ios::binary);
-        QRGRID_CHECK_MSG(out.is_open(),
-                         "cannot open --checkpoint-out " << checkpoint_out);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-        std::cout << "checkpoint written to " << checkpoint_out << " ("
-                  << bytes.size() << " bytes, t="
-                  << format_number(service.now_s(), 5) << " s)\n";
-        written = true;
-      };
-      while (service.active()) {
-        if (!written && service.now_s() >= checkpoint_at) {
-          write_checkpoint();
-        }
-        service.step();
-      }
-      // The run drained before the clock reached the mark: snapshot the
-      // drained state anyway, so the artifact always exists (resuming it
-      // just finishes immediately).
-      if (!written) write_checkpoint();
-      report = service.finish();
     } else {
-      report = service.run(jobs);
+      service.start(jobs);
     }
+    bool checkpoint_due = !checkpoint_out.empty();
+    const auto write_checkpoint = [&] {
+      const std::string bytes = service.snapshot();
+      std::ofstream out(checkpoint_out, std::ios::binary);
+      QRGRID_CHECK_MSG(out.is_open(),
+                       "cannot open --checkpoint-out " << checkpoint_out);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      std::cout << "checkpoint written to " << checkpoint_out << " ("
+                << bytes.size() << " bytes, t="
+                << format_number(service.now_s(), 5) << " s)\n";
+      checkpoint_due = false;
+    };
+    while (service.active()) {
+      if (checkpoint_due && service.now_s() >= checkpoint_at) {
+        write_checkpoint();
+      }
+      service.step();
+    }
+    // The run drained before the clock reached the mark: snapshot the
+    // drained state anyway, so the artifact always exists (resuming it
+    // just finishes immediately).
+    if (checkpoint_due) write_checkpoint();
+    const sched::ServiceReport report = service.finish();
     table.add_row(sched::summary_row(report));
     if (want_trace) {
       // Every traced run must satisfy the pinned event invariants.

@@ -196,8 +196,8 @@ void write_bench_json(const std::string& path, int jobs,
 /// DESIGN and would drown any data-structure win). Gates: job
 /// conservation per config, total wall time, and peak RSS. Budgets hold
 /// on a cold CI runner at full scale; on one 4-core Xeon host three runs
-/// took 49-67 s at ~600 MB peak RSS, so the 600 s / 8 GB gates carry
-/// ~9x wall and ~13x memory headroom — they catch a complexity-class
+/// took 19.5-20.6 s at 592 MB peak RSS, so the 600 s / 8 GB gates carry
+/// ~30x wall and ~13x memory headroom — they catch a complexity-class
 /// regression (the quadratic they guard against costs hours), not
 /// runner jitter.
 ///

@@ -1,6 +1,7 @@
 #include "sched/backend.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -14,6 +15,7 @@
 #include "linalg/norms.hpp"
 #include "model/costs.hpp"
 #include "msg/comm.hpp"
+#include "sched/profiler.hpp"
 #include "sched/service.hpp"
 #include "sched/telemetry.hpp"
 #include "simgrid/cost.hpp"
@@ -51,16 +53,13 @@ std::string backend_name(BackendKind kind) {
 void check_placement(const Placement& p, const simgrid::GridTopology& topo) {
   QRGRID_CHECK_MSG(!p.clusters.empty() && p.clusters.size() == p.nodes.size(),
                    "corrupt snapshot: placement shape");
-  int total = 0;
   for (std::size_t i = 0; i < p.clusters.size(); ++i) {
     const int c = p.clusters[i];
     QRGRID_CHECK_MSG((i == 0 ? c >= 0 : c > p.clusters[i - 1]) &&
                          c < topo.num_clusters() && p.nodes[i] >= 1 &&
                          p.nodes[i] <= topo.cluster(c).nodes,
                      "corrupt snapshot: placement on cluster " << c);
-    total += p.nodes[i];
   }
-  QRGRID_CHECK_MSG(total == p.total_nodes, "corrupt snapshot: placement total");
 }
 
 namespace {
@@ -101,25 +100,59 @@ bool ExecutionBackend::executes() const {
   return options_.backend == BackendKind::kMsgRuntime;
 }
 
+namespace {
+
+/// Folds one word into a running hash: a multiply spreads it into the
+/// high bits, the shift brings them back down to the bucket index.
+std::uint64_t fold(std::uint64_t h, std::uint64_t word) {
+  h = (h ^ word) * 0x9e3779b97f4a7c15ull;
+  return h ^ (h >> 32);
+}
+
+}  // namespace
+
+std::size_t ExecutionBackend::KeyHash::operator()(const KeyView& key) const {
+  // m + 0.0 turns -0.0 into +0.0, which == holds equal.
+  std::uint64_t h = fold(std::bit_cast<std::uint64_t>(key.m + 0.0),
+                         static_cast<std::uint64_t>(key.n) << 8 |
+                             static_cast<std::uint64_t>(key.tree));
+  const Placement& p = key.placement;
+  for (std::size_t i = 0; i < p.clusters.size(); ++i) {
+    h = fold(h, static_cast<std::uint64_t>(p.clusters[i]) << 32 |
+                    static_cast<std::uint32_t>(p.nodes[i]));
+  }
+  return static_cast<std::size_t>(h);
+}
+
+bool ExecutionBackend::KeyEqual::operator()(const KeyView& a,
+                                            const KeyView& b) const {
+  return a.m == b.m && a.n == b.n && a.tree == b.tree &&
+         a.placement == b.placement;
+}
+
 const ExecutionProfile& ExecutionBackend::profile(const Job& job,
                                                   const Placement& placement) {
-  ProfileKey key{job.m, job.n, job.tree, placement};
-  const auto cached = profile_cache_.find(key);
+  const auto cached =
+      profile_cache_.find(KeyView(job.m, job.n, job.tree, placement));
   MetricsRegistry* metrics = options_.metrics;
   if (cached != profile_cache_.end()) {
     if (metrics != nullptr) metrics->add("backend.profile_hits");
     return cached->second;
   }
   if (metrics != nullptr) metrics->add("backend.profile_misses");
-  ExecutionProfile computed = compute(key);
-  const ExecutionProfile& entry =
-      profile_cache_.emplace(std::move(key), std::move(computed))
-          .first->second;
+  const ExecutionProfile* entry = nullptr;
+  {
+    PhaseScope scope(options_.profiler, ProfilePhase::kProfileCompute);
+    ProfileKey key{job.m, job.n, job.tree, placement};
+    ExecutionProfile computed = compute(key);
+    entry = &profile_cache_.emplace(std::move(key), std::move(computed))
+                 .first->second;
+  }
   if (options_.tracer != nullptr) {
     options_.tracer->emit(TraceKind::kProfileCompute,
-                          options_.tracer->now_s(), job.id, entry.seconds);
+                          options_.tracer->now_s(), job.id, entry->seconds);
   }
-  return entry;
+  return *entry;
 }
 
 ExecutionProfile ExecutionBackend::compute(const ProfileKey& key) const {
@@ -174,7 +207,7 @@ ExecutionProfile ExecutionBackend::compute(const ProfileKey& key) const {
 const ExecutionProfile* ExecutionBackend::find_profile(
     const Job& job, const Placement& placement) const {
   const auto cached =
-      profile_cache_.find(ProfileKey{job.m, job.n, job.tree, placement});
+      profile_cache_.find(KeyView(job.m, job.n, job.tree, placement));
   return cached == profile_cache_.end() ? nullptr : &cached->second;
 }
 
@@ -183,13 +216,14 @@ std::vector<ExecutionBackend::ProfileKey> ExecutionBackend::profile_keys()
   std::vector<ProfileKey> keys;
   keys.reserve(profile_cache_.size());
   for (const auto& [key, profile] : profile_cache_) keys.push_back(key);
+  std::sort(keys.begin(), keys.end());
   return keys;
 }
 
 void ExecutionBackend::warm(const std::vector<ProfileKey>& keys) {
   for (const ProfileKey& key : keys) {
     // The shape check_job admits: des_tsqr replays it.
-    QRGRID_CHECK_MSG(key.m >= key.n && key.n >= 1 &&
+    QRGRID_CHECK_MSG(std::isfinite(key.m) && key.m >= key.n && key.n >= 1 &&
                          key.tree >= core::TreeKind::kFlat &&
                          key.tree <= core::TreeKind::kGridHierarchical,
                      "corrupt snapshot: profile key of shape "

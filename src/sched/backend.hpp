@@ -28,9 +28,11 @@
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <limits>
-#include <map>
+#include <numeric>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "model/roofline.hpp"
@@ -47,18 +49,24 @@ struct ServiceOptions;
 struct Placement {
   std::vector<int> clusters;
   std::vector<int> nodes;
-  int total_nodes = 0;
+
+  /// The nodes granted in all. Derived, so a checkpoint does not carry
+  /// it: a restored placement is summed only after check_placement has
+  /// bounded each entry.
+  int total_nodes() const {
+    return std::accumulate(nodes.begin(), nodes.end(), 0);
+  }
 
   auto operator<=>(const Placement&) const = default;
 
   template <class V>
-  void visit(V& v) { v(clusters, nodes, total_nodes); }
+  void visit(V& v) { v(clusters, nodes); }
 };
 
 /// Throws qrgrid::Error unless `p` is a placement this topology could
 /// have granted: ascending distinct clusters, each holding 1..capacity
-/// nodes, summing to total_nodes. Restored placements index per-cluster
-/// arrays and build replay topologies, so hostile bytes stop here.
+/// nodes. Restored placements index per-cluster arrays and build replay
+/// topologies, so hostile bytes stop here.
 void check_placement(const Placement& p, const simgrid::GridTopology& topo);
 
 /// Cached performance profile of one (shape x placement) combination —
@@ -111,7 +119,10 @@ class ExecutionBackend {
   /// Profile-cache key: the job's shape and its canonical placement,
   /// compared exactly (m too — no rounding). The options that also
   /// shape a replay (domains_per_cluster, wan_link_Bps, ...) are the
-  /// borrowed service's, fixed for this backend's lifetime.
+  /// borrowed service's, fixed for this backend's lifetime. The cache is
+  /// hashed, and a lookup hashes a borrowed view of the job's shape and
+  /// placement, so only a miss builds a key; the ordering below sorts
+  /// profile_keys().
   struct ProfileKey {
     double m = 0.0;
     int n = 0;
@@ -153,7 +164,9 @@ class ExecutionBackend {
   ExecutionResult execute(const Job& job, const Placement& placement,
                           double abort_vtime_s);
 
-  /// Snapshot seam: the cached profiles' keys, in key order.
+  /// Snapshot seam: the cached profiles' keys, sorted into key order on
+  /// output (the hashed cache has none), so a checkpoint's bytes do not
+  /// depend on the order the profiles were computed in.
   std::vector<ProfileKey> profile_keys() const;
   /// Snapshot load: validates every key (a well-formed shape, a
   /// placement this grid could grant), then computes each profile not
@@ -163,6 +176,33 @@ class ExecutionBackend {
   void warm(const std::vector<ProfileKey>& keys);
 
  private:
+  /// A ProfileKey's fields with the placement borrowed: what profile()
+  /// and find_profile() look up with, so a hit copies no vector.
+  struct KeyView {
+    double m;
+    int n;
+    core::TreeKind tree;
+    const Placement& placement;
+
+    KeyView(double m_in, int n_in, core::TreeKind tree_in,
+            const Placement& placement_in)
+        : m(m_in), n(n_in), tree(tree_in), placement(placement_in) {}
+    // Implicit: the cache's hash and equality take owned keys as views.
+    KeyView(const ProfileKey& key)  // NOLINT(google-explicit-constructor)
+        : KeyView(key.m, key.n, key.tree, key.placement) {}
+  };
+  /// Transparent hash and equality over views, so the cache finds a
+  /// ProfileKey by a KeyView. Equal exactly when ProfileKey's ordering
+  /// holds the keys equivalent.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(const KeyView& key) const;
+  };
+  struct KeyEqual {
+    using is_transparent = void;
+    bool operator()(const KeyView& a, const KeyView& b) const;
+  };
+
   /// The replay behind one cache entry: a pure function of the key and
   /// the borrowed configuration, reporting nothing.
   ExecutionProfile compute(const ProfileKey& key) const;
@@ -172,7 +212,10 @@ class ExecutionBackend {
   /// Also the telemetry sinks (tracer, metrics) the backend reports
   /// through; nothing reported may influence a profile or an execution.
   const ServiceOptions& options_;
-  std::map<ProfileKey, ExecutionProfile> profile_cache_;
+  /// Node-based, so a profile's address survives later inserts and
+  /// rehashes: profile() hands out references for the cache's lifetime.
+  std::unordered_map<ProfileKey, ExecutionProfile, KeyHash, KeyEqual>
+      profile_cache_;
 };
 
 }  // namespace qrgrid::sched

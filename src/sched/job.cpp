@@ -34,8 +34,8 @@ std::string policy_name(Policy policy) {
 }
 
 void check_job(const Job& job) {
-  QRGRID_CHECK_MSG(std::isfinite(job.arrival_s) && job.m >= job.n &&
-                       job.n >= 1 && job.procs >= 1 &&
+  QRGRID_CHECK_MSG(std::isfinite(job.arrival_s) && std::isfinite(job.m) &&
+                       job.m >= job.n && job.n >= 1 && job.procs >= 1 &&
                        job.walltime_s >= 0.0 && job.weight > 0.0 &&
                        job.tree >= core::TreeKind::kFlat &&
                        job.tree <= core::TreeKind::kGridHierarchical,

@@ -77,8 +77,8 @@ struct Job {
 };
 
 /// Throws qrgrid::Error unless the job is well-formed: a finite arrival,
-/// m >= n >= 1, procs >= 1, walltime_s >= 0, weight > 0, and a known
-/// tree. The service's admission preflight and snapshot restore both
+/// a finite m >= n >= 1, procs >= 1, walltime_s >= 0, weight > 0, and a
+/// known tree. The service's admission preflight and snapshot restore both
 /// gate on it.
 void check_job(const Job& job);
 

@@ -7,13 +7,14 @@
 // phase (dispatch suddenly rescanning the queue, the WAN walk going
 // quadratic) shows up even when absolute walls jitter across machines.
 //
-// Eight phases, chosen to cover the loop's real hot spots:
+// Nine phases, chosen to cover the loop's real hot spots:
 //
 //   dispatch-scan        one dispatch() pass: head placements + the
 //                        backfill pass, a queue-order merge of the
 //                        pending queue's per-procs buckets that prices
 //                        only candidates whose procs place now
-//                        (includes shadow and place below)
+//                        (includes shadow, place and profile-compute
+//                        below)
 //   shadow               shadow_time(): the EASY reservation estimate,
 //                        including WAN drain pricing (nested inside
 //                        dispatch-scan — totals overlap by design)
@@ -38,6 +39,11 @@
 //                        blame-classify)
 //   blame-classify       classify_waits(): the wait-blame pass after
 //                        each dispatch (wait_blame runs only)
+//   profile-compute      one ExecutionBackend::profile() cache miss: the
+//                        des_tsqr replay of a (shape x placement) the
+//                        run has not priced yet (nested inside
+//                        dispatch-scan, which prices and starts jobs; a
+//                        restore's warm() is not timed)
 //
 // Cost contract, same shape as the tracer's: ServiceOptions::profiler is
 // a nullable pointer, and a PhaseScope over a null profiler never reads
@@ -64,8 +70,9 @@ enum class ProfilePhase : int {
   kBackendExecute,
   kPlace,
   kBlameClassify,
+  kProfileCompute,
 };
-inline constexpr int kProfilePhaseCount = 8;
+inline constexpr int kProfilePhaseCount = 9;
 
 inline const char* profile_phase_name(ProfilePhase phase) {
   switch (phase) {
@@ -85,6 +92,8 @@ inline const char* profile_phase_name(ProfilePhase phase) {
       return "place";
     case ProfilePhase::kBlameClassify:
       return "blame-classify";
+    case ProfilePhase::kProfileCompute:
+      return "profile-compute";
   }
   return "unknown";
 }

@@ -40,7 +40,7 @@ constexpr int kMaxGroups = 8;
 /// Snapshot framing (see GridJobService::snapshot). The version bumps on
 /// ANY layout change — restore refuses mismatches instead of misreading.
 const char kSnapshotMagic[] = "QRGS";
-constexpr std::uint32_t kSnapshotVersion = 7;
+constexpr std::uint32_t kSnapshotVersion = 8;
 
 /// Throws qrgrid::Error unless a restored trace event is one the service
 /// could have recorded on a grid of `nclusters`: a known kind, and
@@ -323,6 +323,15 @@ struct GridJobService::Engine {
   /// dispatch() clears it on entry and start_job on exit. Not snapshot
   /// state: it is empty at every pass start.
   std::unordered_map<int, std::optional<Placement>> placement_memo;
+  /// try_place's working buffers (the free processes, the cluster
+  /// order, the job profile, and choose_clusters' outputs): overwritten
+  /// before every read, so the probes allocate nothing once they have
+  /// grown. Engine scratch, never snapshot state.
+  mutable std::vector<int> free_procs_scratch;
+  mutable std::vector<int> order_scratch;
+  mutable simgrid::JobProfile profile_scratch;
+  mutable std::vector<int> group_cluster_scratch;
+  mutable std::vector<int> left_scratch;
 
   /// quiet = the restore path: skip workload admission (validated by the
   /// original start()) and the preamble's telemetry emissions (the
@@ -559,7 +568,8 @@ std::optional<Placement> GridJobService::Engine::try_place(
   // (even at the max split) is confined to one cluster, so SOME cluster
   // must hold ceil(procs / kMaxGroups) procs. Pure rejections: a job
   // that passes is placed by the walk alone.
-  std::vector<int> free_procs(static_cast<std::size_t>(nclusters));
+  std::vector<int>& free_procs = free_procs_scratch;
+  free_procs.resize(static_cast<std::size_t>(nclusters));
   long long free_total = 0;
   long long max_cluster_procs = 0;
   for (std::size_t c = 0; c < free_procs.size(); ++c) {
@@ -579,7 +589,8 @@ std::optional<Placement> GridJobService::Engine::try_place(
   // feasible groups away from in-flight flows. The stable sort keeps
   // master-id order among ties, so an idle WAN reproduces the naive
   // order exactly.
-  std::vector<int> order(static_cast<std::size_t>(nclusters));
+  std::vector<int>& order = order_scratch;
+  order.resize(static_cast<std::size_t>(nclusters));
   std::iota(order.begin(), order.end(), 0);
   if (wan_pref != nullptr) {
     if (metrics != nullptr) metrics->add("policy.cluster_order_wan_sorts");
@@ -593,33 +604,32 @@ std::optional<Placement> GridJobService::Engine::try_place(
   simgrid::GroupRequirement req;
   req.max_intra_latency_s = kGroupMaxLatencyS;
   req.min_intra_bandwidth_Bps = kGroupMinBandwidthBps;
-  simgrid::JobProfile profile;
+  simgrid::JobProfile& profile = profile_scratch;
+  std::vector<int>& left = left_scratch;
   for (int g = 1; g <= kMaxGroups; ++g) {
     const int group_procs = (job.procs + g - 1) / g;
     req.processes = group_procs;
     profile.groups.assign(static_cast<std::size_t>(g), req);
     // Only each group's cluster matters here; the per-rank machine file
     // (allocate) is never built for a probe.
-    const auto group_cluster =
-        scheduler.choose_clusters(profile, free_procs, order);
-    if (!group_cluster.has_value()) continue;
+    if (!scheduler.choose_clusters(profile, free_procs, order,
+                                   group_cluster_scratch, left)) {
+      continue;
+    }
 
     // Node-exclusive grant per cluster, in ascending cluster id whatever
     // order the clusters were offered in: the canonical form the replay
-    // cache key and the report's parallel arrays rely on.
-    std::vector<int> procs_used(static_cast<std::size_t>(nclusters), 0);
-    for (const int c : *group_cluster) {
-      procs_used[static_cast<std::size_t>(c)] += group_procs;
-    }
+    // cache key and the report's parallel arrays rely on. The groups took
+    // free_procs[c] - left[c] processes of cluster c.
     Placement placement;
     for (int c = 0; c < nclusters; ++c) {
-      const int procs = procs_used[static_cast<std::size_t>(c)];
+      const auto cc = static_cast<std::size_t>(c);
+      const int procs = free_procs[cc] - left[cc];
       if (procs == 0) continue;
-      const int ppn = cluster_ppn[static_cast<std::size_t>(c)];
+      const int ppn = cluster_ppn[cc];
       const int nodes = (procs + ppn - 1) / ppn;
       placement.clusters.push_back(c);
       placement.nodes.push_back(nodes);
-      placement.total_nodes += nodes;
     }
     return placement;
   }
@@ -870,7 +880,7 @@ void GridJobService::Engine::record_outcome(Running& r, double end_s,
   outcome.gflops = fate == JobFate::kCompleted ? r.replay->gflops : 0.0;
   outcome.clusters = r.placement.clusters;
   outcome.nodes_per_cluster = r.placement.nodes;
-  outcome.nodes = r.placement.total_nodes;
+  outcome.nodes = r.placement.total_nodes();
   outcome.backfilled = r.backfilled;
   outcome.fate = fate;
   outcome.attempts = p.attempts;
@@ -942,12 +952,17 @@ void GridJobService::Engine::start_job(Job job, const Placement& placement,
   // re-runs (at THIS placement's rate — the fraction is what carries),
   // plus checkpoint I/O for the panels this attempt will protect.
   const double attempt_s = attempt_seconds(replay, p.credited_fraction);
-  QRGRID_CHECK(attempt_s > 0.0);
+  // A replay can overflow to +inf seconds (m near the double range); an
+  // attempt that never ends would leave the loop no event to advance to.
+  QRGRID_CHECK_MSG(attempt_s > 0.0 && std::isfinite(attempt_s),
+                   "job " << job.id << " (" << job.m << " x " << job.n
+                          << ") prices an attempt of " << attempt_s
+                          << " s; it must be positive and finite");
   // Deficit accounting (fair-share): the attempt is expected to hold
   // its grant for attempt_s — charged at start so the very next head
   // decision already sees this user served.
   policy.on_attempt_start(
-      job, attempt_s * static_cast<double>(placement.total_nodes));
+      job, attempt_s * static_cast<double>(placement.total_nodes()));
   grant_nodes(placement);
   Running r;
   r.finish_s = clock + attempt_s;
@@ -1342,7 +1357,7 @@ void GridJobService::Engine::end_attempt(Running& r, TraceKind how,
     banked = gained * r.replay->seconds;
     p.credited_fraction += gained;
   }
-  const double nodes = static_cast<double>(r.placement.total_nodes);
+  const double nodes = static_cast<double>(r.placement.total_nodes());
   if (completed) {
     report.useful_node_seconds += nodes * held;
     useful_flops_total += model::useful_flops(r.job.m, r.job.n);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "common/check.hpp"
 
@@ -22,13 +21,15 @@ bool cluster_satisfies(const GridTopology& topo,
 
 }  // namespace
 
-std::optional<std::vector<int>> MetaScheduler::choose_clusters(
-    const JobProfile& profile, const std::vector<int>& free_procs,
-    const std::vector<int>& order) const {
+bool MetaScheduler::choose_clusters(const JobProfile& profile,
+                                    const std::vector<int>& free_procs,
+                                    const std::vector<int>& order,
+                                    std::vector<int>& group_cluster,
+                                    std::vector<int>& left) const {
   const int nclusters = topology_.num_clusters();
   QRGRID_CHECK(free_procs.size() == static_cast<std::size_t>(nclusters));
   for (const int c : order) QRGRID_CHECK(c >= 0 && c < nclusters);
-  std::vector<int> left = free_procs;
+  left.assign(free_procs.begin(), free_procs.end());
 
   // With equal_group_power we emulate the paper's reservation trick: every
   // group gets the same process count, but on clusters whose processors
@@ -36,8 +37,7 @@ std::optional<std::vector<int>> MetaScheduler::choose_clusters(
   // node ("book 2 of 4 cores") so aggregate powers stay within tolerance.
   // Here processor counts per group are fixed by the profile, so we only
   // verify the resulting imbalance and reject if out of tolerance.
-  std::vector<int> group_cluster;
-  group_cluster.reserve(profile.groups.size());
+  group_cluster.clear();
   double lo_power = 0.0;
   double hi_power = 0.0;
   const int norder = static_cast<int>(order.size());
@@ -58,7 +58,7 @@ std::optional<std::vector<int>> MetaScheduler::choose_clusters(
         break;
       }
     }
-    if (chosen < 0) return std::nullopt;
+    if (chosen < 0) return false;
 
     left[static_cast<std::size_t>(chosen)] -= req.processes;
     const double power =
@@ -71,22 +71,24 @@ std::optional<std::vector<int>> MetaScheduler::choose_clusters(
   if (profile.equal_group_power && group_cluster.size() > 1) {
     if (lo_power <= 0.0 ||
         (hi_power - lo_power) / hi_power > profile.power_tolerance) {
-      return std::nullopt;
+      return false;
     }
   }
-  return group_cluster;
+  return true;
 }
 
 std::optional<Allocation> MetaScheduler::allocate(
     const JobProfile& profile, const std::vector<int>& free_procs,
     const std::vector<int>& order) const {
-  std::optional<std::vector<int>> group_cluster =
-      choose_clusters(profile, free_procs, order);
-  if (!group_cluster.has_value()) return std::nullopt;
   Allocation alloc;
+  std::vector<int> left;
+  if (!choose_clusters(profile, free_procs, order, alloc.group_cluster,
+                       left)) {
+    return std::nullopt;
+  }
   std::vector<int> used(free_procs.size(), 0);
   for (std::size_t g = 0; g < profile.groups.size(); ++g) {
-    const int c = (*group_cluster)[g];
+    const int c = alloc.group_cluster[g];
     const auto cc = static_cast<std::size_t>(c);
     const int base = topology_.cluster_rank_base(c) + used[cc];
     for (int i = 0; i < profile.groups[g].processes; ++i) {
@@ -95,7 +97,6 @@ std::optional<Allocation> MetaScheduler::allocate(
     }
     used[cc] += profile.groups[g].processes;
   }
-  alloc.group_cluster = std::move(*group_cluster);
   return alloc;
 }
 

@@ -66,17 +66,23 @@ class MetaScheduler {
       : topology_(std::move(topology)) {}
 
   /// The placement decision alone: the cluster each group is confined
-  /// to (indexed by group id), chosen from what is free now —
-  /// `free_procs[c]` processes of cluster c (one entry per cluster).
-  /// Round-robin first-fit offers the clusters in `order` (cluster ids;
-  /// a cluster not listed is never used) and resumes after the last one
-  /// chosen. Returns std::nullopt if the free processes cannot satisfy
-  /// the profile (not enough of them, or power equalization impossible
-  /// within tolerance). Builds no machine file: a caller that only needs
-  /// the clusters (the job service's placement probes) stops here.
-  std::optional<std::vector<int>> choose_clusters(
-      const JobProfile& profile, const std::vector<int>& free_procs,
-      const std::vector<int>& order) const;
+  /// to, chosen from what is free now — `free_procs[c]` processes of
+  /// cluster c (one entry per cluster). Round-robin first-fit offers the
+  /// clusters in `order` (cluster ids; a cluster not listed is never
+  /// used) and resumes after the last one chosen. Returns false if the
+  /// free processes cannot satisfy the profile (not enough of them, or
+  /// power equalization impossible within tolerance). Writes into the
+  /// caller's buffers, overwriting whatever they held: `group_cluster`
+  /// gets each group's cluster (indexed by group id) and `left` the free
+  /// processes the chosen groups leave per cluster, so a caller probing
+  /// many placements allocates nothing. Builds no machine file: a caller
+  /// that only needs the clusters (the job service's placement probes)
+  /// stops here.
+  bool choose_clusters(const JobProfile& profile,
+                       const std::vector<int>& free_procs,
+                       const std::vector<int>& order,
+                       std::vector<int>& group_cluster,
+                       std::vector<int>& left) const;
   /// choose_clusters() expanded into the per-rank machine file: each
   /// cluster's free processes are taken to be its lowest-numbered ranks,
   /// handed out to its groups in group order.

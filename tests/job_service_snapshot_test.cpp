@@ -151,17 +151,20 @@ TEST(SnapshotFormat, PinnedLengthAndHash) {
     std::uint64_t hash;
   };
   const std::vector<Pin> pins = {
-      // Version 7 writes live state only: the WAN flows in id order
-      // (no slots, free-slot or live lists, no activation calendar), the
-      // profile cache as its key set, and no progress or blame row of a
-      // job that has an outcome. Restore derives the rest, as version 6
-      // derived each running attempt's walltime bound, EASY estimate and
-      // start credit, the placeable vector, and each WAN flow's
-      // undrained count, frac sensitivity and load membership.
-      {easy_case(&tracer, &metrics), 15391, 0xb0f5bb3e1c373b3full},
-      {fair_case(), 3570, 0xa8908a251ef7269bull},
-      {prio_case(), 3005, 0x1a0aa8d4080e6215ull},
-      {equal_case(), 3287, 0x0d2cbe29d969c5caull},
+      // Version 8 writes a placement as its clusters and node counts
+      // only: its node total is summed from them, 4 bytes fewer per
+      // running attempt and per profile key than version 7. Version 7
+      // wrote live state only: the WAN flows in id order (no slots,
+      // free-slot or live lists, no activation calendar), the profile
+      // cache as its key set, and no progress or blame row of a job that
+      // has an outcome. Restore derives the rest, as version 6 derived
+      // each running attempt's walltime bound, EASY estimate and start
+      // credit, the placeable vector, and each WAN flow's undrained
+      // count, frac sensitivity and load membership.
+      {easy_case(&tracer, &metrics), 15331, 0x4920565e2c3e38cbull},
+      {fair_case(), 3546, 0x1bf904a3ed382bd3ull},
+      {prio_case(), 2973, 0x39d54abb15120116ull},
+      {equal_case(), 3259, 0x136e182576bdcd71ull},
   };
   for (const Pin& pin : pins) {
     tracer.clear();
@@ -183,8 +186,8 @@ TEST(SnapshotFormat, ProfileKeysDoNotDependOnComputationOrder) {
   std::vector<std::pair<Job, Placement>> calls;
   for (const Job& job : workload(4, 1, 5)) {
     for (const Placement& placement :
-         {Placement{{0}, {1}, 1}, Placement{{1}, {2}, 2},
-          Placement{{0, 1}, {1, 1}, 2}}) {
+         {Placement{{0}, {1}}, Placement{{1}, {2}},
+          Placement{{0, 1}, {1, 1}}}) {
       calls.emplace_back(job, placement);
     }
   }
@@ -488,9 +491,7 @@ TEST(SnapshotHostileBytes, RunningAttemptWithoutProfileIsRefused) {
   for (const ServiceTraceEvent& ev : tracer.events()) {
     if (ev.kind == TraceKind::kDispatch ||
         ev.kind == TraceKind::kBackfillStart) {
-      int total = 0;
-      for (const int nodes : ev.nodes) total += nodes;
-      in_flight[ev.job] = Placement{ev.clusters, ev.nodes, total};
+      in_flight[ev.job] = Placement{ev.clusters, ev.nodes};
     } else if (ev.kind == TraceKind::kCompletion ||
                ev.kind == TraceKind::kWalltimeKill ||
                ev.kind == TraceKind::kOutageKill) {

@@ -320,6 +320,44 @@ TEST(GridJobService, RefusesRepeatedJobIds) {
   }
 }
 
+TEST(GridJobService, RefusesNonFiniteRowCounts) {
+  // m = +inf passes m >= n: admission once took such a job and the run
+  // stopped mid-way in "service deadlock". A finite m is part of a
+  // well-formed job (check_job, which restore shares).
+  const simgrid::GridTopology topo = simgrid::GridTopology::grid5000(2, 8, 2);
+  const model::Roofline roof = model::paper_calibration();
+  ServiceOptions options;
+  options.policy = Policy::kEasyBackfill;
+  std::vector<Job> jobs = {
+      make_job(0, 0.0, 1 << 16, 32, 4),
+      make_job(1, 0.01, std::numeric_limits<double>::infinity(), 32, 4)};
+  const auto refusal = [&](bool run) -> std::string {
+    GridJobService service(topo, roof, options);
+    try {
+      if (run) {
+        service.run(jobs);
+      } else {
+        service.start(jobs);
+      }
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_NE(refusal(false).find("malformed job 1"), std::string::npos)
+      << refusal(false);
+
+  // A finite m whose replay overflows to +inf seconds is admitted, and
+  // refused by name when its attempt is priced instead of stalling the
+  // loop with no event to advance to.
+  jobs[1].m = 1e308;
+  EXPECT_EQ(refusal(false), "");
+  const std::string priced = refusal(true);
+  EXPECT_NE(priced.find("job 1 (1e+308 x 32) prices an attempt of inf s"),
+            std::string::npos)
+      << priced;
+}
+
 TEST(GridJobService, ReplayCacheDistinguishesNearbyShapes) {
   // m values that agree to 6 significant digits must not share a cached
   // replay (the cache key streams doubles at full round-trip precision).

@@ -177,10 +177,13 @@ TEST(MetaScheduler, FreeCapacityMatchesResidualGridOracle) {
   // grids, zero-free clusters, shuffled orders, equal and unequal
   // groups, power equalization on and off, and unsatisfiable latency
   // bounds. The decision alone (choose_clusters) must agree with the
-  // allocation it expands into.
+  // allocation it expands into, written into buffers the previous trial
+  // left dirty (other lengths, other grids' clusters).
   const double peaks[] = {4.0, 4.4, 5.2, 6.0};
   Rng rng(2026);
   int placed = 0;
+  std::vector<int> decided;
+  std::vector<int> left;
   for (int trial = 0; trial < 20000; ++trial) {
     const int k = 1 + static_cast<int>(rng.uniform_index(6));
     std::vector<ClusterSpec> clusters;
@@ -240,10 +243,19 @@ TEST(MetaScheduler, FreeCapacityMatchesResidualGridOracle) {
     const auto got = scheduler.allocate(profile, free_procs, order);
     // The decision alone picks exactly the clusters allocate expands,
     // and fails exactly when it does.
-    const auto decided = scheduler.choose_clusters(profile, free_procs, order);
-    ASSERT_EQ(decided.has_value(), got.has_value()) << "trial " << trial;
-    if (decided.has_value()) {
-      ASSERT_EQ(*decided, got->group_cluster) << "trial " << trial;
+    const bool chosen =
+        scheduler.choose_clusters(profile, free_procs, order, decided, left);
+    ASSERT_EQ(chosen, got.has_value()) << "trial " << trial;
+    if (chosen) {
+      ASSERT_EQ(decided, got->group_cluster) << "trial " << trial;
+      // `left` is what the groups leave: each cluster's free processes
+      // less those of the groups it holds.
+      std::vector<int> want_left = free_procs;
+      for (std::size_t g = 0; g < profile.groups.size(); ++g) {
+        want_left[static_cast<std::size_t>(decided[g])] -=
+            profile.groups[g].processes;
+      }
+      ASSERT_EQ(left, want_left) << "trial " << trial;
     }
     // An equalized grant keeps its group powers within tolerance,
     // recomputed here from the chosen clusters.
@@ -282,6 +294,7 @@ TEST(MetaScheduler, FreeCapacityMatchesResidualGridOracle) {
       first += static_cast<std::size_t>(group.processes);
     }
     ASSERT_EQ(got->group_cluster, want_clusters) << "trial " << trial;
+    ASSERT_EQ(decided, want_clusters) << "trial " << trial;
     EXPECT_EQ(got->rank_to_group, want->rank_to_group) << "trial " << trial;
   }
   EXPECT_GT(placed, 1000);

@@ -88,9 +88,10 @@
 //       reconstructs the run's makespan-critical chain from the trace
 //       (sched/critpath.hpp) and writes it as JSON; the CLI self-checks
 //       that the chain tiles [0, makespan] exactly. --profile arms the
-//       scoped self-profiler (wall seconds per event-loop phase),
-//       printed per policy and exported as profiler.* gauges when
-//       --metrics-out is armed. Any of --trace-out / --gantt / --blame /
+//       scoped self-profiler (wall seconds per event-loop phase;
+//       profile-compute, the replays of profile-cache misses, nests
+//       inside dispatch-scan), printed per policy and exported as
+//       profiler.* gauges when --metrics-out is armed. Any of --trace-out / --gantt / --blame /
 //       --critpath-out arms the tracer, and every traced run is checked
 //       by the streaming invariant validator (non-zero exit on
 //       violation). When --policy all runs several policies, output

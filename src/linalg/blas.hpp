@@ -6,16 +6,35 @@
 // for all four transpose cases (Goto & van de Geijn, ACM TOMS 2008): blocks
 // of op(A) and op(B) are packed into row and column slivers and C is
 // accumulated 8 x 4 entries at a time; dot keeps eight independent
-// partial sums. Both vectorize in the baseline x86-64 (SSE2) build, so the
-// blocked QR kernels built on them run at Level-3 rates.
+// partial sums. Both vectorize at the host's vector width (QRGRID_KERNEL
+// below), so the blocked QR kernels built on them run at Level-3 rates.
 //
 // Determinism: every result is a fixed sequence of floating-point
 // operations (fixed block sizes, fixed summation order, no threads), so it
 // is bitwise the same from run to run on one build. It is not bitwise equal
 // to the loop-order kernels these replaced.
+//
+// ISA clones: on x86-64 GCC, a definition marked QRGRID_KERNEL is compiled
+// three times from its one source, for x86-64-v4 (AVX-512), AVX2 and the
+// baseline (SSE2), and the loader picks the widest clone the host runs.
+// The build forbids floating-point contraction (-ffp-contract=off), so no
+// clone fuses a multiply and an add: every clone runs the same operations
+// in the same order, only in wider registers, and its results are bitwise
+// the baseline's. tests/linalg_pins_test.cpp pins those bits.
+// ThreadSanitizer builds keep the baseline kernels alone: the loader runs
+// a clone's resolver before the TSan runtime is up, and GCC instruments
+// the resolver, so every binary would crash at load.
 #pragma once
 
 #include "linalg/matrix.hpp"
+
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
+#define QRGRID_KERNEL \
+  __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
+#else
+#define QRGRID_KERNEL
+#endif
 
 namespace qrgrid {
 

@@ -31,6 +31,7 @@ double nrm2(Index n, const double* x) {
   return scale * std::sqrt(ssq);
 }
 
+QRGRID_KERNEL
 double dot(Index n, const double* x, const double* y) {
   // Eight independent partial sums, one per residue of i mod 8, so the
   // loop vectorizes without reassociation; they are always combined in
@@ -45,11 +46,13 @@ double dot(Index n, const double* x, const double* y) {
   return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
 }
 
+QRGRID_KERNEL
 void axpy(Index n, double alpha, const double* x, double* y) {
   if (alpha == 0.0) return;
   for (Index i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
+QRGRID_KERNEL
 void scal(Index n, double alpha, double* x) {
   for (Index i = 0; i < n; ++i) x[i] *= alpha;
 }

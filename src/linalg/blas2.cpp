@@ -2,6 +2,7 @@
 
 namespace qrgrid {
 
+QRGRID_KERNEL
 void gemv(Trans trans, double alpha, ConstMatrixView a, const double* x,
           double beta, double* y) {
   const Index m = a.rows();
@@ -18,6 +19,7 @@ void gemv(Trans trans, double alpha, ConstMatrixView a, const double* x,
   }
 }
 
+QRGRID_KERNEL
 void ger(double alpha, const double* x, const double* y, MatrixView a) {
   const Index m = a.rows();
   const Index n = a.cols();

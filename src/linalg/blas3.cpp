@@ -12,11 +12,14 @@ namespace {
 // packed once per (jc, pc) step, an MC x KC block of op(A) once per ic
 // step, and the micro-kernel accumulates an MR x NR tile of C while it
 // streams one MR-row sliver of the A block against one NR-column sliver
-// of the B slice. An 8 x 4 tile is sixteen 2-double accumulators, the
-// whole register file of the baseline x86-64 (SSE2) build: the compiler
-// keeps most of them in registers and the rest in L1, and measured it
-// beats the 4 x 4 and 6 x 4 tiles that fit outright. The A block
-// (256 KiB) sits in L2 and a B sliver (8 KiB) in L1.
+// of the B slice. An 8 x 4 tile is sixteen 2-double accumulators in the
+// baseline x86-64 (SSE2) clone, its whole register file (the compiler
+// keeps most of them in registers and the rest in L1; measured there, it
+// beats the 4 x 4 and 6 x 4 tiles that fit outright), eight 4-double
+// accumulators in the AVX2 clone and four 8-double ones in the AVX-512
+// clone. The tile, and so every entry's chain of operations, is the same
+// in all three. The A block (256 KiB) sits in L2 and a B sliver (8 KiB)
+// in L1.
 constexpr Index kMR = 8;
 constexpr Index kNR = 4;
 constexpr Index kMC = 128;
@@ -51,7 +54,8 @@ Index round_up(Index x, Index r) { return (x + r - 1) / r * r; }
 /// src(s*R .. s*R+R-1, p) contiguously. Rows past `rows` are zero, so the
 /// micro-kernel always runs a full tile.
 template <Index R>
-void pack(Strided src, Index rows, Index depth, double* out) {
+[[gnu::always_inline]] inline void pack(Strided src, Index rows, Index depth,
+                                        double* out) {
   for (Index i0 = 0; i0 < rows; i0 += R) {
     const Index ib = std::min(R, rows - i0);
     for (Index p = 0; p < depth; ++p) {
@@ -65,9 +69,13 @@ void pack(Strided src, Index rows, Index depth, double* out) {
 /// C(0:mr, 0:nr) += alpha * A_s * B_s^T, where A_s is a packed MR-row
 /// sliver and B_s a packed NR-column sliver, both kc deep. Every entry of
 /// the tile is one chain of products added in p order, so the result does
-/// not depend on how the compiler vectorizes the tile.
-void micro_kernel(Index kc, const double* a, const double* b, double alpha,
-                  double* c, Index ldc, Index mr, Index nr) {
+/// not depend on how the compiler vectorizes the tile. pack and the
+/// micro-kernel are always inlined, so each ISA clone of gemm carries its
+/// own wide copy of them instead of calling one baseline copy.
+[[gnu::always_inline]] inline void micro_kernel(Index kc, const double* a,
+                                                const double* b, double alpha,
+                                                double* c, Index ldc,
+                                                Index mr, Index nr) {
   double acc[kNR][kMR] = {};
   for (Index p = 0; p < kc; ++p) {
     for (Index j = 0; j < kNR; ++j) {
@@ -89,6 +97,7 @@ void micro_kernel(Index kc, const double* a, const double* b, double alpha,
 
 }  // namespace
 
+QRGRID_KERNEL
 void gemm(Trans ta, Trans tb, double alpha, ConstMatrixView a,
           ConstMatrixView b, double beta, MatrixView c) {
   const Index m = c.rows();
@@ -141,6 +150,7 @@ void gemm(Trans ta, Trans tb, double alpha, ConstMatrixView a,
   }
 }
 
+QRGRID_KERNEL
 void trmm(Side side, UpLo uplo, Trans trans, Diag diag, double alpha,
           ConstMatrixView t, MatrixView b) {
   const Index n = t.rows();

@@ -24,6 +24,7 @@ Reflector larfg(double alpha, Index n, double* x) {
   return r;
 }
 
+QRGRID_KERNEL
 void larf_left(double tau, const double* v_tail, MatrixView c, double* work) {
   if (tau == 0.0 || c.empty()) return;
   const Index m = c.rows();

@@ -7,6 +7,7 @@
 
 namespace qrgrid {
 
+QRGRID_KERNEL
 void tpqrt_tt(MatrixView r1, MatrixView r2, std::vector<double>& tau) {
   const Index n = r1.rows();
   QRGRID_CHECK(r1.cols() == n && r2.rows() == n && r2.cols() == n);
@@ -31,6 +32,7 @@ void tpqrt_tt(MatrixView r1, MatrixView r2, std::vector<double>& tau) {
   }
 }
 
+QRGRID_KERNEL
 void tpmqrt_tt(Trans trans, ConstMatrixView v2, const std::vector<double>& tau,
                MatrixView c1, MatrixView c2) {
   const Index n = v2.rows();

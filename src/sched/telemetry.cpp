@@ -138,7 +138,7 @@ const std::vector<double>& MetricsRegistry::default_bounds() {
   return kBounds;
 }
 
-void MetricsRegistry::observe(const std::string& name, double value) {
+void MetricsRegistry::observe(std::string_view name, double value) {
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     observe(name, value, default_bounds());
@@ -152,7 +152,7 @@ void MetricsRegistry::observe(const std::string& name, double value) {
   ++h.count;
 }
 
-void MetricsRegistry::observe(const std::string& name, double value,
+void MetricsRegistry::observe(std::string_view name, double value,
                               const std::vector<double>& bounds) {
   QRGRID_CHECK(!bounds.empty());
   auto it = histograms_.find(name);
@@ -160,7 +160,7 @@ void MetricsRegistry::observe(const std::string& name, double value,
     HistogramSnapshot h;
     h.bounds = bounds;
     h.counts.assign(bounds.size() + 1, 0);
-    it = histograms_.emplace(name, std::move(h)).first;
+    it = histograms_.emplace(std::string(name), std::move(h)).first;
   } else {
     QRGRID_CHECK(it->second.bounds == bounds);
   }
@@ -172,9 +172,9 @@ void MetricsRegistry::observe(const std::string& name, double value,
   ++h.count;
 }
 
-void MetricsRegistry::sample(const std::string& name, double t_s,
+void MetricsRegistry::sample(std::string_view name, double t_s,
                              double value) {
-  auto& points = series_[name];
+  auto& points = entry(series_, name);
   if (!points.empty()) {
     if (points.back().first == t_s) {
       points.back().second = value;  // same instant: latest wins
@@ -185,24 +185,24 @@ void MetricsRegistry::sample(const std::string& name, double t_s,
   points.emplace_back(t_s, value);
 }
 
-long long MetricsRegistry::counter(const std::string& name) const {
+long long MetricsRegistry::counter(std::string_view name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
 }
 
-double MetricsRegistry::gauge(const std::string& name) const {
+double MetricsRegistry::gauge(std::string_view name) const {
   auto it = gauges_.find(name);
   return it == gauges_.end() ? 0.0 : it->second;
 }
 
 const HistogramSnapshot* MetricsRegistry::histogram(
-    const std::string& name) const {
+    std::string_view name) const {
   auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
 const std::vector<std::pair<double, double>>* MetricsRegistry::series(
-    const std::string& name) const {
+    std::string_view name) const {
   auto it = series_.find(name);
   return it == series_.end() ? nullptr : &it->second;
 }

@@ -41,9 +41,11 @@
 // the pre-telemetry service.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -225,29 +227,33 @@ struct HistogramSnapshot {
 /// fixed-bucket histograms, or (vtime, value) series. Every input is
 /// virtual-time or count data — no wall-clock reads — so write_json is
 /// byte-identical across runs with one seed. Ordered maps keep the JSON
-/// key order stable without a sort at export time.
+/// key order stable without a sort at export time; their transparent
+/// comparator finds a name from a string_view, so bumping an existing
+/// metric builds no std::string (only a name's first touch inserts one).
 class MetricsRegistry {
  public:
-  void add(const std::string& name, long long delta = 1) {
-    counters_[name] += delta;
+  void add(std::string_view name, long long delta = 1) {
+    entry(counters_, name) += delta;
   }
-  void set(const std::string& name, double value) { gauges_[name] = value; }
+  void set(std::string_view name, double value) {
+    entry(gauges_, name) = value;
+  }
   /// Observes into the histogram `name`, creating it with `bounds` (or
   /// the default log-spaced seconds scale) on first touch. Bounds are
   /// fixed at creation; later explicit bounds must match.
-  void observe(const std::string& name, double value);
-  void observe(const std::string& name, double value,
+  void observe(std::string_view name, double value);
+  void observe(std::string_view name, double value,
                const std::vector<double>& bounds);
   /// Appends one (t, value) point to the series `name`. Consecutive
   /// samples with an unchanged value are dropped (the curve is a step
   /// function); a repeated timestamp overwrites (latest wins).
-  void sample(const std::string& name, double t_s, double value);
+  void sample(std::string_view name, double t_s, double value);
 
-  long long counter(const std::string& name) const;
-  double gauge(const std::string& name) const;
-  const HistogramSnapshot* histogram(const std::string& name) const;
+  long long counter(std::string_view name) const;
+  double gauge(std::string_view name) const;
+  const HistogramSnapshot* histogram(std::string_view name) const;
   const std::vector<std::pair<double, double>>* series(
-      const std::string& name) const;
+      std::string_view name) const;
 
   /// Default histogram bounds: log-spaced 0.01 s .. 3000 s (plus the
   /// implicit overflow bucket) — wide enough for waits and service
@@ -266,10 +272,21 @@ class MetricsRegistry {
   void visit(V& v) { v(counters_, gauges_, histograms_, series_); }
 
  private:
-  std::map<std::string, long long> counters_;
-  std::map<std::string, double> gauges_;
-  std::map<std::string, HistogramSnapshot> histograms_;
-  std::map<std::string, std::vector<std::pair<double, double>>> series_;
+  template <class V>
+  using Store = std::map<std::string, V, std::less<>>;
+
+  /// The value stored under `name`, value-initialized on first touch.
+  template <class V>
+  static V& entry(Store<V>& store, std::string_view name) {
+    const auto it = store.find(name);
+    if (it != store.end()) return it->second;
+    return store.emplace(std::string(name), V{}).first->second;
+  }
+
+  Store<long long> counters_;
+  Store<double> gauges_;
+  Store<HistogramSnapshot> histograms_;
+  Store<std::vector<std::pair<double, double>>> series_;
 };
 
 /// One attempt's occupancy span, reconstructed from the stream: the

@@ -236,5 +236,40 @@ TEST(ProfileCache, HitsAllocateNothing) {
   EXPECT_GT(g_allocations, before + allocated);
 }
 
+TEST(ProfileCache, HitsCountedInBoundMetricsAllocateNothing) {
+  // Each hit bumps the existing "backend.profile_hits" counter, found
+  // through the registry's transparent comparator without building a
+  // std::string from the name.
+  const simgrid::GridTopology topo = simgrid::GridTopology::grid5000(3, 2, 2);
+  const model::Roofline roofline = model::paper_calibration();
+  MetricsRegistry metrics;
+  ServiceOptions options;
+  options.metrics = &metrics;
+  ExecutionBackend backend(topo, roofline, options);
+  const std::vector<Placement> placements = all_placements(topo);
+  const std::vector<Job> shapes = near_shapes();
+  for (const Job& job : shapes) {
+    for (const Placement& p : placements) backend.profile(job, p);
+  }
+  backend.profile(shapes.front(), placements.front());  // the first hit
+
+  double sum = 0.0;
+  const long long before = g_allocations;
+  for (int i = 0; i < 10000; ++i) {
+    const Job& job = shapes[static_cast<std::size_t>(i) % shapes.size()];
+    const Placement& p =
+        placements[static_cast<std::size_t>(i / 7) % placements.size()];
+    sum += backend.profile(job, p).seconds;
+  }
+  const long long allocated = g_allocations - before;
+  EXPECT_EQ(allocated, 0) << "10,000 counted cache hits allocated";
+  EXPECT_GT(sum, 0.0);
+  EXPECT_EQ(metrics.counter("backend.profile_hits"), 10001);
+  // A name's first touch still inserts it.
+  metrics.add("backend.a_counter_bumped_once");
+  EXPECT_GT(g_allocations, before + allocated);
+  EXPECT_EQ(metrics.counter("backend.a_counter_bumped_once"), 1);
+}
+
 }  // namespace
 }  // namespace qrgrid::sched

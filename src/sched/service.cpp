@@ -40,7 +40,7 @@ constexpr int kMaxGroups = 8;
 /// Snapshot framing (see GridJobService::snapshot). The version bumps on
 /// ANY layout change — restore refuses mismatches instead of misreading.
 const char kSnapshotMagic[] = "QRGS";
-constexpr std::uint32_t kSnapshotVersion = 8;
+constexpr std::uint32_t kSnapshotVersion = 9;
 
 /// Throws qrgrid::Error unless a restored trace event is one the service
 /// could have recorded on a grid of `nclusters`: a known kind, and
@@ -947,6 +947,12 @@ void GridJobService::Engine::start_job(Job job, const Placement& placement,
   }
   const ExecutionProfile& replay = backend.profile(job, placement);
   Progress& p = progress[job.id];
+  // Both counters only grow from a restored value >= 0: refusing to
+  // pass INT_MAX keeps their increments defined.
+  QRGRID_CHECK_MSG(p.attempts < std::numeric_limits<int>::max(),
+                   "job " << job.id << " exhausted its attempt counter");
+  QRGRID_CHECK_MSG(seq < std::numeric_limits<int>::max(),
+                   "start counter exhausted");
   ++p.attempts;
   // Restart credit: only the unfinished tail of the factorization
   // re-runs (at THIS placement's rate — the fraction is what carries),
@@ -1761,10 +1767,15 @@ void GridJobService::Engine::rebuild_after_load(
                    "snapshot cluster count mismatch");
   QRGRID_CHECK_MSG(next_arrival <= jobs.size(),
                    "corrupt snapshot: arrival cursor " << next_arrival);
+  // seq orders the starts: every running attempt's came before it.
+  QRGRID_CHECK_MSG(seq >= 0, "corrupt snapshot: start counter " << seq);
   std::vector<long long> held_nodes(n, 0);
   for (const Running& run : running) {
     check_job(run.job);
     check_placement(run.placement, topology);
+    QRGRID_CHECK_MSG(run.seq < seq,
+                     "corrupt snapshot: start counter " << seq
+                         << " not above running job " << run.job.id << "'s");
     // The walltime bound and what EASY plans with derive from start_s.
     QRGRID_CHECK_MSG(std::isfinite(run.start_s) && !std::isnan(run.finish_s),
                      "corrupt snapshot: running job " << run.job.id);
@@ -1786,6 +1797,8 @@ void GridJobService::Engine::rebuild_after_load(
   for (const auto& [id, p] : progress) {
     QRGRID_CHECK_MSG(p.credited_fraction >= 0.0 && p.credited_fraction < 1.0,
                      "corrupt snapshot: credit of job " << id);
+    QRGRID_CHECK_MSG(p.attempts >= 0,
+                     "corrupt snapshot: attempt counter of job " << id);
   }
   // The free-node state grant, release and outage maintain: each node is
   // free or held by one running attempt. try_place scales these counts

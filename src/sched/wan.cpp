@@ -191,22 +191,22 @@ void GridWanModel::mark_dirty(int link) {
   }
 }
 
-void GridWanModel::activate_pool(Flow& flow, int pool) {
-  flow.active[static_cast<std::size_t>(pool)] = 1;
+void GridWanModel::activate_pool(PoolRecord& record) {
+  record.active = true;
   ++active_pools_;
   int links[2];
-  const int nlinks = links_of(flow.pools[static_cast<std::size_t>(pool)], links);
+  const int nlinks = links_of(record.pool, links);
   for (int k = 0; k < nlinks; ++k) {
     if (link_users_[static_cast<std::size_t>(links[k])]++ == 0) ++busy_links_;
     mark_dirty(links[k]);
   }
 }
 
-void GridWanModel::deactivate_pool(Flow& flow, int pool) {
-  flow.active[static_cast<std::size_t>(pool)] = 0;
+void GridWanModel::deactivate_pool(PoolRecord& record) {
+  record.active = false;
   --active_pools_;
   int links[2];
-  const int nlinks = links_of(flow.pools[static_cast<std::size_t>(pool)], links);
+  const int nlinks = links_of(record.pool, links);
   for (int k = 0; k < nlinks; ++k) {
     if (--link_users_[static_cast<std::size_t>(links[k])] == 0) --busy_links_;
     mark_dirty(links[k]);
@@ -217,11 +217,13 @@ bool GridWanModel::compute_frac_sensitive(const Flow& flow) const {
   int links_a[2];
   int links_b[2];
   for (std::size_t a = 0; a < flow.pools.size(); ++a) {
-    if (flow.pools[a].bytes <= 0.0) continue;
-    const int na = links_of(flow.pools[a], links_a);
+    const Pool& pa = flow.pools[a].pool;
+    if (pa.bytes <= 0.0) continue;
+    const int na = links_of(pa, links_a);
     for (std::size_t b = a + 1; b < flow.pools.size(); ++b) {
-      if (flow.pools[b].bytes <= 0.0) continue;
-      const int nb = links_of(flow.pools[b], links_b);
+      const Pool& pb = flow.pools[b].pool;
+      if (pb.bytes <= 0.0) continue;
+      const int nb = links_of(pb, links_b);
       for (int i = 0; i < na; ++i) {
         for (int k = 0; k < nb; ++k) {
           if (links_a[i] == links_b[k]) return true;
@@ -232,40 +234,24 @@ bool GridWanModel::compute_frac_sensitive(const Flow& flow) const {
   return false;
 }
 
-void GridWanModel::count_load(Flow& flow) {
-  flow.counted_clusters.clear();
-  flow.counted_trunk = false;
-  for (const Pool& pool : flow.pools) {
+void GridWanModel::count_load(const Flow& flow, int delta) {
+  bool trunk = false;
+  for (std::size_t j = 0; j < flow.pools.size(); ++j) {
+    const Pool& pool = flow.pools[j].pool;
     if (pool.bytes <= 0.0) continue;
-    if (pool.link != Pool::Link::kBackbone) {
-      bool seen = false;
-      for (const int c : flow.counted_clusters) {
-        if (c == pool.cluster) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) {
-        flow.counted_clusters.push_back(pool.cluster);
-        ++cluster_load_[static_cast<std::size_t>(pool.cluster)];
-      }
+    // Uplink and backbone bytes cross the trunk, which counts the flow
+    // once; so does each cluster, however many of its pools load it.
+    trunk = trunk || pool.link != Pool::Link::kDownlink;
+    if (pool.link == Pool::Link::kBackbone) continue;
+    bool seen = false;
+    for (std::size_t i = 0; i < j && !seen; ++i) {
+      const Pool& prior = flow.pools[i].pool;
+      seen = prior.bytes > 0.0 && prior.link != Pool::Link::kBackbone &&
+             prior.cluster == pool.cluster;
     }
-    if (pool.link != Pool::Link::kDownlink && !flow.counted_trunk) {
-      flow.counted_trunk = true;  // uplink bytes cross the trunk once
-      ++trunk_load_;
-    }
+    if (!seen) cluster_load_[static_cast<std::size_t>(pool.cluster)] += delta;
   }
-}
-
-void GridWanModel::uncount_load(Flow& flow) {
-  for (const int c : flow.counted_clusters) {
-    --cluster_load_[static_cast<std::size_t>(c)];
-  }
-  flow.counted_clusters.clear();
-  if (flow.counted_trunk) {
-    --trunk_load_;
-    flow.counted_trunk = false;
-  }
+  if (trunk) trunk_load_ += delta;
 }
 
 template <class Included>
@@ -289,10 +275,10 @@ void GridWanModel::collect(Included included, std::vector<PoolRef>& refs,
     const Flow& flow = flows_[at];
     if (flow.undrained == 0) continue;
     touched.clear();
-    for (std::size_t j = 0; j < flow.pools.size(); ++j) {
-      if (!included(flow, j)) continue;
+    for (const PoolRecord& record : flow.pools) {
+      if (!included(record)) continue;
       int links[2];
-      const int nlinks = links_of(flow.pools[j], links);
+      const int nlinks = links_of(record.pool, links);
       for (int k = 0; k < nlinks; ++k) {
         // Exact-zero here is a MEMBERSHIP marker, not drain arithmetic:
         // the touched list resets entries to literal 0.0 below, so the
@@ -303,12 +289,12 @@ void GridWanModel::collect(Included included, std::vector<PoolRef>& refs,
           touched.push_back(links[k]);
         }
         flow_link_bytes[static_cast<std::size_t>(links[k])] +=
-            flow.pools[j].bytes;
+            record.pool.bytes;
       }
     }
     for (std::size_t j = 0; j < flow.pools.size(); ++j) {
-      if (!included(flow, j)) continue;
-      const Pool& pool = flow.pools[j];
+      if (!included(flow.pools[j])) continue;
+      const Pool& pool = flow.pools[j].pool;
       WanDemand d;
       d.nlinks = links_of(pool, d.links);
       for (int k = 0; k < d.nlinks; ++k) {
@@ -339,10 +325,9 @@ void GridWanModel::refresh(double now_s) {
     activations_.pop_back();
     const std::size_t at = find(top.flow);
     if (at == flows_.size()) continue;  // retired before activating
-    Flow& flow = flows_[at];
-    const auto j = static_cast<std::size_t>(top.pool);
-    if (flow.pools[j].bytes <= 0.0 || flow.active[j] != 0) continue;
-    activate_pool(flow, top.pool);
+    PoolRecord& record = flows_[at].pools[static_cast<std::size_t>(top.pool)];
+    if (record.pool.bytes <= 0.0 || record.active) continue;
+    activate_pool(record);
     ++rebalance_events_;
   }
   if (!dirty_links_.empty()) rebalance(now_s);
@@ -379,10 +364,10 @@ void GridWanModel::rebalance(double now_s) {
     grew = false;
     for (const Flow& flow : flows_) {
       if (flow.undrained == 0) continue;
-      for (std::size_t j = 0; j < flow.pools.size(); ++j) {
-        if (flow.active[j] == 0) continue;
+      for (const PoolRecord& record : flow.pools) {
+        if (!record.active) continue;
         int links[2];
-        const int nlinks = links_of(flow.pools[j], links);
+        const int nlinks = links_of(record.pool, links);
         bool any = false;
         bool all = true;
         for (int k = 0; k < nlinks; ++k) {
@@ -411,10 +396,9 @@ void GridWanModel::rebalance(double now_s) {
   // below reproduces the global fill's rates bit-for-bit on them. By the
   // closure invariant a pool with its first link marked has all marked.
   collect(
-      [this](const Flow& flow, std::size_t j) {
-        return flow.active[j] != 0 &&
-               comp_mark_[static_cast<std::size_t>(
-                   link_id(flow.pools[j]))] != 0;
+      [this](const PoolRecord& record) {
+        return record.active &&
+               comp_mark_[static_cast<std::size_t>(link_id(record.pool))] != 0;
       },
       comp_refs_, comp_demands_);
   ++rebalance_recomputes_;
@@ -422,9 +406,7 @@ void GridWanModel::rebalance(double now_s) {
   if (!comp_refs_.empty()) {
     assign_wan_rates(fairness_, comp_demands_, capacity_, comp_rates_);
     for (std::size_t k = 0; k < comp_refs_.size(); ++k) {
-      Flow& flow = flows_[static_cast<std::size_t>(comp_refs_[k].flow)];
-      flow.rate_Bps[static_cast<std::size_t>(comp_refs_[k].pool)] =
-          comp_rates_[k];
+      record_of(comp_refs_[k]).rate_Bps = comp_rates_[k];
     }
     int comp_busy = 0;
     for (const int l : comp_links_) {
@@ -437,9 +419,8 @@ void GridWanModel::rebalance(double now_s) {
     // activated view must agree with every cached rate — the component
     // argument says exactly, not approximately.
     collect(
-        [now_s](const Flow& flow, std::size_t j) {
-          return flow.pools[j].bytes > 0.0 &&
-                 flow.pools[j].activation_s <= now_s;
+        [now_s](const PoolRecord& record) {
+          return record.pool.bytes > 0.0 && record.pool.activation_s <= now_s;
         },
         refs_scratch_, demands_scratch_);
     assign_wan_rates(fairness_, demands_scratch_, capacity_, rates_scratch_);
@@ -447,11 +428,9 @@ void GridWanModel::rebalance(double now_s) {
         refs_scratch_.size() == static_cast<std::size_t>(active_pools_),
         "incremental active set diverged from the time-based view");
     for (std::size_t k = 0; k < refs_scratch_.size(); ++k) {
-      const Flow& flow = flows_[static_cast<std::size_t>(refs_scratch_[k].flow)];
-      const double cached =
-          flow.rate_Bps[static_cast<std::size_t>(refs_scratch_[k].pool)];
-      max_oracle_error_ = std::max(
-          max_oracle_error_, std::abs(cached - rates_scratch_[k]));
+      const double cached = record_of(refs_scratch_[k]).rate_Bps;
+      max_oracle_error_ = std::max(max_oracle_error_,
+                                   std::abs(cached - rates_scratch_[k]));
     }
   }
   for (const int l : comp_links_) comp_mark_[static_cast<std::size_t>(l)] = 0;
@@ -459,8 +438,11 @@ void GridWanModel::rebalance(double now_s) {
 }
 
 int GridWanModel::admit(double now_s, std::vector<Pool> pools) {
+  QRGRID_CHECK_MSG(next_flow_id_ < std::numeric_limits<int>::max(),
+                   "WAN flow ids exhausted");
   Flow flow;
-  for (Pool& pool : pools) {
+  flow.pools.reserve(pools.size());
+  for (const Pool& pool : pools) {
     QRGRID_CHECK(pool.bytes >= 0.0);
     QRGRID_CHECK(pool.link == Pool::Link::kBackbone ||
                  (pool.cluster >= 0 && pool.cluster < num_clusters_));
@@ -473,11 +455,11 @@ int GridWanModel::admit(double now_s, std::vector<Pool> pools) {
       continue;
     }
     if (pool.bytes > 0.0) ++flow.undrained;
-    flow.pools.push_back(pool);
+    PoolRecord record;
+    record.pool = pool;
+    record.initial_bytes = pool.bytes;
+    flow.pools.push_back(record);
   }
-  flow.moved_bytes.assign(flow.pools.size(), 0.0);
-  flow.initial_bytes.reserve(flow.pools.size());
-  for (const Pool& pool : flow.pools) flow.initial_bytes.push_back(pool.bytes);
   flow.drained_at_s = now_s;  // stands until a pool actually drains later
   const int id = next_flow_id_++;
   flow.id = id;
@@ -486,29 +468,24 @@ int GridWanModel::admit(double now_s, std::vector<Pool> pools) {
   flows_.push_back(std::move(flow));
   peak_live_ = std::max(peak_live_, static_cast<int>(flows_.size()));
   Flow& admitted = flows_.back();
+  admitted.frac_sensitive = compute_frac_sensitive(admitted);
+  count_load(admitted, +1);
+  double bytes = 0.0;
   for (std::size_t j = 0; j < admitted.pools.size(); ++j) {
-    if (admitted.pools[j].bytes > 0.0 &&
-        admitted.pools[j].activation_s > now_s) {
+    PoolRecord& record = admitted.pools[j];
+    bytes += record.pool.bytes;
+    if (record.pool.bytes <= 0.0) continue;
+    if (record.pool.activation_s <= now_s) {
+      activate_pool(record);
+    } else {
       activations_.push_back(
-          {admitted.pools[j].activation_s, id, static_cast<int>(j)});
+          {record.pool.activation_s, id, static_cast<int>(j)});
       std::push_heap(activations_.begin(), activations_.end(),
                      ActivationAfter{});
     }
   }
-  admitted.frac_sensitive = compute_frac_sensitive(admitted);
-  count_load(admitted);
-  admitted.rate_Bps.assign(admitted.pools.size(), 0.0);
-  admitted.active.assign(admitted.pools.size(), 0);
-  for (std::size_t j = 0; j < admitted.pools.size(); ++j) {
-    if (admitted.pools[j].bytes > 0.0 &&
-        admitted.pools[j].activation_s <= now_s) {
-      activate_pool(admitted, static_cast<int>(j));
-    }
-  }
   if (admitted.undrained > 0) ++rebalance_events_;
   if (tracer_ != nullptr) {
-    double bytes = 0.0;
-    for (const Pool& pool : admitted.pools) bytes += pool.bytes;
     tracer_->emit(TraceKind::kWanFlowOpen, now_s, -1, bytes,
                   static_cast<double>(admitted.pools.size()), id);
   }
@@ -539,26 +516,27 @@ void GridWanModel::advance(double from_s, double to_s) {
     if (flow.undrained == 0) continue;
     bool flow_active = false;
     int flow_drained = 0;
-    for (std::size_t j = 0; j < flow.pools.size(); ++j) {
-      if (flow.active[j] == 0) continue;
+    for (PoolRecord& record : flow.pools) {
+      if (!record.active) continue;
       flow_active = true;
-      Pool& pool = flow.pools[j];
-      const double moved = flow.rate_Bps[j] * dt;
-      if (covers(moved, pool.bytes, flow.initial_bytes[j])) {
-        flow.moved_bytes[j] += pool.bytes;
+      Pool& pool = record.pool;
+      const double moved = record.rate_Bps * dt;
+      if (covers(moved, pool.bytes, record.initial_bytes)) {
+        // Partial drains leave bytes in a pool, so the load membership
+        // changes only here: uncount it before the step's first drain.
+        if (flow_drained++ == 0) count_load(flow, -1);
+        record.moved_bytes += pool.bytes;
         pool.bytes = 0.0;
         if (--flow.undrained == 0) flow.drained_at_s = to_s;
-        deactivate_pool(flow, static_cast<int>(j));
+        deactivate_pool(record);
         ++rebalance_events_;
-        ++flow_drained;
       } else {
-        flow.moved_bytes[j] += moved;
+        record.moved_bytes += moved;
         pool.bytes -= moved;
       }
     }
     if (flow_drained > 0) {
-      uncount_load(flow);
-      count_load(flow);
+      count_load(flow, +1);
       pools_drained += flow_drained;
     }
     if (flow.frac_sensitive) {
@@ -566,10 +544,10 @@ void GridWanModel::advance(double from_s, double to_s) {
         // Link-sharing pools: this flow's byte movement shifted its
         // per-link fracs, so its remaining active links must re-fill
         // even though no pool drained or activated.
-        for (std::size_t j = 0; j < flow.pools.size(); ++j) {
-          if (flow.active[j] == 0) continue;
+        for (const PoolRecord& record : flow.pools) {
+          if (!record.active) continue;
           int links[2];
-          const int nlinks = links_of(flow.pools[j], links);
+          const int nlinks = links_of(record.pool, links);
           for (int k = 0; k < nlinks; ++k) mark_dirty(links[k]);
         }
       }
@@ -583,7 +561,8 @@ void GridWanModel::advance(double from_s, double to_s) {
     // activates inside the step — the rate rule re-splits either way.
     int pools_activated = 0;
     for (const Flow& flow : flows_) {
-      for (const Pool& pool : flow.pools) {
+      for (const PoolRecord& record : flow.pools) {
+        const Pool& pool = record.pool;
         if (pool.bytes > 0.0 && pool.activation_s > from_s &&
             pool.activation_s <= to_s) {
           ++pools_activated;
@@ -610,12 +589,12 @@ double GridWanModel::next_event_s(double now_s) const {
   double next = kInf;
   for (const Flow& flow : flows_) {
     if (flow.undrained == 0) continue;
-    for (std::size_t j = 0; j < flow.pools.size(); ++j) {
-      if (flow.active[j] == 0) continue;
-      const double rate = flow.rate_Bps[j];
+    for (const PoolRecord& record : flow.pools) {
+      if (!record.active) continue;
+      const double rate = record.rate_Bps;
       if (rate > 0.0) {
         next = std::min(next,
-                        std::max(soonest, now_s + flow.pools[j].bytes / rate));
+                        std::max(soonest, now_s + record.pool.bytes / rate));
       }
     }
   }
@@ -669,14 +648,13 @@ void GridWanModel::drain_estimates_s(double now_s,
     const Flow& f = flows_[at];
     estimates_scratch_[at] = f.undrained == 0 ? f.drained_at_s : now_s;
   }
-  collect([](const Flow& flow,
-             std::size_t j) { return flow.pools[j].bytes > 0.0; },
+  collect([](const PoolRecord& record) { return record.pool.bytes > 0.0; },
           est_refs_, est_demands_);
   assign_wan_rates(fairness_, est_demands_, capacity_, est_rates_);
   for (std::size_t k = 0; k < est_refs_.size(); ++k) {
     const auto at = static_cast<std::size_t>(est_refs_[k].flow);
     const Pool& pool =
-        flows_[at].pools[static_cast<std::size_t>(est_refs_[k].pool)];
+        flows_[at].pools[static_cast<std::size_t>(est_refs_[k].pool)].pool;
     double& est = estimates_scratch_[at];
     if (est_rates_[k] <= 0.0) {
       est = kInf;
@@ -699,13 +677,14 @@ void GridWanModel::retire(int flow, std::vector<long long>& egress_bytes,
   Flow& f = flows_[at];
   if (tracer_ != nullptr) {
     double moved = 0.0;
-    for (const double bytes : f.moved_bytes) moved += bytes;
+    for (const PoolRecord& record : f.pools) moved += record.moved_bytes;
     tracer_->emit(TraceKind::kWanFlowRetire, tracer_->now_s(), -1, moved,
                   f.undrained == 0 ? 1.0 : 0.0, flow);
   }
-  for (std::size_t i = 0; i < f.pools.size(); ++i) {
-    const Pool& pool = f.pools[i];
-    const auto moved = static_cast<long long>(f.moved_bytes[i] + 0.5);
+  count_load(f, -1);
+  for (PoolRecord& record : f.pools) {
+    const Pool& pool = record.pool;
+    const auto moved = static_cast<long long>(record.moved_bytes + 0.5);
     switch (pool.link) {
       case Pool::Link::kUplink:
         egress_bytes[static_cast<std::size_t>(pool.cluster)] += moved;
@@ -716,19 +695,16 @@ void GridWanModel::retire(int flow, std::vector<long long>& egress_bytes,
       case Pool::Link::kBackbone:
         break;  // the trunk is shared accounting, not a byte sink
     }
-  }
-  uncount_load(f);
-  for (std::size_t j = 0; j < f.active.size(); ++j) {
-    if (f.active[j] != 0) deactivate_pool(f, static_cast<int>(j));
+    if (record.active) deactivate_pool(record);
   }
   if (f.undrained > 0) ++rebalance_events_;
   // Calendar entries of the flow die lazily: find() no longer sees it.
   flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(at));
 }
 
-// Both load signals are now O(1) reads of counters maintained at
-// admit / pool-drain / retire (count_load / uncount_load) — the per-step
-// metrics sampling used to pay an O(live x pools) scan per cluster.
+// Both load signals are O(1) reads of counters maintained at admit /
+// pool-drain / retire (count_load) — the per-step metrics sampling used
+// to pay an O(live x pools) scan per cluster.
 int GridWanModel::backbone_load() const { return trunk_load_; }
 
 int GridWanModel::load_score(int cluster) const {
@@ -744,6 +720,8 @@ void GridWanModel::rebuild_after_load() {
     QRGRID_CHECK_MSG(ok, "corrupt WAN snapshot: " << what);
   };
   check(up_busy_s_.size() == nc && down_busy_s_.size() == nc, "busy sizes");
+  // admit() refuses to pass INT_MAX; a negative counter was never issued.
+  check(next_flow_id_ >= 0 && peak_live_ >= 0, "negative counter");
   for (const int l : dirty_links_) check(in(l, capacity_.size()), "link");
   // Derive the per-link user counts, load counters and the calendar from
   // the restored flows.
@@ -759,29 +737,27 @@ void GridWanModel::rebuild_after_load() {
     // step.
     check(prev_id < f.id && f.id < next_flow_id_, "flow id order");
     prev_id = f.id;
-    const std::size_t np = f.pools.size();
-    check(f.moved_bytes.size() == np && f.initial_bytes.size() == np &&
-              f.rate_Bps.size() == np && f.active.size() == np,
-          "flow vector sizes");
     f.undrained = 0;
-    for (std::size_t j = 0; j < np; ++j) {
-      const Pool& p = f.pools[j];
-      // A rate may be +inf (an infinite link); byte counts drain and sum
-      // into the retired totals, and a NaN never drains.
+    for (std::size_t j = 0; j < f.pools.size(); ++j) {
+      const PoolRecord& record = f.pools[j];
+      const Pool& p = record.pool;
       check(p.link <= Pool::Link::kBackbone &&
                 (p.link == Pool::Link::kBackbone || in(p.cluster, nc)) &&
-                f.rate_Bps[j] >= 0.0 && !std::isnan(p.activation_s),
-            "pool link, cluster, rate or activation");
-      for (const double b : {p.bytes, f.moved_bytes[j], f.initial_bytes[j]}) {
+                !std::isnan(p.activation_s),
+            "pool link, cluster or activation");
+      // Byte counts drain and sum into the retired totals, and a NaN
+      // never drains.
+      for (const double b :
+           {p.bytes, record.moved_bytes, record.initial_bytes}) {
         check(std::isfinite(b) && b >= 0.0, "pool bytes");
       }
       // A pool stays active until it runs dry: an active empty pool
       // would drain a second time and miscount the flow's undrained
       // pools.
-      check(f.active[j] == 0 || p.bytes > 0.0, "active pool with no bytes");
+      check(!record.active || p.bytes > 0.0, "active pool with no bytes");
       if (p.bytes <= 0.0) continue;
       ++f.undrained;
-      if (f.active[j] == 0) {
+      if (!record.active) {
         activations_.push_back({p.activation_s, f.id, static_cast<int>(j)});
         continue;
       }
@@ -795,11 +771,21 @@ void GridWanModel::rebuild_after_load() {
       }
     }
     f.frac_sensitive = compute_frac_sensitive(f);
-    count_load(f);
+    count_load(f, +1);
   }
   std::make_heap(activations_.begin(), activations_.end(), ActivationAfter{});
   dirty_mark_.assign(capacity_.size(), 0);
   for (const int l : dirty_links_) dirty_mark_[static_cast<std::size_t>(l)] = 1;
+  // The cached rates are the global fill over the active pools wherever
+  // no dirty link reaches (the component fills equal it bit for bit), and
+  // the next refresh refills the dirty components before a rate is read.
+  // Not a recompute: the wan.rebalance.* counters stay as written.
+  collect([](const PoolRecord& record) { return record.active; },
+          refs_scratch_, demands_scratch_);
+  assign_wan_rates(fairness_, demands_scratch_, capacity_, rates_scratch_);
+  for (std::size_t k = 0; k < refs_scratch_.size(); ++k) {
+    record_of(refs_scratch_[k]).rate_Bps = rates_scratch_[k];
+  }
 }
 
 }  // namespace qrgrid::sched

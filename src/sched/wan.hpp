@@ -145,8 +145,6 @@ class GridWanModel {
   GridWanModel(int num_clusters, double link_Bps, double backbone_Bps,
                WanFairness fairness = WanFairness::kEqualSplit);
 
-  WanFairness fairness() const { return fairness_; }
-
   /// Admits one attempt's demand and returns its flow id. A flow with no
   /// pools (a single-cluster job) is born drained at `now_s`. kBackbone
   /// pools are dropped under max-min fairness (the trunk constraint lives
@@ -251,18 +249,18 @@ class GridWanModel {
   int peak_live_flows() const { return peak_live_; }
 
   /// Snapshot field list (sched/snapshot.hpp): the live drain state —
-  /// the live flows in id order with their pools/moved/initial bytes,
-  /// the id counter, the busy-second accumulators, the incremental
-  /// engine's per-pool rates/active flags, the dirty-link list (a pending
-  /// rebalance fires on resume exactly as it would have), and counters
-  /// (so resumed runs reproduce the wan.rebalance.* gauges
-  /// byte-identically). What the pools imply is derived on load: per-flow
-  /// undrained counts, frac sensitivity and load membership, per-link
-  /// user counts and load counters, and the activation calendar (every
-  /// pending pool: bytes left, not active). Loading must target a model
-  /// freshly constructed with the same topology/capacity configuration
-  /// (the cluster count and fairness travel as tags only); scratch
-  /// buffers are rebuilt lazily.
+  /// the live flows in id order (id, pool records, drain instant), the
+  /// id counter, the busy-second accumulators, the dirty-link list (a
+  /// pending rebalance fires on resume exactly as it would have), and
+  /// counters (so resumed runs reproduce the wan.rebalance.* gauges
+  /// byte-identically). The rest is derived on load: the cached rates
+  /// (one global fill over the active pools, equal to the component
+  /// fills wherever no dirty link reaches; the next refresh refills the
+  /// dirty components before a rate is read), undrained counts, frac
+  /// sensitivity, link user counts, load counters, and the activation
+  /// calendar (every pending pool: bytes left, not active). Loading must
+  /// target a model freshly constructed with the same topology/capacity
+  /// configuration (the cluster count and fairness travel as tags only).
   template <class V>
   void visit(V& v) {
     v.expect(num_clusters_, "WAN cluster count");
@@ -275,37 +273,36 @@ class GridWanModel {
   }
 
  private:
+  /// One admitted pool and its drain state.
+  struct PoolRecord {
+    Pool pool;  ///< as admitted; pool.bytes is what is left
+    double moved_bytes = 0.0;
+    /// Admission-time size, the scale of the relative drain-retirement
+    /// epsilon (covers() in wan.cpp).
+    double initial_bytes = 0.0;
+    /// Incremental rate engine state: the cached drain rate from the last
+    /// component recompute (derived on load), and whether the pool is in
+    /// the activated-undrained set those rates cover.
+    double rate_Bps = 0.0;
+    bool active = false;
+
+    template <class V>
+    void visit(V& v) { v(pool, moved_bytes, initial_bytes, active); }
+  };
   struct Flow {
     int id = -1;  ///< public flow id, never reused
-    std::vector<Pool> pools;
-    std::vector<double> moved_bytes;  ///< parallel to pools
-    /// Admission-time pool sizes (parallel to pools): the denominator of
-    /// the relative drain-retirement epsilon — FP dust left by
-    /// progressive filling below 1e-12 of the original pool retires
-    /// instead of keeping the flow live through degenerate steps.
-    std::vector<double> initial_bytes;
-    int undrained = 0;  ///< pools with bytes left
+    std::vector<PoolRecord> pools;
     double drained_at_s = 0.0;
-    /// Incremental rate engine state, parallel to pools: the cached drain
-    /// rate from the last component recompute, and whether the pool is in
-    /// the activated-undrained set those rates cover.
-    std::vector<double> rate_Bps;
-    std::vector<char> active;
+    int undrained = 0;  ///< pools with bytes left
     /// True when two undrained pools of this flow can share a link, so
     /// byte drains move the flow's per-link fracs: cached rates must be
     /// refreshed as its bytes move, not only on structural changes. (A
     /// plain 2-site TSQR flow — one uplink, one downlink pool — is NOT
     /// sensitive; its fracs are exactly 1.0.)
     bool frac_sensitive = false;
-    /// Load-counter membership: the clusters this flow currently counts
-    /// toward in cluster_load_, and whether it counts in trunk_load_.
-    std::vector<int> counted_clusters;
-    bool counted_trunk = false;
 
     template <class V>
-    void visit(V& v) {
-      v(id, pools, moved_bytes, initial_bytes, drained_at_s, rate_Bps, active);
-    }
+    void visit(V& v) { v(id, pools, drained_at_s); }
   };
   /// One entry of a demand view: which flow's (position in flows_)
   /// which pool each rate belongs to.
@@ -329,11 +326,16 @@ class GridWanModel {
   /// Position of live flow `id` in flows_ (binary search: ids are
   /// sorted); flows_.size() once it retired.
   std::size_t find(int id) const;
-  /// The one demand-view collector: every live flow's pools that
-  /// `included(flow, pool_index)` admits, in admission order,
-  /// each with its per-flow per-link fracs over the included pools.
-  /// Serves the rebalance component, the oracle's time-based view, and
-  /// the pessimistic estimate basis.
+  /// The pool record a demand-view entry names.
+  PoolRecord& record_of(const PoolRef& ref) {
+    return flows_[static_cast<std::size_t>(ref.flow)]
+        .pools[static_cast<std::size_t>(ref.pool)];
+  }
+  /// The one demand-view collector: every live flow's pools whose
+  /// record `included(record)` admits, in admission order, each with its
+  /// per-flow per-link fracs over the included pools. Serves the
+  /// rebalance component, the oracle's time-based view, the load-time
+  /// fill, and the pessimistic estimate basis.
   template <class Included>
   void collect(Included included, std::vector<PoolRef>& refs,
                std::vector<WanDemand>& demands) const;
@@ -348,17 +350,19 @@ class GridWanModel {
   /// bottleneck component) and re-runs the rate assignment restricted
   /// to that component's demands — bit-identical to the global fill.
   void rebalance(double now_s);
-  void activate_pool(Flow& flow, int pool);
-  void deactivate_pool(Flow& flow, int pool);
+  void activate_pool(PoolRecord& record);
+  void deactivate_pool(PoolRecord& record);
   void mark_dirty(int link);
   bool compute_frac_sensitive(const Flow& flow) const;
-  /// Incremental load_score/backbone_load maintenance (both modes).
-  void count_load(Flow& flow);
-  void uncount_load(Flow& flow);
+  /// Adds `delta` to each load counter the flow belongs to: the clusters
+  /// whose site links its pools with bytes left load, and the trunk if
+  /// one of them crosses it. +1 at admit and restore, -1 at retire, and
+  /// -1/+1 around a step's drains, so the counters match the pools.
+  void count_load(const Flow& flow, int delta);
   /// Snapshot load: range-checks every restored index and number (flow
-  /// id order, pool links, clusters, bytes, rates and activations,
+  /// id order, counters, pool links, clusters, bytes and activations,
   /// active flags, dirty links), then derives what visit() leaves out,
-  /// the calendar and dirty_mark_.
+  /// the rates, the calendar and dirty_mark_.
   void rebuild_after_load();
 
   int num_clusters_;
@@ -387,7 +391,7 @@ class GridWanModel {
   std::vector<double> up_busy_s_;
   std::vector<double> down_busy_s_;
   double backbone_busy_s_ = 0.0;
-  /// Oracle-view scratch, reused across recomputes.
+  /// Oracle-view and load-time fill scratch, reused across recomputes.
   std::vector<PoolRef> refs_scratch_;
   std::vector<WanDemand> demands_scratch_;
   std::vector<double> rates_scratch_;
@@ -428,7 +432,7 @@ class GridWanModel {
   mutable std::vector<double> est_rates_;
 
   /// Incremental load_score/backbone_load counters (both modes),
-  /// mirrored by each flow's counted_clusters/counted_trunk membership.
+  /// maintained by count_load.
   std::vector<int> cluster_load_;
   int trunk_load_ = 0;
 };

@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -127,6 +128,10 @@ TEST(SnapshotRestore, RoundTripByteIdentityAcrossMatrix) {
     /// Outages, walltimes and restart credit, checkpointed mid-attempt.
     bool faults = false;
     int checkpoint_step = 6;
+    /// WAN-aware placement over an unconstrained trunk (the wan-contended
+    /// benchmark's configuration): placement reads the load counters
+    /// restore derives.
+    bool wan_aware = false;
   };
   const std::vector<Config> matrix = {
       {Policy::kFcfs, WanFairness::kEqualSplit, BackendKind::kDesReplay},
@@ -140,6 +145,8 @@ TEST(SnapshotRestore, RoundTripByteIdentityAcrossMatrix) {
       {Policy::kFairShare, WanFairness::kMaxMin, BackendKind::kMsgRuntime},
       {Policy::kFairShare, WanFairness::kMaxMin, BackendKind::kDesReplay,
        true, 35},
+      {Policy::kEasyBackfill, WanFairness::kMaxMin, BackendKind::kDesReplay,
+       false, 6, true},
   };
   const simgrid::GridTopology topo = small_grid();
   const model::Roofline roof = model::paper_calibration();
@@ -152,6 +159,10 @@ TEST(SnapshotRestore, RoundTripByteIdentityAcrossMatrix) {
     base.backend = config.backend;
     if (config.backend == BackendKind::kMsgRuntime) {
       base.domains_per_cluster = core::kOneDomainPerProcess;
+    }
+    if (config.wan_aware) {
+      base.wan_aware = true;
+      base.wan_backbone_Bps = std::numeric_limits<double>::infinity();
     }
     if (config.faults) {
       base.outages = OutageTrace(OutageSpec{0.05, 0.01, 7},
@@ -167,7 +178,8 @@ TEST(SnapshotRestore, RoundTripByteIdentityAcrossMatrix) {
     const std::string label = std::string(policy_name(config.policy)) + "/" +
                               wan_fairness_name(config.fairness) + "/" +
                               backend_name(config.backend) +
-                              (config.faults ? "/faults" : "");
+                              (config.faults ? "/faults" : "") +
+                              (config.wan_aware ? "/wan-aware" : "");
 
     ServiceTracer t0;
     MetricsRegistry m0;

@@ -107,10 +107,12 @@ PinCase fair_case() {
   return c;
 }
 
-/// Priority EASY over a 3-site max-min WAN (flows with pending pools,
-/// the rebalance counters).
+/// Priority EASY over a 3-site max-min WAN, pinned while a two-pool
+/// flow's uplink and downlink pools are active (max-min pool records,
+/// whose rates restore derives) next to a zero-pool flow; the rebalance
+/// counters.
 PinCase prio_case() {
-  PinCase c{"prio-easy", simgrid::GridTopology::grid5000(3, 2, 2), {}, {}, 12};
+  PinCase c{"prio-easy", simgrid::GridTopology::grid5000(3, 2, 2), {}, {}, 7};
   c.options.policy = Policy::kPriorityEasy;
   c.options.wan_contention = true;
   c.options.wan_fairness = WanFairness::kMaxMin;
@@ -151,20 +153,22 @@ TEST(SnapshotFormat, PinnedLengthAndHash) {
     std::uint64_t hash;
   };
   const std::vector<Pin> pins = {
-      // Version 8 writes a placement as its clusters and node counts
-      // only: its node total is summed from them, 4 bytes fewer per
-      // running attempt and per profile key than version 7. Version 7
-      // wrote live state only: the WAN flows in id order (no slots,
-      // free-slot or live lists, no activation calendar), the profile
-      // cache as its key set, and no progress or blame row of a job that
-      // has an outcome. Restore derives the rest, as version 6 derived
-      // each running attempt's walltime bound, EASY estimate and start
-      // credit, the placeable vector, and each WAN flow's undrained
-      // count, frac sensitivity and load membership.
-      {easy_case(&tracer, &metrics), 15331, 0x4920565e2c3e38cbull},
-      {fair_case(), 3546, 0x1bf904a3ed382bd3ull},
-      {prio_case(), 2973, 0x39d54abb15120116ull},
-      {equal_case(), 3259, 0x136e182576bdcd71ull},
+      // Version 9 writes a WAN flow as its id, one record per pool (the
+      // pool, its moved and admitted bytes, its active flag) and its
+      // drain instant: no cached rates, which restore derives with one
+      // fill over the active pools. Version 8 wrote a placement as its
+      // clusters and node counts only. Version 7 wrote live state only:
+      // the WAN flows in id order (no slots, free-slot or live lists, no
+      // activation calendar), the profile cache as its key set, and no
+      // progress or blame row of a job that has an outcome. Restore
+      // derives the rest, as version 6 derived each running attempt's
+      // walltime bound, EASY estimate and start credit, the placeable
+      // vector, and each WAN flow's undrained count, frac sensitivity and
+      // load membership.
+      {easy_case(&tracer, &metrics), 15331, 0xa2b3f1a5d004774cull},
+      {fair_case(), 3546, 0xac4888f341b5da5eull},
+      {prio_case(), 2429, 0x97bf6cca6e21995bull},
+      {equal_case(), 3147, 0xd672464f383230aeull},
   };
   for (const Pin& pin : pins) {
     tracer.clear();
@@ -203,18 +207,45 @@ TEST(SnapshotFormat, ProfileKeysDoNotDependOnComputationOrder) {
   EXPECT_TRUE(keys == backward.profile_keys());
 }
 
-TEST(SnapshotFormat, EqualSplitPinHoldsLiveWanFlows) {
-  // The equal-split pin guards the per-pool WAN state only if flows are
-  // in flight at its pin step: the trunk load sampled there counts the
-  // multi-cluster flows with undrained demand.
-  MetricsRegistry metrics;
-  PinCase c = equal_case();
-  c.options.metrics = &metrics;
+/// Pool counts of the WAN flows live at `c`'s pin step, read from a
+/// traced twin of its run: a flow-open event carries the flow's admitted
+/// pool count, and a flow-retire event ends it.
+std::vector<int> live_flow_pools(PinCase c) {
+  ServiceTracer tracer;
+  c.options.tracer = &tracer;
   pinned_snapshot(c);
+  std::map<int, int> live;
+  for (const ServiceTraceEvent& ev : tracer.events()) {
+    if (ev.kind == TraceKind::kWanFlowOpen) {
+      live[ev.flow] = static_cast<int>(ev.value2);
+    } else if (ev.kind == TraceKind::kWanFlowRetire) {
+      live.erase(ev.flow);
+    }
+  }
+  std::vector<int> pools;
+  for (const auto& [flow, count] : live) pools.push_back(count);
+  return pools;
+}
+
+TEST(SnapshotFormat, WanPinsHoldLivePoolRecords) {
+  // The WAN pins guard the per-pool record layout only if flows with
+  // pools are in flight at their pin steps: equal-wan holds two
+  // multi-cluster equal-split flows, backbone pools included, with
+  // undrained trunk demand (the trunk load sampled there counts them),
+  // and prio-easy a max-min flow with an uplink and a downlink pool.
+  const auto flows_with_pools = [](const std::vector<int>& pools) {
+    return std::count_if(pools.begin(), pools.end(),
+                         [](int count) { return count > 0; });
+  };
+  MetricsRegistry metrics;
+  PinCase equal = equal_case();
+  equal.options.metrics = &metrics;
+  EXPECT_GE(flows_with_pools(live_flow_pools(equal)), 2);
   const auto* trunk = metrics.series("wan.backbone_load");
   ASSERT_NE(trunk, nullptr);
   ASSERT_FALSE(trunk->empty());
   EXPECT_GE(trunk->back().second, 2.0);
+  EXPECT_GE(flows_with_pools(live_flow_pools(prio_case())), 1);
 }
 
 // ---------------------------------------------------- hostile bytes
@@ -473,6 +504,118 @@ TEST(SnapshotHostileBytes, NonFiniteRunningStartOrBadCreditIsRefused) {
     target.restore(clean);  // the refusal left no run in flight
     EXPECT_EQ(target.snapshot(), clean);
   }
+}
+
+TEST(SnapshotHostileBytes, ExhaustedOrNegativeCountersAreRefused) {
+  // The start counter orders simultaneous events and each job counts its
+  // attempts; both only grow, by one per start. Restore refuses a
+  // negative counter and a start counter not above every running
+  // attempt's, and a start refuses to pass INT_MAX instead of
+  // overflowing. Both clusters are down when job 0 arrives at 0.25 s; it
+  // starts at their recovery, 0.5 s, an outage kills it halfway through,
+  // and with unlimited retries it starts again.
+  const simgrid::GridTopology topo = simgrid::GridTopology::grid5000(2, 2, 2);
+  const model::Roofline roofline = model::paper_calibration();
+  Job job;
+  job.id = 0;
+  job.arrival_s = 0.25;
+  job.m = 1 << 16;
+  job.n = 32;
+  job.procs = 2;
+  ServiceOptions options;
+  options.policy = Policy::kFcfs;
+  options.max_retries = std::numeric_limits<int>::max();
+  const double run_s =
+      GridJobService(topo, roofline, options).predicted_seconds(job);
+  options.outages = OutageTrace({Outage{0, 0.1, 0.5}, Outage{1, 0.1, 0.5},
+                                 Outage{0, 0.5 + run_s / 2, 0.5 + run_s}});
+  GridJobService source(topo, roofline, options);
+  source.start({job});
+  while (source.now_s() < 0.25) source.step();
+  ASSERT_EQ(source.now_s(), 0.25);
+  const std::string idle = source.snapshot();  // job 0 waits
+  source.step();
+  ASSERT_EQ(source.now_s(), 0.5);
+  const std::string clean = source.snapshot();  // its first attempt runs
+  const auto bits_of = [](auto value) {
+    std::string bits(sizeof value, '\0');
+    std::memcpy(bits.data(), &value, sizeof value);
+    return bits;
+  };
+  // The engine's fields open with the arrival cursor, the clock and the
+  // start counter; job 0's progress entry, later, reads (id 0, one
+  // attempt, credit 0.0, waste 0.0).
+  const auto seq_offset = [&bits_of](const std::string& bytes, double now,
+                                     int starts) {
+    const std::string head = bits_of(std::size_t{1}) + bits_of(now) +
+                             bits_of(starts);
+    const std::size_t at = bytes.find(head);
+    EXPECT_NE(at, std::string::npos);
+    EXPECT_EQ(bytes.rfind(head), at);
+    return at + sizeof(std::size_t) + sizeof(double);
+  };
+  const std::size_t idle_seq_at = seq_offset(idle, 0.25, 0);
+  const std::size_t seq_at = seq_offset(clean, 0.5, 1);
+  const std::string entry = bits_of(0) + bits_of(1) + std::string(16, '\0');
+  const std::size_t entry_at = clean.find(entry, seq_at);
+  ASSERT_NE(entry_at, std::string::npos);
+  ASSERT_EQ(clean.rfind(entry), entry_at);
+  const std::size_t attempts_at = entry_at + sizeof(int);
+
+  const auto patched = [&bits_of](const std::string& bytes, std::size_t at,
+                                  int value) {
+    std::string out = bytes;
+    out.replace(at, sizeof value, bits_of(value));
+    return out;
+  };
+  struct Refusal {
+    const std::string* bytes;
+    std::size_t at;
+    int value;
+    std::string what;
+  };
+  const std::vector<Refusal> refusals = {
+      {&idle, idle_seq_at, -1, "start counter"},
+      {&clean, seq_at, 0, "not above running job"},
+      {&clean, attempts_at, -1, "attempt counter"}};
+  for (const Refusal& r : refusals) {
+    GridJobService target(topo, roofline, options);
+    bool refused = false;
+    try {
+      target.restore(patched(*r.bytes, r.at, r.value));
+    } catch (const Error& e) {
+      refused = true;
+      EXPECT_NE(std::string(e.what()).find(r.what), std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(refused) << r.what << " = " << r.value << " was restored";
+    if (!refused) continue;
+    target.restore(*r.bytes);  // the refusal left no run in flight
+    EXPECT_EQ(target.snapshot(), *r.bytes);
+  }
+  // At INT_MAX either counter restores, and the restart is refused.
+  const int kMax = std::numeric_limits<int>::max();
+  const std::vector<std::pair<std::size_t, std::string>> exhausted = {
+      {seq_at, "start counter exhausted"},
+      {attempts_at, "exhausted its attempt counter"}};
+  for (const auto& [at, refusal] : exhausted) {
+    GridJobService target(topo, roofline, options);
+    target.restore(patched(clean, at, kMax));
+    try {
+      while (target.active()) target.step();
+      ADD_FAILURE() << "the run passed INT_MAX at offset " << at;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(refusal), std::string::npos)
+          << e.what();
+    }
+  }
+  // The clean checkpoint restarts job 0 after the outage.
+  GridJobService clean_run(topo, roofline, options);
+  clean_run.restore(clean);
+  while (clean_run.active()) clean_run.step();
+  const ServiceReport report = clean_run.finish();
+  ASSERT_EQ(report.outcomes.size(), 1u);
+  EXPECT_EQ(report.outcomes[0].attempts, 2);
 }
 
 TEST(SnapshotHostileBytes, RunningAttemptWithoutProfileIsRefused) {

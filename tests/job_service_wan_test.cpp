@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <random>
@@ -205,10 +206,12 @@ TEST(WanModel, HugeOrInfiniteTrunkDrainsInBoundedSteps) {
 /// full structural-event vocabulary the incremental engine must absorb.
 /// Drives `models` in lockstep (identical op stream) so a test can
 /// compare a model that is consulted constantly against a twin that is
-/// consulted once. Returns the surviving flow ids.
-std::vector<int> churn_models(std::vector<GridWanModel*> models,
-                              std::mt19937& rng, int ops, int num_clusters,
-                              bool query_first_each_op) {
+/// consulted once; `after_op(op, now)`, when given, runs after every op.
+/// Returns the surviving flow ids.
+std::vector<int> churn_models(
+    std::vector<GridWanModel*> models, std::mt19937& rng, int ops,
+    int num_clusters, bool query_first_each_op,
+    const std::function<void(int, double)>& after_op = {}) {
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   std::vector<int> live;
   std::vector<long long> egress(num_clusters, 0), ingress(num_clusters, 0);
@@ -272,6 +275,7 @@ std::vector<int> churn_models(std::vector<GridWanModel*> models,
         live.pop_back();
       }
     }
+    if (after_op) after_op(op, now);
   }
   return live;
 }
@@ -416,11 +420,12 @@ TEST(WanModelIncremental, SameInstantEventsCoalesceIntoOneRebalance) {
 
 TEST(WanModelSnapshot, NonFiniteOrNegativeNumbersAreRefused) {
   // A pool whose bytes are NaN never drains (next_event_s answers the
-  // next representable instant forever), and restored byte counts and
-  // rates feed the drain arithmetic and the retired byte totals: restore
-  // refuses them. Mid-run, each number below has a bit pattern found
-  // where the writer lays it out. The calendar is not written: restore
-  // rebuilds it from the pools, whose activation time is patched below.
+  // next representable instant forever), and restored byte counts feed
+  // the drain arithmetic and the retired byte totals: restore refuses
+  // them. Mid-run, each number below has a bit pattern found where the
+  // writer lays it out. Neither the rates nor the calendar are written:
+  // restore derives both from the pools, whose activation time is
+  // patched below.
   GridWanModel wan(2, 100.0, 200.0);
   wan.admit(0.0, {make_pool(Link::kUplink, 0, 1000.0, 0.0),
                   make_pool(Link::kDownlink, 1, 850.0, 1.0),
@@ -459,9 +464,6 @@ TEST(WanModelSnapshot, NonFiniteOrNegativeNumbersAreRefused) {
       {"pool bytes", 700.0, 0, -1.0, true},
       {"moved bytes", 300.0, 0, kNaN, true},
       {"initial bytes", 1000.0, 0, -kInf, true},
-      {"rate", 100.0, 0, kNaN, true},
-      {"rate", 100.0, 0, -1.0, true},
-      {"rate", 100.0, 0, kInf, false},  // an infinite link's rate
       {"pool activation", 10.0, 0, kNaN, true},
   };
   for (const Patch& p : patches) {
@@ -537,14 +539,16 @@ TEST(WanModelSnapshot, ActiveZeroBytePoolIsRefused) {
   SnapshotWriter w;
   w(wan);
   const std::string clean = w.bytes();
-  // The flow's record closes with its active flags, [0, 1].
-  std::string flags(sizeof(std::uint64_t), '\0');
-  const std::uint64_t two = 2;
-  std::memcpy(flags.data(), &two, sizeof two);
-  flags += std::string("\0\1", 2);
-  const std::size_t at = clean.find(flags);
+  // The drained uplink pool's record closes with its moved and admitted
+  // bytes, 100 each, and its active flag, 0.
+  const double hundred = 100.0;
+  std::string record(2 * sizeof hundred, '\0');
+  std::memcpy(record.data(), &hundred, sizeof hundred);
+  std::memcpy(record.data() + sizeof hundred, &hundred, sizeof hundred);
+  record += '\0';
+  const std::size_t at = clean.find(record);
   ASSERT_NE(at, std::string::npos);
-  ASSERT_EQ(clean.rfind(flags), at);
+  ASSERT_EQ(clean.rfind(record), at);
   const auto restore = [](const std::string& bytes) {
     GridWanModel fresh(2, 100.0, 200.0);
     SnapshotReader r(bytes);
@@ -552,7 +556,7 @@ TEST(WanModelSnapshot, ActiveZeroBytePoolIsRefused) {
   };
   EXPECT_NO_THROW(restore(clean));
   std::string patched = clean;
-  patched[at + sizeof(std::uint64_t)] = '\1';
+  patched[at + 2 * sizeof hundred] = '\1';
   try {
     restore(patched);
     ADD_FAILURE() << "an active drained pool was restored";
@@ -615,6 +619,111 @@ TEST(WanModelSnapshot, RestoredModelContinuesIdentically) {
     original_end(wan);
     restored_end(restored);
     EXPECT_EQ(restored_end.bytes(), original_end.bytes()) << label;
+  }
+}
+
+TEST(WanModelSnapshot, RestoreAnywhereStaysInLockstep) {
+  // Restore derives every cached rate, load membership, the calendar and
+  // frac sensitivity; the checkpoint carries none of them. Under the
+  // churn mix, every third op restores a fresh twin from the model's
+  // snapshot, wherever that op left it (dirty links pending or not), and
+  // the two then take the same ops. After every op their horizons, load
+  // signals and snapshot bytes must agree exactly.
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const WanFairness fairness : kBothRules) {
+    for (const double trunk_Bps : {250.0, kInf}) {
+      const std::string label = wan_fairness_name(fairness) + " trunk " +
+                                std::to_string(trunk_Bps);
+      GridWanModel wan(4, 100.0, trunk_Bps, fairness);
+      GridWanModel twin(4, 100.0, trunk_Bps, fairness);
+      int restores = 0;
+      const auto bytes_of = [](GridWanModel& model) {
+        SnapshotWriter w;
+        w(model);
+        return w.bytes();
+      };
+      std::mt19937 rng(41);
+      churn_models(
+          {&wan, &twin}, rng, 400, 4, /*query_first_each_op=*/false,
+          [&](int op, double now) {
+            if (testing::Test::HasFailure()) return;  // the first mismatch
+            if (op % 3 == 0) {
+              twin = GridWanModel(4, 100.0, trunk_Bps, fairness);
+              SnapshotReader r(bytes_of(wan));
+              r(twin);
+              ++restores;
+            }
+            ASSERT_EQ(bytes_of(twin), bytes_of(wan)) << label << " op " << op;
+            for (int c = 0; c < 4; ++c) {
+              ASSERT_EQ(twin.load_score(c), wan.load_score(c))
+                  << label << " op " << op << " cluster " << c;
+            }
+            ASSERT_EQ(twin.backbone_load(), wan.backbone_load())
+                << label << " op " << op;
+            ASSERT_EQ(twin.next_event_s(now), wan.next_event_s(now))
+                << label << " op " << op;
+          });
+      EXPECT_GT(restores, 100) << label;
+      EXPECT_GT(wan.rebalance_recomputes(), 0u) << label;
+    }
+  }
+}
+
+TEST(WanModelSnapshot, ExhaustedOrNegativeIdCounterIsRefused) {
+  // Flow ids come from a counter that only grows: admit() refuses to
+  // pass INT_MAX instead of overflowing it, and restore refuses a
+  // negative id counter or peak, which no run writes.
+  GridWanModel wan(2, 100.0, 200.0);
+  std::vector<long long> egress(2, 0), ingress(2, 0);
+  for (int k = 0; k < 2; ++k) {
+    const int flow = wan.admit(0.0, {make_pool(Link::kUplink, 0, 100.0, 0.0)});
+    wan.retire(flow, egress, ingress);
+  }
+  SnapshotWriter w;
+  w(wan);
+  const std::string clean = w.bytes();
+  const auto bits_of = [](auto value) {
+    std::string bits(sizeof value, '\0');
+    std::memcpy(bits.data(), &value, sizeof value);
+    return bits;
+  };
+  // With no live flow the checkpoint opens with the cluster count and
+  // fairness tags, the empty flow list, the id counter (2) and the peak
+  // live count (1).
+  const std::string head = bits_of(2) + bits_of(WanFairness::kEqualSplit) +
+                           bits_of(std::uint64_t{0}) + bits_of(2) + bits_of(1);
+  ASSERT_EQ(clean.compare(0, head.size(), head), 0);
+  const std::size_t counter_at = head.size() - 2 * sizeof(int);
+  const std::size_t peak_at = head.size() - sizeof(int);
+  const auto patched = [&clean, &bits_of](std::size_t at, int value) {
+    std::string bytes = clean;
+    bytes.replace(at, sizeof value, bits_of(value));
+    return bytes;
+  };
+  const auto restore = [](const std::string& bytes) {
+    GridWanModel fresh(2, 100.0, 200.0);
+    SnapshotReader r(bytes);
+    r(fresh);
+    return fresh;
+  };
+  const int kMax = std::numeric_limits<int>::max();
+  GridWanModel last = restore(patched(counter_at, kMax - 1));
+  EXPECT_EQ(last.admit(0.0, {make_pool(Link::kUplink, 0, 100.0, 0.0)}),
+            kMax - 1);
+  EXPECT_THROW(last.admit(0.0, {}), Error);
+  GridWanModel exhausted = restore(patched(counter_at, kMax));
+  EXPECT_THROW(exhausted.admit(0.0, {}), Error);
+  EXPECT_EQ(exhausted.live_flows(), 0);  // the refusal admitted nothing
+  for (const std::size_t at : {counter_at, peak_at}) {
+    try {
+      restore(patched(at, -1));
+      ADD_FAILURE() << "a negative counter at offset " << at
+                    << " was restored";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("negative counter"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
